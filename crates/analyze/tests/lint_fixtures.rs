@@ -118,6 +118,15 @@ fn stale_allowlist_entry_fails_the_run() {
     assert!(report.allow_errors[0].contains("stale"));
 }
 
+/// `lint.allow` also carries the graph rules' justifications; a run
+/// without the graph pass cannot produce those findings and must not
+/// call their entries stale.
+#[test]
+fn graph_rule_entries_are_not_stale_without_the_graph_pass() {
+    let report = fixture_report("NW-G003 d002_instant.rs:999 -- graph-only rule\n");
+    assert!(report.allow_errors.is_empty(), "{:#?}", report.allow_errors);
+}
+
 #[test]
 fn fixture_run_is_nonzero_and_workspace_scan_sees_files() {
     let report = fixture_report("");

@@ -1210,7 +1210,7 @@ fn run_sweep_bench() -> Result<(SweepBenchOutput, bool), String> {
 
 /// The CI smoke workload: a short mixed predict/plan session that must
 /// produce zero protocol errors, a non-zero cache hit rate, byte-identical
-/// repeats, working predict micro-batching, and a clean shutdown.
+/// repeats, every burst predict answered ok, and a clean shutdown.
 fn run_smoke(args: &Args) -> Result<bool, String> {
     banner(
         "SERVE-SMOKE",
@@ -1252,8 +1252,8 @@ fn run_smoke(args: &Args) -> Result<bool, String> {
         scenarios.len()
     );
 
-    // A concurrent predict burst sharing one machine — exercises the
-    // micro-batcher.
+    // A concurrent predict burst sharing one machine — four workers
+    // resolving the same fitted predictor at once.
     let addr = target.addr();
     let burst: Vec<_> = (0..4)
         .map(|b| {
@@ -1303,7 +1303,8 @@ fn run_smoke(args: &Args) -> Result<bool, String> {
     }
     println!("compare: ok");
 
-    // Stats must show zero protocol errors, hits, and at least one batch.
+    // Stats must show zero protocol errors, hits, and all 32 burst
+    // predicts answered ok.
     let stats = client
         .call(&stats_request())
         .map_err(|e| format!("stats: {e}"))?;
@@ -1311,9 +1312,10 @@ fn run_smoke(args: &Args) -> Result<bool, String> {
     let protocol_errors = u64_at(&result, &["server", "protocol_errors"]);
     let hit_rate = f64_at(&result, &["cache", "hit_rate"]);
     let hits = u64_at(&result, &["cache", "hits"]);
-    let batches = u64_at(&result, &["batch", "batches"]);
+    let predicts = u64_at(&result, &["endpoints", "predict", "requests"]);
+    let predict_errors = u64_at(&result, &["endpoints", "predict", "errors"]);
     println!(
-        "stats: protocol_errors={protocol_errors} cache_hits={hits} hit_rate={:.3} batches={batches}",
+        "stats: protocol_errors={protocol_errors} cache_hits={hits} hit_rate={:.3} predicts={predicts} predict_errors={predict_errors}",
         hit_rate
     );
     let mut ok = true;
@@ -1325,8 +1327,8 @@ fn run_smoke(args: &Args) -> Result<bool, String> {
         eprintln!("smoke: FAIL — no cache hits on a repeated working set");
         ok = false;
     }
-    if batches == 0 {
-        eprintln!("smoke: FAIL — predict burst produced no batches");
+    if predicts != 32 || predict_errors != 0 {
+        eprintln!("smoke: FAIL — predict burst of 32 counted {predicts} requests, {predict_errors} errors");
         ok = false;
     }
 

@@ -1383,9 +1383,9 @@ FLEET:
 SERVE:
   Runs the planning daemon: newline-delimited JSON requests over TCP
   (predict|plan|compare|execute|stats|trace|shutdown), served by a nonblocking
-  event loop with plan caching, predict micro-batching, per-request
-  deadlines, per-client token-bucket rate limits and live latency
-  metrics. Unset flags fall back to the NESTWX_SERVE_WORKERS /
+  event loop with plan caching, one shared predictor fit per machine,
+  per-request deadlines, per-client token-bucket rate limits and live
+  latency metrics. Unset flags fall back to the NESTWX_SERVE_WORKERS /
   NESTWX_SERVE_READERS / NESTWX_SERVE_QUEUE / NESTWX_SERVE_CACHE /
   NESTWX_SERVE_MAX_CONNS / NESTWX_SERVE_DEADLINE_MS / NESTWX_SERVE_RATE /
   NESTWX_SERVE_BURST / NESTWX_SERVE_CLIENT_CAP / NESTWX_SERVE_PREDICTORS /
@@ -1404,7 +1404,7 @@ SERVE:
   log above NESTWX_SERVE_TRACE_SLOW_US (0 = off). The 'trace' endpoint
   drains the rings as a versioned 'nestwx-obs-serve-summary' envelope
   that 'nestwx obs report|top|diff' renders; 'stats' returns the
-  unified 'nestwx-serve-stats' v2 envelope. 'plan'/'compare' requests
+  unified 'nestwx-serve-stats' v3 envelope. 'plan'/'compare' requests
   with \"explain\":true append per-nest rank shares, predicted s/iter
   and a hop histogram; responses without it stay byte-identical to
   the cached plan bytes whether recording is on or off.

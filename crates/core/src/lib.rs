@@ -32,11 +32,12 @@ pub mod tempdir;
 pub mod threads;
 
 pub use adaptive::{run_adaptive, AdaptiveReport};
-pub use canon::{fnv1a64, Scenario};
+pub use canon::Scenario;
 pub use compare::{
     compare_strategies, compare_strategies_observed, ObservedComparison, StrategyComparison,
 };
 pub use env::{env_f64, env_u32, env_usize};
+pub use nestwx_grid::fnv1a64;
 pub use parallel::{parallel_jobs, run_parallel, run_parallel_with};
 pub use planner::{ExecutionPlan, PlanError, Planner};
 pub use profile::{fit_predictor, measure_domain_time, profile_basis};

@@ -11,7 +11,10 @@
 //! * [`ProcGrid`] — the `Px × Py` virtual processor grid that a domain is
 //!   block-decomposed over;
 //! * [`Decomposition`] — the per-rank patches of a block decomposition,
-//!   including halo-exchange geometry (which neighbours, how many bytes).
+//!   including halo-exchange geometry (which neighbours, how many bytes);
+//! * [`fnv1a64`] — the stable byte digest behind cache keys and report
+//!   digests (here because `nestwx-core` and `nestwx-miniwrf` both depend
+//!   on this crate and not on each other).
 //!
 //! The paper's setting (§1, §3): the parent domain is solved on the full
 //! processor grid; each nested child domain is solved `r` times per parent
@@ -24,11 +27,13 @@
 pub mod decomp;
 pub mod domain;
 pub mod features;
+pub mod hash;
 pub mod procgrid;
 pub mod rect;
 
 pub use decomp::{Decomposition, HaloSpec, Neighbor, Patch};
 pub use domain::{Domain, DomainError, DomainId, NestSpec, NestedConfig};
 pub use features::DomainFeatures;
+pub use hash::fnv1a64;
 pub use procgrid::ProcGrid;
 pub use rect::Rect;

@@ -14,6 +14,7 @@
 
 use crate::model::{NestState, NestedModel};
 use crate::solver::ShallowWater;
+use nestwx_grid::fnv1a64;
 use serde::{Deserialize, Serialize};
 
 /// Schema tag of the serialized report.
@@ -26,19 +27,6 @@ pub const REPORT_VERSION: u64 = 1;
 /// little-endian — the encoding both the frame codec and the logical
 /// accounting use, so reported halo bytes match actual frame payloads.
 pub const HALO_CELL_BYTES: u64 = 40;
-
-/// FNV-1a 64-bit hash (same constants as `nestwx_core::fnv1a64`, inlined
-/// here because the dependency points the other way).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
 
 /// FNV-1a 64 over the little-endian bit patterns of the interior cells of
 /// `h`, `hu`, `hv` in that order — the canonical digest of one solver's

@@ -1,6 +1,7 @@
-//! The sharded LRU plan cache.
+//! The sharded LRU plan cache, the bounded predictor map, and the one
+//! [`Lru`] table both (and the rate limiter's client table) evict with.
 //!
-//! Keys are full canonical scenario strings
+//! Plan-cache keys are full canonical scenario strings
 //! ([`nestwx_core::Scenario::canonical_string`]); the caller supplies the
 //! FNV digest alongside, which picks the shard. Lookups compare the whole
 //! key, so a digest collision can never alias two scenarios. Values are the
@@ -9,10 +10,14 @@
 //! is how the byte-identity guarantee is enforced structurally rather than
 //! hoped for.
 //!
-//! Each shard is an independently locked map with last-used stamps;
-//! eviction scans the full shard for the oldest stamp. With the default
-//! shard sizes (≤ a few hundred entries) the scan is cheaper than
-//! maintaining an intrusive list, and it only runs when a shard is full.
+//! Each shard is an independently locked [`Lru`]; eviction scans the full
+//! shard for the oldest stamp. With the default shard sizes (≤ a few
+//! hundred entries) the scan is cheaper than maintaining an intrusive
+//! list, and it only runs when a shard is full.
+//!
+//! [`BoundedMap`] is the LRU-evicting store behind the per-machine
+//! predictor cache: a churn of distinct machine specs evicts the stalest
+//! predictor instead of growing without bound.
 
 use crate::sync::{lock_unpoisoned, AtomicU64, Mutex, Ordering};
 use serde::Serialize;
@@ -22,22 +27,70 @@ use std::sync::Arc;
 /// Shards per cache (fixed power of two; the digest's low bits select one).
 const SHARDS: usize = 8;
 
-struct Entry {
-    value: Arc<str>,
-    last_used: u64,
+/// A string-keyed table with least-recently-used stamps. It holds no lock
+/// and no policy: each owner wraps it in its own `Mutex`, passes its own
+/// capacity, and keeps its own counters.
+pub(crate) struct Lru<V> {
+    // Ordered map: the eviction scan visits entries in key order, so
+    // victim selection is deterministic under stamp ties.
+    map: BTreeMap<String, (V, u64)>,
+    /// Monotonic touch counter backing the LRU stamps (not wall time, so
+    /// eviction order is deterministic and loom-checkable).
+    clock: u64,
 }
 
-#[derive(Default)]
-struct Shard {
-    // Ordered map: the eviction scan (and any debug dump) visits entries
-    // in key order, so victim selection is deterministic under stamp ties.
-    map: BTreeMap<String, Entry>,
-    clock: u64,
+impl<V> Default for Lru<V> {
+    fn default() -> Self {
+        Lru {
+            map: BTreeMap::new(),
+            clock: 0,
+        }
+    }
+}
+
+impl<V> Lru<V> {
+    fn stamp(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+
+    /// The value under `key`, its stamp refreshed.
+    pub(crate) fn touch(&mut self, key: &str) -> Option<&mut V> {
+        let stamp = self.stamp();
+        self.map.get_mut(key).map(|(value, last_used)| {
+            *last_used = stamp;
+            value
+        })
+    }
+
+    /// Inserts (or replaces) `key`. A new key arriving at `cap` entries
+    /// first evicts the least recently used one; returns whether it did.
+    pub(crate) fn insert(&mut self, key: String, value: V, cap: usize) -> bool {
+        let stamp = self.stamp();
+        let mut evicted = false;
+        if !self.map.contains_key(&key) && self.map.len() >= cap {
+            if let Some(oldest) = self
+                .map
+                .iter()
+                .min_by_key(|(_, (_, last_used))| *last_used)
+                .map(|(k, _)| k.clone())
+            {
+                self.map.remove(&oldest);
+                evicted = true;
+            }
+        }
+        self.map.insert(key, (value, stamp));
+        evicted
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.map.len()
+    }
 }
 
 /// Sharded exact-key LRU cache for rendered plan/compare results.
 pub struct PlanCache {
-    shards: Vec<Mutex<Shard>>,
+    shards: Vec<Mutex<Lru<Arc<str>>>>,
     per_shard_cap: usize,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -49,7 +102,7 @@ impl PlanCache {
     /// a multiple of the shard count; minimum one entry per shard).
     pub fn new(capacity: usize) -> PlanCache {
         PlanCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
+            shards: (0..SHARDS).map(|_| Mutex::new(Lru::default())).collect(),
             per_shard_cap: capacity.div_ceil(SHARDS).max(1),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -62,75 +115,44 @@ impl PlanCache {
         self.per_shard_cap * SHARDS
     }
 
-    fn shard(&self, digest: u64) -> &Mutex<Shard> {
+    fn shard(&self, digest: u64) -> &Mutex<Lru<Arc<str>>> {
         &self.shards[(digest as usize) & (SHARDS - 1)]
     }
 
     /// Looks up the rendered result for an exact key, refreshing its LRU
     /// stamp and counting the hit or miss.
     pub fn get(&self, key: &str, digest: u64) -> Option<Arc<str>> {
-        let mut shard = lock_unpoisoned(self.shard(digest));
-        shard.clock += 1;
-        let stamp = shard.clock;
-        match shard.map.get_mut(key) {
-            Some(e) => {
-                e.last_used = stamp;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(&e.value))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let hit = self.peek(key, digest);
+        let counter = if hit.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        hit
     }
 
     /// Like [`get`](Self::get) but without touching the hit/miss counters —
     /// for the worker's post-dequeue re-check, which would otherwise count
     /// every request twice (once on the connection thread, once here).
     pub fn peek(&self, key: &str, digest: u64) -> Option<Arc<str>> {
-        let mut shard = lock_unpoisoned(self.shard(digest));
-        shard.clock += 1;
-        let stamp = shard.clock;
-        shard.map.get_mut(key).map(|e| {
-            e.last_used = stamp;
-            Arc::clone(&e.value)
-        })
+        lock_unpoisoned(self.shard(digest))
+            .touch(key)
+            .map(|v| Arc::clone(v))
     }
 
     /// Inserts (or refreshes) an entry, evicting the shard's least recently
     /// used entry if it is full.
     pub fn insert(&self, key: String, digest: u64, value: Arc<str>) {
-        let mut shard = lock_unpoisoned(self.shard(digest));
-        shard.clock += 1;
-        let stamp = shard.clock;
-        if !shard.map.contains_key(&key) && shard.map.len() >= self.per_shard_cap {
-            if let Some(oldest) = shard
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                shard.map.remove(&oldest);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
+        if lock_unpoisoned(self.shard(digest)).insert(key, value, self.per_shard_cap) {
+            self.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        shard.map.insert(
-            key,
-            Entry {
-                value,
-                last_used: stamp,
-            },
-        );
     }
 
     /// Entries currently cached (sums the shards; approximate under
     /// concurrent writes).
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| lock_unpoisoned(s).map.len())
-            .sum()
+        self.shards.iter().map(|s| lock_unpoisoned(s).len()).sum()
     }
 
     /// True when no entries are cached.
@@ -173,6 +195,58 @@ pub struct CacheStats {
     pub evictions: u64,
     /// `hits / (hits + misses)`, 0 when no lookups happened.
     pub hit_rate: f64,
+}
+
+/// A capacity-bounded map with least-recently-used eviction, keyed by
+/// string. Backs the per-machine predictor cache: inserting past the cap
+/// evicts the stalest entry (deterministic victim — lowest stamp, then map
+/// order), so memory stays O(cap) under a churn of distinct machine specs.
+pub struct BoundedMap<V> {
+    inner: Mutex<Lru<V>>,
+    cap: usize,
+    evictions: AtomicU64,
+}
+
+impl<V: Clone> BoundedMap<V> {
+    /// An empty map holding at most `cap` entries (`cap` is clamped to
+    /// at least 1 — a zero-capacity cache would evict its own insert).
+    pub fn new(cap: usize) -> BoundedMap<V> {
+        BoundedMap {
+            inner: Mutex::new(Lru::default()),
+            cap: cap.max(1),
+            evictions: AtomicU64::new(0),
+        }
+    }
+
+    /// Returns the value under `key`, building and inserting it with
+    /// `build` on a miss. The builder runs under the map lock, so
+    /// concurrent callers for the same key share one construction.
+    pub fn get_or_insert_with(&self, key: &str, build: impl FnOnce() -> V) -> V {
+        let mut inner = lock_unpoisoned(&self.inner);
+        if let Some(value) = inner.touch(key) {
+            return value.clone();
+        }
+        let value = build();
+        if inner.insert(key.to_string(), value.clone(), self.cap) {
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+        }
+        value
+    }
+
+    /// Entries currently held.
+    pub fn len(&self) -> usize {
+        lock_unpoisoned(&self.inner).len()
+    }
+
+    /// True when the map holds nothing.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Entries evicted by the capacity bound.
+    pub fn evictions(&self) -> u64 {
+        self.evictions.load(Ordering::Relaxed)
+    }
 }
 
 #[cfg(all(test, not(loom)))]
@@ -238,5 +312,27 @@ mod tests {
         assert_eq!(&*c.get("k", 5).unwrap(), "v2");
         assert_eq!(c.stats().evictions, 0);
         assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    fn bounded_map_caps_and_evicts_lru() {
+        let m: BoundedMap<u32> = BoundedMap::new(2);
+        assert_eq!(m.get_or_insert_with("a", || 1), 1);
+        assert_eq!(m.get_or_insert_with("b", || 2), 2);
+        // Touch "a" so "b" is the LRU victim.
+        assert_eq!(m.get_or_insert_with("a", || 99), 1, "hit, no rebuild");
+        assert_eq!(m.get_or_insert_with("c", || 3), 3);
+        assert_eq!(m.len(), 2, "capacity bound holds");
+        assert_eq!(m.evictions(), 1);
+        assert_eq!(m.get_or_insert_with("b", || 20), 20, "evicted key rebuilds");
+        assert_eq!(m.evictions(), 2, "reinserting b evicts the next victim");
+    }
+
+    #[test]
+    fn bounded_map_zero_capacity_clamps_to_one() {
+        let m: BoundedMap<u32> = BoundedMap::new(0);
+        assert_eq!(m.get_or_insert_with("a", || 1), 1);
+        assert_eq!(m.get_or_insert_with("a", || 9), 1, "own insert survives");
+        assert_eq!(m.len(), 1);
     }
 }

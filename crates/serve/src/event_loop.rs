@@ -33,18 +33,18 @@
 //! bucket cannot cover is answered `rate_limited` without touching the
 //! cache or the queue.
 
-use crate::batch::{Completion, Outcome, Pending, Reply};
 use crate::conn::Conn;
 use crate::flight::{dur_us, RequestSpan, SpanPath};
 use crate::keys;
 use crate::limits::CancelToken;
 use crate::protocol::{
     parse_machine, response_err_line, response_ok_line, Endpoint, ErrorKind, Line, ProtoError,
-    Request, RequestBody, MAX_LINE_BYTES,
+    Request, RequestBody, ScenarioParams, MAX_LINE_BYTES,
 };
 use crate::queue::PushError;
+use crate::reply::{Completion, Outcome, Reply};
 use crate::server::{
-    deadline_exceeded, internal, render_stats, render_trace, shutting_down, Job, ServerState,
+    deadline_exceeded, render_stats, render_trace, shutting_down, Job, ServerState, Work,
 };
 use crate::sync::Ordering;
 use nestwx_grid::DomainFeatures;
@@ -109,6 +109,19 @@ struct SpanSeed {
     /// Arrival → parse done (µs).
     parse_us: u32,
     endpoint: Endpoint,
+}
+
+/// When one request line arrived, on both of the reader's timelines, and
+/// what parsing it cost — what every answer path needs to record latency
+/// and stamp a flight span.
+#[derive(Clone, Copy)]
+struct Arrival {
+    now: Instant,
+    /// µs since the server epoch (0 when neither the rate limiter nor the
+    /// recorder needs it).
+    now_us: u64,
+    /// Arrival → parse done (µs); 0 on the hot path and when not recording.
+    parse_us: u32,
 }
 
 /// Saturating µs delta on the epoch timeline.
@@ -346,8 +359,25 @@ impl ReaderLoop {
     }
 
     fn apply_completion(&mut self, c: Completion) {
-        self.inflight = self.inflight.saturating_sub(1);
         self.deadlines.remove(&(c.conn, c.seq));
+        let stages = Some((c.wait_us, c.work_us));
+        self.finish((c.conn, c.seq), c.line, SpanPath::Worker, c.ok, stages);
+    }
+
+    /// Finishes a submitted job — answered by a worker's completion or by
+    /// the deadline sweep: fills its pipeline slot and completes the
+    /// flight span seeded at submit. `stages` are the worker-measured
+    /// (wait, work) µs; the sweep has none and charges everything after
+    /// the parse to the wait.
+    fn finish(
+        &mut self,
+        key: (u64, u64),
+        line: String,
+        path: SpanPath,
+        ok: bool,
+        stages: Option<(u32, u32)>,
+    ) {
+        self.inflight = self.inflight.saturating_sub(1);
         // Counted whether or not the connection is still here: the
         // response was generated; delivery to a vanished client is not
         // owed (matches requests_total for a clean drain).
@@ -355,32 +385,38 @@ impl ReaderLoop {
             .metrics
             .responses_total
             .fetch_add(1, Ordering::Relaxed);
-        let span = self.seeds.remove(&(c.conn, c.seq)).map(|seed| {
-            let done_us = clock::micros_since(self.state.epoch);
-            RequestSpan {
-                ts_us: seed.ts_us,
-                endpoint: seed.endpoint,
-                path: SpanPath::Worker,
-                ok: c.ok,
-                parse_us: seed.parse_us,
-                wait_us: c.wait_us,
-                work_us: c.work_us,
-                total_us: delta_us(seed.ts_us, done_us),
-                write_us: 0,
-                written: false,
-            }
+        let span = self.seeds.remove(&key).map(|seed| {
+            let total_us = delta_us(seed.ts_us, clock::micros_since(self.state.epoch));
+            let (wait_us, work_us) = stages.unwrap_or((total_us.saturating_sub(seed.parse_us), 0));
+            RequestSpan::queued(
+                seed.ts_us,
+                seed.endpoint,
+                path,
+                ok,
+                seed.parse_us,
+                wait_us,
+                work_us,
+                total_us,
+            )
         });
-        if let Some(conn) = self.conns.get_mut(&c.conn) {
-            conn.fill_slot(c.seq, c.line);
+        if let Some(conn) = self.conns.get_mut(&key.0) {
+            conn.fill_slot(key.1, line);
             if let Some(span) = span {
-                if let Some(evicted) = conn.push_span(span) {
-                    self.state.flight.record(self.idx, evicted);
-                }
+                Self::queue_span(&self.state, self.idx, conn, span);
             }
         } else if let Some(span) = span {
             // The connection vanished before delivery — the span still
             // counts, with the write edge left unrecorded.
             self.state.flight.record(self.idx, span);
+        }
+    }
+
+    /// Queues a span on its connection so its write edge can be stamped
+    /// once the outbox drains; a span evicted by the per-connection cap is
+    /// recorded immediately (unwritten).
+    fn queue_span(state: &ServerState, idx: usize, conn: &mut Conn<TcpStream>, span: RequestSpan) {
+        if let Some(evicted) = conn.push_span(span) {
+            state.flight.record(idx, evicted);
         }
     }
 
@@ -431,54 +467,24 @@ impl ReaderLoop {
         m.responses_total.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Appends one inline response in request order and records it.
-    fn respond_inline(
+    /// Answers one request on the reader itself: records the outcome under
+    /// its endpoint, renders the response line and queues it in request
+    /// order. `slot` is a pipeline slot already reserved for the request
+    /// (the queue refused the job after the reservation), `None` otherwise.
+    fn answer(
         &self,
         conn: &mut Conn<TcpStream>,
+        slot: Option<u64>,
         id: Option<&str>,
         endpoint: Endpoint,
-        started: Instant,
         outcome: &Outcome,
+        at: Arrival,
     ) {
-        let line = self.render_response(id, endpoint, started, outcome);
-        conn.push_done(line);
-        self.state
-            .metrics
-            .responses_total
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Fills an already-reserved slot with an inline error (queue-push
-    /// failures after the slot was reserved).
-    fn respond_slot(
-        &self,
-        conn: &mut Conn<TcpStream>,
-        seq: u64,
-        id: Option<&str>,
-        endpoint: Endpoint,
-        started: Instant,
-        outcome: &Outcome,
-    ) {
-        let line = self.render_response(id, endpoint, started, outcome);
-        conn.fill_slot(seq, line);
-        self.state
-            .metrics
-            .responses_total
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn render_response(
-        &self,
-        id: Option<&str>,
-        endpoint: Endpoint,
-        started: Instant,
-        outcome: &Outcome,
-    ) -> String {
         self.state
             .metrics
             .endpoint(endpoint)
-            .record(clock::since(started), outcome.is_ok());
-        match outcome {
+            .record(clock::since(at.now), outcome.is_ok());
+        let line = match outcome {
             Ok(result) => response_ok_line(id, result),
             Err(e) => {
                 if matches!(
@@ -492,40 +498,44 @@ impl ReaderLoop {
                 }
                 response_err_line(id, e)
             }
-        }
+        };
+        self.queue_answer(conn, slot, line, endpoint, outcome.is_ok(), at);
     }
 
-    /// Queues an inline-path flight span on the connection so its write
-    /// edge can be stamped once the outbox drains; spans evicted by the
-    /// per-connection cap are recorded immediately (unwritten). No-op
-    /// when recording is off.
-    fn push_inline_span(
+    /// Queues an already rendered and recorded inline answer, plus (while
+    /// recording) its inline-path flight span.
+    fn queue_answer(
         &self,
         conn: &mut Conn<TcpStream>,
+        slot: Option<u64>,
+        line: String,
         endpoint: Endpoint,
         ok: bool,
-        parse_us: u32,
-        now: Instant,
-        now_us: u64,
+        at: Arrival,
     ) {
-        if !self.flight_on {
-            return;
+        match slot {
+            Some(seq) => {
+                conn.fill_slot(seq, line);
+            }
+            None => conn.push_done(line),
         }
-        let total_us = dur_us(clock::since(now));
-        let span = RequestSpan {
-            ts_us: now_us,
-            endpoint,
-            path: SpanPath::Inline,
-            ok,
-            parse_us,
-            wait_us: 0,
-            work_us: total_us.saturating_sub(parse_us),
-            total_us,
-            write_us: 0,
-            written: false,
-        };
-        if let Some(evicted) = conn.push_span(span) {
-            self.state.flight.record(self.idx, evicted);
+        self.state
+            .metrics
+            .responses_total
+            .fetch_add(1, Ordering::Relaxed);
+        if self.flight_on {
+            let total_us = dur_us(clock::since(at.now));
+            let span = RequestSpan::queued(
+                at.now_us,
+                endpoint,
+                SpanPath::Inline,
+                ok,
+                at.parse_us,
+                0,
+                total_us.saturating_sub(at.parse_us),
+                total_us,
+            );
+            Self::queue_span(&self.state, self.idx, conn, span);
         }
     }
 
@@ -534,6 +544,11 @@ impl ReaderLoop {
             .metrics
             .requests_total
             .fetch_add(1, Ordering::Relaxed);
+        let mut at = Arrival {
+            now,
+            now_us,
+            parse_us: 0,
+        };
         // Hot path: a raw line seen before whose answer comes from the
         // plan cache — charge the limiter, count the cache hit, splice
         // the precomposed response; no JSON touched.
@@ -544,10 +559,7 @@ impl ReaderLoop {
                     if !self.state.limiter.try_charge(client, entry.cost, now_us) {
                         self.state.metrics.rate_shed.fetch_add(1, Ordering::Relaxed);
                         let shed = Err(rate_limited());
-                        let id = entry.id.clone();
-                        let endpoint = entry.endpoint;
-                        self.respond_inline(conn, id.as_deref(), endpoint, now, &shed);
-                        self.push_inline_span(conn, endpoint, false, 0, now, now_us);
+                        self.answer(conn, None, entry.id.as_deref(), entry.endpoint, &shed, at);
                         return;
                     }
                     charged = true;
@@ -570,18 +582,16 @@ impl ReaderLoop {
                     let total_us = dur_us(latency);
                     self.state.flight.record(
                         self.idx,
-                        RequestSpan {
-                            ts_us: now_us,
-                            endpoint: entry.endpoint,
-                            path: SpanPath::Hot,
-                            ok: true,
-                            parse_us: 0,
-                            wait_us: 0,
-                            work_us: total_us,
+                        RequestSpan::queued(
+                            now_us,
+                            entry.endpoint,
+                            SpanPath::Hot,
+                            true,
+                            0,
+                            0,
                             total_us,
-                            write_us: 0,
-                            written: false,
-                        },
+                            total_us,
+                        ),
                     );
                 }
                 return;
@@ -602,67 +612,72 @@ impl ReaderLoop {
             }
         };
         let endpoint = req.endpoint();
+        let id = req.id.as_deref();
         // Arrival → parse done, charged to the span's parse stage.
-        let parse_us = if self.flight_on {
-            dur_us(clock::since(now))
-        } else {
-            0
-        };
+        if self.flight_on {
+            at.parse_us = dur_us(clock::since(now));
+        }
         if self.rate_on && !charged {
             if let Some(client) = &req.client {
                 let cost = endpoint_cost(endpoint);
                 if cost > 0 && !self.state.limiter.try_charge(client, cost, now_us) {
                     self.state.metrics.rate_shed.fetch_add(1, Ordering::Relaxed);
-                    self.respond_inline(
-                        conn,
-                        req.id.as_deref(),
-                        endpoint,
-                        now,
-                        &Err(rate_limited()),
-                    );
-                    self.push_inline_span(conn, endpoint, false, parse_us, now, now_us);
+                    self.answer(conn, None, id, endpoint, &Err(rate_limited()), at);
                     return;
                 }
             }
         }
         match &req.body {
             RequestBody::Stats => {
-                let outcome = render_stats(&self.state);
-                self.respond_inline(conn, req.id.as_deref(), endpoint, now, &outcome);
-                self.push_inline_span(conn, endpoint, outcome.is_ok(), parse_us, now, now_us);
+                self.answer(conn, None, id, endpoint, &render_stats(&self.state), at)
             }
+            // The trace answer's own span lands after the drain it
+            // answered, so it shows up in the *next* trace — by design,
+            // not a leak.
             RequestBody::Trace => {
-                let outcome = render_trace(&self.state);
-                self.respond_inline(conn, req.id.as_deref(), endpoint, now, &outcome);
-                // This span lands after the drain it answered, so it shows
-                // up in the *next* trace — by design, not a leak.
-                self.push_inline_span(conn, endpoint, outcome.is_ok(), parse_us, now, now_us);
+                self.answer(conn, None, id, endpoint, &render_trace(&self.state), at)
             }
             RequestBody::Shutdown => {
                 self.state.trigger_shutdown();
                 let outcome = Ok("{\"draining\":true}".to_string());
-                self.respond_inline(conn, req.id.as_deref(), endpoint, now, &outcome);
-                self.push_inline_span(conn, endpoint, true, parse_us, now, now_us);
+                self.answer(conn, None, id, endpoint, &outcome, at);
             }
-            RequestBody::Plan(p) => {
-                self.submit_scenario(conn, &req, p.clone(), None, line, now, now_us, parse_us)
-            }
+            RequestBody::Plan(p) => self.submit_scenario(conn, &req, p, None, line, at),
             RequestBody::Compare { params, iterations } => {
-                let n = Some(*iterations);
-                self.submit_scenario(conn, &req, params.clone(), n, line, now, now_us, parse_us)
+                self.submit_scenario(conn, &req, params, Some(*iterations), line, at)
             }
+            // No cache fast path for a fleet execution: every `execute`
+            // is real work whose obs envelope must describe *this* run,
+            // so caching would be a lie.
             RequestBody::Execute {
                 params,
                 iterations,
                 workers,
-            } => {
-                let (n, w) = (*iterations, *workers);
-                self.submit_execute(conn, &req, params.clone(), n, w, now, now_us, parse_us)
-            }
-            RequestBody::Predict(p) => {
-                let p = p.clone();
-                self.submit_predict(conn, &req, p, now, now_us, parse_us)
-            }
+            } => match params.to_scenario() {
+                Ok(scenario) => {
+                    let work = Work::Execute {
+                        scenario,
+                        iterations: *iterations,
+                        workers: *workers,
+                    };
+                    self.submit(conn, &req, work, at)
+                }
+                Err(e) => self.answer(conn, None, id, endpoint, &Err(e), at),
+            },
+            RequestBody::Predict(p) => match parse_machine(&p.machine) {
+                Ok(machine) => {
+                    let work = Work::Predict {
+                        machine,
+                        machine_spec: p.machine.clone(),
+                        features: p.nests.iter().map(DomainFeatures::from).collect(),
+                    };
+                    self.submit(conn, &req, work, at)
+                }
+                Err(msg) => {
+                    let e = ProtoError::bad_request(msg);
+                    self.answer(conn, None, id, endpoint, &Err(e), at)
+                }
+            },
         }
     }
 
@@ -673,24 +688,22 @@ impl ReaderLoop {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Answers a `plan`/`compare` (`iterations` set) from the plan cache
+    /// when it can, and submits it to the workers when it cannot.
     fn submit_scenario(
         &mut self,
         conn: &mut Conn<TcpStream>,
         req: &Request,
-        params: crate::protocol::ScenarioParams,
+        params: &ScenarioParams,
         iterations: Option<u32>,
         raw_line: String,
-        now: Instant,
-        now_us: u64,
-        parse_us: u32,
+        at: Arrival,
     ) {
         let endpoint = req.endpoint();
         let scenario = match params.to_scenario() {
             Ok(s) => s,
             Err(e) => {
-                self.respond_inline(conn, req.id.as_deref(), endpoint, now, &Err(e));
-                self.push_inline_span(conn, endpoint, false, parse_us, now, now_us);
+                self.answer(conn, None, req.id.as_deref(), endpoint, &Err(e), at);
                 return;
             }
         };
@@ -710,7 +723,7 @@ impl ReaderLoop {
                 self.state
                     .metrics
                     .endpoint(endpoint)
-                    .record(clock::since(now), true);
+                    .record(clock::since(at.now), true);
                 let response = response_ok_line(req.id.as_deref(), &hit);
                 if self.hot.len() >= HOT_CACHE_CAP {
                     self.hot.clear();
@@ -727,250 +740,63 @@ impl ReaderLoop {
                         id: req.id.clone(),
                     },
                 );
-                conn.push_done(response);
-                self.state
-                    .metrics
-                    .responses_total
-                    .fetch_add(1, Ordering::Relaxed);
-                self.push_inline_span(conn, endpoint, true, parse_us, now, now_us);
+                self.queue_answer(conn, None, response, endpoint, true, at);
                 return;
             }
         }
-        if self.state.is_shutdown() {
-            self.respond_inline(
-                conn,
-                req.id.as_deref(),
-                endpoint,
-                now,
-                &Err(shutting_down()),
-            );
-            self.push_inline_span(conn, endpoint, false, parse_us, now, now_us);
-            return;
-        }
-        let deadline = self.deadline_for(req, now);
-        let cancel = CancelToken::new();
-        let seq = conn.reserve_slot();
-        let reply = Reply::Conn {
-            tx: self.completions_tx.clone(),
-            conn: conn.id,
-            seq,
-            id: req.id.clone(),
-        };
-        let job = match iterations {
-            None => Job::Plan {
+        let explain = req.explain;
+        let work = match iterations {
+            None => Work::Plan {
                 scenario,
                 key,
                 digest,
-                explain: req.explain,
-                cancel: cancel.clone(),
-                deadline,
-                started: now,
-                reply,
+                explain,
             },
-            Some(n) => Job::Compare {
+            Some(iterations) => Work::Compare {
                 scenario,
-                iterations: n,
+                iterations,
                 key,
                 digest,
-                explain: req.explain,
-                cancel: cancel.clone(),
-                deadline,
-                started: now,
-                reply,
+                explain,
             },
         };
-        match self.state.queue.push(job) {
-            Ok(()) => self.track(
-                conn.id, seq, cancel, req, endpoint, deadline, now, now_us, parse_us,
-            ),
-            Err(PushError::Full) => {
-                self.respond_slot(
-                    conn,
-                    seq,
-                    req.id.as_deref(),
-                    endpoint,
-                    now,
-                    &Err(overloaded()),
-                );
-                self.push_inline_span(conn, endpoint, false, parse_us, now, now_us);
-            }
-            Err(PushError::Closed) => {
-                self.respond_slot(
-                    conn,
-                    seq,
-                    req.id.as_deref(),
-                    endpoint,
-                    now,
-                    &Err(shutting_down()),
-                );
-                self.push_inline_span(conn, endpoint, false, parse_us, now, now_us);
-            }
-        }
+        self.submit(conn, req, work, at);
     }
 
-    /// Submits a fleet execution. Unlike `submit_scenario` there is no
-    /// cache fast path: every `execute` is real work whose obs envelope
-    /// must describe *this* run, so caching would be a lie.
-    #[allow(clippy::too_many_arguments)]
-    fn submit_execute(
-        &mut self,
-        conn: &mut Conn<TcpStream>,
-        req: &Request,
-        params: crate::protocol::ScenarioParams,
-        iterations: u32,
-        workers: u32,
-        now: Instant,
-        now_us: u64,
-        parse_us: u32,
-    ) {
-        let endpoint = Endpoint::Execute;
-        let scenario = match params.to_scenario() {
-            Ok(s) => s,
-            Err(e) => {
-                self.respond_inline(conn, req.id.as_deref(), endpoint, now, &Err(e));
-                self.push_inline_span(conn, endpoint, false, parse_us, now, now_us);
-                return;
-            }
-        };
+    /// The one way a request reaches the workers: reserve its pipeline
+    /// slot, push the job, and book it — or answer the typed refusal
+    /// (`shutting_down` while draining, `overloaded` when the queue is
+    /// full) in its place.
+    fn submit(&mut self, conn: &mut Conn<TcpStream>, req: &Request, work: Work, at: Arrival) {
+        let endpoint = req.endpoint();
+        let id = req.id.as_deref();
         if self.state.is_shutdown() {
-            self.respond_inline(
-                conn,
-                req.id.as_deref(),
-                endpoint,
-                now,
-                &Err(shutting_down()),
-            );
-            self.push_inline_span(conn, endpoint, false, parse_us, now, now_us);
+            self.answer(conn, None, id, endpoint, &Err(shutting_down()), at);
             return;
         }
-        let deadline = self.deadline_for(req, now);
+        let deadline = self.deadline_for(req, at.now);
         let cancel = CancelToken::new();
         let seq = conn.reserve_slot();
-        let reply = Reply::Conn {
-            tx: self.completions_tx.clone(),
-            conn: conn.id,
-            seq,
-            id: req.id.clone(),
-        };
-        let job = Job::Execute {
-            scenario,
-            iterations,
-            workers,
+        let job = Job {
+            work,
             cancel: cancel.clone(),
             deadline,
-            started: now,
-            reply,
+            started: at.now,
+            reply: Reply {
+                tx: self.completions_tx.clone(),
+                conn: conn.id,
+                seq,
+                id: req.id.clone(),
+            },
         };
         match self.state.queue.push(job) {
-            Ok(()) => self.track(
-                conn.id, seq, cancel, req, endpoint, deadline, now, now_us, parse_us,
-            ),
-            Err(PushError::Full) => {
-                self.respond_slot(
-                    conn,
-                    seq,
-                    req.id.as_deref(),
-                    endpoint,
-                    now,
-                    &Err(overloaded()),
-                );
-                self.push_inline_span(conn, endpoint, false, parse_us, now, now_us);
-            }
-            Err(PushError::Closed) => {
-                self.respond_slot(
-                    conn,
-                    seq,
-                    req.id.as_deref(),
-                    endpoint,
-                    now,
-                    &Err(shutting_down()),
-                );
-                self.push_inline_span(conn, endpoint, false, parse_us, now, now_us);
-            }
-        }
-    }
-
-    fn submit_predict(
-        &mut self,
-        conn: &mut Conn<TcpStream>,
-        req: &Request,
-        params: crate::protocol::PredictParams,
-        now: Instant,
-        now_us: u64,
-        parse_us: u32,
-    ) {
-        let endpoint = Endpoint::Predict;
-        let machine = match parse_machine(&params.machine) {
-            Ok(m) => m,
-            Err(msg) => {
-                let e = ProtoError::bad_request(msg);
-                self.respond_inline(conn, req.id.as_deref(), endpoint, now, &Err(e));
-                self.push_inline_span(conn, endpoint, false, parse_us, now, now_us);
-                return;
-            }
-        };
-        let machine_key = match serde_json::to_string(&machine) {
-            Ok(k) => k,
-            Err(e) => {
-                let e = internal(format!("machine key: {e:?}"));
-                self.respond_inline(conn, req.id.as_deref(), endpoint, now, &Err(e));
-                self.push_inline_span(conn, endpoint, false, parse_us, now, now_us);
-                return;
-            }
-        };
-        if self.state.is_shutdown() {
-            self.respond_inline(
-                conn,
-                req.id.as_deref(),
-                endpoint,
-                now,
-                &Err(shutting_down()),
-            );
-            self.push_inline_span(conn, endpoint, false, parse_us, now, now_us);
-            return;
-        }
-        let features: Vec<DomainFeatures> = params.nests.iter().map(DomainFeatures::from).collect();
-        let deadline = self.deadline_for(req, now);
-        let cancel = CancelToken::new();
-        let seq = conn.reserve_slot();
-        let token = self.state.batcher.token();
-        self.state.batcher.add(
-            &machine_key,
-            Pending {
-                token,
-                cancel: cancel.clone(),
-                machine_spec: params.machine.clone(),
-                features,
-                started: now,
-                reply: Reply::Conn {
-                    tx: self.completions_tx.clone(),
-                    conn: conn.id,
-                    seq,
-                    id: req.id.clone(),
-                },
-            },
-        );
-        match self.state.queue.push(Job::PredictTick {
-            machine_key: machine_key.clone(),
-        }) {
-            Ok(()) => self.track(
-                conn.id, seq, cancel, req, endpoint, deadline, now, now_us, parse_us,
-            ),
-            Err(push_err) => {
-                if self.state.batcher.cancel(&machine_key, token) {
-                    let e = match push_err {
-                        PushError::Full => overloaded(),
-                        PushError::Closed => shutting_down(),
-                    };
-                    self.respond_slot(conn, seq, req.id.as_deref(), endpoint, now, &Err(e));
-                    self.push_inline_span(conn, endpoint, false, parse_us, now, now_us);
-                } else {
-                    // A concurrent tick already took our pending request —
-                    // its completion is on the way.
-                    self.track(
-                        conn.id, seq, cancel, req, endpoint, deadline, now, now_us, parse_us,
-                    );
-                }
+            Ok(()) => self.track((conn.id, seq), cancel, req, deadline, at),
+            Err(refused) => {
+                let e = match refused {
+                    PushError::Full => overloaded(),
+                    PushError::Closed => shutting_down(),
+                };
+                self.answer(conn, Some(seq), id, endpoint, &Err(e), at);
             }
         }
     }
@@ -978,39 +804,35 @@ impl ReaderLoop {
     /// Books a successfully submitted job: one more in-flight completion,
     /// a flight-span seed for the eventual completion, plus a deadline
     /// registry entry when the request has one.
-    #[allow(clippy::too_many_arguments)]
     fn track(
         &mut self,
-        conn_id: u64,
-        seq: u64,
+        key: (u64, u64),
         cancel: CancelToken,
         req: &Request,
-        endpoint: Endpoint,
         deadline: Option<Instant>,
-        started: Instant,
-        ts_us: u64,
-        parse_us: u32,
+        at: Arrival,
     ) {
+        let endpoint = req.endpoint();
         self.inflight += 1;
         if self.flight_on {
             self.seeds.insert(
-                (conn_id, seq),
+                key,
                 SpanSeed {
-                    ts_us,
-                    parse_us,
+                    ts_us: at.now_us,
+                    parse_us: at.parse_us,
                     endpoint,
                 },
             );
         }
-        if let Some(at) = deadline {
+        if let Some(deadline) = deadline {
             self.deadlines.insert(
-                (conn_id, seq),
+                key,
                 DeadlineEntry {
-                    at,
+                    at: deadline,
                     cancel,
                     id: req.id.clone(),
                     endpoint,
-                    started,
+                    started: at.now,
                 },
             );
         }
@@ -1037,39 +859,12 @@ impl ReaderLoop {
                 // will finish the span seed.
                 continue;
             }
-            self.inflight = self.inflight.saturating_sub(1);
             let m = &self.state.metrics;
             m.deadline_expired.fetch_add(1, Ordering::Relaxed);
             m.endpoint(entry.endpoint)
                 .record(clock::since(entry.started), false);
-            m.responses_total.fetch_add(1, Ordering::Relaxed);
             let line = response_err_line(entry.id.as_deref(), &deadline_exceeded());
-            let span = self.seeds.remove(&key).map(|seed| {
-                let done_us = clock::micros_since(self.state.epoch);
-                let total_us = delta_us(seed.ts_us, done_us);
-                RequestSpan {
-                    ts_us: seed.ts_us,
-                    endpoint: seed.endpoint,
-                    path: SpanPath::Deadline,
-                    ok: false,
-                    parse_us: seed.parse_us,
-                    wait_us: total_us.saturating_sub(seed.parse_us),
-                    work_us: 0,
-                    total_us,
-                    write_us: 0,
-                    written: false,
-                }
-            });
-            if let Some(conn) = self.conns.get_mut(&key.0) {
-                conn.fill_slot(key.1, line);
-                if let Some(span) = span {
-                    if let Some(evicted) = conn.push_span(span) {
-                        self.state.flight.record(self.idx, evicted);
-                    }
-                }
-            } else if let Some(span) = span {
-                self.state.flight.record(self.idx, span);
-            }
+            self.finish(key, line, SpanPath::Deadline, false, None);
         }
     }
 

@@ -53,7 +53,7 @@ pub enum SpanPath {
     /// Answered inline by the reader (control endpoints, cache hits on the
     /// slow path, rate sheds, scenario rejections, overload responses).
     Inline,
-    /// Full round-trip through the worker pool (or the predict batcher).
+    /// Full round-trip through the worker pool.
     Worker,
     /// Expired by the reader's deadline sweep before a worker answered.
     Deadline,
@@ -101,6 +101,33 @@ pub struct RequestSpan {
 }
 
 impl RequestSpan {
+    /// A span whose response has just been queued: stages as measured,
+    /// write edge not yet observed.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn queued(
+        ts_us: u64,
+        endpoint: Endpoint,
+        path: SpanPath,
+        ok: bool,
+        parse_us: u32,
+        wait_us: u32,
+        work_us: u32,
+        total_us: u32,
+    ) -> Self {
+        RequestSpan {
+            ts_us,
+            endpoint,
+            path,
+            ok,
+            parse_us,
+            wait_us,
+            work_us,
+            total_us,
+            write_us: 0,
+            written: false,
+        }
+    }
+
     /// A minimal span for tests and model checking.
     pub fn probe(ts_us: u64) -> Self {
         RequestSpan {
@@ -192,7 +219,7 @@ impl SpanRing {
     }
 }
 
-/// Counter snapshot of the recorder, embedded in the `stats` v2 envelope.
+/// Counter snapshot of the recorder, embedded in the `stats` envelope.
 #[derive(Debug, Clone, Copy, Serialize)]
 pub struct FlightStats {
     /// Whether recording is enabled (`NESTWX_SERVE_TRACE`).

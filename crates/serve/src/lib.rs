@@ -17,9 +17,8 @@
 //! - **per-request deadlines** with exactly-once cancellation and
 //!   **per-client token-bucket rate limits** with weighted endpoint costs
 //!   ([`limits`]);
-//! - **micro-batching** of concurrent `predict` requests that share a
-//!   machine, so a burst amortizes one predictor resolution ([`batch`]),
-//!   with the resolved predictors held in a bounded LRU map;
+//! - one fitted predictor per machine, shared by every `predict` and
+//!   `plan` job through a bounded LRU map ([`cache::BoundedMap`]);
 //! - per-endpoint latency histograms (`nestwx-obs` [`nestwx_obs::LogHistogram`])
 //!   behind a `stats` endpoint, and graceful drain-then-exit shutdown with
 //!   a [`DrainReport`] that proves nothing leaked ([`metrics`], [`server`]).
@@ -39,7 +38,6 @@
 
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod cache;
 pub mod client;
 pub mod conn;
@@ -51,11 +49,11 @@ pub mod limits;
 pub mod metrics;
 pub mod protocol;
 pub mod queue;
+pub mod reply;
 pub mod server;
 pub mod sync;
 
-pub use batch::{BoundedMap, Completion, Outcome, Pending, PredictBatcher, Reply};
-pub use cache::{CacheStats, PlanCache};
+pub use cache::{BoundedMap, CacheStats, PlanCache};
 pub use client::{Client, Response};
 pub use conn::{Conn, Gone};
 pub use disk::{DiskCache, DiskStats};
@@ -69,4 +67,5 @@ pub use protocol::{
     PROTOCOL_VERSION,
 };
 pub use queue::{BoundedQueue, PushError};
+pub use reply::{Completion, Outcome, Reply};
 pub use server::{render_plan, spawn, DrainReport, ServeConfig, ServerHandle};

@@ -21,8 +21,8 @@
 //! evicted-and-recreated bucket restarts full, which errs in the client's
 //! favor and keeps memory O(cap).
 
+use crate::cache::Lru;
 use crate::sync::{lock_unpoisoned, AtomicBool, Mutex, Ordering};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Micro-tokens per token (see module docs).
@@ -59,14 +59,6 @@ struct Bucket {
     micro: u64,
     /// Microsecond stamp of the last refill.
     refilled_us: u64,
-    /// LRU stamp (touch counter, not time).
-    last_used: u64,
-}
-
-struct Table {
-    buckets: BTreeMap<String, Bucket>,
-    /// Monotonic touch counter backing the LRU stamps.
-    clock: u64,
 }
 
 /// A bounded table of per-client token buckets.
@@ -76,7 +68,7 @@ struct Table {
 /// section is a map lookup plus integer arithmetic, far cheaper than the
 /// request it gates.
 pub struct RateLimiter {
-    table: Mutex<Table>,
+    table: Mutex<Lru<Bucket>>,
     /// Tokens added per second.
     rate: u64,
     /// Bucket capacity in micro-tokens (burst ceiling).
@@ -92,10 +84,7 @@ impl RateLimiter {
     /// capacity `burst` tokens, tracking at most `client_cap` clients.
     pub fn new(rate: u64, burst: u64, client_cap: usize) -> RateLimiter {
         RateLimiter {
-            table: Mutex::new(Table {
-                buckets: BTreeMap::new(),
-                clock: 0,
-            }),
+            table: Mutex::new(Lru::default()),
             rate,
             burst_micro: burst.max(1).saturating_mul(MICRO),
             client_cap: client_cap.max(1),
@@ -114,45 +103,28 @@ impl RateLimiter {
         }
         let cost_micro = cost.saturating_mul(MICRO);
         let mut table = lock_unpoisoned(&self.table);
-        table.clock += 1;
-        let stamp = table.clock;
-        if !table.buckets.contains_key(client) {
-            if table.buckets.len() >= self.client_cap {
-                // Evict the least recently used bucket; deterministic
-                // victim under stamp ties because the map is ordered.
-                if let Some(victim) = table
-                    .buckets
-                    .iter()
-                    .min_by_key(|(_, b)| b.last_used)
-                    .map(|(k, _)| k.clone())
-                {
-                    table.buckets.remove(&victim);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
+        if table.touch(client).is_none() {
+            // A new client starts with a full bucket; at the cap it takes
+            // the least recently used client's place.
+            let fresh = Bucket {
+                micro: self.burst_micro,
+                refilled_us: now_us,
+            };
+            if table.insert(client.to_string(), fresh, self.client_cap) {
+                self.evictions.fetch_add(1, Ordering::Relaxed);
             }
-            table.buckets.insert(
-                client.to_string(),
-                Bucket {
-                    micro: self.burst_micro,
-                    refilled_us: now_us,
-                    last_used: stamp,
-                },
-            );
         }
-        let rate = self.rate;
-        let burst_micro = self.burst_micro;
-        let Some(bucket) = table.buckets.get_mut(client) else {
+        let Some(bucket) = table.touch(client) else {
             // Unreachable (just inserted), but shedding beats panicking on
             // the request path.
             return false;
         };
-        bucket.last_used = stamp;
         // Exact integer refill: `rate` tokens/s is `rate` micro-tokens/µs.
         let elapsed_us = now_us.saturating_sub(bucket.refilled_us);
         bucket.micro = bucket
             .micro
-            .saturating_add(elapsed_us.saturating_mul(rate))
-            .min(burst_micro);
+            .saturating_add(elapsed_us.saturating_mul(self.rate))
+            .min(self.burst_micro);
         bucket.refilled_us = now_us;
         if bucket.micro >= cost_micro {
             bucket.micro -= cost_micro;
@@ -165,7 +137,7 @@ impl RateLimiter {
 
     /// Clients currently tracked.
     pub fn clients_tracked(&self) -> usize {
-        lock_unpoisoned(&self.table).buckets.len()
+        lock_unpoisoned(&self.table).len()
     }
 
     /// Buckets evicted by the client-table cap.

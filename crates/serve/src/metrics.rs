@@ -16,9 +16,11 @@ use std::time::Duration;
 /// `schema` tag of the unified `stats` result envelope.
 pub const STATS_SCHEMA: &str = "nestwx-serve-stats";
 /// Current version of the `stats` envelope. Version 1 was the untagged
-/// PR 4–7 document; version 2 adds the schema/version tags and the
-/// flight-recorder block (all pre-v2 paths are unchanged).
-pub const STATS_VERSION: u64 = 2;
+/// PR 4–7 document; version 2 added the schema/version tags and the
+/// flight-recorder block; version 3 drops the `batch` block (predicts are
+/// ordinary queued jobs, counted under `endpoints.predict`) and changes
+/// nothing else.
+pub const STATS_VERSION: u64 = 3;
 
 /// Counters plus a latency histogram for one endpoint.
 #[derive(Default)]
@@ -62,12 +64,6 @@ pub struct Metrics {
     pub responses_total: AtomicU64,
     /// Lines answered with malformed/oversized/unsupported_version/bad_request.
     pub protocol_errors: AtomicU64,
-    /// Predict batches executed.
-    pub batches: AtomicU64,
-    /// Predict requests served through batches.
-    pub batched_requests: AtomicU64,
-    /// Largest batch so far.
-    pub max_batch: AtomicU64,
     /// Requests answered `deadline_exceeded` before a worker served them.
     pub deadline_expired: AtomicU64,
     /// Requests answered `rate_limited` by the per-client token bucket.
@@ -95,14 +91,6 @@ impl Metrics {
         }
     }
 
-    /// Records one executed predict batch of the given size.
-    pub fn record_batch(&self, size: usize) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batched_requests
-            .fetch_add(size as u64, Ordering::Relaxed);
-        self.max_batch.fetch_max(size as u64, Ordering::Relaxed);
-    }
-
     /// Builds the full `stats` result (queue/cache/conn/disk figures are
     /// owned by other components and passed in, as are the limit gauges).
     pub fn snapshot(
@@ -128,11 +116,6 @@ impl Metrics {
             queue,
             cache,
             disk,
-            batch: BatchStats {
-                batches: self.batches.load(Ordering::Relaxed),
-                batched_requests: self.batched_requests.load(Ordering::Relaxed),
-                max_batch: self.max_batch.load(Ordering::Relaxed),
-            },
             limits: LimitStats {
                 deadline_expired: self.deadline_expired.load(Ordering::Relaxed),
                 rate_shed: self.rate_shed.load(Ordering::Relaxed),
@@ -230,17 +213,6 @@ pub struct QueueStats {
     pub rejected_full: u64,
 }
 
-/// Predict micro-batching figures.
-#[derive(Debug, Clone, Copy, Serialize)]
-pub struct BatchStats {
-    /// Batches executed.
-    pub batches: u64,
-    /// Predict requests served through batches.
-    pub batched_requests: u64,
-    /// Largest single batch.
-    pub max_batch: u64,
-}
-
 /// Per-endpoint stats table.
 #[derive(Debug, Clone, Copy, Serialize)]
 pub struct EndpointsStats {
@@ -260,7 +232,7 @@ pub struct EndpointsStats {
     pub shutdown: EndpointStats,
 }
 
-/// The complete `stats` result (schema `nestwx-serve-stats` v2).
+/// The complete `stats` result (schema `nestwx-serve-stats` v3).
 #[derive(Debug, Clone, Copy, Serialize)]
 pub struct StatsSnapshot {
     /// Always [`STATS_SCHEMA`].
@@ -275,8 +247,6 @@ pub struct StatsSnapshot {
     pub cache: CacheStats,
     /// Disk-cache figures (all zero when no `cache_dir` is configured).
     pub disk: crate::disk::DiskStats,
-    /// Predict-batching figures.
-    pub batch: BatchStats,
     /// Deadline/rate-limit/bounded-map figures.
     pub limits: LimitStats,
     /// Flight-recorder figures (ring drops, slow-log crossings).
@@ -332,17 +302,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_counters_track_max() {
-        let m = Metrics::default();
-        m.record_batch(3);
-        m.record_batch(7);
-        m.record_batch(2);
-        assert_eq!(m.batches.load(Ordering::Relaxed), 3);
-        assert_eq!(m.batched_requests.load(Ordering::Relaxed), 12);
-        assert_eq!(m.max_batch.load(Ordering::Relaxed), 7);
-    }
-
-    #[test]
     fn snapshot_serializes() {
         let m = Metrics::default();
         m.deadline_expired.fetch_add(3, Ordering::Relaxed);
@@ -382,6 +341,7 @@ mod tests {
         let v = serde_json::from_str(&json).unwrap();
         assert_eq!(v["schema"].as_str(), Some(STATS_SCHEMA));
         assert_eq!(v["version"].as_u64(), Some(STATS_VERSION));
+        assert!(v.get("batch").is_none(), "v3 has no batch block");
         assert_eq!(v["flight"]["recording"].as_bool(), Some(true));
         assert_eq!(v["flight"]["rings"].as_u64(), Some(2));
         assert_eq!(v["flight"]["slow_threshold_us"].as_u64(), Some(1000));

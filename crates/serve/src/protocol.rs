@@ -55,7 +55,7 @@ pub const MAX_EXECUTE_WORKERS: u32 = 8;
 /// The seven server endpoints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Endpoint {
-    /// Relative execution-time prediction for a nest set (micro-batched).
+    /// Relative execution-time prediction for a nest set.
     Predict,
     /// Full plan: predict → allocate → map (cached).
     Plan,

@@ -9,36 +9,37 @@
 //!   request lines, answering `stats`/`shutdown` and cache hits inline,
 //!   enforcing per-client rate limits and per-request deadlines, and
 //!   flushing in-order responses — without ever blocking on one peer;
-//! - a fixed pool of **worker** threads pops jobs from the bounded queue:
-//!   planning, comparison, and predict batch ticks. Each job carries a
-//!   [`CancelToken`]; the worker must *claim* it before computing, so a
-//!   job already answered by the deadline sweep is skipped, never
-//!   double-executed.
+//! - a fixed pool of **worker** threads pops jobs from the bounded queue
+//!   — one [`Job`] per queued request, whatever the endpoint. Each job
+//!   carries a [`CancelToken`]; the worker must *claim* it before
+//!   computing, so a job already answered by the deadline sweep is
+//!   skipped, never double-executed.
 //!
 //! Backpressure is explicit and typed: `overloaded` when the bounded queue
 //! is full, `rate_limited` when a client's token bucket is empty,
 //! `deadline_exceeded` when a request expired before a worker reached it,
 //! `shutting_down` during drain — the server never buffers unboundedly.
 //! Shutdown is graceful: the flag flips, the queue closes, workers drain
-//! everything already accepted (the last worker to exit answers any
-//! still-parked predict requests), readers flush every owed response and
+//! everything already accepted, readers flush every owed response and
 //! exit once nothing is in flight, and [`ServerHandle::wait`] joins every
 //! thread before reporting the final [`DrainReport`].
 
-use crate::batch::{BoundedMap, Outcome, Pending, PredictBatcher, Reply};
-use crate::cache::PlanCache;
+use crate::cache::{BoundedMap, PlanCache};
 use crate::disk::{DiskCache, DiskStats};
 use crate::event_loop::{self, ReaderChannels};
 use crate::flight::{dur_us, FlightRecorder};
 use crate::limits::{CancelToken, RateLimiter};
 use crate::metrics::{LimitGauges, Metrics, StatsSnapshot};
 use crate::protocol::{
-    alloc_token, mapping_token, parse_machine, strategy_token, Endpoint, ErrorKind, ProtoError,
+    alloc_token, mapping_token, strategy_token, Endpoint, ErrorKind, ProtoError,
 };
 use crate::queue::BoundedQueue;
+use crate::reply::{Outcome, Reply};
 use crate::sync::{AtomicBool, AtomicUsize, Ordering};
 use nestwx_core::strategy::AllocPolicy;
 use nestwx_core::{compare_strategies, fit_predictor, ExecutionPlan, Planner, Scenario};
+use nestwx_grid::DomainFeatures;
+use nestwx_netsim::Machine;
 use nestwx_obs::clock;
 use nestwx_obs::HistSummary;
 use nestwx_predict::ExecTimePredictor;
@@ -150,42 +151,100 @@ impl Default for ServeConfig {
 // Jobs (the bounded queue itself lives in `crate::queue`)
 // ---------------------------------------------------------------------------
 
-pub(crate) enum Job {
+/// One queued request: what to compute, and everything the worker needs
+/// to answer it exactly once.
+pub(crate) struct Job {
+    pub(crate) work: Work,
+    /// Claim on the right to answer, raced with the deadline sweep.
+    pub(crate) cancel: CancelToken,
+    pub(crate) deadline: Option<Instant>,
+    /// Arrival instant, for endpoint latency and the queue-wait stage.
+    pub(crate) started: Instant,
+    pub(crate) reply: Reply,
+}
+
+/// The endpoint-specific part of a [`Job`].
+pub(crate) enum Work {
     Plan {
         scenario: Scenario,
         key: String,
         digest: u64,
-        cancel: CancelToken,
-        deadline: Option<Instant>,
-        started: Instant,
         explain: bool,
-        reply: Reply,
     },
     Compare {
         scenario: Scenario,
         iterations: u32,
         key: String,
         digest: u64,
-        cancel: CancelToken,
-        deadline: Option<Instant>,
-        started: Instant,
         explain: bool,
-        reply: Reply,
     },
-    /// Lightweight marker: "a predict batch for this machine may be
-    /// pending". The worker that pops it drains the whole batch.
-    PredictTick { machine_key: String },
+    Predict {
+        machine: Machine,
+        /// Machine spec string from the request (echoed in the result).
+        machine_spec: String,
+        /// Features of the nests to rank.
+        features: Vec<DomainFeatures>,
+    },
     /// Fleet execution: uncached, always computed (the result is a real
     /// simulation run whose obs envelope describes *this* execution).
     Execute {
         scenario: Scenario,
         iterations: u32,
         workers: u32,
-        cancel: CancelToken,
-        deadline: Option<Instant>,
-        started: Instant,
-        reply: Reply,
     },
+}
+
+impl Work {
+    fn endpoint(&self) -> Endpoint {
+        match self {
+            Work::Plan { .. } => Endpoint::Plan,
+            Work::Compare { .. } => Endpoint::Compare,
+            Work::Predict { .. } => Endpoint::Predict,
+            Work::Execute { .. } => Endpoint::Execute,
+        }
+    }
+
+    fn compute(&self, state: &ServerState) -> Outcome {
+        match self {
+            Work::Plan {
+                scenario,
+                key,
+                digest,
+                explain,
+            } => {
+                let fresh = |planned: Option<&ExecutionPlan>| match planned {
+                    Some(plan) => render_plan(scenario, plan),
+                    None => render_plan(scenario, &plan_scenario(state, scenario)?),
+                };
+                cached_or_fresh(state, scenario, key, *digest, *explain, fresh)
+            }
+            Work::Compare {
+                scenario,
+                iterations,
+                key,
+                digest,
+                explain,
+            } => {
+                let fresh =
+                    |_: Option<&ExecutionPlan>| render_compare(state, scenario, *iterations);
+                cached_or_fresh(state, scenario, key, *digest, *explain, fresh)
+            }
+            Work::Predict {
+                machine,
+                machine_spec,
+                features,
+            } => state
+                .predictor_for(machine)
+                .relative_times(features)
+                .map_err(|e| failed(format!("prediction: {e}")))
+                .and_then(|times| render_predict(machine_spec, times)),
+            Work::Execute {
+                scenario,
+                iterations,
+                workers,
+            } => compute_execute(state, scenario, *iterations, *workers),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -198,10 +257,9 @@ pub(crate) struct ServerState {
     pub(crate) cache: PlanCache,
     /// Disk-persisted plan store, engaged when `cfg.cache_dir` is set.
     pub(crate) disk: Option<DiskCache>,
-    pub(crate) batcher: PredictBatcher,
     pub(crate) metrics: Metrics,
     /// One fitted predictor per machine identity (canonical machine JSON),
-    /// shared by plan workers and predict batches; LRU-bounded at
+    /// shared by every plan and predict job; LRU-bounded at
     /// [`ServeConfig::predictors`] entries.
     pub(crate) predictors: BoundedMap<Arc<ExecTimePredictor>>,
     /// Per-client token buckets (engaged only when `cfg.rate > 0`).
@@ -210,9 +268,6 @@ pub(crate) struct ServerState {
     pub(crate) flight: FlightRecorder,
     pub(crate) shutdown: AtomicBool,
     pub(crate) live_conns: AtomicUsize,
-    /// Workers still running — the last one out drains the predict
-    /// batcher so parked requests are answered before readers can exit.
-    pub(crate) workers_left: AtomicUsize,
     /// Server start instant: the rate limiter's time origin.
     pub(crate) epoch: Instant,
 }
@@ -231,7 +286,7 @@ impl ServerState {
         self.queue.close();
     }
 
-    pub(crate) fn predictor_for(&self, machine: &nestwx_netsim::Machine) -> Arc<ExecTimePredictor> {
+    pub(crate) fn predictor_for(&self, machine: &Machine) -> Arc<ExecTimePredictor> {
         // Machines always serialize; if that ever regresses, the Debug
         // rendering is still a stable identity — degrade instead of
         // panicking on the request path.
@@ -250,6 +305,38 @@ impl ServerState {
             planner.with_predictor((*self.predictor_for(&scenario.machine)).clone())
         } else {
             planner
+        }
+    }
+
+    /// The rendered result under `key`: memory first, then the disk store
+    /// a sweep (or an earlier process) may have filled. A disk hit
+    /// pre-heats the in-memory shard so subsequent identical requests are
+    /// answered without touching disk. `counted` selects the lookup that
+    /// moves the hit/miss counters — for requests the reader has not
+    /// already counted.
+    fn cached(&self, key: &str, digest: u64, counted: bool) -> Option<Arc<str>> {
+        let memory = if counted {
+            self.cache.get(key, digest)
+        } else {
+            self.cache.peek(key, digest)
+        };
+        if memory.is_some() {
+            return memory;
+        }
+        let hit = self.disk.as_ref()?.get(key)?;
+        self.cache.insert(key.to_string(), digest, Arc::clone(&hit));
+        Some(hit)
+    }
+
+    /// Caches a freshly rendered result in memory and, when a disk store
+    /// is configured, persists it for the next process.
+    fn store(&self, key: &str, digest: u64, result: &str) {
+        self.cache
+            .insert(key.to_string(), digest, Arc::from(result));
+        if let Some(disk) = &self.disk {
+            // Persistence is best-effort: a full disk must not fail a request
+            // the server just computed an answer for.
+            let _ = disk.put(key, result);
         }
     }
 
@@ -321,6 +408,10 @@ struct PredictResult {
 
 pub(crate) fn internal(msg: impl Into<String>) -> ProtoError {
     ProtoError::new(ErrorKind::Internal, msg)
+}
+
+fn failed(msg: impl Into<String>) -> ProtoError {
+    ProtoError::new(ErrorKind::Failed, msg)
 }
 
 pub(crate) fn shutting_down() -> ProtoError {
@@ -480,266 +571,88 @@ fn with_explain(result: &str, explain_json: &str) -> String {
 
 fn worker_loop(state: Arc<ServerState>) {
     while let Some(job) = state.queue.pop() {
-        match job {
-            Job::Plan {
-                scenario,
-                key,
-                digest,
-                cancel,
-                deadline,
-                started,
-                explain,
-                reply,
-            } => {
-                if !cancel.claim() {
-                    // The deadline sweep already answered this request.
-                    continue;
-                }
-                // Flight-recorder stages: queue wait is measured at claim,
-                // compute around the work. Gated so an unrecorded server
-                // takes no extra clock reads.
-                let flight_on = state.flight.enabled();
-                let wait_us = if flight_on {
-                    dur_us(clock::since(started))
-                } else {
-                    0
-                };
-                let t0 = flight_on.then(clock::now);
-                let outcome = if deadline.is_some_and(clock::expired) {
-                    state
-                        .metrics
-                        .deadline_expired
-                        .fetch_add(1, Ordering::Relaxed);
-                    Err(deadline_exceeded())
-                } else {
-                    compute_plan(&state, &scenario, &key, digest, explain)
-                };
-                state
-                    .metrics
-                    .endpoint(Endpoint::Plan)
-                    .record(clock::since(started), outcome.is_ok());
-                let work_us = t0.map(|t| dur_us(clock::since(t))).unwrap_or(0);
-                reply.send_with_stages(outcome, wait_us, work_us);
-            }
-            Job::Compare {
-                scenario,
-                iterations,
-                key,
-                digest,
-                cancel,
-                deadline,
-                started,
-                explain,
-                reply,
-            } => {
-                if !cancel.claim() {
-                    continue;
-                }
-                let flight_on = state.flight.enabled();
-                let wait_us = if flight_on {
-                    dur_us(clock::since(started))
-                } else {
-                    0
-                };
-                let t0 = flight_on.then(clock::now);
-                let outcome = if deadline.is_some_and(clock::expired) {
-                    state
-                        .metrics
-                        .deadline_expired
-                        .fetch_add(1, Ordering::Relaxed);
-                    Err(deadline_exceeded())
-                } else {
-                    compute_compare(&state, &scenario, iterations, &key, digest, explain)
-                };
-                state
-                    .metrics
-                    .endpoint(Endpoint::Compare)
-                    .record(clock::since(started), outcome.is_ok());
-                let work_us = t0.map(|t| dur_us(clock::since(t))).unwrap_or(0);
-                reply.send_with_stages(outcome, wait_us, work_us);
-            }
-            Job::PredictTick { machine_key } => run_predict_batch(&state, &machine_key),
-            Job::Execute {
-                scenario,
-                iterations,
-                workers,
-                cancel,
-                deadline,
-                started,
-                reply,
-            } => {
-                if !cancel.claim() {
-                    continue;
-                }
-                let flight_on = state.flight.enabled();
-                let wait_us = if flight_on {
-                    dur_us(clock::since(started))
-                } else {
-                    0
-                };
-                let t0 = flight_on.then(clock::now);
-                let outcome = if deadline.is_some_and(clock::expired) {
-                    state
-                        .metrics
-                        .deadline_expired
-                        .fetch_add(1, Ordering::Relaxed);
-                    Err(deadline_exceeded())
-                } else {
-                    compute_execute(&state, &scenario, iterations, workers)
-                };
-                state
-                    .metrics
-                    .endpoint(Endpoint::Execute)
-                    .record(clock::since(started), outcome.is_ok());
-                let work_us = t0.map(|t| dur_us(clock::since(t))).unwrap_or(0);
-                reply.send_with_stages(outcome, wait_us, work_us);
-            }
+        if !job.cancel.claim() {
+            // The deadline sweep already answered this request.
+            continue;
         }
-    }
-    // Queue closed and drained. The last worker out answers anything still
-    // parked in the predict batcher, so readers waiting on in-flight
-    // completions always get them.
-    if state.workers_left.fetch_sub(1, Ordering::SeqCst) == 1 {
-        for p in state.batcher.drain_all() {
-            if p.cancel.claim() {
-                state
-                    .metrics
-                    .endpoint(Endpoint::Predict)
-                    .record(clock::since(p.started), false);
-                p.reply.send(Err(shutting_down()));
-            }
-        }
+        // Flight-recorder stages: queue wait is measured at claim,
+        // compute around the work. Gated so an unrecorded server
+        // takes no extra clock reads.
+        let flight_on = state.flight.enabled();
+        let wait_us = if flight_on {
+            dur_us(clock::since(job.started))
+        } else {
+            0
+        };
+        let t0 = flight_on.then(clock::now);
+        let outcome = if job.deadline.is_some_and(clock::expired) {
+            state
+                .metrics
+                .deadline_expired
+                .fetch_add(1, Ordering::Relaxed);
+            Err(deadline_exceeded())
+        } else {
+            job.work.compute(&state)
+        };
+        state
+            .metrics
+            .endpoint(job.work.endpoint())
+            .record(clock::since(job.started), outcome.is_ok());
+        let work_us = t0.map(|t| dur_us(clock::since(t))).unwrap_or(0);
+        job.reply.send(outcome, wait_us, work_us);
     }
 }
 
-fn compute_plan(
-    state: &ServerState,
-    scenario: &Scenario,
-    key: &str,
-    digest: u64,
-    explain: bool,
-) -> Outcome {
-    if explain {
-        // Explained requests bypass the reader's cache fast path entirely
-        // (the reader never counted a lookup), so this `get` is counted —
-        // cache hit/miss figures stay truthful. The cache stores *pure*
-        // result bytes; the explain block is spliced per-response from a
-        // freshly computed plan (deterministic, so it describes the cached
-        // bytes exactly).
-        let plan = state
-            .planner_for(scenario)
-            .plan(&scenario.parent, &scenario.nests)
-            .map_err(|e| ProtoError::new(ErrorKind::Failed, e.to_string()))?;
-        let result = match state.cache.get(key, digest) {
-            Some(hit) => hit.to_string(),
-            None => match state.disk.as_ref().and_then(|d| d.get(key)) {
-                Some(hit) => {
-                    state
-                        .cache
-                        .insert(key.to_string(), digest, Arc::clone(&hit));
-                    hit.to_string()
-                }
-                None => {
-                    let result = render_plan(scenario, &plan)?;
-                    state
-                        .cache
-                        .insert(key.to_string(), digest, Arc::from(result.as_str()));
-                    if let Some(disk) = &state.disk {
-                        let _ = disk.put(key, &result);
-                    }
-                    result
-                }
-            },
-        };
-        let explain_json = render_explain(&plan)?;
-        return Ok(with_explain(&result, &explain_json));
-    }
-    // Re-check the cache (uncounted — the reader already counted the
-    // miss): an identical request may have been computed while this one
-    // waited in the queue.
-    if let Some(hit) = state.cache.peek(key, digest) {
-        return Ok(hit.to_string());
-    }
-    // Memory missed: a sweep (or an earlier process) may have persisted
-    // this exact rendering. A disk hit pre-heats the in-memory shard so
-    // subsequent identical requests are answered without touching disk.
-    if let Some(hit) = state.disk.as_ref().and_then(|d| d.get(key)) {
-        state
-            .cache
-            .insert(key.to_string(), digest, Arc::clone(&hit));
-        return Ok(hit.to_string());
-    }
-    let plan = state
+fn plan_scenario(state: &ServerState, scenario: &Scenario) -> Result<ExecutionPlan, ProtoError> {
+    state
         .planner_for(scenario)
         .plan(&scenario.parent, &scenario.nests)
-        .map_err(|e| ProtoError::new(ErrorKind::Failed, e.to_string()))?;
-    let result = render_plan(scenario, &plan)?;
-    state
-        .cache
-        .insert(key.to_string(), digest, Arc::from(result.as_str()));
-    if let Some(disk) = &state.disk {
-        // Persistence is best-effort: a full disk must not fail a request
-        // the server just computed an answer for.
-        let _ = disk.put(key, &result);
-    }
-    Ok(result)
+        .map_err(|e| failed(e.to_string()))
 }
 
-fn compute_compare(
+/// The one lookup chain both cacheable endpoints answer through: memory →
+/// disk → `fresh` (then stored). The cache holds *pure* result bytes; an
+/// `explain` block is spliced per-response from a freshly computed plan
+/// (deterministic, so it describes the cached bytes exactly), which
+/// `fresh` receives so `plan` need not compute it twice.
+///
+/// Explained requests bypass the reader's cache fast path entirely (the
+/// reader never counted a lookup), so their lookup here is the counted
+/// one — cache hit/miss figures stay truthful. For every other request
+/// the reader already counted the miss, and this is the uncounted
+/// re-check: an identical request may have been computed while this one
+/// waited in the queue.
+fn cached_or_fresh(
     state: &ServerState,
     scenario: &Scenario,
-    iterations: u32,
     key: &str,
     digest: u64,
     explain: bool,
+    fresh: impl FnOnce(Option<&ExecutionPlan>) -> Outcome,
 ) -> Outcome {
-    if explain {
-        // Same contract as `compute_plan`: counted lookup (the reader
-        // skipped its fast path), pure bytes in the cache, explain block
-        // spliced per-response from the deterministic planned plan.
-        let planner = state.planner_for(scenario);
-        let plan = planner
-            .plan(&scenario.parent, &scenario.nests)
-            .map_err(|e| ProtoError::new(ErrorKind::Failed, e.to_string()))?;
-        let result = match state.cache.get(key, digest) {
-            Some(hit) => hit.to_string(),
-            None => match state.disk.as_ref().and_then(|d| d.get(key)) {
-                Some(hit) => {
-                    state
-                        .cache
-                        .insert(key.to_string(), digest, Arc::clone(&hit));
-                    hit.to_string()
-                }
-                None => render_compare_fresh(state, scenario, iterations, key, digest)?,
-            },
-        };
-        let explain_json = render_explain(&plan)?;
-        return Ok(with_explain(&result, &explain_json));
+    let plan = explain
+        .then(|| plan_scenario(state, scenario))
+        .transpose()?;
+    let result = match state.cached(key, digest, explain) {
+        Some(hit) => hit.to_string(),
+        None => {
+            let result = fresh(plan.as_ref())?;
+            state.store(key, digest, &result);
+            result
+        }
+    };
+    match plan {
+        Some(plan) => Ok(with_explain(&result, &render_explain(&plan)?)),
+        None => Ok(result),
     }
-    if let Some(hit) = state.cache.peek(key, digest) {
-        return Ok(hit.to_string());
-    }
-    if let Some(hit) = state.disk.as_ref().and_then(|d| d.get(key)) {
-        state
-            .cache
-            .insert(key.to_string(), digest, Arc::clone(&hit));
-        return Ok(hit.to_string());
-    }
-    render_compare_fresh(state, scenario, iterations, key, digest)
 }
 
-/// Computes, renders, caches and persists a fresh compare result.
-fn render_compare_fresh(
-    state: &ServerState,
-    scenario: &Scenario,
-    iterations: u32,
-    key: &str,
-    digest: u64,
-) -> Outcome {
+/// Computes and renders a fresh compare result.
+fn render_compare(state: &ServerState, scenario: &Scenario, iterations: u32) -> Outcome {
     let planner = state.planner_for(scenario);
     let cmp = compare_strategies(&planner, &scenario.parent, &scenario.nests, iterations)
-        .map_err(|e| ProtoError::new(ErrorKind::Failed, e.to_string()))?;
-    let result = serde_json::to_string(&CompareResult {
+        .map_err(|e| failed(e.to_string()))?;
+    serde_json::to_string(&CompareResult {
         machine: scenario.machine.name.clone(),
         iterations,
         default_s_per_iter: cmp.default_run.per_iteration(),
@@ -749,14 +662,7 @@ fn render_compare_fresh(
         io_improvement_pct: cmp.io_improvement_pct(),
         hops_reduction_pct: cmp.hops_reduction_pct(),
     })
-    .map_err(|e| internal(format!("render: {e:?}")))?;
-    state
-        .cache
-        .insert(key.to_string(), digest, Arc::from(result.as_str()));
-    if let Some(disk) = &state.disk {
-        let _ = disk.put(key, &result);
-    }
-    Ok(result)
+    .map_err(|e| internal(format!("render: {e:?}")))
 }
 
 /// Total-cell ceiling for `execute` scenarios: the parent plus every
@@ -786,10 +692,7 @@ fn compute_execute(
             format!("scenario too large to execute ({cells} cells > {MAX_EXECUTE_CELLS})"),
         ));
     }
-    let plan = state
-        .planner_for(scenario)
-        .plan(&scenario.parent, &scenario.nests)
-        .map_err(|e| ProtoError::new(ErrorKind::Failed, e.to_string()))?;
+    let plan = plan_scenario(state, scenario)?;
     let partitions: Vec<(usize, u64)> = plan
         .partitions
         .iter()
@@ -828,60 +731,6 @@ fn compute_execute(
     Ok(s)
 }
 
-fn run_predict_batch(state: &ServerState, machine_key: &str) {
-    // Claim each pending request: ones already answered by a deadline
-    // sweep are dropped here, never computed or double-answered.
-    let claimed: Vec<Pending> = state
-        .batcher
-        .take(machine_key)
-        .into_iter()
-        .filter(|p| p.cancel.claim())
-        .collect();
-    if claimed.is_empty() {
-        // An earlier tick already drained these requests — the whole point
-        // of batching.
-        return;
-    }
-    state.metrics.record_batch(claimed.len());
-    let machine = match parse_machine(&claimed[0].machine_spec) {
-        Ok(m) => m,
-        Err(msg) => {
-            // Unreachable (validated at submit time), but a worker must
-            // never panic: answer the batch and move on.
-            let e = ProtoError::bad_request(msg);
-            for p in claimed {
-                state
-                    .metrics
-                    .endpoint(Endpoint::Predict)
-                    .record(clock::since(p.started), false);
-                p.reply.send(Err(e.clone()));
-            }
-            return;
-        }
-    };
-    let flight_on = state.flight.enabled();
-    let t0 = flight_on.then(clock::now);
-    let predictor = state.predictor_for(&machine);
-    for p in claimed {
-        // Queue wait for a batched predict = arrival → batch execution
-        // start; the predictor resolution plus per-request rendering is
-        // the work stage.
-        let wait_us = t0
-            .map(|t| dur_us(clock::since(p.started)).saturating_sub(dur_us(clock::since(t))))
-            .unwrap_or(0);
-        let outcome = predictor
-            .relative_times(&p.features)
-            .map_err(|e| ProtoError::new(ErrorKind::Failed, format!("prediction: {e}")))
-            .and_then(|times| render_predict(&p.machine_spec, times));
-        state
-            .metrics
-            .endpoint(Endpoint::Predict)
-            .record(clock::since(p.started), outcome.is_ok());
-        let work_us = t0.map(|t| dur_us(clock::since(t))).unwrap_or(0);
-        p.reply.send_with_stages(outcome, wait_us, work_us);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Lifecycle
 // ---------------------------------------------------------------------------
@@ -900,9 +749,6 @@ pub struct DrainReport {
     /// Jobs left in the queue after the workers exited (always 0: workers
     /// drain the queue before exiting).
     pub queue_residual: u64,
-    /// Predict requests still parked after the drain (always 0: the last
-    /// worker answers them with `shutting_down` before exiting).
-    pub batch_residual: u64,
     /// Connections still open after the readers joined (always 0).
     pub live_conns: u64,
     /// Requests answered with `deadline_exceeded` (informational).
@@ -913,11 +759,9 @@ pub struct DrainReport {
 
 impl DrainReport {
     /// True when nothing leaked: every thread joined, every accepted
-    /// request was answered (typed errors included), nothing left queued
-    /// or parked.
+    /// request was answered (typed errors included), nothing left queued.
     pub fn clean(&self) -> bool {
         self.queue_residual == 0
-            && self.batch_residual == 0
             && self.live_conns == 0
             && self.requests_total == self.responses_total
     }
@@ -952,20 +796,10 @@ impl ServerHandle {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-        // The last worker already swept the batcher; this catches nothing
-        // unless a worker died abnormally.
-        let leftovers = self.state.batcher.drain_all();
-        let batch_residual = leftovers.len() as u64;
-        for p in leftovers {
-            if p.cancel.claim() {
-                p.reply.send(Err(shutting_down()));
-            }
-        }
         DrainReport {
             requests_total: self.state.metrics.requests_total.load(Ordering::Relaxed),
             responses_total: self.state.metrics.responses_total.load(Ordering::Relaxed),
             queue_residual: self.state.queue.depth() as u64,
-            batch_residual,
             live_conns: self.state.live_conns.load(Ordering::Relaxed) as u64,
             deadline_expired: self.state.metrics.deadline_expired.load(Ordering::Relaxed),
             rate_shed: self.state.metrics.rate_shed.load(Ordering::Relaxed),
@@ -1014,14 +848,12 @@ pub fn spawn(cfg: ServeConfig) -> io::Result<ServerHandle> {
         queue: BoundedQueue::new(cfg.queue_depth),
         cache: PlanCache::new(cfg.cache_capacity),
         disk,
-        batcher: PredictBatcher::new(),
         metrics: Metrics::default(),
         predictors: BoundedMap::new(cfg.predictors),
         limiter: RateLimiter::new(cfg.rate, cfg.burst, cfg.client_cap),
         flight: FlightRecorder::new(cfg.trace, n_readers, cfg.trace_ring, cfg.trace_slow_us),
         shutdown: AtomicBool::new(false),
         live_conns: AtomicUsize::new(0),
-        workers_left: AtomicUsize::new(n_workers),
         epoch: clock::now(),
         cfg,
     });

@@ -1,6 +1,6 @@
 //! End-to-end tests against a live in-process server: cache determinism
-//! across every strategy/alloc/mapping combination, micro-batching
-//! correctness, overload backpressure, and graceful drain.
+//! across every strategy/alloc/mapping combination, concurrent predicts
+//! against one shared predictor, overload backpressure, and graceful drain.
 
 #![cfg(not(loom))]
 
@@ -252,11 +252,21 @@ fn cached_plan_identical_to_fresh_across_all_combinations() {
     shutdown_clean(handle, &mut client);
 }
 
-/// Concurrent predicts that share a machine are micro-batched, and every
-/// client still receives exactly the ratios the predictor computes
-/// directly.
+fn predict_request(id: String, machine: &str) -> Request {
+    Request::new(
+        Some(id),
+        RequestBody::Predict(PredictParams {
+            machine: machine.into(),
+            nests: nests(),
+        }),
+    )
+}
+
+/// Concurrent predicts that share a machine resolve one shared predictor
+/// fit, and every client still receives exactly the ratios the predictor
+/// computes directly.
 #[test]
-fn batched_predicts_match_direct_predictor() {
+fn concurrent_predicts_match_direct_predictor() {
     let handle = local_server();
     let machine = parse_machine(MACHINE).expect("machine");
     let features: Vec<nestwx_grid::DomainFeatures> = nests()
@@ -273,14 +283,9 @@ fn batched_predicts_match_direct_predictor() {
             let addr = addr.clone();
             std::thread::spawn(move || {
                 let mut c = Client::connect(&addr).expect("connect");
-                let req = Request::new(
-                    Some(format!("p{t}")),
-                    RequestBody::Predict(PredictParams {
-                        machine: MACHINE.into(),
-                        nests: nests(),
-                    }),
-                );
-                let resp = c.call(&req).expect("predict");
+                let resp = c
+                    .call(&predict_request(format!("p{t}"), MACHINE))
+                    .expect("predict");
                 assert!(resp.ok(), "predict rejected: {}", resp.raw);
                 resp.result()
                     .and_then(|r| r.get("relative_times"))
@@ -296,7 +301,7 @@ fn batched_predicts_match_direct_predictor() {
         let got = c.join().expect("client thread");
         assert_eq!(
             got, expected,
-            "batched predict diverged from direct predictor"
+            "served predict diverged from direct predictor"
         );
     }
 
@@ -304,17 +309,112 @@ fn batched_predicts_match_direct_predictor() {
     let stats = ctl
         .call(&Request::new(None, RequestBody::Stats))
         .expect("stats");
-    let batch = stats
-        .result()
-        .and_then(|r| r.get("batch"))
-        .cloned()
-        .unwrap();
-    assert!(
-        u64s(&batch, "batched_requests") >= 6,
-        "requests not batched: {batch:?}"
+    let result = stats.result().expect("stats payload");
+    let limits = result.get("limits").expect("limits block");
+    assert_eq!(
+        u64s(limits, "predictors_cached"),
+        1,
+        "six predicts for one machine must share one fit: {limits:?}"
     );
-    assert!(u64s(&batch, "batches") >= 1);
+    let row = result
+        .get("endpoints")
+        .and_then(|e| e.get("predict"))
+        .expect("predict endpoint row");
+    assert_eq!(u64s(row, "requests"), 6);
+    assert_eq!(u64s(row, "errors"), 0);
     shutdown_clean(handle, &mut ctl);
+}
+
+/// One predict is one queued job — nothing else occupies queue capacity.
+/// Four connections keep 12 pipelined predicts each in flight (48 < the
+/// 64-slot queue) over four machines: none may bounce as `overloaded`.
+#[test]
+fn pipelined_predict_bursts_never_overflow_the_queue() {
+    const CONNECTIONS: usize = 4;
+    const DEPTH: usize = 12;
+    const ROUNDS: usize = 200;
+    const MACHINES: [&str; 4] = ["bgl:64", "bgl:128", "bgp:64", "bgp:128"];
+    let mut cfg = ServeConfig::new("127.0.0.1:0");
+    cfg.workers = 2;
+    cfg.queue_depth = 64;
+    let handle = spawn(cfg).expect("spawn server");
+
+    let addr = handle.addr().to_string();
+    let clients: Vec<_> = (0..CONNECTIONS)
+        .map(|t| {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                let mut c = Client::connect(&addr).expect("connect");
+                let lines: Vec<String> = (0..DEPTH)
+                    .map(|j| {
+                        predict_request(format!("c{t}r{j}"), MACHINES[(t + j) % MACHINES.len()])
+                            .to_json_line()
+                    })
+                    .collect();
+                for round in 0..ROUNDS {
+                    for raw in c.call_pipelined(&lines).expect("pipelined predicts") {
+                        assert!(
+                            raw.contains("\"ok\":true"),
+                            "connection {t} round {round}: {raw}"
+                        );
+                    }
+                }
+            })
+        })
+        .collect();
+    for c in clients {
+        c.join().expect("client thread");
+    }
+
+    let sent = (CONNECTIONS * DEPTH * ROUNDS) as u64;
+    let stats = handle.stats_snapshot();
+    assert_eq!(stats.queue.rejected_full, 0, "{:?}", stats.queue);
+    assert_eq!(stats.queue.enqueued, sent, "one job per predict");
+    assert_eq!(stats.queue.dequeued, sent, "{:?}", stats.queue);
+    assert_eq!(stats.endpoints.predict.requests, sent);
+    assert_eq!(stats.endpoints.predict.errors, 0);
+    let mut ctl = Client::connect(handle.addr()).expect("connect");
+    shutdown_clean(handle, &mut ctl);
+}
+
+/// Predicts pipelined ahead of a `shutdown` on the same connection were
+/// accepted before the drain began: each one is answered — computed, or a
+/// typed `shutting_down` — never dropped, and the drain balances.
+#[test]
+fn predicts_pipelined_before_shutdown_are_all_answered() {
+    const PREDICTS: usize = 24;
+    let handle = local_server();
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let mut lines: Vec<String> = (0..PREDICTS)
+        .map(|i| predict_request(format!("p{i}"), MACHINE).to_json_line())
+        .collect();
+    lines.push(Request::new(Some("bye".into()), RequestBody::Shutdown).to_json_line());
+    let raws = client.call_pipelined(&lines).expect("pipelined drain");
+    assert_eq!(raws.len(), PREDICTS + 1);
+    for (i, raw) in raws.iter().take(PREDICTS).enumerate() {
+        let v: Value = serde_json::from_str(raw).expect("response json");
+        assert_eq!(
+            v.get("id").and_then(Value::as_str),
+            Some(format!("p{i}").as_str()),
+            "response {i} out of order: {raw}"
+        );
+        let kind = v
+            .get("error")
+            .and_then(|e| e.get("kind"))
+            .and_then(Value::as_str);
+        assert!(
+            v.get("ok").and_then(Value::as_bool) == Some(true) || kind == Some("shutting_down"),
+            "predict {i} neither served nor typed shutting_down: {raw}"
+        );
+    }
+    assert!(
+        raws[PREDICTS].contains("\"draining\":true"),
+        "{}",
+        raws[PREDICTS]
+    );
+    let report = handle.wait();
+    assert!(report.clean(), "unclean drain: {report:?}");
+    assert_eq!(report.requests_total, PREDICTS as u64 + 1);
 }
 
 /// With one worker and a one-slot queue, a burst of distinct cold scenarios
@@ -396,7 +496,7 @@ fn overload_produces_typed_errors_then_recovers() {
 }
 
 /// Shutdown drains: in-flight work is answered, the drain report balances
-/// requests against responses, and nothing is left in queue or batcher.
+/// requests against responses, and nothing is left in the queue.
 #[test]
 fn graceful_shutdown_drains_inflight_work() {
     let handle = local_server();
@@ -419,7 +519,6 @@ fn graceful_shutdown_drains_inflight_work() {
     assert!(report.clean(), "unclean drain: {report:?}");
     assert_eq!(report.requests_total, report.responses_total);
     assert_eq!(report.queue_residual, 0);
-    assert_eq!(report.batch_residual, 0);
     assert_eq!(report.live_conns, 0);
 
     // New connections are refused or immediately closed after drain.
@@ -640,13 +739,7 @@ fn predictor_map_is_bounded_and_evicts() {
     let mut client = Client::connect(handle.addr()).expect("connect");
 
     for (i, machine) in ["bgl:64", "bgl:128"].iter().enumerate() {
-        let req = Request::new(
-            Some(format!("m{i}")),
-            RequestBody::Predict(PredictParams {
-                machine: (*machine).into(),
-                nests: nests(),
-            }),
-        );
+        let req = predict_request(format!("m{i}"), machine);
         let resp = client.call(&req).expect("predict");
         assert!(resp.ok(), "predict rejected: {}", resp.raw);
     }
