@@ -13,19 +13,17 @@
 //!                [--io pnetcdf:1] [--json]
 //! ```
 //!
-//! Nest syntax: `NXxNYrR@OX,OY` (level 1) or `NXxNYrR@OX,OY:in=K` for a
-//! second-level nest inside nest `K` (0-based).
+//! The scenario flags (`--machine`, `--parent`, `--nest`, `--mapping`,
+//! `--alloc`, `--io`) take the tokens of [`nestwx_core::vocab`]; this crate
+//! only carries them in argv.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod obs;
 
-use nestwx_core::{
-    compare_strategies, compare_strategies_observed, AllocPolicy, MappingKind, Planner, Strategy,
-};
-use nestwx_grid::{Domain, NestSpec};
-use nestwx_netsim::{IoMode, Machine};
+use nestwx_core::vocab::{self, VocabError};
+use nestwx_core::{compare_strategies, compare_strategies_observed, Scenario};
 pub use obs::ObsCmd;
 use serde::Serialize;
 use std::fmt;
@@ -46,7 +44,7 @@ pub enum Command {
     /// Sweep a declarative scenario space (`nestwx sweep`).
     Sweep(SweepArgs),
     /// Run a multi-process worker fleet locally (`nestwx fleet`).
-    Fleet(FleetArgs),
+    Fleet(RunArgs),
     /// Run one fleet worker process (`nestwx fleet-worker`).
     FleetWorker(FleetWorkerArgs),
     /// Run the repo-specific static analysis (`nestwx lint`).
@@ -120,33 +118,6 @@ impl SweepArgs {
             jobs,
         }
     }
-}
-
-/// Arguments of `nestwx fleet`: spawn real worker processes that split a
-/// scenario's nests and exchange halos with the coordinator over TCP.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetArgs {
-    /// Target machine; its compiled plan's partitions weight the
-    /// nest-to-worker split.
-    pub machine: MachineSpec,
-    /// Parent domain.
-    pub parent: Domain,
-    /// Nest list.
-    pub nests: Vec<NestSpec>,
-    /// Coupled parent iterations.
-    pub iterations: u32,
-    /// Worker processes (`--workers`, else `NESTWX_FLEET_WORKERS`).
-    pub workers: Option<u32>,
-    /// Mapping kind (feeds the plan).
-    pub mapping: MappingKind,
-    /// Allocation policy (feeds the plan).
-    pub alloc: AllocPolicy,
-    /// Print the fleet summary envelope as JSON.
-    pub json: bool,
-    /// Also write the envelope to this file (for `nestwx obs report`).
-    pub obs_out: Option<String>,
-    /// Re-run in-process and require a bitwise-identical report.
-    pub check: bool,
 }
 
 /// Arguments of `nestwx fleet-worker` — the child process `nestwx fleet`
@@ -245,58 +216,26 @@ impl ServeArgs {
     }
 }
 
-/// Common arguments for `plan` and `compare`.
+/// Arguments of `plan`, `compare` and `fleet`: one scenario and how to
+/// run it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunArgs {
-    /// Target machine.
-    pub machine: MachineSpec,
-    /// Parent domain.
-    pub parent: Domain,
-    /// Nest list.
-    pub nests: Vec<NestSpec>,
-    /// Iterations (compare only).
+    /// What to plan (`fleet`: its compiled plan's partitions weight the
+    /// nest-to-worker split).
+    pub scenario: Scenario,
+    /// Parent iterations (compare and fleet).
     pub iterations: u32,
-    /// Mapping kind.
-    pub mapping: MappingKind,
-    /// Allocation policy.
-    pub alloc: AllocPolicy,
-    /// Output mode and interval.
-    pub io: Option<(IoMode, u32)>,
     /// Emit machine-readable JSON.
     pub json: bool,
     /// Include the per-iteration timeline in compare output.
     pub trace: bool,
-    /// Write run summaries to `PREFIX.default.json` / `PREFIX.planned.json`
-    /// (compare only).
+    /// compare: write run summaries to `PREFIX.default.json` /
+    /// `PREFIX.planned.json`; fleet: write the fleet envelope to this file.
     pub obs_out: Option<String>,
-}
-
-/// Machine family and core count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MachineSpec {
-    /// `bgl` or `bgp`.
-    pub family: Family,
-    /// Total cores.
-    pub cores: u32,
-}
-
-/// Blue Gene family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Family {
-    /// Blue Gene/L (VN mode).
-    BgL,
-    /// Blue Gene/P (VN mode).
-    BgP,
-}
-
-impl MachineSpec {
-    /// Instantiates the machine model.
-    pub fn build(&self) -> Machine {
-        match self.family {
-            Family::BgL => Machine::bgl(self.cores),
-            Family::BgP => Machine::bgp(self.cores),
-        }
-    }
+    /// fleet: worker processes (`--workers`, else `NESTWX_FLEET_WORKERS`).
+    pub workers: Option<u32>,
+    /// fleet: re-run in-process and require a bitwise-identical report.
+    pub check: bool,
 }
 
 /// A user-facing parse error.
@@ -311,136 +250,14 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+impl From<VocabError> for ParseError {
+    fn from(e: VocabError) -> ParseError {
+        ParseError(e.0)
+    }
+}
+
 fn err(msg: impl Into<String>) -> ParseError {
     ParseError(msg.into())
-}
-
-/// Parses `bgl:1024` / `bgp:4096`.
-pub fn parse_machine(s: &str) -> Result<MachineSpec, ParseError> {
-    let (fam, cores) = s
-        .split_once(':')
-        .ok_or_else(|| err(format!("machine '{s}': expected FAMILY:CORES")))?;
-    let family = match fam {
-        "bgl" => Family::BgL,
-        "bgp" => Family::BgP,
-        other => return Err(err(format!("unknown machine family '{other}' (bgl|bgp)"))),
-    };
-    let cores: u32 = cores
-        .parse()
-        .map_err(|_| err(format!("bad core count '{cores}'")))?;
-    if !cores.is_power_of_two() {
-        return Err(err(format!("core count {cores} must be a power of two")));
-    }
-    let min = match family {
-        Family::BgL => 16,
-        Family::BgP => 64,
-    };
-    if cores < min {
-        return Err(err(format!("{fam} needs at least {min} cores")));
-    }
-    Ok(MachineSpec { family, cores })
-}
-
-/// Parses `286x307@24` (nx × ny at dx km).
-pub fn parse_parent(s: &str) -> Result<Domain, ParseError> {
-    let (dims, dx) = s
-        .split_once('@')
-        .ok_or_else(|| err(format!("parent '{s}': expected NXxNY@DX")))?;
-    let (nx, ny) = parse_dims(dims)?;
-    let dx: f64 = dx
-        .parse()
-        .map_err(|_| err(format!("bad resolution '{dx}'")))?;
-    if dx <= 0.0 {
-        return Err(err("resolution must be positive"));
-    }
-    Ok(Domain::parent(nx, ny, dx))
-}
-
-/// Parses `259x229r3@10,12` or `90x90r3@5,5:in=0`.
-pub fn parse_nest(s: &str) -> Result<NestSpec, ParseError> {
-    let (body, parent_nest) = match s.split_once(":in=") {
-        Some((b, k)) => {
-            let k: usize = k
-                .parse()
-                .map_err(|_| err(format!("bad parent nest index '{k}'")))?;
-            (b, Some(k))
-        }
-        None => (s, None),
-    };
-    let (dims_r, offs) = body
-        .split_once('@')
-        .ok_or_else(|| err(format!("nest '{s}': expected NXxNYrR@OX,OY")))?;
-    let (dims, r) = dims_r
-        .split_once('r')
-        .ok_or_else(|| err(format!("nest '{s}': missing refinement 'rR'")))?;
-    let (nx, ny) = parse_dims(dims)?;
-    let r: u32 = r
-        .parse()
-        .map_err(|_| err(format!("bad refinement '{r}'")))?;
-    let (ox, oy) = offs
-        .split_once(',')
-        .ok_or_else(|| err(format!("nest '{s}': offset must be OX,OY")))?;
-    let ox: u32 = ox.parse().map_err(|_| err(format!("bad offset '{ox}'")))?;
-    let oy: u32 = oy.parse().map_err(|_| err(format!("bad offset '{oy}'")))?;
-    Ok(NestSpec {
-        nx,
-        ny,
-        refine_ratio: r,
-        offset: (ox, oy),
-        parent_nest,
-    })
-}
-
-fn parse_dims(s: &str) -> Result<(u32, u32), ParseError> {
-    let (nx, ny) = s
-        .split_once('x')
-        .ok_or_else(|| err(format!("dims '{s}': expected NXxNY")))?;
-    Ok((
-        nx.parse()
-            .map_err(|_| err(format!("bad dimension '{nx}'")))?,
-        ny.parse()
-            .map_err(|_| err(format!("bad dimension '{ny}'")))?,
-    ))
-}
-
-/// Parses `oblivious|txyz|partition|multilevel`.
-pub fn parse_mapping(s: &str) -> Result<MappingKind, ParseError> {
-    match s {
-        "oblivious" => Ok(MappingKind::Oblivious),
-        "txyz" => Ok(MappingKind::Txyz),
-        "partition" => Ok(MappingKind::Partition),
-        "multilevel" => Ok(MappingKind::MultiLevel),
-        other => Err(err(format!("unknown mapping '{other}'"))),
-    }
-}
-
-/// Parses `equal|naive|huffman`.
-pub fn parse_alloc(s: &str) -> Result<AllocPolicy, ParseError> {
-    match s {
-        "equal" => Ok(AllocPolicy::Equal),
-        "naive" => Ok(AllocPolicy::NaiveProportional),
-        "huffman" => Ok(AllocPolicy::HuffmanSplitTree),
-        other => Err(err(format!("unknown allocation policy '{other}'"))),
-    }
-}
-
-/// Parses `pnetcdf:N` / `split:N`.
-pub fn parse_io(s: &str) -> Result<(IoMode, u32), ParseError> {
-    let (mode, every) = s
-        .split_once(':')
-        .ok_or_else(|| err(format!("io '{s}': expected MODE:INTERVAL")))?;
-    let mode = match mode {
-        "pnetcdf" => IoMode::PnetCdf,
-        "split" => IoMode::SplitFiles,
-        other => return Err(err(format!("unknown io mode '{other}'"))),
-    };
-    let every: u32 = every
-        .parse()
-        .map_err(|_| err(format!("bad interval '{every}'")))?;
-    if every == 0 {
-        return Err(err("io interval must be ≥ 1"));
-    }
-    Ok((mode, every))
 }
 
 /// Parses a full argument vector (without the program name).
@@ -454,90 +271,34 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseError> {
         "obs" => parse_obs_args(&args[1..]).map(Command::Obs),
         "serve" => parse_serve_args(&args[1..]).map(Command::Serve),
         "sweep" => parse_sweep_args(&args[1..]).map(Command::Sweep),
-        "fleet" => parse_fleet_args(&args[1..]).map(Command::Fleet),
         "fleet-worker" => parse_fleet_worker_args(&args[1..]).map(Command::FleetWorker),
         "lint" => parse_lint_args(&args[1..]).map(Command::Lint),
-        "plan" | "compare" => {
-            let mut machine = None;
-            let mut parent = None;
-            let mut nests = Vec::new();
-            let mut iterations = 5u32;
-            let mut mapping = MappingKind::Partition;
-            let mut alloc = AllocPolicy::HuffmanSplitTree;
-            let mut io = None;
-            let mut json = false;
-            let mut trace = false;
-            let mut obs_out = None;
-            let mut it = args[1..].iter();
-            while let Some(flag) = it.next() {
-                let mut value = |name: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| err(format!("{name} needs a value")))
-                };
-                match flag.as_str() {
-                    "--machine" => machine = Some(parse_machine(&value("--machine")?)?),
-                    "--parent" => parent = Some(parse_parent(&value("--parent")?)?),
-                    "--nest" => nests.push(parse_nest(&value("--nest")?)?),
-                    "--iterations" => {
-                        iterations = value("--iterations")?
-                            .parse()
-                            .map_err(|_| err("bad --iterations"))?;
-                    }
-                    "--mapping" => mapping = parse_mapping(&value("--mapping")?)?,
-                    "--alloc" => alloc = parse_alloc(&value("--alloc")?)?,
-                    "--io" => io = Some(parse_io(&value("--io")?)?),
-                    "--json" => json = true,
-                    "--trace" => trace = true,
-                    "--obs-out" => obs_out = Some(value("--obs-out")?),
-                    other => return Err(err(format!("unknown flag '{other}'"))),
-                }
-            }
-            let run = RunArgs {
-                machine: machine.ok_or_else(|| err("--machine is required"))?,
-                parent: parent.ok_or_else(|| err("--parent is required"))?,
-                nests,
-                iterations,
-                mapping,
-                alloc,
-                io,
-                json,
-                trace,
-                obs_out,
-            };
-            if run.nests.is_empty() {
-                return Err(err("at least one --nest is required"));
-            }
-            if run.iterations == 0 {
-                return Err(err("--iterations must be ≥ 1"));
-            }
-            if run.obs_out.is_some() && cmd == "plan" {
-                return Err(err("--obs-out only applies to compare"));
-            }
-            Ok(match cmd.as_str() {
-                "plan" => Command::Plan(run),
-                _ => Command::Compare(run),
-            })
-        }
+        "plan" => parse_run_args("plan", &args[1..]).map(Command::Plan),
+        "compare" => parse_run_args("compare", &args[1..]).map(Command::Compare),
+        "fleet" => parse_run_args("fleet", &args[1..]).map(Command::Fleet),
         other => Err(err(format!(
             "unknown command '{other}' (machines|plan|compare|sweep|fleet|obs|serve|lint|help)"
         ))),
     }
 }
 
-/// Parses `fleet --machine M --parent P --nest N [--workers W]
-/// [--iterations N] [--mapping M] [--alloc A] [--json] [--obs-out FILE]
-/// [--check]`.
-fn parse_fleet_args(args: &[String]) -> Result<FleetArgs, ParseError> {
+/// Parses the flags of `plan`, `compare` and `fleet`: the scenario flags
+/// fill a [`Scenario`] through the shared vocabulary, the rest say how to
+/// run it. `--io`/`--trace` are plan/compare only, `--workers`/`--check`
+/// fleet only.
+fn parse_run_args(cmd: &str, args: &[String]) -> Result<RunArgs, ParseError> {
+    let fleet = cmd == "fleet";
     let mut machine = None;
     let mut parent = None;
     let mut nests = Vec::new();
+    let mut mapping = None;
+    let mut alloc = None;
+    let mut io = None;
     let mut iterations = 5u32;
-    let mut workers = None;
-    let mut mapping = MappingKind::Partition;
-    let mut alloc = AllocPolicy::HuffmanSplitTree;
     let mut json = false;
+    let mut trace = false;
     let mut obs_out = None;
+    let mut workers = None;
     let mut check = false;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -547,15 +308,21 @@ fn parse_fleet_args(args: &[String]) -> Result<FleetArgs, ParseError> {
                 .ok_or_else(|| err(format!("{name} needs a value")))
         };
         match flag.as_str() {
-            "--machine" => machine = Some(parse_machine(&value("--machine")?)?),
-            "--parent" => parent = Some(parse_parent(&value("--parent")?)?),
-            "--nest" => nests.push(parse_nest(&value("--nest")?)?),
+            "--machine" => machine = Some(vocab::parse_machine(&value("--machine")?)?),
+            "--parent" => parent = Some(vocab::parse_parent(&value("--parent")?)?),
+            "--nest" => nests.push(vocab::parse_nest(&value("--nest")?)?),
+            "--mapping" => mapping = Some(value("--mapping")?.parse()?),
+            "--alloc" => alloc = Some(value("--alloc")?.parse()?),
+            "--io" if !fleet => io = Some(vocab::parse_io(&value("--io")?)?),
             "--iterations" => {
                 iterations = value("--iterations")?
                     .parse()
                     .map_err(|_| err("bad --iterations"))?;
             }
-            "--workers" => {
+            "--json" => json = true,
+            "--trace" if !fleet => trace = true,
+            "--obs-out" => obs_out = Some(value("--obs-out")?),
+            "--workers" if fleet => {
                 let w: u32 = value("--workers")?
                     .parse()
                     .map_err(|_| err("bad --workers"))?;
@@ -564,33 +331,43 @@ fn parse_fleet_args(args: &[String]) -> Result<FleetArgs, ParseError> {
                 }
                 workers = Some(w);
             }
-            "--mapping" => mapping = parse_mapping(&value("--mapping")?)?,
-            "--alloc" => alloc = parse_alloc(&value("--alloc")?)?,
-            "--json" => json = true,
-            "--obs-out" => obs_out = Some(value("--obs-out")?),
-            "--check" => check = true,
-            other => return Err(err(format!("unknown fleet flag '{other}'"))),
+            "--check" if fleet => check = true,
+            other => return Err(err(format!("unknown {cmd} flag '{other}'"))),
         }
     }
-    let fleet = FleetArgs {
-        machine: machine.ok_or_else(|| err("--machine is required"))?,
-        parent: parent.ok_or_else(|| err("--parent is required"))?,
+    let mut scenario = Scenario::new(
+        machine.ok_or_else(|| err("--machine is required"))?,
+        parent.ok_or_else(|| err("--parent is required"))?,
         nests,
-        iterations,
-        workers,
-        mapping,
-        alloc,
-        json,
-        obs_out,
-        check,
-    };
-    if fleet.nests.is_empty() {
+    );
+    if let Some(mapping) = mapping {
+        scenario.mapping = mapping;
+    }
+    if let Some(alloc) = alloc {
+        scenario.alloc = alloc;
+    }
+    if let Some((mode, every)) = io {
+        scenario.io_mode = mode;
+        scenario.output_interval = every;
+    }
+    if scenario.nests.is_empty() {
         return Err(err("at least one --nest is required"));
     }
-    if fleet.iterations == 0 {
+    if iterations == 0 {
         return Err(err("--iterations must be ≥ 1"));
     }
-    Ok(fleet)
+    if obs_out.is_some() && cmd == "plan" {
+        return Err(err("--obs-out only applies to compare"));
+    }
+    Ok(RunArgs {
+        scenario,
+        iterations,
+        json,
+        trace,
+        obs_out,
+        workers,
+        check,
+    })
 }
 
 /// Parses `fleet-worker --connect HOST:PORT`.
@@ -865,22 +642,15 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), Box<dyn std
         }
         Command::Machines => {
             writeln!(out, "machine presets (FAMILY:CORES):")?;
-            for (spec, desc) in [
-                (
-                    "bgl:16..1024",
-                    "IBM Blue Gene/L, virtual-node mode, 8x8x8-midplane torus",
-                ),
-                (
-                    "bgp:64..8192",
-                    "IBM Blue Gene/P, virtual-node mode, rack-stacked torus",
-                ),
-            ] {
-                writeln!(out, "  {spec:<14} {desc}")?;
+            for p in &vocab::MACHINE_PRESETS {
+                writeln!(out, "  {:<14} {}", p.range(), p.about)?;
             }
         }
         Command::Plan(a) => {
-            let planner = planner_for(&a);
-            let plan = planner.plan(&a.parent, &a.nests)?;
+            let plan = a
+                .scenario
+                .planner()
+                .plan(&a.scenario.parent, &a.scenario.nests)?;
             if a.json {
                 let o = PlanOut {
                     machine: plan.machine.name.clone(),
@@ -1033,11 +803,8 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), Box<dyn std
             }
         }
         Command::Fleet(a) => {
-            let planner = Planner::new(a.machine.build())
-                .strategy(Strategy::Concurrent)
-                .alloc_policy(a.alloc)
-                .mapping(a.mapping);
-            let plan = planner.plan(&a.parent, &a.nests)?;
+            let (parent, nests) = (&a.scenario.parent, &a.scenario.nests);
+            let plan = a.scenario.planner().plan(parent, nests)?;
             let partitions: Vec<(usize, u64)> = plan
                 .partitions
                 .iter()
@@ -1072,8 +839,8 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), Box<dyn std
             .map_err(|e| nestwx_fleet::FleetError::Handshake(e.to_string()))
             .and_then(|conns| {
                 nestwx_fleet::run_coordinator(
-                    &a.parent,
-                    &a.nests,
+                    parent,
+                    nests,
                     a.iterations as u64,
                     ranks,
                     &partitions,
@@ -1093,8 +860,8 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), Box<dyn std
             let fleet = result?;
             if a.check {
                 let reference = nestwx_fleet::execute_in_process(
-                    &a.parent,
-                    &a.nests,
+                    parent,
+                    nests,
                     a.iterations as u64,
                     ranks,
                     &partitions,
@@ -1221,13 +988,13 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), Box<dyn std
             }
         }
         Command::Compare(a) => {
-            let planner = planner_for(&a);
+            let planner = a.scenario.planner();
+            let (parent, nests) = (&a.scenario.parent, &a.scenario.nests);
             // With --obs-out, run the observed variant (recording is
             // passive, so the comparison itself is bitwise identical) and
             // write each run's summary JSON next to the given prefix.
             let cmp = if let Some(prefix) = &a.obs_out {
-                let obs_cmp =
-                    compare_strategies_observed(&planner, &a.parent, &a.nests, a.iterations)?;
+                let obs_cmp = compare_strategies_observed(&planner, parent, nests, a.iterations)?;
                 std::fs::write(
                     format!("{prefix}.default.json"),
                     obs_cmp.default_rec.summary_json(),
@@ -1238,11 +1005,11 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), Box<dyn std
                 )?;
                 obs_cmp.comparison
             } else {
-                compare_strategies(&planner, &a.parent, &a.nests, a.iterations)?
+                compare_strategies(&planner, parent, nests, a.iterations)?
             };
             if a.json {
                 let trace = if a.trace {
-                    let plan = planner.plan(&a.parent, &a.nests)?;
+                    let plan = planner.plan(parent, nests)?;
                     Some(plan.simulate_traced(a.iterations)?.1)
                 } else {
                     None
@@ -1298,20 +1065,10 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), Box<dyn std
     Ok(())
 }
 
-fn planner_for(a: &RunArgs) -> Planner {
-    let mut planner = Planner::new(a.machine.build())
-        .strategy(Strategy::Concurrent)
-        .alloc_policy(a.alloc)
-        .mapping(a.mapping);
-    if let Some((mode, every)) = a.io {
-        planner = planner.output(mode, every);
-    }
-    planner
-}
-
 /// The usage string.
-pub fn usage() -> &'static str {
-    "nestwx — divide-and-conquer scheduling for multi-nest weather simulations
+pub fn usage() -> String {
+    format!(
+        "nestwx — divide-and-conquer scheduling for multi-nest weather simulations
 
 USAGE:
   nestwx machines
@@ -1335,7 +1092,7 @@ USAGE:
                  [--sarif FILE] [--baseline FILE] [--write-baseline FILE]
 
 FLAGS:
-  --machine FAMILY:CORES   bgl:16..1024 | bgp:64..8192 (power of two)
+  --machine FAMILY:CORES   {machines} (power of two)
   --parent  NXxNY@DXKM     e.g. 286x307@24
   --nest    NXxNYrR@OX,OY[:in=K]
                            repeatable; ':in=K' makes it a second-level nest
@@ -1343,7 +1100,9 @@ FLAGS:
   --iterations N           compare only (default 5)
   --mapping  oblivious|txyz|partition|multilevel   (default partition)
   --alloc    equal|naive|huffman                   (default huffman)
-  --io       pnetcdf:N|split:N                     history output every N iters
+  --io       none|pnetcdf:N|split:N                history output every N iters
+                           (the token grammar is DESIGN.md's \"Scenario
+                           vocabulary\" table, shared with sweep and serve)
   --json                   machine-readable output
   --trace                  include the per-iteration timeline (with --json)
   --obs-out PREFIX         compare only: record both runs and write
@@ -1420,50 +1179,93 @@ LINT:
   diagnostics via 'RULE FILE:LINE[:COL] -- reason' lines in lint.allow
   (each entry must match exactly one diagnostic, so stale entries fail
   the run). Exits non-zero on any finding or allowlist error. See
-  DESIGN.md's invariant catalog for the full rule list."
+  DESIGN.md's invariant catalog for the full rule list.",
+        machines = vocab::MACHINE_PRESETS
+            .each_ref()
+            .map(vocab::MachinePreset::range)
+            .join(" | ")
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nestwx_core::{AllocPolicy, MappingKind};
+    use nestwx_netsim::IoMode;
+
+    /// `plan` argv around one overridden scenario flag.
+    fn plan_with(flag: &str, value: &str) -> Result<RunArgs, ParseError> {
+        let mut args = vec!["plan".to_string()];
+        for (f, default) in [
+            ("--machine", "bgl:64"),
+            ("--parent", "286x307@24"),
+            ("--nest", "150x150r3@10,12"),
+        ] {
+            args.push(f.to_string());
+            args.push(if f == flag { value } else { default }.to_string());
+        }
+        if !args.iter().any(|a| a == flag) {
+            args.extend([flag.to_string(), value.to_string()]);
+        }
+        match parse_args(&args)? {
+            Command::Plan(a) => Ok(a),
+            other => panic!("wrong command {other:?}"),
+        }
+    }
 
     #[test]
     fn parse_machine_specs() {
-        assert_eq!(
-            parse_machine("bgl:1024").unwrap(),
-            MachineSpec {
-                family: Family::BgL,
-                cores: 1024
-            }
-        );
-        assert_eq!(parse_machine("bgp:4096").unwrap().cores, 4096);
-        assert!(parse_machine("bgq:1024").is_err());
-        assert!(parse_machine("bgl:1000").is_err()); // not a power of two
-        assert!(parse_machine("bgl:8").is_err()); // too small
-        assert!(parse_machine("bgl").is_err());
+        let a = plan_with("--machine", "bgl:1024").unwrap();
+        assert_eq!(a.scenario.machine, nestwx_netsim::Machine::bgl(1024));
+        let a = plan_with("--machine", "bgp:4096").unwrap();
+        assert_eq!(a.scenario.machine.ranks(), 4096);
+        // Unknown family, not a power of two, too small, no core count,
+        // and above the shared bound (used to build a 2^26-core torus).
+        for bad in ["bgq:1024", "bgl:1000", "bgl:8", "bgl", "bgl:67108864"] {
+            assert!(plan_with("--machine", bad).is_err(), "accepted '{bad}'");
+        }
     }
 
     #[test]
     fn parse_parent_spec() {
-        let d = parse_parent("286x307@24").unwrap();
+        let d = plan_with("--parent", "286x307@24").unwrap().scenario.parent;
         assert_eq!((d.nx, d.ny), (286, 307));
         assert!((d.dx_km - 24.0).abs() < 1e-12);
-        assert!(parse_parent("286x307").is_err());
-        assert!(parse_parent("286x307@-2").is_err());
+        for bad in ["286x307", "286x307@-2"] {
+            assert!(plan_with("--parent", bad).is_err(), "accepted '{bad}'");
+        }
+        // The resolution must be finite and positive (`@nan` used to plan).
+        for dx in ["nan", "inf", "-1", "0"] {
+            let bad = format!("286x307@{dx}");
+            assert!(plan_with("--parent", &bad).is_err(), "accepted '{bad}'");
+        }
     }
 
     #[test]
     fn parse_nest_specs() {
-        let n = parse_nest("259x229r3@10,12").unwrap();
-        assert_eq!(
-            (n.nx, n.ny, n.refine_ratio, n.offset),
-            (259, 229, 3, (10, 12))
-        );
-        assert_eq!(n.parent_nest, None);
-        let c = parse_nest("90x90r3@5,6:in=0").unwrap();
-        assert_eq!(c.parent_nest, Some(0));
-        assert!(parse_nest("259x229@10,12").is_err()); // missing rR
-        assert!(parse_nest("259x229r3@10").is_err()); // bad offset
+        let n = plan_with("--nest", "259x229r3@10,12")
+            .unwrap()
+            .scenario
+            .nests;
+        assert_eq!(n, [nestwx_grid::NestSpec::new(259, 229, 3, (10, 12))]);
+        let c = plan_with("--nest", "90x90r3@5,6:in=0")
+            .unwrap()
+            .scenario
+            .nests;
+        assert_eq!(c[0].parent_nest, Some(0));
+        // Missing rR, bad offset.
+        for bad in ["259x229@10,12", "259x229r3@10"] {
+            assert!(plan_with("--nest", bad).is_err(), "accepted '{bad}'");
+        }
+    }
+
+    #[test]
+    fn io_none_is_the_default_spelled_out() {
+        let none = plan_with("--io", "none").unwrap();
+        assert_eq!(none, plan_with("--mapping", "partition").unwrap());
+        assert_eq!(none.scenario.output_interval, None);
+        assert!(plan_with("--io", "pnetcdf:0").is_err());
+        assert!(plan_with("--io", "pnetcdf").is_err());
     }
 
     #[test]
@@ -1493,9 +1295,10 @@ mod tests {
             panic!("wrong command")
         };
         assert_eq!(a.iterations, 2);
-        assert_eq!(a.mapping, MappingKind::MultiLevel);
-        assert_eq!(a.alloc, AllocPolicy::NaiveProportional);
-        assert_eq!(a.io, Some((IoMode::SplitFiles, 2)));
+        assert_eq!(a.scenario.mapping, MappingKind::MultiLevel);
+        assert_eq!(a.scenario.alloc, AllocPolicy::NaiveProportional);
+        assert_eq!(a.scenario.io_mode, IoMode::SplitFiles);
+        assert_eq!(a.scenario.output_interval, Some(2));
         assert!(a.json);
     }
 
@@ -2071,16 +1874,13 @@ mod tests {
         run(cmd, &mut buf).unwrap();
 
         // What the allocator was given.
-        let machine = parse_machine("bgl:64").unwrap().build();
-        let parent = parse_parent("286x307@24").unwrap();
-        let nests = vec![
-            parse_nest("150x150r3@10,12").unwrap(),
-            parse_nest("150x150r3@120,120").unwrap(),
-        ];
-        let plan = Planner::new(machine)
-            .strategy(Strategy::Concurrent)
-            .alloc_policy(AllocPolicy::NaiveProportional)
-            .plan(&parent, &nests)
+        let Command::Compare(a) = parse_args(&args).unwrap() else {
+            panic!("wrong command")
+        };
+        let plan = a
+            .scenario
+            .planner()
+            .plan(&a.scenario.parent, &a.scenario.nests)
             .unwrap();
         assert_eq!(plan.predicted_ratios.len(), 2);
 

@@ -30,6 +30,7 @@ pub mod profile;
 pub mod strategy;
 pub mod tempdir;
 pub mod threads;
+pub mod vocab;
 
 pub use adaptive::{run_adaptive, AdaptiveReport};
 pub use canon::Scenario;
@@ -43,3 +44,4 @@ pub use planner::{ExecutionPlan, PlanError, Planner};
 pub use profile::{fit_predictor, measure_domain_time, profile_basis};
 pub use strategy::{AllocPolicy, MappingKind, Strategy};
 pub use tempdir::TempDir;
+pub use vocab::VocabError;

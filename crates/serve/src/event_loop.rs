@@ -673,10 +673,7 @@ impl ReaderLoop {
                     };
                     self.submit(conn, &req, work, at)
                 }
-                Err(msg) => {
-                    let e = ProtoError::bad_request(msg);
-                    self.answer(conn, None, id, endpoint, &Err(e), at)
-                }
+                Err(e) => self.answer(conn, None, id, endpoint, &Err(e.into()), at),
             },
         }
     }

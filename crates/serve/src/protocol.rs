@@ -31,12 +31,15 @@
 //! one are exempt) and `deadline_ms` (a per-request deadline in
 //! milliseconds from arrival, overriding the server default).
 
+pub use nestwx_core::vocab::parse_machine;
+use nestwx_core::vocab::{self, VocabError};
 use nestwx_core::{AllocPolicy, MappingKind, Scenario, Strategy};
 use nestwx_grid::{Domain, NestSpec};
-use nestwx_netsim::{IoMode, Machine};
+use nestwx_netsim::IoMode;
 use serde_json::Value;
 use std::fmt;
 use std::io::{self, Read};
+use std::str::FromStr;
 
 /// Wire protocol version carried in every request/response (`"v"`).
 pub const PROTOCOL_VERSION: u64 = 1;
@@ -181,6 +184,13 @@ impl fmt::Display for ProtoError {
 
 impl std::error::Error for ProtoError {}
 
+/// Scenario text outside the shared vocabulary is the client's mistake.
+impl From<VocabError> for ProtoError {
+    fn from(e: VocabError) -> ProtoError {
+        ProtoError::bad_request(e.0)
+    }
+}
+
 /// Scenario-shaped parameters shared by `plan` and `compare`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioParams {
@@ -205,9 +215,8 @@ impl ScenarioParams {
     /// (instantiates the machine model; domain validity is checked later
     /// by the planner).
     pub fn to_scenario(&self) -> Result<Scenario, ProtoError> {
-        let machine = parse_machine(&self.machine).map_err(ProtoError::bad_request)?;
         Ok(Scenario {
-            machine,
+            machine: parse_machine(&self.machine)?,
             parent: self.parent.clone(),
             nests: self.nests.clone(),
             strategy: self.strategy,
@@ -523,16 +532,16 @@ fn write_scenario_params(
     s.push_str("},\"nests\":");
     write_nests(&p.nests, s);
     s.push_str(",\"strategy\":\"");
-    s.push_str(strategy_token(p.strategy));
+    s.push_str(Strategy::token(p.strategy));
     s.push_str("\",\"alloc\":\"");
-    s.push_str(alloc_token(p.alloc));
+    s.push_str(AllocPolicy::token(p.alloc));
     s.push_str("\",\"mapping\":\"");
-    s.push_str(mapping_token(p.mapping));
+    s.push_str(MappingKind::token(p.mapping));
     s.push('"');
     if let Some((mode, every)) = p.io {
         s.push_str(&format!(
             ",\"io\":{{\"mode\":\"{}\",\"interval\":{every}}}",
-            io_token(mode)
+            vocab::io_mode_token(mode)
         ));
     }
     if let Some(iters) = iterations {
@@ -542,42 +551,6 @@ fn write_scenario_params(
         s.push_str(&format!(",\"workers\":{w}"));
     }
     s.push('}');
-}
-
-/// Wire token of a strategy.
-pub fn strategy_token(s: Strategy) -> &'static str {
-    match s {
-        Strategy::Sequential => "sequential",
-        Strategy::Concurrent => "concurrent",
-    }
-}
-
-/// Wire token of an allocation policy (same tokens as the CLI `--alloc`).
-pub fn alloc_token(a: AllocPolicy) -> &'static str {
-    match a {
-        AllocPolicy::Equal => "equal",
-        AllocPolicy::NaiveProportional => "naive",
-        AllocPolicy::HuffmanSplitTree => "huffman",
-    }
-}
-
-/// Wire token of a mapping kind (same tokens as the CLI `--mapping`).
-pub fn mapping_token(m: MappingKind) -> &'static str {
-    match m {
-        MappingKind::Oblivious => "oblivious",
-        MappingKind::Txyz => "txyz",
-        MappingKind::Partition => "partition",
-        MappingKind::MultiLevel => "multilevel",
-    }
-}
-
-/// Wire token of an I/O mode.
-pub fn io_token(m: IoMode) -> &'static str {
-    match m {
-        IoMode::None => "none",
-        IoMode::PnetCdf => "pnetcdf",
-        IoMode::SplitFiles => "split",
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -653,60 +626,39 @@ fn parse_nests(p: &Value) -> Result<Vec<NestSpec>, ProtoError> {
         .collect()
 }
 
+/// An optional token field: absent means `default`; a non-string reads
+/// as the empty token, which no table holds.
+fn token_field<T: FromStr<Err = VocabError>>(
+    p: &Value,
+    key: &str,
+    default: T,
+) -> Result<T, ProtoError> {
+    match field(p, key) {
+        None => Ok(default),
+        Some(v) => Ok(v.as_str().unwrap_or_default().parse()?),
+    }
+}
+
 fn parse_scenario_params(p: &Value) -> Result<ScenarioParams, ProtoError> {
     let parent = field(p, "parent")
         .ok_or_else(|| ProtoError::bad_request("missing object field 'parent'"))?;
     let dx_km = field(parent, "dx_km")
         .and_then(Value::as_f64)
         .ok_or_else(|| ProtoError::bad_request("missing number field 'parent.dx_km'"))?;
-    if !(dx_km.is_finite() && dx_km > 0.0) {
-        return Err(ProtoError::bad_request("'parent.dx_km' must be positive"));
-    }
-    let strategy = match field(p, "strategy").map(|v| v.as_str().unwrap_or_default()) {
-        None => Strategy::Concurrent,
-        Some("sequential") => Strategy::Sequential,
-        Some("concurrent") => Strategy::Concurrent,
-        Some(other) => {
-            return Err(ProtoError::bad_request(format!(
-                "unknown strategy '{other}' (sequential|concurrent)"
-            )))
-        }
-    };
-    let alloc = match field(p, "alloc").map(|v| v.as_str().unwrap_or_default()) {
-        None => AllocPolicy::HuffmanSplitTree,
-        Some("equal") => AllocPolicy::Equal,
-        Some("naive") => AllocPolicy::NaiveProportional,
-        Some("huffman") => AllocPolicy::HuffmanSplitTree,
-        Some(other) => {
-            return Err(ProtoError::bad_request(format!(
-                "unknown allocation policy '{other}' (equal|naive|huffman)"
-            )))
-        }
-    };
-    let mapping = match field(p, "mapping").map(|v| v.as_str().unwrap_or_default()) {
-        None => MappingKind::Partition,
-        Some("oblivious") => MappingKind::Oblivious,
-        Some("txyz") => MappingKind::Txyz,
-        Some("partition") => MappingKind::Partition,
-        Some("multilevel") => MappingKind::MultiLevel,
-        Some(other) => {
-            return Err(ProtoError::bad_request(format!(
-                "unknown mapping '{other}' (oblivious|txyz|partition|multilevel)"
-            )))
-        }
-    };
     let io = match field(p, "io") {
         None => None,
         Some(io) => {
-            let mode = match field(io, "mode").and_then(Value::as_str) {
-                Some("pnetcdf") => IoMode::PnetCdf,
-                Some("split") => IoMode::SplitFiles,
-                Some(other) => {
-                    return Err(ProtoError::bad_request(format!(
-                        "unknown io mode '{other}' (pnetcdf|split)"
-                    )))
+            let mode = field(io, "mode")
+                .and_then(Value::as_str)
+                .ok_or_else(|| ProtoError::bad_request("missing string field 'io.mode'"))?;
+            // "No output" is the absent 'io' field on the wire.
+            let mode = match vocab::parse_io_mode(mode)? {
+                IoMode::None => {
+                    return Err(ProtoError::bad_request(
+                        "'io.mode' none: omit the 'io' field instead",
+                    ))
                 }
-                None => return Err(ProtoError::bad_request("missing string field 'io.mode'")),
+                mode => mode,
             };
             let every = req_u32(io, "interval", "io")?;
             if every == 0 {
@@ -717,47 +669,16 @@ fn parse_scenario_params(p: &Value) -> Result<ScenarioParams, ProtoError> {
     };
     Ok(ScenarioParams {
         machine: parse_machine_field(p)?,
-        parent: Domain::parent(
+        parent: vocab::parent(
             req_u32(parent, "nx", "parent")?,
             req_u32(parent, "ny", "parent")?,
             dx_km,
-        ),
+        )?,
         nests: parse_nests(p)?,
-        strategy,
-        alloc,
-        mapping,
+        strategy: token_field(p, "strategy", Strategy::Concurrent)?,
+        alloc: token_field(p, "alloc", AllocPolicy::HuffmanSplitTree)?,
+        mapping: token_field(p, "mapping", MappingKind::Partition)?,
         io,
-    })
-}
-
-/// Parses a machine spec token (`bgl:64` / `bgp:4096`) into the machine
-/// model. Same family/size rules as the CLI, plus an upper bound — a
-/// daemon must not let one request allocate an absurd torus.
-pub fn parse_machine(spec: &str) -> Result<Machine, String> {
-    const MAX_CORES: u32 = 65_536;
-    let (fam, cores) = spec
-        .split_once(':')
-        .ok_or_else(|| format!("machine '{spec}': expected FAMILY:CORES"))?;
-    let cores: u32 = cores
-        .parse()
-        .map_err(|_| format!("bad core count '{cores}'"))?;
-    if !cores.is_power_of_two() {
-        return Err(format!("core count {cores} must be a power of two"));
-    }
-    if cores > MAX_CORES {
-        return Err(format!("core count {cores} exceeds the limit {MAX_CORES}"));
-    }
-    let min = match fam {
-        "bgl" => 16,
-        "bgp" => 64,
-        other => return Err(format!("unknown machine family '{other}' (bgl|bgp)")),
-    };
-    if cores < min {
-        return Err(format!("{fam} needs at least {min} cores"));
-    }
-    Ok(match fam {
-        "bgl" => Machine::bgl(cores),
-        _ => Machine::bgp(cores),
     })
 }
 
@@ -1024,16 +945,6 @@ mod tests {
         // null is treated as absent, like every other optional knob.
         let r = Request::parse_line("{\"v\":1,\"explain\":null,\"op\":\"stats\"}").unwrap();
         assert!(!r.explain);
-    }
-
-    #[test]
-    fn machine_spec_limits() {
-        assert!(parse_machine("bgl:64").is_ok());
-        assert!(parse_machine("bgp:4096").is_ok());
-        assert!(parse_machine("bgl:63").is_err());
-        assert!(parse_machine("bgl:8").is_err());
-        assert!(parse_machine("bgq:64").is_err());
-        assert!(parse_machine("bgl:131072").is_err());
     }
 
     #[test]

@@ -30,13 +30,11 @@ use crate::event_loop::{self, ReaderChannels};
 use crate::flight::{dur_us, FlightRecorder};
 use crate::limits::{CancelToken, RateLimiter};
 use crate::metrics::{LimitGauges, Metrics, StatsSnapshot};
-use crate::protocol::{
-    alloc_token, mapping_token, strategy_token, Endpoint, ErrorKind, ProtoError,
-};
+use crate::protocol::{Endpoint, ErrorKind, ProtoError};
 use crate::queue::BoundedQueue;
 use crate::reply::{Outcome, Reply};
 use crate::sync::{AtomicBool, AtomicUsize, Ordering};
-use nestwx_core::strategy::AllocPolicy;
+use nestwx_core::strategy::{AllocPolicy, MappingKind, Strategy};
 use nestwx_core::{compare_strategies, fit_predictor, ExecutionPlan, Planner, Scenario};
 use nestwx_grid::DomainFeatures;
 use nestwx_netsim::Machine;
@@ -299,7 +297,7 @@ impl ServerState {
     /// shared per-machine map when the policy needs one. Because the map
     /// fits with the same fixed seed the planner would use on demand, the
     /// resulting plans are identical either way.
-    fn planner_for(&self, scenario: &Scenario) -> Planner {
+    fn planner_with_predictor(&self, scenario: &Scenario) -> Planner {
         let planner = scenario.planner();
         if scenario.alloc == AllocPolicy::HuffmanSplitTree {
             planner.with_predictor((*self.predictor_for(&scenario.machine)).clone())
@@ -438,9 +436,9 @@ pub fn render_plan(scenario: &Scenario, plan: &ExecutionPlan) -> Result<String, 
             px: plan.grid.px,
             py: plan.grid.py,
         },
-        strategy: strategy_token(scenario.strategy).to_string(),
-        alloc: alloc_token(scenario.alloc).to_string(),
-        mapping: mapping_token(scenario.mapping).to_string(),
+        strategy: Strategy::token(scenario.strategy).to_string(),
+        alloc: AllocPolicy::token(scenario.alloc).to_string(),
+        mapping: MappingKind::token(scenario.mapping).to_string(),
         predicted_ratios: plan.predicted_ratios.clone(),
         partitions: plan
             .partitions
@@ -605,7 +603,7 @@ fn worker_loop(state: Arc<ServerState>) {
 
 fn plan_scenario(state: &ServerState, scenario: &Scenario) -> Result<ExecutionPlan, ProtoError> {
     state
-        .planner_for(scenario)
+        .planner_with_predictor(scenario)
         .plan(&scenario.parent, &scenario.nests)
         .map_err(|e| failed(e.to_string()))
 }
@@ -649,7 +647,7 @@ fn cached_or_fresh(
 
 /// Computes and renders a fresh compare result.
 fn render_compare(state: &ServerState, scenario: &Scenario, iterations: u32) -> Outcome {
-    let planner = state.planner_for(scenario);
+    let planner = state.planner_with_predictor(scenario);
     let cmp = compare_strategies(&planner, &scenario.parent, &scenario.nests, iterations)
         .map_err(|e| failed(e.to_string()))?;
     serde_json::to_string(&CompareResult {

@@ -272,6 +272,87 @@ fn plan_without_params_is_bad_request() {
     assert_eq!(err.kind, ErrorKind::BadRequest);
 }
 
+/// The wire line and the cache-key encoding of one fixed scenario,
+/// byte for byte as the commit before the shared vocabulary produced them:
+/// the tokens moved, their spelling (and so every disk-cache key) did not.
+#[test]
+fn wire_line_and_canonical_string_are_pinned() {
+    let params = ScenarioParams {
+        machine: "bgl:64".into(),
+        parent: Domain::parent(286, 307, 24.0),
+        nests: vec![
+            NestSpec::new(150, 150, 3, (10, 12)),
+            NestSpec {
+                nx: 90,
+                ny: 96,
+                refine_ratio: 3,
+                offset: (5, 6),
+                parent_nest: Some(0),
+            },
+        ],
+        strategy: ExecStrategy::Sequential,
+        alloc: AllocPolicy::NaiveProportional,
+        mapping: MappingKind::MultiLevel,
+        io: Some((IoMode::PnetCdf, 2)),
+    };
+    let scenario = params.to_scenario().unwrap();
+    let request = Request::new(
+        Some("pin".into()),
+        RequestBody::Compare {
+            params,
+            iterations: 4,
+        },
+    );
+    assert_eq!(
+        request.to_json_line(),
+        "{\"v\":1,\"id\":\"pin\",\"op\":\"compare\",\"params\":{\"machine\":\"bgl:64\",\
+         \"parent\":{\"nx\":286,\"ny\":307,\"dx_km\":24.0},\
+         \"nests\":[{\"nx\":150,\"ny\":150,\"r\":3,\"ox\":10,\"oy\":12},\
+         {\"nx\":90,\"ny\":96,\"r\":3,\"ox\":5,\"oy\":6,\"in\":0}],\
+         \"strategy\":\"sequential\",\"alloc\":\"naive\",\"mapping\":\"multilevel\",\
+         \"io\":{\"mode\":\"pnetcdf\",\"interval\":2},\"iterations\":4}}"
+    );
+    assert_eq!(
+        scenario.canonical_string(),
+        concat!(
+            "nestwx-scenario-v1:{\"machine\":{\"name\":\"BG/L(64)\",",
+            "\"shape\":{\"torus\":{\"dims\":[2,4,4]},\"cores_per_node\":2},",
+            "\"compute\":{\"time_per_point\":0.0003,\"halo_compute\":2,",
+            "\"fixed_per_step\":0.001,\"mem_penalty\":0.15,\"cache_points\":1500.0,",
+            "\"jitter\":0.08},",
+            "\"net\":{\"link_bw\":150000000.0,\"hop_latency\":0.0000001,",
+            "\"send_overhead\":0.0000032,\"recv_overhead\":0.0000032,",
+            "\"mem_bw\":2000000000.0},",
+            "\"io\":{\"meta_base\":0.1,\"meta_per_rank\":0.0012,",
+            "\"stream_bw\":200000000.0,\"io_streams\":4,",
+            "\"split_file_overhead\":0.04,\"split_bw\":15000000.0},",
+            "\"halo\":{\"width\":5,\"fields\":16,\"levels\":28,\"bytes_per_value\":4,",
+            "\"messages_per_step\":144},\"fields_out\":18,\"levels_out\":28},",
+            "\"parent\":{\"nx\":286,\"ny\":307,\"dx_km\":24.0},",
+            "\"nests\":[{\"nx\":150,\"ny\":150,\"refine_ratio\":3,\"offset\":[10,12],",
+            "\"parent_nest\":null},{\"nx\":90,\"ny\":96,\"refine_ratio\":3,",
+            "\"offset\":[5,6],\"parent_nest\":0}],",
+            "\"strategy\":\"Sequential\",\"alloc\":\"NaiveProportional\",",
+            "\"mapping\":\"MultiLevel\",\"io_mode\":\"PnetCdf\",\"output_interval\":2}"
+        )
+    );
+    assert_eq!(scenario.digest(), 0x4e64_733a_1171_4cf7);
+}
+
+#[test]
+fn parent_resolution_must_be_finite_and_positive() {
+    // 1e999 reads as +inf; a string is not a number at all.
+    for dx in ["-1", "0", "0.0", "1e999", "-1e999", "\"nan\"", "null"] {
+        let line = format!(
+            "{{\"v\":1,\"op\":\"plan\",\"params\":{{\"machine\":\"bgl:64\",\
+             \"parent\":{{\"nx\":100,\"ny\":100,\"dx_km\":{dx}}},\
+             \"nests\":[{{\"nx\":30,\"ny\":30,\"r\":3,\"ox\":5,\"oy\":5}}]}}}}"
+        );
+        let err = Request::parse_line(&line).unwrap_err();
+        assert_eq!(err.kind, ErrorKind::BadRequest, "accepted dx_km {dx}");
+    }
+}
+
 #[test]
 fn compare_zero_iterations_rejected() {
     let ok = "{\"v\":1,\"op\":\"compare\",\"params\":{\"machine\":\"bgl:64\",\

@@ -13,10 +13,11 @@
 //! `plans_digest` — are identical across runs and job counts.
 
 use crate::spec::SweepSpec;
-use nestwx_core::{fnv1a64, parallel_jobs, run_parallel_with, Scenario};
+use nestwx_core::{
+    fnv1a64, parallel_jobs, run_parallel_with, vocab, AllocPolicy, MappingKind, Scenario, Strategy,
+};
 use nestwx_obs::clock;
 use nestwx_serve::disk::{DiskCache, DiskStats};
-use nestwx_serve::protocol::{alloc_token, io_token, mapping_token, strategy_token};
 use nestwx_serve::{keys, render_plan};
 use serde::Serialize;
 use serde_json::Value;
@@ -227,10 +228,10 @@ fn run_one(scenario: &Scenario, iterations: u32, disk: Option<&DiskCache>) -> Sc
         machine: scenario.machine.name.clone(),
         ranks: scenario.machine.ranks(),
         region: region_label(scenario),
-        strategy: strategy_token(scenario.strategy).to_string(),
-        alloc: alloc_token(scenario.alloc).to_string(),
-        mapping: mapping_token(scenario.mapping).to_string(),
-        io: io_token(scenario.io_mode).to_string(),
+        strategy: Strategy::token(scenario.strategy).to_string(),
+        alloc: AllocPolicy::token(scenario.alloc).to_string(),
+        mapping: MappingKind::token(scenario.mapping).to_string(),
+        io: vocab::io_mode_token(scenario.io_mode).to_string(),
         planned_s_per_iter: 0.0,
         plan_digest: String::new(),
         from_disk: false,
@@ -314,14 +315,10 @@ fn parse_entry(raw: &str) -> Option<(String, f64)> {
 /// `PARENTX x PARENTY + NXxNYrR@OX,OY…` — identifies a region-of-interest
 /// configuration independent of machine and knobs.
 fn region_label(scenario: &Scenario) -> String {
-    use std::fmt::Write as _;
     let mut label = format!("{}x{}", scenario.parent.nx, scenario.parent.ny);
     for n in &scenario.nests {
-        let _ = write!(
-            label,
-            "+{}x{}r{}@{},{}",
-            n.nx, n.ny, n.refine_ratio, n.offset.0, n.offset.1
-        );
+        label.push('+');
+        label.push_str(&vocab::nest_token(n));
     }
     label
 }

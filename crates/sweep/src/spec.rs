@@ -10,14 +10,16 @@
 //! are planned once.
 //!
 //! The format is JSON rather than TOML because the workspace vendors only
-//! `serde_json`; the shapes are a direct transcription of the CLI's
-//! argument grammar (`286x307@24` parents, `150x150r3@10,12` nests).
+//! `serde_json`; every string in a list is a token of the shared
+//! scenario vocabulary ([`nestwx_core::vocab`]: `286x307@24` parents,
+//! `150x150r3@10,12` nests), on top of which this module keeps one rule
+//! of its own: swept domains are at least [`MIN_DIM`] points a side.
 
 use nestwx_core::strategy::{AllocPolicy, MappingKind, Strategy};
+use nestwx_core::vocab::{self, VocabError};
 use nestwx_core::Scenario;
 use nestwx_grid::{Domain, NestSpec};
 use nestwx_netsim::{IoMode, Machine};
-use nestwx_serve::parse_machine;
 use serde_json::Value;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -33,6 +35,12 @@ impl fmt::Display for SpecError {
 }
 
 impl std::error::Error for SpecError {}
+
+impl From<VocabError> for SpecError {
+    fn from(e: VocabError) -> SpecError {
+        SpecError(e.0)
+    }
+}
 
 fn err(msg: impl Into<String>) -> SpecError {
     SpecError(msg.into())
@@ -105,8 +113,8 @@ impl SweepSpec {
         let machines = str_list(&v, "machines")?
             .ok_or_else(|| err("missing 'machines' list"))?
             .iter()
-            .map(|s| parse_machine(s).map_err(err))
-            .collect::<Result<Vec<_>, _>>()?;
+            .map(|s| Ok(vocab::parse_machine(s)?))
+            .collect::<Result<Vec<_>, SpecError>>()?;
         let parents = str_list(&v, "parents")?
             .ok_or_else(|| err("missing 'parents' list"))?
             .iter()
@@ -144,10 +152,10 @@ impl SweepSpec {
             ));
         }
 
-        let strategies = tokens(&v, "strategies", &["concurrent"], parse_strategy)?;
-        let allocs = tokens(&v, "allocs", &["huffman"], parse_alloc)?;
-        let mappings = tokens(&v, "mappings", &["partition"], parse_mapping)?;
-        let io = tokens(&v, "io", &["none"], parse_io)?;
+        let strategies = tokens(&v, "strategies", Strategy::Concurrent, str::parse)?;
+        let allocs = tokens(&v, "allocs", AllocPolicy::HuffmanSplitTree, str::parse)?;
+        let mappings = tokens(&v, "mappings", MappingKind::Partition, str::parse)?;
+        let io = tokens(&v, "io", (IoMode::None, None), vocab::parse_io)?;
         let iterations = match v.get("iterations") {
             None => 3,
             Some(x) => x
@@ -247,62 +255,47 @@ fn str_list(v: &Value, key: &str) -> Result<Option<Vec<String>>, SpecError> {
         .map(Some)
 }
 
-/// Token-list field with a default, mapped through `parse`.
+/// Token-list field (absent means the one `default`), mapped through the
+/// vocabulary's `parse`.
 fn tokens<T>(
     v: &Value,
     key: &str,
-    default: &[&str],
-    parse: fn(&str) -> Result<T, SpecError>,
+    default: T,
+    parse: fn(&str) -> Result<T, VocabError>,
 ) -> Result<Vec<T>, SpecError> {
-    let raw = match str_list(v, key)? {
-        Some(list) => list,
-        None => default.iter().map(|s| s.to_string()).collect(),
-    };
-    raw.iter().map(|s| parse(s)).collect()
+    match str_list(v, key)? {
+        Some(list) => list.iter().map(|s| Ok(parse(s)?)).collect(),
+        None => Ok(vec![default]),
+    }
 }
 
-/// `"286x307@24"` → parent domain.
+/// Smallest swept domain side, in grid points (explicit tokens and the
+/// `nests.size` generator share the floor).
+const MIN_DIM: u32 = 8;
+
+/// The sweep's own range rule, applied after the shared parse.
+fn check_dims(what: &str, token: &str, nx: u32, ny: u32) -> Result<(), SpecError> {
+    if nx < MIN_DIM || ny < MIN_DIM {
+        return Err(err(format!(
+            "{what} '{token}': dimensions must be >= {MIN_DIM}"
+        )));
+    }
+    Ok(())
+}
+
 fn parse_parent(s: &str) -> Result<Domain, SpecError> {
-    let bad = || {
-        err(format!(
-            "parent '{s}': expected NXxNY@DX_KM, e.g. 286x307@24"
-        ))
-    };
-    let (dims, dx) = s.split_once('@').ok_or_else(bad)?;
-    let (nx, ny) = dims.split_once('x').ok_or_else(bad)?;
-    let nx: u32 = nx.parse().map_err(|_| bad())?;
-    let ny: u32 = ny.parse().map_err(|_| bad())?;
-    let dx: f64 = dx.parse().map_err(|_| bad())?;
-    if nx < 8 || ny < 8 || dx <= 0.0 || dx.is_nan() {
-        return Err(err(format!(
-            "parent '{s}': dimensions must be >= 8 and dx > 0"
-        )));
-    }
-    Ok(Domain::parent(nx, ny, dx))
+    let parent = vocab::parse_parent(s)?;
+    check_dims("parent", s, parent.nx, parent.ny)?;
+    Ok(parent)
 }
 
-/// `"150x150r3@10,12"` → nest spec.
 fn parse_nest(s: &str) -> Result<NestSpec, SpecError> {
-    let bad = || {
-        err(format!(
-            "nest '{s}': expected NXxNYrR@OX,OY, e.g. 150x150r3@10,12"
-        ))
-    };
-    let (dims, pos) = s.split_once('@').ok_or_else(bad)?;
-    let (dims, r) = dims.split_once('r').ok_or_else(bad)?;
-    let (nx, ny) = dims.split_once('x').ok_or_else(bad)?;
-    let (ox, oy) = pos.split_once(',').ok_or_else(bad)?;
-    let nx: u32 = nx.parse().map_err(|_| bad())?;
-    let ny: u32 = ny.parse().map_err(|_| bad())?;
-    let r: u32 = r.parse().map_err(|_| bad())?;
-    let ox: u32 = ox.parse().map_err(|_| bad())?;
-    let oy: u32 = oy.parse().map_err(|_| bad())?;
-    if nx < 8 || ny < 8 || r < 1 {
-        return Err(err(format!(
-            "nest '{s}': dimensions must be >= 8 and r >= 1"
-        )));
+    let nest = vocab::parse_nest(s)?;
+    check_dims("nest", s, nest.nx, nest.ny)?;
+    if nest.refine_ratio < 1 {
+        return Err(err(format!("nest '{s}': r must be >= 1")));
     }
-    Ok(NestSpec::new(nx, ny, r, (ox, oy)))
+    Ok(nest)
 }
 
 /// The `nests` generator block: every `counts` entry crossed with every
@@ -340,8 +333,10 @@ fn generate_nest_sets(gen: &Value) -> Result<Vec<Vec<NestSpec>>, SpecError> {
         range_field("step")?,
         range_field("n")?,
     );
-    if start < 8 || n < 1 {
-        return Err(err("'nests.size': start must be >= 8 and n >= 1"));
+    if start < u64::from(MIN_DIM) || n < 1 {
+        return Err(err(format!(
+            "'nests.size': start must be >= {MIN_DIM} and n >= 1"
+        )));
     }
     let refine = match gen.get("refine") {
         None => 3,
@@ -394,57 +389,6 @@ fn generate_nest_sets(gen: &Value) -> Result<Vec<Vec<NestSpec>>, SpecError> {
         }
     }
     Ok(sets)
-}
-
-fn parse_strategy(t: &str) -> Result<Strategy, SpecError> {
-    match t {
-        "sequential" => Ok(Strategy::Sequential),
-        "concurrent" => Ok(Strategy::Concurrent),
-        _ => Err(err(format!(
-            "unknown strategy '{t}' (sequential|concurrent)"
-        ))),
-    }
-}
-
-fn parse_alloc(t: &str) -> Result<AllocPolicy, SpecError> {
-    match t {
-        "equal" => Ok(AllocPolicy::Equal),
-        "naive" => Ok(AllocPolicy::NaiveProportional),
-        "huffman" => Ok(AllocPolicy::HuffmanSplitTree),
-        _ => Err(err(format!("unknown alloc '{t}' (equal|naive|huffman)"))),
-    }
-}
-
-fn parse_mapping(t: &str) -> Result<MappingKind, SpecError> {
-    match t {
-        "oblivious" => Ok(MappingKind::Oblivious),
-        "txyz" => Ok(MappingKind::Txyz),
-        "partition" => Ok(MappingKind::Partition),
-        "multilevel" => Ok(MappingKind::MultiLevel),
-        _ => Err(err(format!(
-            "unknown mapping '{t}' (oblivious|txyz|partition|multilevel)"
-        ))),
-    }
-}
-
-/// `"none"`, `"pnetcdf:EVERY"`, or `"split:EVERY"`.
-fn parse_io(t: &str) -> Result<(IoMode, Option<u32>), SpecError> {
-    if t == "none" {
-        return Ok((IoMode::None, None));
-    }
-    let (mode, every) = t
-        .split_once(':')
-        .ok_or_else(|| err(format!("io '{t}': expected none|pnetcdf:EVERY|split:EVERY")))?;
-    let every: u32 = every
-        .parse()
-        .ok()
-        .filter(|&n| n >= 1)
-        .ok_or_else(|| err(format!("io '{t}': interval must be an integer >= 1")))?;
-    match mode {
-        "pnetcdf" => Ok((IoMode::PnetCdf, Some(every))),
-        "split" => Ok((IoMode::SplitFiles, Some(every))),
-        _ => Err(err(format!("unknown io mode '{mode}' (pnetcdf|split)"))),
-    }
 }
 
 #[cfg(test)]
@@ -579,14 +523,25 @@ mod tests {
                 "{label} should be rejected"
             );
         }
-    }
-
-    #[test]
-    fn io_tokens_parse() {
-        assert_eq!(parse_io("none").unwrap(), (IoMode::None, None));
-        assert_eq!(parse_io("pnetcdf:5").unwrap(), (IoMode::PnetCdf, Some(5)));
-        assert_eq!(parse_io("split:2").unwrap(), (IoMode::SplitFiles, Some(2)));
-        assert!(parse_io("pnetcdf").is_err());
-        assert!(parse_io("pnetcdf:0").is_err());
+        // Grammar (finite dx > 0, `@inf` used to pass) and the sweep's own
+        // minimum-side rule, both on the parent token.
+        for parent in [
+            "286x307@nan",
+            "286x307@inf",
+            "286x307@-1",
+            "286x307@0",
+            "7x307@24",
+        ] {
+            let text = format!(
+                r#"{{"machines": ["bgl:64"], "parents": ["{parent}"], "nest_sets": [["96x96r3@1,1"]]}}"#
+            );
+            assert!(SweepSpec::parse(&text).is_err(), "accepted parent {parent}");
+        }
+        for nest in ["7x96r3@1,1", "96x7r3@1,1", "96x96r0@1,1"] {
+            let text = format!(
+                r#"{{"machines": ["bgl:64"], "parents": ["286x307@24"], "nest_sets": [["{nest}"]]}}"#
+            );
+            assert!(SweepSpec::parse(&text).is_err(), "accepted nest {nest}");
+        }
     }
 }
