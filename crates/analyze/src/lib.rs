@@ -122,7 +122,7 @@ impl LintConfig {
             ]),
             request_paths: s(&["crates/serve/src/", "crates/netsim/src/"]),
             clock_files: s(&["crates/obs/src/clock.rs"]),
-            lock_helper_files: s(&["crates/serve/src/sync.rs"]),
+            lock_helper_files: s(&["crates/serve/src/sync.rs", "crates/core/src/store.rs"]),
             shard_modules: s(&[
                 "crates/serve/src/cache.rs",
                 "crates/serve/src/reply.rs",

@@ -5,8 +5,8 @@
 //! for a multi-nest weather simulation:
 //!
 //! 1. **performance prediction** (§3.1) — relative nest execution times via
-//!    Delaunay/barycentric interpolation over profiling runs
-//!    ([`profile::fit_predictor`]);
+//!    Delaunay/barycentric interpolation over profiling runs, fitted once
+//!    per machine ([`PredictorStore`]);
 //! 2. **processor allocation** (§3.2) — Huffman-tree + balanced split-tree
 //!    partitioning of the virtual processor grid (Algorithm 1);
 //! 3. **topology-aware mapping** (§3.3) — embedding the partitions onto the
@@ -27,6 +27,7 @@ pub mod env;
 pub mod parallel;
 pub mod planner;
 pub mod profile;
+pub mod store;
 pub mod strategy;
 pub mod tempdir;
 pub mod threads;
@@ -41,7 +42,8 @@ pub use env::{env_f64, env_u32, env_usize};
 pub use nestwx_grid::fnv1a64;
 pub use parallel::{parallel_jobs, run_parallel, run_parallel_with};
 pub use planner::{ExecutionPlan, PlanError, Planner};
-pub use profile::{fit_predictor, measure_domain_time, profile_basis};
+pub use profile::{fit_predictor, measure_domain_time, profile_basis, PROFILE_SEED};
+pub use store::PredictorStore;
 pub use strategy::{AllocPolicy, MappingKind, Strategy};
 pub use tempdir::TempDir;
 pub use vocab::VocabError;

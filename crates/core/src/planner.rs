@@ -1,5 +1,6 @@
 //! The planner: predict → allocate → map → (simulate).
 
+use crate::store::PredictorStore;
 use crate::strategy::{AllocPolicy, MappingKind, Strategy};
 use nestwx_alloc::{naive, partition_grid, AllocError, Partition};
 use nestwx_grid::{Domain, DomainError, DomainFeatures, NestSpec, NestedConfig, ProcGrid, Rect};
@@ -7,6 +8,7 @@ use nestwx_netsim::{sim::SimError, ExecStrategy, IoMode, Machine, SimReport, Sim
 use nestwx_predict::{ExecTimePredictor, NaivePointsModel, PredictError};
 use nestwx_topo::{Mapping, MappingError};
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors producing or executing a plan.
 #[derive(Debug)]
@@ -72,7 +74,7 @@ pub struct Planner {
     mapping: MappingKind,
     io_mode: IoMode,
     output_interval: Option<u32>,
-    predictor: Option<ExecTimePredictor>,
+    predictor: Option<Arc<ExecTimePredictor>>,
 }
 
 impl Planner {
@@ -117,10 +119,10 @@ impl Planner {
         self
     }
 
-    /// Supplies a fitted predictor (otherwise one is fitted on demand from
-    /// simulator profiling runs with a fixed seed).
-    pub fn with_predictor(mut self, p: ExecTimePredictor) -> Self {
-        self.predictor = Some(p);
+    /// Supplies a fitted predictor (otherwise the process-wide
+    /// [`PredictorStore`] fits one per machine, once).
+    pub fn with_predictor(mut self, p: impl Into<Arc<ExecTimePredictor>>) -> Self {
+        self.predictor = Some(p.into());
         self
     }
 
@@ -146,13 +148,12 @@ impl Planner {
                     NaivePointsModel { coeff: 1.0 }.relative_times(&features)
                 }
                 AllocPolicy::HuffmanSplitTree => {
-                    let fitted;
                     let predictor = match &self.predictor {
-                        Some(p) => p,
-                        None => {
-                            fitted = crate::profile::fit_predictor(&self.machine, 0xBEEF);
-                            &fitted
-                        }
+                        Some(p) => Arc::clone(p),
+                        // `Type::method` form: the lint call graph follows
+                        // it into the store; a bare `.get(..)` is ambiguous
+                        // to it and would cut the NW-G001 chain here.
+                        None => PredictorStore::get(PredictorStore::shared(), &self.machine)?,
                     };
                     predictor.relative_times(&features)?
                 }

@@ -16,6 +16,11 @@ use rand::SeedableRng;
 /// *relative* times matter for allocation).
 pub const PROFILE_RANKS: u32 = 64;
 
+/// Seed of the candidate-domain draw behind every predictor a plan is made
+/// with: [`PredictorStore`](crate::PredictorStore) fits with it, so a plan
+/// is the same bytes whichever process or store computed it.
+pub const PROFILE_SEED: u64 = 0xBEEF;
+
 /// Measures the per-iteration integration time of a single `nx × ny` domain
 /// on `ranks` processors of `machine`'s type — the simulator stand-in for a
 /// profiling WRF run. The domain is stepped as a stand-alone simulation
@@ -60,7 +65,10 @@ pub fn profile_basis(machine: &Machine, seed: u64) -> Vec<(DomainFeatures, f64)>
         .collect()
 }
 
-/// Profiles and fits the execution-time predictor in one call.
+/// Profiles and fits the execution-time predictor in one call: the
+/// uncached convenience for tests and experiment binaries (any seed; panics
+/// on a degenerate basis). Planning goes through
+/// [`PredictorStore`](crate::PredictorStore).
 pub fn fit_predictor(machine: &Machine, seed: u64) -> ExecTimePredictor {
     ExecTimePredictor::fit(&profile_basis(machine, seed)).expect("basis triangulates")
 }

@@ -1,5 +1,5 @@
-//! The sharded LRU plan cache, the bounded predictor map, and the one
-//! [`Lru`] table both (and the rate limiter's client table) evict with.
+//! The sharded LRU plan cache, and the one [`Lru`] table it and the rate
+//! limiter's client table evict with.
 //!
 //! Plan-cache keys are full canonical scenario strings
 //! ([`nestwx_core::Scenario::canonical_string`]); the caller supplies the
@@ -14,10 +14,6 @@
 //! shard for the oldest stamp. With the default shard sizes (≤ a few
 //! hundred entries) the scan is cheaper than maintaining an intrusive
 //! list, and it only runs when a shard is full.
-//!
-//! [`BoundedMap`] is the LRU-evicting store behind the per-machine
-//! predictor cache: a churn of distinct machine specs evicts the stalest
-//! predictor instead of growing without bound.
 
 use crate::sync::{lock_unpoisoned, AtomicU64, Mutex, Ordering};
 use serde::Serialize;
@@ -197,58 +193,6 @@ pub struct CacheStats {
     pub hit_rate: f64,
 }
 
-/// A capacity-bounded map with least-recently-used eviction, keyed by
-/// string. Backs the per-machine predictor cache: inserting past the cap
-/// evicts the stalest entry (deterministic victim — lowest stamp, then map
-/// order), so memory stays O(cap) under a churn of distinct machine specs.
-pub struct BoundedMap<V> {
-    inner: Mutex<Lru<V>>,
-    cap: usize,
-    evictions: AtomicU64,
-}
-
-impl<V: Clone> BoundedMap<V> {
-    /// An empty map holding at most `cap` entries (`cap` is clamped to
-    /// at least 1 — a zero-capacity cache would evict its own insert).
-    pub fn new(cap: usize) -> BoundedMap<V> {
-        BoundedMap {
-            inner: Mutex::new(Lru::default()),
-            cap: cap.max(1),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    /// Returns the value under `key`, building and inserting it with
-    /// `build` on a miss. The builder runs under the map lock, so
-    /// concurrent callers for the same key share one construction.
-    pub fn get_or_insert_with(&self, key: &str, build: impl FnOnce() -> V) -> V {
-        let mut inner = lock_unpoisoned(&self.inner);
-        if let Some(value) = inner.touch(key) {
-            return value.clone();
-        }
-        let value = build();
-        if inner.insert(key.to_string(), value.clone(), self.cap) {
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        value
-    }
-
-    /// Entries currently held.
-    pub fn len(&self) -> usize {
-        lock_unpoisoned(&self.inner).len()
-    }
-
-    /// True when the map holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Entries evicted by the capacity bound.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-}
-
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
@@ -312,27 +256,5 @@ mod tests {
         assert_eq!(&*c.get("k", 5).unwrap(), "v2");
         assert_eq!(c.stats().evictions, 0);
         assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn bounded_map_caps_and_evicts_lru() {
-        let m: BoundedMap<u32> = BoundedMap::new(2);
-        assert_eq!(m.get_or_insert_with("a", || 1), 1);
-        assert_eq!(m.get_or_insert_with("b", || 2), 2);
-        // Touch "a" so "b" is the LRU victim.
-        assert_eq!(m.get_or_insert_with("a", || 99), 1, "hit, no rebuild");
-        assert_eq!(m.get_or_insert_with("c", || 3), 3);
-        assert_eq!(m.len(), 2, "capacity bound holds");
-        assert_eq!(m.evictions(), 1);
-        assert_eq!(m.get_or_insert_with("b", || 20), 20, "evicted key rebuilds");
-        assert_eq!(m.evictions(), 2, "reinserting b evicts the next victim");
-    }
-
-    #[test]
-    fn bounded_map_zero_capacity_clamps_to_one() {
-        let m: BoundedMap<u32> = BoundedMap::new(0);
-        assert_eq!(m.get_or_insert_with("a", || 1), 1);
-        assert_eq!(m.get_or_insert_with("a", || 9), 1, "own insert survives");
-        assert_eq!(m.len(), 1);
     }
 }

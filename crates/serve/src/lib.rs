@@ -18,7 +18,8 @@
 //!   **per-client token-bucket rate limits** with weighted endpoint costs
 //!   ([`limits`]);
 //! - one fitted predictor per machine, shared by every `predict` and
-//!   `plan` job through a bounded LRU map ([`cache::BoundedMap`]);
+//!   `plan` job through the server's own bounded
+//!   [`nestwx_core::PredictorStore`];
 //! - per-endpoint latency histograms (`nestwx-obs` [`nestwx_obs::LogHistogram`])
 //!   behind a `stats` endpoint, and graceful drain-then-exit shutdown with
 //!   a [`DrainReport`] that proves nothing leaked ([`metrics`], [`server`]).
@@ -53,7 +54,7 @@ pub mod reply;
 pub mod server;
 pub mod sync;
 
-pub use cache::{BoundedMap, CacheStats, PlanCache};
+pub use cache::{CacheStats, PlanCache};
 pub use client::{Client, Response};
 pub use conn::{Conn, Gone};
 pub use disk::{DiskCache, DiskStats};

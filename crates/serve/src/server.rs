@@ -24,7 +24,7 @@
 //! exit once nothing is in flight, and [`ServerHandle::wait`] joins every
 //! thread before reporting the final [`DrainReport`].
 
-use crate::cache::{BoundedMap, PlanCache};
+use crate::cache::PlanCache;
 use crate::disk::{DiskCache, DiskStats};
 use crate::event_loop::{self, ReaderChannels};
 use crate::flight::{dur_us, FlightRecorder};
@@ -35,12 +35,12 @@ use crate::queue::BoundedQueue;
 use crate::reply::{Outcome, Reply};
 use crate::sync::{AtomicBool, AtomicUsize, Ordering};
 use nestwx_core::strategy::{AllocPolicy, MappingKind, Strategy};
-use nestwx_core::{compare_strategies, fit_predictor, ExecutionPlan, Planner, Scenario};
+use nestwx_core::{compare_strategies, ExecutionPlan, Planner, PredictorStore, Scenario};
 use nestwx_grid::DomainFeatures;
 use nestwx_netsim::Machine;
 use nestwx_obs::clock;
 use nestwx_obs::HistSummary;
-use nestwx_predict::ExecTimePredictor;
+use nestwx_predict::PredictError;
 use serde::Serialize;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -48,11 +48,6 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
-
-/// Seed of the on-demand predictor fit — must stay identical to the one
-/// `Planner::plan` uses when no predictor is supplied, so a served plan is
-/// byte-identical to one computed directly.
-const PROFILE_SEED: u64 = 0xBEEF;
 
 /// Server tuning knobs. `ServeConfig::new` reads the `NESTWX_SERVE_*`
 /// environment variables for defaults. All limit knobs (deadline, rate,
@@ -231,10 +226,9 @@ impl Work {
                 machine,
                 machine_spec,
                 features,
-            } => state
-                .predictor_for(machine)
-                .relative_times(features)
-                .map_err(|e| failed(format!("prediction: {e}")))
+            } => PredictorStore::get(&state.predictors, machine)
+                .and_then(|predictor| predictor.relative_times(features))
+                .map_err(prediction_failed)
                 .and_then(|times| render_predict(machine_spec, times)),
             Work::Execute {
                 scenario,
@@ -256,10 +250,14 @@ pub(crate) struct ServerState {
     /// Disk-persisted plan store, engaged when `cfg.cache_dir` is set.
     pub(crate) disk: Option<DiskCache>,
     pub(crate) metrics: Metrics,
-    /// One fitted predictor per machine identity (canonical machine JSON),
-    /// shared by every plan and predict job; LRU-bounded at
-    /// [`ServeConfig::predictors`] entries.
-    pub(crate) predictors: BoundedMap<Arc<ExecTimePredictor>>,
+    /// One fitted predictor per machine value, shared by every plan and
+    /// predict job; LRU-bounded at [`ServeConfig::predictors`] entries.
+    /// The server's own store (not the process-wide one), so the
+    /// `predictors_cached` / `predictor_evictions` gauges describe it alone.
+    /// Call it as `PredictorStore::get(&state.predictors, ..)`: the lint
+    /// call graph follows the `Type::method` form into the fit, a bare
+    /// `.get(..)` would cut the NW-G003 chain below `worker_loop`.
+    pub(crate) predictors: PredictorStore,
     /// Per-client token buckets (engaged only when `cfg.rate > 0`).
     pub(crate) limiter: RateLimiter,
     /// The request flight recorder (per-reader span rings + slow log).
@@ -284,26 +282,18 @@ impl ServerState {
         self.queue.close();
     }
 
-    pub(crate) fn predictor_for(&self, machine: &Machine) -> Arc<ExecTimePredictor> {
-        // Machines always serialize; if that ever regresses, the Debug
-        // rendering is still a stable identity — degrade instead of
-        // panicking on the request path.
-        let key = serde_json::to_string(machine).unwrap_or_else(|_| format!("{machine:?}"));
-        self.predictors
-            .get_or_insert_with(&key, || Arc::new(fit_predictor(machine, PROFILE_SEED)))
-    }
-
     /// The scenario's planner, with the predictor pre-resolved from the
-    /// shared per-machine map when the policy needs one. Because the map
-    /// fits with the same fixed seed the planner would use on demand, the
-    /// resulting plans are identical either way.
-    fn planner_with_predictor(&self, scenario: &Scenario) -> Planner {
+    /// server's store when the policy needs one. Every store fits with
+    /// `nestwx_core::PROFILE_SEED`, so the plans are the bytes a direct
+    /// `Planner::plan` produces.
+    fn planner_with_predictor(&self, scenario: &Scenario) -> Result<Planner, ProtoError> {
         let planner = scenario.planner();
-        if scenario.alloc == AllocPolicy::HuffmanSplitTree {
-            planner.with_predictor((*self.predictor_for(&scenario.machine)).clone())
-        } else {
-            planner
+        if scenario.alloc != AllocPolicy::HuffmanSplitTree {
+            return Ok(planner);
         }
+        PredictorStore::get(&self.predictors, &scenario.machine)
+            .map(|predictor| planner.with_predictor(predictor))
+            .map_err(prediction_failed)
     }
 
     /// The rendered result under `key`: memory first, then the disk store
@@ -410,6 +400,11 @@ pub(crate) fn internal(msg: impl Into<String>) -> ProtoError {
 
 fn failed(msg: impl Into<String>) -> ProtoError {
     ProtoError::new(ErrorKind::Failed, msg)
+}
+
+/// A fit or query failure, worded as `PlanError::Predict` prints it.
+fn prediction_failed(e: PredictError) -> ProtoError {
+    failed(format!("prediction: {e}"))
 }
 
 pub(crate) fn shutting_down() -> ProtoError {
@@ -603,7 +598,7 @@ fn worker_loop(state: Arc<ServerState>) {
 
 fn plan_scenario(state: &ServerState, scenario: &Scenario) -> Result<ExecutionPlan, ProtoError> {
     state
-        .planner_with_predictor(scenario)
+        .planner_with_predictor(scenario)?
         .plan(&scenario.parent, &scenario.nests)
         .map_err(|e| failed(e.to_string()))
 }
@@ -647,7 +642,7 @@ fn cached_or_fresh(
 
 /// Computes and renders a fresh compare result.
 fn render_compare(state: &ServerState, scenario: &Scenario, iterations: u32) -> Outcome {
-    let planner = state.planner_with_predictor(scenario);
+    let planner = state.planner_with_predictor(scenario)?;
     let cmp = compare_strategies(&planner, &scenario.parent, &scenario.nests, iterations)
         .map_err(|e| failed(e.to_string()))?;
     serde_json::to_string(&CompareResult {
@@ -847,7 +842,7 @@ pub fn spawn(cfg: ServeConfig) -> io::Result<ServerHandle> {
         cache: PlanCache::new(cfg.cache_capacity),
         disk,
         metrics: Metrics::default(),
-        predictors: BoundedMap::new(cfg.predictors),
+        predictors: PredictorStore::new(cfg.predictors),
         limiter: RateLimiter::new(cfg.rate, cfg.burst, cfg.client_cap),
         flight: FlightRecorder::new(cfg.trace, n_readers, cfg.trace_ring, cfg.trace_slow_us),
         shutdown: AtomicBool::new(false),

@@ -756,6 +756,50 @@ fn predictor_map_is_bounded_and_evicts() {
     shutdown_clean(handle, &mut client);
 }
 
+/// Plans resolve their predictor through the same bounded store as
+/// predicts: a stream of plan requests over one machine more than
+/// `cfg.predictors` leaves the store full and reports the eviction, in the
+/// unchanged `limits` block of `nestwx-serve-stats` v3.
+#[test]
+fn plan_stream_over_more_machines_than_the_store_holds_evicts() {
+    let machines = ["bgl:64", "bgl:128", "bgl:256"];
+    let mut cfg = ServeConfig::new("127.0.0.1:0");
+    cfg.predictors = machines.len() - 1;
+    let handle = spawn(cfg).expect("spawn server");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+
+    for (i, machine) in machines.iter().enumerate() {
+        let mut req = plan_request(
+            &format!("p{i}"),
+            Strategy::Concurrent,
+            AllocPolicy::HuffmanSplitTree,
+            MappingKind::Partition,
+        );
+        if let RequestBody::Plan(params) = &mut req.body {
+            params.machine = (*machine).into();
+        }
+        let resp = client.call(&req).expect("plan");
+        assert!(resp.ok(), "plan rejected: {}", resp.raw);
+    }
+    let stats = client
+        .call(&Request::new(None, RequestBody::Stats))
+        .expect("stats");
+    let result = stats.result().expect("stats result");
+    assert_eq!(
+        result.get("schema").and_then(Value::as_str),
+        Some("nestwx-serve-stats")
+    );
+    assert_eq!(u64s(result, "version"), 3);
+    let limits = result.get("limits").cloned().unwrap();
+    assert_eq!(
+        u64s(&limits, "predictors_cached"),
+        machines.len() as u64 - 1,
+        "{limits:?}"
+    );
+    assert!(u64s(&limits, "predictor_evictions") >= 1, "{limits:?}");
+    shutdown_clean(handle, &mut client);
+}
+
 /// The flight recorder's core contract: with recording on and off, the
 /// same request sequence produces byte-identical response lines on every
 /// endpoint — spans ride the completion channel and the per-connection
