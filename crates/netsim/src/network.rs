@@ -178,34 +178,23 @@ impl Network {
         t
     }
 
-    /// [`Network::transfer_routed`] with the per-transfer arithmetic hoisted
-    /// to compile time: `cost` is the serialisation time `bytes / link_bw`
-    /// (or the memory-copy time `bytes / mem_bw` when `intra`), `recv_cost`
-    /// is `recv_overhead * msgs`. Produces bitwise-identical times — the
-    /// precomputed values come from the same expressions.
-    #[allow(clippy::too_many_arguments)]
+    /// One message of a compiled halo step: [`Network::transfer_routed`]
+    /// with the per-transfer arithmetic hoisted to compile time. `cost` is
+    /// the serialisation time `bytes / link_bw` — or the memory-copy time
+    /// `bytes / mem_bw` of an intra-node message, whose `route` is empty —
+    /// and `recv_cost` is `recv_overhead * msgs`. Times are bitwise those
+    /// of `transfer_routed`: the precomputed values come from the same
+    /// expressions, and over an empty route the loop below reduces to the
+    /// intra-node `inject + cost + recv_cost`. The `messages` / `transfers`
+    /// / `bytes` / `hops` counters are *not* touched: the compiled step
+    /// adds its exact totals once (see `schedule::CompiledStep`).
     pub(crate) fn transfer_compiled(
         &mut self,
         route: &[u32],
-        intra: bool,
-        bytes: f64,
         cost: f64,
-        msgs: u32,
         recv_cost: f64,
         inject: f64,
     ) -> f64 {
-        self.messages += msgs as u64;
-        self.transfers += 1;
-        self.bytes += bytes;
-        if intra {
-            debug_assert!(route.is_empty());
-            let t = inject + cost + recv_cost;
-            if let Some(o) = &mut self.obs {
-                o.msg_latency.record(t - inject);
-            }
-            return t;
-        }
-        self.hops += route.len() as u64;
         let mut head = inject;
         let mut stalled = 0.0;
         let mut obs = self.obs.as_deref_mut();

@@ -3,16 +3,23 @@
 //! [`crate::sim::Simulation`] used to rebuild the per-domain decomposition,
 //! neighbour lists and torus routes on *every* halo step. All of that is a
 //! pure function of the (machine, grid, mapping, domain list), so it is
-//! hoisted here into flat [`CompiledStep`] tables built once per simulation:
-//! one entry per sending rank (with its precomputed mean compute time) and
-//! one entry per halo message (destination, payload bytes, and a slice into
-//! a shared arena of precomputed torus-route link ids).
+//! hoisted here and built once per simulation, in two layers:
+//!
+//! * [`NeighborRoutes`] — what depends on (grid, mapping) only. Every halo
+//!   message of every step runs between 4-neighbours of the *global*
+//!   processor grid, so the node coordinates and the torus routes of those
+//!   pairs are computed once and written into one link arena that all the
+//!   simulation's steps share.
+//! * [`CompiledStep`] — what depends on the domain list: one entry per
+//!   sending rank (with its precomputed mean compute time), one entry per
+//!   halo message (destination, transfer cost, a slice of the shared link
+//!   arena), and the step's exact network-counter totals.
 //!
 //! [`run_compiled_step`] then replays a table without allocating: injection
 //! times are packed into integer sort keys (positive finite `f64` bits are
 //! order-isomorphic to `u64`), the pending-message and receive-time buffers
 //! live in a reusable [`StepScratch`], and transfers go through
-//! [`Network::transfer_routed`] with the precomputed routes.
+//! [`Network::transfer_compiled`] with the precomputed routes.
 //!
 //! The replay is **bitwise identical** to the reference implementation
 //! (`Simulation::halo_step_multi` with `HaloEngine::Reference`): the same
@@ -20,13 +27,69 @@
 //! reference's stable `(inject, from, to)` ordering exactly. The
 //! `(from, to)` tie-break is a pure function of the schedule, so it is
 //! precomputed as a per-message *tie rank* and the hot sort handles only
-//! 16-byte `(inject bits, tie rank)` pairs. The `tests/equivalence.rs`
-//! suite enforces the bitwise guarantee.
+//! `(inject bits, tie rank)` pairs — tie ranks are unique, so any correct
+//! sort of the pairs is that order. The `tests/equivalence.rs` suite
+//! enforces the bitwise guarantee.
 
 use crate::machine::{unit_hash, Machine};
 use crate::network::Network;
 use nestwx_grid::{Decomposition, ProcGrid, Rect};
+use nestwx_topo::torus::NodeCoord;
 use nestwx_topo::Mapping;
+use std::sync::Arc;
+
+/// The torus routes between 4-neighbours of the global processor grid —
+/// the only routes a halo step uses, whatever its domain list. A function
+/// of (grid, mapping), built once per simulation.
+#[derive(Debug)]
+pub(crate) struct NeighborRoutes {
+    /// Arena of dimension-ordered route link ids, shared (not copied) by
+    /// every [`CompiledStep`] of the simulation.
+    links: Arc<[u32]>,
+    /// The route from rank `g` to its neighbour in direction `d` — in tie
+    /// order, ascending destination rank: N, W, E, S — is
+    /// `links[ends[4 * g + d]..ends[4 * g + d + 1]]`. Empty when the two
+    /// ranks share a node (or the grid has no such neighbour).
+    ends: Vec<u32>,
+}
+
+impl NeighborRoutes {
+    /// Routes every neighbour pair of `grid` under `mapping`.
+    pub fn new(grid: &ProcGrid, mapping: &Mapping) -> NeighborRoutes {
+        let torus = mapping.shape.torus;
+        let nodes: Vec<NodeCoord> = (0..grid.len()).map(|g| mapping.node_coord(g)).collect();
+        let mut links = Vec::new();
+        let mut ends = Vec::with_capacity(4 * nodes.len() + 1);
+        ends.push(0);
+        for y in 0..grid.py {
+            for x in 0..grid.px {
+                let g = grid.rank_of(x, y);
+                for to in neighbors(g, grid.px, (x, y), (grid.px, grid.py)) {
+                    if let Some(to) = to {
+                        torus.route_append(nodes[g as usize], nodes[to as usize], &mut links);
+                    }
+                    ends.push(links.len() as u32);
+                }
+            }
+        }
+        NeighborRoutes {
+            links: links.into(),
+            ends,
+        }
+    }
+}
+
+/// The N, W, E, S neighbours — ascending rank, which is the tie order of
+/// its messages — of rank `g` of a grid `grid_px` ranks wide, sitting at
+/// `(x, y)` of a `w × h` rectangle of that grid that halos do not leave.
+fn neighbors(g: u32, grid_px: u32, (x, y): (u32, u32), (w, h): (u32, u32)) -> [Option<u32>; 4] {
+    [
+        (y > 0).then(|| g - grid_px),
+        (x > 0).then(|| g - 1),
+        (x + 1 < w).then(|| g + 1),
+        (y + 1 < h).then(|| g + grid_px),
+    ]
+}
 
 /// One halo message of a compiled step: everything the network transfer
 /// needs except the injection time, which depends on run state.
@@ -34,21 +97,17 @@ use nestwx_topo::Mapping;
 pub(crate) struct CompiledMsg {
     /// Destination global rank.
     pub to: u32,
-    /// Payload bytes.
-    pub bytes: f64,
+    /// `[start, end)` range into the simulation's link arena; empty exactly
+    /// when sender and receiver share a node (memory copy, no links).
+    pub links: (u32, u32),
     /// Precomputed transfer cost: per-link serialisation time
     /// (`bytes / link_bw`), or the memory-copy time (`bytes / mem_bw`)
     /// when intra-node.
     pub cost: f64,
-    /// `[start, end)` range into the step's link arena (empty when
-    /// intra-node).
-    pub links: (u32, u32),
-    /// Sender and receiver share a node: memory copy, no links.
-    pub intra: bool,
 }
 
-/// One sending rank of a compiled step. Its messages are contiguous in the
-/// step's message table, in the reference neighbour order (W, E, N, S).
+/// One sending rank of a compiled step, in the reference's traversal
+/// order.
 #[derive(Debug, Clone)]
 pub(crate) struct CompiledSender {
     /// Global rank.
@@ -73,12 +132,22 @@ pub(crate) struct CompiledStep {
     /// Messages stored in *tie order* — sorted by `(from, to)` — so the
     /// post-sort replay loop indexes them directly by tie rank.
     pub msgs: Vec<CompiledMsg>,
-    /// Push-order message index → its tie rank (its position in `msgs`).
-    /// Breaks injection-time ties exactly as the reference's stable
-    /// `(inject, from, to)` sort (no `(from, to)` pair repeats in a step).
+    /// Push-order message index (sender by sender, each posting to its W,
+    /// E, N, S neighbours as the reference does) → its tie rank (its
+    /// position in `msgs`). Breaks injection-time ties exactly as the
+    /// reference's stable `(inject, from, to)` sort (no `(from, to)` pair
+    /// repeats in a step).
     pub tie_rank: Vec<u32>,
-    /// Arena of precomputed dimension-ordered route link ids.
-    pub links: Vec<u32>,
+    /// The simulation's link arena (see [`NeighborRoutes`]).
+    pub links: Arc<[u32]>,
+    /// Σ payload bytes over `msgs`. Payloads are integer-valued `f64`s far
+    /// below 2^53, so this sum — like every partial sum of the reference's
+    /// per-message `Network::bytes` accumulation — is exact, and adding it
+    /// once per replay leaves the counter bitwise where the reference's
+    /// message-by-message adds leave it.
+    pub bytes: f64,
+    /// Σ route lengths over `msgs`.
+    pub hops: u64,
 }
 
 impl CompiledStep {
@@ -89,89 +158,90 @@ impl CompiledStep {
         domains: &[(u32, u32, Rect)],
         machine: &Machine,
         grid: &ProcGrid,
-        mapping: &Mapping,
+        routes: &NeighborRoutes,
     ) -> CompiledStep {
-        let halo = machine.halo;
-        let torus = mapping.shape.torus;
-        let mut senders = Vec::new();
-        let mut msgs = Vec::new();
-        let mut links: Vec<u32> = Vec::new();
-        // `(from << 32) | to` per message, for the tie-rank ordering.
-        let mut endpoints: Vec<u64> = Vec::new();
+        let mut senders: Vec<CompiledSender> = Vec::new();
+        let mut msgs: Vec<CompiledMsg> = Vec::new();
+        let mut tie_rank: Vec<u32> = Vec::new();
+        let mut bytes_total = 0.0;
+        let mut hops = 0u64;
 
         for &(nx, ny, region) in domains {
             // Domains smaller than the region use only the leading ranks.
             let px = region.w.min(nx);
             let py = region.h.min(ny);
-            let active = Rect::new(region.x0, region.y0, px, py);
-            let sub = ProcGrid::new(px, py);
-            let decomp = Decomposition::new(nx, ny, sub);
-            let global_ranks = grid.ranks_in(&active);
-
-            for (local, &g) in global_ranks.iter().enumerate() {
-                let patch = decomp.patch(local as u32);
-                let local_coords = sub.coords_of(local as u32);
-                let neighbors =
-                    sub.neighbors_within(sub.rank_of(local_coords.0, local_coords.1), &sub.rect());
-                let mut n_msgs = 0u32;
-                for nb_local in neighbors.into_iter().flatten() {
-                    let (nx_l, ny_l) = sub.coords_of(nb_local);
-                    let to_g = grid.rank_of(active.x0 + nx_l, active.y0 + ny_l);
-                    // Edge length: vertical neighbours exchange rows (patch
-                    // width), horizontal ones exchange columns (patch
-                    // height).
-                    let same_row = ny_l == local_coords.1;
-                    let edge = if same_row {
-                        patch.region.h
-                    } else {
-                        patch.region.w
-                    };
-                    let bytes = halo.edge_bytes(edge) as f64;
-                    let from_node = mapping.node_coord(g);
-                    let to_node = mapping.node_coord(to_g);
-                    let intra = from_node == to_node;
-                    let start = links.len() as u32;
-                    if !intra {
-                        links.extend(torus.route(from_node, to_node));
+            let decomp = Decomposition::new(nx, ny, ProcGrid::new(px, py));
+            for ly in 0..py {
+                for lx in 0..px {
+                    let g = grid.rank_of(region.x0 + lx, region.y0 + ly);
+                    let patch = decomp.patch_at(lx, ly).region;
+                    // Per neighbour in tie order (N, W, E, S): its rank if
+                    // the domain has it, its slot in the reference's W, E,
+                    // N, S push order, and the edge exchanged — vertical
+                    // neighbours exchange rows (patch width), horizontal
+                    // ones columns (patch height).
+                    let to = neighbors(g, grid.px, (lx, ly), (px, py));
+                    let [n, w, e, s] = to.map(|to| u32::from(to.is_some()));
+                    let push = [w + e, 0, w, w + e + n];
+                    let edge = [patch.w, patch.h, patch.h, patch.w];
+                    let first = msgs.len();
+                    tie_rank.resize(first + (n + w + e + s) as usize, 0);
+                    for (d, to) in to.into_iter().enumerate() {
+                        let Some(to) = to else { continue };
+                        let at = 4 * g as usize + d;
+                        let links = (routes.ends[at], routes.ends[at + 1]);
+                        let bytes = machine.halo.edge_bytes(edge[d]) as f64;
+                        let cost = if links.0 == links.1 {
+                            bytes / machine.net.mem_bw
+                        } else {
+                            bytes / machine.net.link_bw
+                        };
+                        bytes_total += bytes;
+                        hops += u64::from(links.1 - links.0);
+                        tie_rank[first + push[d] as usize] = msgs.len() as u32;
+                        msgs.push(CompiledMsg { to, links, cost });
                     }
-                    let cost = if intra {
-                        bytes / machine.net.mem_bw
-                    } else {
-                        bytes / machine.net.link_bw
-                    };
-                    msgs.push(CompiledMsg {
-                        to: to_g,
-                        bytes,
-                        cost,
-                        links: (start, links.len() as u32),
-                        intra,
+                    senders.push(CompiledSender {
+                        g,
+                        step_time: machine.compute.step_time(patch.w, patch.h),
+                        n_msgs: n + w + e + s,
                     });
-                    endpoints.push(((g as u64) << 32) | to_g as u64);
-                    n_msgs += 1;
                 }
-                senders.push(CompiledSender {
-                    g,
-                    step_time: machine.compute.step_time(patch.region.w, patch.region.h),
-                    n_msgs,
-                });
             }
         }
-        // Tie ranks: the position each message takes among all messages
-        // sorted by `(from, to)`. These pairs are unique within a step
-        // (each neighbour is messaged once), so the ordering is total.
-        let mut by_tie: Vec<u32> = (0..msgs.len() as u32).collect();
-        by_tie.sort_unstable_by_key(|&mi| endpoints[mi as usize]);
-        let mut tie_rank = vec![0u32; msgs.len()];
-        for (rank, &mi) in by_tie.iter().enumerate() {
-            tie_rank[mi as usize] = rank as u32;
+        // `msgs` is now in (from, to) order sender by sender. One domain's
+        // senders ascend by rank, so that is the tie order; the senders of
+        // side-by-side domains interleave row by row, and each sender's
+        // block of messages moves to its rank's place.
+        if !senders.windows(2).all(|pair| pair[0].g < pair[1].g) {
+            let mut blocks = Vec::with_capacity(senders.len());
+            let mut first = 0u32;
+            for s in &senders {
+                blocks.push((s.g, first, s.n_msgs));
+                first += s.n_msgs;
+            }
+            blocks.sort_unstable();
+            let mut moved_to = vec![0u32; msgs.len()];
+            let mut in_tie_order = Vec::with_capacity(msgs.len());
+            for &(_, first, n_msgs) in &blocks {
+                for at in first..first + n_msgs {
+                    moved_to[at as usize] = in_tie_order.len() as u32;
+                    in_tie_order.push(msgs[at as usize].clone());
+                }
+            }
+            for rank in &mut tie_rank {
+                *rank = moved_to[*rank as usize];
+            }
+            msgs = in_tie_order;
         }
-        let msgs_by_tie = by_tie.iter().map(|&mi| msgs[mi as usize].clone()).collect();
         CompiledStep {
             domains: domains.to_vec(),
             senders,
-            msgs: msgs_by_tie,
+            msgs,
             tie_rank,
-            links,
+            links: Arc::clone(&routes.links),
+            bytes: bytes_total,
+            hops,
         }
     }
 }
@@ -194,11 +264,13 @@ pub(crate) struct StepTotals {
 #[derive(Debug, Clone)]
 pub(crate) struct StepScratch {
     /// `(injection-time bits, tie rank)` per pending message; sorting these
-    /// 16-byte pairs reproduces the reference's stable
-    /// `(inject, from, to)` message order (see [`CompiledStep::tie_rank`]).
+    /// pairs reproduces the reference's stable `(inject, from, to)` message
+    /// order (see [`CompiledStep::tie_rank`]).
     pending: Vec<(u64, u32)>,
-    /// Ping-pong buffer for the radix passes.
+    /// Destination buffer of [`sort_pending`]'s distribution pass.
     pending_tmp: Vec<(u64, u32)>,
+    /// Its bucket counts (at most two per pending message).
+    buckets: Vec<u32>,
     /// Send-completion time per sender, in sender order.
     send_done: Vec<f64>,
     /// Latest halo arrival per global rank.
@@ -222,6 +294,7 @@ impl StepScratch {
         StepScratch {
             pending: Vec::new(),
             pending_tmp: Vec::new(),
+            buckets: Vec::new(),
             send_done: Vec::new(),
             recv_latest: vec![0.0; nranks],
             totals: StepTotals::default(),
@@ -250,9 +323,9 @@ pub(crate) fn run_compiled_step(
     let recv_cost = machine.net.recv_overhead * mpn as f64;
     let jitter = machine.compute.jitter;
 
-    // Injection times in push order, scattered into tie-rank slots so the
-    // buffer starts in (from, to) order — the stable radix sort then
-    // resolves equal times exactly like the reference's stable sort.
+    // Injection times in push order, scattered into tie-rank slots. Each
+    // pair carries its tie rank, so sorting the pairs resolves equal times
+    // exactly like the reference's stable sort.
     scratch.pending.resize(cs.msgs.len(), (0, 0));
     scratch.send_done.clear();
     let mut compute_total = 0.0;
@@ -277,18 +350,27 @@ pub(crate) fn run_compiled_step(
     }
     debug_assert_eq!(mi, cs.msgs.len());
 
-    sort_pending(&mut scratch.pending, &mut scratch.pending_tmp);
+    sort_pending(
+        &mut scratch.pending,
+        &mut scratch.pending_tmp,
+        &mut scratch.buckets,
+    );
     scratch.recv_latest.fill(0.0);
     for &(bits, tie) in scratch.pending.iter() {
         let m = &cs.msgs[tie as usize];
-        let inject = f64::from_bits(bits);
         let route = &cs.links[m.links.0 as usize..m.links.1 as usize];
-        let arrive = net.transfer_compiled(route, m.intra, m.bytes, m.cost, mpn, recv_cost, inject);
+        let arrive = net.transfer_compiled(route, m.cost, recv_cost, f64::from_bits(bits));
         let slot = m.to as usize;
         if arrive > scratch.recv_latest[slot] {
             scratch.recv_latest[slot] = arrive;
         }
     }
+    // The counters the reference bumps message by message, as the step's
+    // exact totals (see [`CompiledStep::bytes`]).
+    net.transfers += cs.msgs.len() as u64;
+    net.messages += cs.msgs.len() as u64 * u64::from(mpn);
+    net.bytes += cs.bytes;
+    net.hops += cs.hops;
 
     let mut wait_total = 0.0;
     for (s, &send_done) in cs.senders.iter().zip(&scratch.send_done) {
@@ -307,108 +389,298 @@ pub(crate) fn run_compiled_step(
     };
 }
 
-/// Sorts pending messages by injection-time bits, preserving the incoming
-/// tie order on equal keys (the buffer enters in `(from, to)` order, so
-/// the result matches the reference's stable `(inject, from, to)` sort).
+/// Steps with fewer messages than this go straight to a comparison sort.
+const SMALL_STEP: usize = 128;
+
+/// Sorts pending messages by `(injection-time bits, tie rank)` — the
+/// reference's stable `(inject, from, to)` order, since tie ranks are
+/// unique and follow `(from, to)`.
 ///
-/// Stable LSD radix sort over only the key bytes that actually differ —
-/// within one step the injection times share sign, exponent and leading
-/// mantissa bits, so typically fewer than half of the eight passes run.
-fn sort_pending(pending: &mut Vec<(u64, u32)>, tmp: &mut Vec<(u64, u32)>) {
+/// One distribution pass: the keys of a step span a narrow range (±
+/// jitter around a few patch sizes' compute times), so `(key − min) >>
+/// shift` spreads `n` of them over at most `2n` buckets, most holding one
+/// pair or none. Count, prefix-sum, scatter into `tmp`, then
+/// comparison-sort the buckets that hold more than one pair. A degenerate
+/// key distribution (all keys equal, one crowded bucket) degrades to that
+/// comparison sort, never further.
+fn sort_pending(pending: &mut Vec<(u64, u32)>, tmp: &mut Vec<(u64, u32)>, buckets: &mut Vec<u32>) {
     let n = pending.len();
-    if n <= 1 {
-        return;
-    }
-    let mut all_or = 0u64;
-    let mut all_and = !0u64;
-    for &(k, _) in pending.iter() {
-        all_or |= k;
-        all_and &= k;
-    }
-    let differing = all_or ^ all_and;
-    if differing == 0 {
-        // All keys equal: the tie order already in the buffer is final.
-        return;
-    }
-    if n < 128 {
-        // Comparison sort wins on small steps. The full (key, tie) order
-        // equals stable-by-key from any initial order because tie ranks
-        // are unique.
+    if n < SMALL_STEP {
         pending.sort_unstable();
         return;
     }
-    tmp.resize(n, (0, 0));
-    let mut hist = [0u32; 256];
-    for byte in 0..8 {
-        let shift = byte * 8;
-        if (differing >> shift) & 0xff == 0 {
-            continue;
-        }
-        hist.fill(0);
-        for &(k, _) in pending.iter() {
-            hist[((k >> shift) & 0xff) as usize] += 1;
-        }
-        let mut sum = 0u32;
-        for h in hist.iter_mut() {
-            let count = *h;
-            *h = sum;
-            sum += count;
-        }
-        for &e in pending.iter() {
-            let b = ((e.0 >> shift) & 0xff) as usize;
-            tmp[hist[b] as usize] = e;
-            hist[b] += 1;
-        }
-        std::mem::swap(pending, tmp);
+    let (mut lo, mut hi) = (u64::MAX, 0u64);
+    for &(key, _) in pending.iter() {
+        lo = lo.min(key);
+        hi = hi.max(key);
     }
+    // Buckets of 2^shift keys: the narrowest that cover `hi - lo` with at
+    // most 2^⌊log2 2n⌋ of them.
+    let key_bits = u64::BITS - (hi - lo).leading_zeros();
+    let shift = key_bits.saturating_sub((2 * n).ilog2());
+    buckets.clear();
+    buckets.resize(((hi - lo) >> shift) as usize + 1, 0);
+    debug_assert!(buckets.len() <= 2 * n);
+    for &(key, _) in pending.iter() {
+        buckets[((key - lo) >> shift) as usize] += 1;
+    }
+    let mut start = 0u32;
+    for b in buckets.iter_mut() {
+        let count = *b;
+        *b = start;
+        start += count;
+    }
+    tmp.resize(n, (0, 0));
+    for &pair in pending.iter() {
+        let b = &mut buckets[((pair.0 - lo) >> shift) as usize];
+        tmp[*b as usize] = pair;
+        *b += 1;
+    }
+    // Each bucket's entry has advanced from its start to its end.
+    let mut start = 0usize;
+    for &end in buckets.iter() {
+        let end = end as usize;
+        if end - start > 1 {
+            tmp[start..end].sort_unstable();
+        }
+        start = end;
+    }
+    std::mem::swap(pending, tmp);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Oracle: full stable sort by (key, original position).
-    fn sorted_by_oracle(input: &[(u64, u32)]) -> Vec<(u64, u32)> {
-        let mut v = input.to_vec();
-        v.sort_by_key(|&(k, t)| (k, t));
-        v
+    /// Runs `sort_pending` on `keys` — tie rank = position, as the replay
+    /// fills the buffer — and compares with a full sort of the pairs.
+    fn assert_sorts(keys: &[u64], tmp: &mut Vec<(u64, u32)>, buckets: &mut Vec<u32>) {
+        let mut pending: Vec<(u64, u32)> = keys.iter().copied().zip(0u32..).collect();
+        let mut expect = pending.clone();
+        expect.sort();
+        sort_pending(&mut pending, tmp, buckets);
+        assert_eq!(pending, expect, "n={}", keys.len());
     }
 
-    #[test]
-    fn sort_pending_matches_stable_sort() {
-        // Deterministic pseudo-random keys with clustered high bytes (the
-        // shape real injection times have) and some exact duplicates.
-        let mut state = 0x9e3779b97f4a7c15u64;
-        let mut next = move || {
+    fn keys(n: usize, f: impl FnMut(usize) -> u64) -> Vec<u64> {
+        (0..n).map(f).collect()
+    }
+
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed;
+        move || {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
             state
-        };
-        for n in [0usize, 1, 2, 100, 127, 128, 500, 4096] {
-            let mut input: Vec<(u64, u32)> = (0..n)
-                .map(|tie| {
-                    let base = 0x3fe0_0000_0000_0000u64;
-                    let key = if tie % 7 == 0 {
-                        base
-                    } else {
-                        base | (next() & 0xffff_ffff)
-                    };
-                    (key, tie as u32)
-                })
-                .collect();
-            let expect = sorted_by_oracle(&input);
-            let mut tmp = Vec::new();
-            sort_pending(&mut input, &mut tmp);
-            assert_eq!(input, expect, "n={n}");
+        }
+    }
+
+    #[test]
+    fn sort_pending_matches_stable_sort() {
+        let mut next = xorshift(0x9e3779b97f4a7c15);
+        let sizes = [
+            0,
+            1,
+            2,
+            100,
+            SMALL_STEP - 1,
+            SMALL_STEP,
+            SMALL_STEP + 1,
+            500,
+            4096,
+            16_384,
+        ];
+        let base = 0x3fe0_0000_0000_0000u64;
+        let (lo, hi) = (0.02_f64.to_bits(), 0.05_f64.to_bits());
+        // One scratch across every call: sizes go up and down, so a stale
+        // bucket count or a too-short buffer from an earlier call would show.
+        let (mut tmp, mut buckets) = (Vec::new(), Vec::new());
+        for n in sizes.into_iter().chain(sizes.into_iter().rev()) {
+            let cases = [
+                // Clustered high bytes (the shape real injection times
+                // have) with exact duplicates under different tie ranks.
+                keys(n, |i| {
+                    base | if i % 7 == 0 { 0 } else { next() & 0xffff_ffff }
+                }),
+                // All equal; all but one equal (one crowded bucket).
+                keys(n, |_| base),
+                keys(n, |i| if i == n / 2 { base + (1 << 40) } else { base }),
+                // Two tight clusters 2^50 apart.
+                keys(n, |i| base + ((i as u64 % 2) << 50) + (next() & 0xff)),
+                // Across two exponent boundaries (0.02 .. 0.05).
+                keys(n, |_| lo + next() % (hi - lo + 1)),
+                // The widest range positive finite keys can span.
+                keys(n, |i| match i {
+                    0 => f64::MAX.to_bits(),
+                    1 => 1,
+                    _ => next() % f64::MAX.to_bits() + 1,
+                }),
+                // Every pair a duplicate of its neighbour, descending.
+                keys(n, |i| base + ((n - i) as u64 / 2)),
+            ];
+            for case in &cases {
+                assert_sorts(case, &mut tmp, &mut buckets);
+            }
         }
     }
 
     #[test]
     fn sort_pending_keeps_tie_order_on_equal_keys() {
         let mut input: Vec<(u64, u32)> = (0..300).map(|tie| (42u64, tie)).collect();
-        let mut tmp = Vec::new();
-        sort_pending(&mut input, &mut tmp);
+        let (mut tmp, mut buckets) = (Vec::new(), Vec::new());
+        sort_pending(&mut input, &mut tmp, &mut buckets);
         assert!(input.windows(2).all(|w| w[0].1 < w[1].1));
+    }
+
+    /// One message as the pre-construction compile derived it.
+    struct OracleMsg {
+        from: u32,
+        to: u32,
+        bytes: f64,
+        cost: f64,
+        route: Vec<u32>,
+    }
+
+    /// The tie order as `compile` used to derive it: walk ranks and
+    /// neighbour lists as the reference engine does, route each message,
+    /// then comparison-sort the messages by `(from, to)`. Returns the
+    /// messages in that order and the push-order → tie-rank table.
+    fn oracle(
+        domains: &[(u32, u32, Rect)],
+        machine: &Machine,
+        grid: &ProcGrid,
+        mapping: &Mapping,
+    ) -> (Vec<OracleMsg>, Vec<u32>) {
+        let mut msgs = Vec::new();
+        for &(nx, ny, region) in domains {
+            let active = Rect::new(region.x0, region.y0, region.w.min(nx), region.h.min(ny));
+            let sub = ProcGrid::new(active.w, active.h);
+            let decomp = Decomposition::new(nx, ny, sub);
+            for (local, &g) in grid.ranks_in(&active).iter().enumerate() {
+                let patch = decomp.patch(local as u32).region;
+                let (lx, ly) = sub.coords_of(local as u32);
+                for nb in sub
+                    .neighbors_within(local as u32, &sub.rect())
+                    .into_iter()
+                    .flatten()
+                {
+                    let (nb_x, nb_y) = sub.coords_of(nb);
+                    let to = grid.rank_of(active.x0 + nb_x, active.y0 + nb_y);
+                    let edge = if nb_y == ly { patch.h } else { patch.w };
+                    debug_assert!(nb_y == ly || nb_x == lx);
+                    let bytes = machine.halo.edge_bytes(edge) as f64;
+                    let (a, b) = (mapping.node_coord(g), mapping.node_coord(to));
+                    let bw = if a == b {
+                        machine.net.mem_bw
+                    } else {
+                        machine.net.link_bw
+                    };
+                    msgs.push(OracleMsg {
+                        from: g,
+                        to,
+                        bytes,
+                        cost: bytes / bw,
+                        route: mapping.shape.torus.route(a, b),
+                    });
+                }
+            }
+        }
+        let mut by_tie: Vec<u32> = (0..msgs.len() as u32).collect();
+        by_tie.sort_unstable_by_key(|&mi| (msgs[mi as usize].from, msgs[mi as usize].to));
+        let mut tie_rank = vec![0u32; msgs.len()];
+        for (rank, &mi) in by_tie.iter().enumerate() {
+            tie_rank[mi as usize] = rank as u32;
+        }
+        let mut slots: Vec<Option<OracleMsg>> = msgs.into_iter().map(Some).collect();
+        let in_tie_order = by_tie
+            .iter()
+            .filter_map(|&mi| slots[mi as usize].take())
+            .collect();
+        (in_tie_order, tie_rank)
+    }
+
+    fn assert_constructed_order_matches_sorted(domains: &[(u32, u32, Rect)], mapping: &Mapping) {
+        let machine = Machine::bgl(64);
+        let grid = ProcGrid::near_square(machine.ranks());
+        let routes = NeighborRoutes::new(&grid, mapping);
+        let cs = CompiledStep::compile(domains, &machine, &grid, &routes);
+        let (expect, expect_rank) = oracle(domains, &machine, &grid, mapping);
+
+        assert_eq!(cs.tie_rank, expect_rank);
+        let mut seen = vec![false; cs.msgs.len()];
+        for &rank in &cs.tie_rank {
+            assert!(
+                !std::mem::replace(&mut seen[rank as usize], true),
+                "tie rank repeats"
+            );
+        }
+        // Push order is sender by sender, so `tie_rank` also says who sent
+        // the message at each tie position.
+        let mut from = vec![0u32; cs.msgs.len()];
+        let mut push = 0;
+        for s in &cs.senders {
+            for _ in 0..s.n_msgs {
+                from[cs.tie_rank[push] as usize] = s.g;
+                push += 1;
+            }
+        }
+        assert_eq!(push, cs.msgs.len());
+        let endpoints: Vec<(u32, u32)> =
+            from.iter().zip(&cs.msgs).map(|(&f, m)| (f, m.to)).collect();
+        assert!(
+            endpoints.windows(2).all(|w| w[0] < w[1]),
+            "not strictly (from, to)"
+        );
+
+        assert_eq!(cs.msgs.len(), expect.len());
+        for ((m, &from), e) in cs.msgs.iter().zip(&from).zip(&expect) {
+            assert_eq!((from, m.to), (e.from, e.to));
+            assert_eq!(m.cost.to_bits(), e.cost.to_bits());
+            assert_eq!(
+                cs.links[m.links.0 as usize..m.links.1 as usize],
+                e.route[..]
+            );
+        }
+        assert_eq!(cs.bytes, expect.iter().map(|e| e.bytes).sum::<f64>());
+        assert_eq!(
+            cs.hops,
+            expect.iter().map(|e| e.route.len() as u64).sum::<u64>()
+        );
+    }
+
+    #[test]
+    fn constructed_tie_order_matches_the_sorted_one() {
+        let shape = Machine::bgl(64).shape;
+        let grid = ProcGrid::near_square(64); // 8×8
+        let left = Rect::new(0, 0, 3, 8);
+        let right = Rect::new(3, 0, 5, 8);
+        let mappings = [
+            Mapping::oblivious(shape, 64).unwrap(),
+            Mapping::txyz(shape, 64).unwrap(),
+            Mapping::partition(shape, &grid, &[left, right]).unwrap(),
+        ];
+        let cases: [&[(u32, u32, Rect)]; 6] = [
+            // One domain over the full grid.
+            &[(120, 96, grid.rect())],
+            // Side-by-side partitions: sender ranks interleave row by row.
+            &[(90, 90, left), (75, 60, right)],
+            // The same two, listed right to left.
+            &[(75, 60, right), (90, 90, left)],
+            // A domain smaller than its region: only the leading 2×3 ranks.
+            &[(2, 3, right), (90, 90, left)],
+            // A one-rank region sends nothing.
+            &[(40, 40, Rect::new(7, 7, 1, 1))],
+            // Stacked partitions: senders already ascend across domains.
+            &[
+                (64, 64, Rect::new(0, 0, 8, 4)),
+                (64, 64, Rect::new(0, 4, 8, 4)),
+            ],
+        ];
+        for mapping in &mappings {
+            for domains in cases {
+                assert_constructed_order_matches_sorted(domains, mapping);
+            }
+        }
     }
 }

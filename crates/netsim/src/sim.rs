@@ -28,7 +28,7 @@
 use crate::io::IoMode;
 use crate::machine::Machine;
 use crate::network::Network;
-use crate::schedule::{run_compiled_step, CompiledStep, StepScratch, StepTotals};
+use crate::schedule::{run_compiled_step, CompiledStep, NeighborRoutes, StepScratch, StepTotals};
 use nestwx_grid::{Decomposition, NestedConfig, ProcGrid, Rect};
 use nestwx_obs::{ObsConfig, Recorder, StepMetrics, StepPhase};
 use nestwx_topo::Mapping;
@@ -299,12 +299,12 @@ fn intern_step(
     domains: Vec<(u32, u32, Rect)>,
     machine: &Machine,
     grid: &ProcGrid,
-    mapping: &Mapping,
+    routes: &NeighborRoutes,
 ) -> usize {
     if let Some(i) = steps.iter().position(|s| s.domains == domains) {
         return i;
     }
-    steps.push(CompiledStep::compile(&domains, machine, grid, mapping));
+    steps.push(CompiledStep::compile(&domains, machine, grid, routes));
     steps.len() - 1
 }
 
@@ -1056,13 +1056,14 @@ fn compile_plans(
 ) -> Compiled {
     let nests = &config.nests;
     let level1 = config.level1();
+    let routes = NeighborRoutes::new(grid, mapping);
     let mut steps: Vec<CompiledStep> = Vec::new();
     let parent_step = intern_step(
         &mut steps,
         vec![(config.parent.nx, config.parent.ny, grid.rect())],
         machine,
         grid,
-        mapping,
+        &routes,
     );
 
     let (seq, conc) = match strategy {
@@ -1081,7 +1082,7 @@ fn compile_plans(
                                 vec![(nests[c].nx, nests[c].ny, grid.rect())],
                                 machine,
                                 grid,
-                                mapping,
+                                &routes,
                             ),
                             interp: interp_cost(config, machine, c),
                             feedback: feedback_cost(config, machine, c),
@@ -1095,7 +1096,7 @@ fn compile_plans(
                             vec![(nests[i].nx, nests[i].ny, grid.rect())],
                             machine,
                             grid,
-                            mapping,
+                            &routes,
                         ),
                         interp: interp_cost(config, machine, i),
                         feedback: feedback_cost(config, machine, i),
@@ -1133,7 +1134,7 @@ fn compile_plans(
                     .iter()
                     .map(|&i| (nests[i].nx, nests[i].ny, partitions[i]))
                     .collect();
-                let step_id = intern_step(&mut steps, domains, machine, grid, mapping);
+                let step_id = intern_step(&mut steps, domains, machine, grid, &routes);
                 let obs_tag = if active.len() == 1 {
                     active[0] as i32
                 } else {
@@ -1170,18 +1171,17 @@ fn compile_plans(
                             .iter()
                             .map(|&c| (nests[c].nx, nests[c].ny, partitions[c]))
                             .collect();
-                        child_step_ids.push(intern_step(&mut steps, sub, machine, grid, mapping));
+                        child_step_ids.push(intern_step(&mut steps, sub, machine, grid, &routes));
                         child_obs_tags.push(if act.len() == 1 { act[0] as i32 } else { -1 });
                     }
-                    for &i in &active {
-                        if !config.children_of(i).is_empty() {
-                            let pos = level1
-                                .iter()
-                                .position(|&j| j == i)
-                                .expect("active nest is level-1");
-                            resync.push(pos);
-                        }
-                    }
+                    resync = level1
+                        .iter()
+                        .enumerate()
+                        .filter(|&(_, &i)| {
+                            s < nests[i].refine_ratio && !config.children_of(i).is_empty()
+                        })
+                        .map(|(pos, _)| pos)
+                        .collect();
                 }
                 substeps.push(ConcSubstep {
                     step_id,

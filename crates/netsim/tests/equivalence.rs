@@ -8,7 +8,9 @@
 //! order, so every field matches under exact `==`, not a tolerance.
 
 use nestwx_grid::{Domain, NestSpec, NestedConfig, ProcGrid, Rect};
-use nestwx_netsim::{ExecStrategy, HaloEngine, IoMode, Machine, SimReport, Simulation};
+use nestwx_netsim::{
+    ExecStrategy, HaloEngine, IoMode, Machine, ObsConfig, SimReport, Simulation, StepMetrics,
+};
 use nestwx_topo::Mapping;
 
 #[allow(clippy::too_many_arguments)]
@@ -189,4 +191,109 @@ fn traces_also_bitwise_identical() {
     let (rep_r, tr_r) = build(HaloEngine::Reference).run_traced(4);
     assert_eq!(rep_c, rep_r);
     assert_eq!(tr_c, tr_r);
+}
+
+/// Both engines on one plan, recorder off and on: reports, traces and the
+/// recorded per-step counters agree exactly, and the per-step `bytes` /
+/// `messages` / `hops` deltas — which the compiled engine takes from each
+/// step's precomputed totals — add up to the report's own.
+fn assert_engines_agree_at_scale(
+    machine: &Machine,
+    config: &NestedConfig,
+    partitions: Vec<Rect>,
+    mapping: &Mapping,
+) {
+    let grid = ProcGrid::near_square(machine.ranks());
+    let strategy = ExecStrategy::Concurrent { partitions };
+    let build = |engine| {
+        Simulation::new(
+            machine,
+            grid,
+            config,
+            strategy.clone(),
+            mapping.clone(),
+            IoMode::None,
+            None,
+        )
+        .unwrap()
+        .with_engine(engine)
+    };
+    let plain = build(HaloEngine::Compiled).run_traced(2);
+    assert_eq!(plain, build(HaloEngine::Reference).run_traced(2));
+
+    let mut compiled = build(HaloEngine::Compiled).with_obs(ObsConfig::detailed());
+    let mut reference = build(HaloEngine::Reference).with_obs(ObsConfig::detailed());
+    assert_eq!(compiled.run_traced_mut(2), plain);
+    assert_eq!(reference.run_traced_mut(2), plain);
+    let steps: Vec<StepMetrics> = compiled.obs().unwrap().steps().cloned().collect();
+    let reference_steps: Vec<StepMetrics> = reference.obs().unwrap().steps().cloned().collect();
+    assert_eq!(steps, reference_steps);
+    assert_eq!(steps.len() as u64, compiled.steps_taken());
+
+    let report = &plain.0;
+    assert_eq!(steps.iter().map(|s| s.bytes).sum::<f64>(), report.bytes);
+    assert_eq!(
+        steps.iter().map(|s| s.messages).sum::<u64>(),
+        report.messages
+    );
+    let hops: u64 = steps.iter().map(|s| s.hops).sum();
+    let transfers: u64 = steps.iter().map(|s| s.transfers).sum();
+    assert_eq!(hops as f64 / transfers as f64, report.avg_hops);
+}
+
+/// The sizes the benchmark runs: a step of `bgl:64` has at most 256
+/// messages, so the tests above barely leave `sort_pending`'s
+/// comparison-sort cutoff; these steps carry ≈ 4 000 and ≈ 16 000.
+#[test]
+fn bgl_1024_three_nests_partition_mapping_bitwise_identical() {
+    let m = Machine::bgl(1024);
+    let grid = ProcGrid::near_square(m.ranks()); // 32×32
+    let cfg = NestedConfig::new(
+        Domain::parent(286, 307, 24.0),
+        vec![
+            NestSpec::new(394, 418, 3, (10, 10)),
+            NestSpec::new(232, 202, 2, (160, 20)),
+            NestSpec::new(313, 337, 3, (20, 170)),
+        ],
+    )
+    .unwrap();
+    let partitions = vec![
+        Rect::new(0, 0, 14, 32),
+        Rect::new(14, 0, 18, 13),
+        Rect::new(14, 13, 18, 19),
+    ];
+    let mapping = Mapping::partition(m.shape, &grid, &partitions).unwrap();
+    assert_engines_agree_at_scale(&m, &cfg, partitions.clone(), &mapping);
+    // Without jitter every rank with the same patch size injects at the
+    // same instant: a few distinct keys, thousands of ties, and the order
+    // within each tie decides which message takes a contended link first.
+    let mut m = m;
+    m.compute.jitter = 0.0;
+    assert_engines_agree_at_scale(&m, &cfg, partitions, &mapping);
+}
+
+/// The `netsim_large` plan's shape: four nests on `bgp:4096` under the
+/// multilevel mapping.
+#[test]
+fn bgp_4096_four_nests_multilevel_mapping_bitwise_identical() {
+    let m = Machine::bgp(4096);
+    let grid = ProcGrid::near_square(m.ranks()); // 64×64
+    let cfg = NestedConfig::new(
+        Domain::parent(286, 307, 24.0),
+        vec![
+            NestSpec::new(394, 418, 3, (10, 10)),
+            NestSpec::new(232, 202, 3, (160, 20)),
+            NestSpec::new(313, 337, 3, (20, 170)),
+            NestSpec::new(151, 187, 3, (180, 200)),
+        ],
+    )
+    .unwrap();
+    let partitions = vec![
+        Rect::new(0, 0, 36, 40),
+        Rect::new(36, 0, 28, 40),
+        Rect::new(0, 40, 42, 24),
+        Rect::new(42, 40, 22, 24),
+    ];
+    let mapping = Mapping::multilevel(m.shape, &grid, &partitions).unwrap();
+    assert_engines_agree_at_scale(&m, &cfg, partitions, &mapping);
 }

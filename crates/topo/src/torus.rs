@@ -130,8 +130,8 @@ impl Torus {
     /// routing stays within the minimal quadrant; deterministic
     /// dimension-ordered routing is the standard modelling simplification.
     pub fn route(&self, a: NodeCoord, b: NodeCoord) -> Vec<u32> {
-        let mut links = Vec::with_capacity(self.hops(a, b) as usize);
-        self.route_into(a, b, &mut links);
+        let mut links = Vec::new();
+        self.route_append(a, b, &mut links);
         links
     }
 
@@ -139,6 +139,12 @@ impl Torus {
     /// first), so hot paths can route without allocating.
     pub fn route_into(&self, a: NodeCoord, b: NodeCoord, links: &mut Vec<u32>) {
         links.clear();
+        self.route_append(a, b, links);
+    }
+
+    /// [`Torus::route`] appended to `links`, whose existing contents are
+    /// left alone — many routes can share one arena.
+    pub fn route_append(&self, a: NodeCoord, b: NodeCoord, links: &mut Vec<u32>) {
         let mut cur = a;
         for dim in 0..3 {
             let (cc, bc) = match dim {

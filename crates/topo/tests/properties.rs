@@ -40,6 +40,26 @@ proptest! {
         }
     }
 
+    /// Appending a route after an arbitrary prefix leaves the prefix intact
+    /// and adds exactly `route(a, b)`; `route_into` discards the prefix.
+    #[test]
+    fn route_append_keeps_the_prefix(
+        t in arb_torus(),
+        s1 in any::<u32>(),
+        s2 in any::<u32>(),
+        prefix in proptest::collection::vec(any::<u32>(), 0..12),
+    ) {
+        let a = t.coord(s1 % t.nodes());
+        let b = t.coord(s2 % t.nodes());
+        let route = t.route(a, b);
+        let mut links = prefix.clone();
+        t.route_append(a, b, &mut links);
+        prop_assert_eq!(&links[..prefix.len()], &prefix[..]);
+        prop_assert_eq!(&links[prefix.len()..], &route[..]);
+        t.route_into(a, b, &mut links);
+        prop_assert_eq!(links, route);
+    }
+
     /// Index ↔ coordinate round-trips for every node.
     #[test]
     fn index_roundtrip(t in arb_torus()) {
