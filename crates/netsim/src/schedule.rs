@@ -265,7 +265,10 @@ pub(crate) struct StepTotals {
 pub(crate) struct StepScratch {
     /// `(injection-time bits, tie rank)` per pending message; sorting these
     /// pairs reproduces the reference's stable `(inject, from, to)` message
-    /// order (see [`CompiledStep::tie_rank`]).
+    /// order (see [`CompiledStep::tie_rank`]). Under detail recording the
+    /// transfer loop replaces each delivered message's key by the bits of
+    /// its latency — the step's `msg_latency` samples, with no buffer of
+    /// their own.
     pending: Vec<(u64, u32)>,
     /// Destination buffer of [`sort_pending`]'s distribution pass.
     pending_tmp: Vec<(u64, u32)>,
@@ -356,15 +359,25 @@ pub(crate) fn run_compiled_step(
         &mut scratch.buckets,
     );
     scratch.recv_latest.fill(0.0);
-    for &(bits, tie) in scratch.pending.iter() {
+    // With detail recording on, a delivered message's key is overwritten by
+    // its latency and the step's samples are recorded in one pass below
+    // (which, with it off, never looks at them).
+    let detail = net.obs_detail().is_some();
+    for p in scratch.pending.iter_mut() {
+        let (bits, tie) = *p;
         let m = &cs.msgs[tie as usize];
         let route = &cs.links[m.links.0 as usize..m.links.1 as usize];
-        let arrive = net.transfer_compiled(route, m.cost, recv_cost, f64::from_bits(bits));
+        let inject = f64::from_bits(bits);
+        let arrive = net.transfer_compiled(route, m.cost, recv_cost, inject);
+        if detail {
+            p.0 = (arrive - inject).to_bits();
+        }
         let slot = m.to as usize;
         if arrive > scratch.recv_latest[slot] {
             scratch.recv_latest[slot] = arrive;
         }
     }
+    net.record_latencies(scratch.pending.iter().map(|p| f64::from_bits(p.0)));
     // The counters the reference bumps message by message, as the step's
     // exact totals (see [`CompiledStep::bytes`]).
     net.transfers += cs.msgs.len() as u64;

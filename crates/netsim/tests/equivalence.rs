@@ -7,7 +7,7 @@
 //! re-derives everything per step: same float expressions in the same
 //! order, so every field matches under exact `==`, not a tolerance.
 
-use nestwx_grid::{Domain, NestSpec, NestedConfig, ProcGrid, Rect};
+use nestwx_grid::{fnv1a64, Domain, NestSpec, NestedConfig, ProcGrid, Rect};
 use nestwx_netsim::{
     ExecStrategy, HaloEngine, IoMode, Machine, ObsConfig, SimReport, Simulation, StepMetrics,
 };
@@ -196,12 +196,16 @@ fn traces_also_bitwise_identical() {
 /// Both engines on one plan, recorder off and on: reports, traces and the
 /// recorded per-step counters agree exactly, and the per-step `bytes` /
 /// `messages` / `hops` deltas — which the compiled engine takes from each
-/// step's precomputed totals — add up to the report's own.
+/// step's precomputed totals — add up to the report's own. Everything else
+/// the detailed tier records (histograms, link busy seconds, timeline
+/// shape, the analysis block) is compared through the two engines'
+/// `summary_json()`, whose FNV-1a digest is pinned to `summary_digest`.
 fn assert_engines_agree_at_scale(
     machine: &Machine,
     config: &NestedConfig,
     partitions: Vec<Rect>,
     mapping: &Mapping,
+    summary_digest: u64,
 ) {
     let grid = ProcGrid::near_square(machine.ranks());
     let strategy = ExecStrategy::Concurrent { partitions };
@@ -229,6 +233,15 @@ fn assert_engines_agree_at_scale(
     let reference_steps: Vec<StepMetrics> = reference.obs().unwrap().steps().cloned().collect();
     assert_eq!(steps, reference_steps);
     assert_eq!(steps.len() as u64, compiled.steps_taken());
+    let summary = compiled.obs().unwrap().summary_json();
+    assert_eq!(summary, reference.obs().unwrap().summary_json());
+    // A recorder change that moves a recorded byte moves this digest: find
+    // out which byte before re-capturing the literal.
+    let digest = fnv1a64(summary.as_bytes());
+    assert_eq!(
+        digest, summary_digest,
+        "recorded summary changed: {digest:#018x}"
+    );
 
     let report = &plain.0;
     assert_eq!(steps.iter().map(|s| s.bytes).sum::<f64>(), report.bytes);
@@ -263,13 +276,19 @@ fn bgl_1024_three_nests_partition_mapping_bitwise_identical() {
         Rect::new(14, 13, 18, 19),
     ];
     let mapping = Mapping::partition(m.shape, &grid, &partitions).unwrap();
-    assert_engines_agree_at_scale(&m, &cfg, partitions.clone(), &mapping);
+    assert_engines_agree_at_scale(
+        &m,
+        &cfg,
+        partitions.clone(),
+        &mapping,
+        0x28ff_627c_bb12_c4da,
+    );
     // Without jitter every rank with the same patch size injects at the
     // same instant: a few distinct keys, thousands of ties, and the order
     // within each tie decides which message takes a contended link first.
     let mut m = m;
     m.compute.jitter = 0.0;
-    assert_engines_agree_at_scale(&m, &cfg, partitions, &mapping);
+    assert_engines_agree_at_scale(&m, &cfg, partitions, &mapping, 0xe4f2_1b18_aa80_00a6);
 }
 
 /// The `netsim_large` plan's shape: four nests on `bgp:4096` under the
@@ -295,5 +314,5 @@ fn bgp_4096_four_nests_multilevel_mapping_bitwise_identical() {
         Rect::new(42, 40, 22, 24),
     ];
     let mapping = Mapping::multilevel(m.shape, &grid, &partitions).unwrap();
-    assert_engines_agree_at_scale(&m, &cfg, partitions, &mapping);
+    assert_engines_agree_at_scale(&m, &cfg, partitions, &mapping, 0xac41_9984_dd6a_45b4);
 }

@@ -108,8 +108,25 @@ fn detailed_recording_captures_ranks_and_links() {
     assert_eq!(tl.recorded_steps(), sim.steps_taken());
     assert_eq!(tl.nranks(), m.ranks());
 
-    // Per-rank wait histogram holds one sample per (active rank, step).
-    assert!(rec.hist_rank_wait().count() > 0);
+    // Per-rank wait histogram holds one sample per (active rank, step) —
+    // the sequential strategy runs every domain on the full grid, which a
+    // domain fills up to one rank per point and side — and the samples are
+    // the waits the step totals are made of.
+    let grid = ProcGrid::near_square(m.ranks());
+    let active_ranks: u64 = rec
+        .steps()
+        .map(|s| match s.nest {
+            -1 => (cfg.parent.nx, cfg.parent.ny),
+            n => (cfg.nests[n as usize].nx, cfg.nests[n as usize].ny),
+        })
+        .map(|(nx, ny)| u64::from(grid.px.min(nx) * grid.py.min(ny)))
+        .sum();
+    assert_eq!(rec.hist_rank_wait().count(), active_ranks);
+    let (sampled, total) = (rec.hist_rank_wait().sum(), rec.summary().halo_wait);
+    assert!(
+        (sampled - total).abs() <= 1e-9 * total,
+        "per-rank waits sum to {sampled}, step totals to {total}"
+    );
 
     // Net detail: one latency sample per transfer; link busy where routed.
     let net = rec.net_detail().expect("net detail on");

@@ -71,9 +71,12 @@ pub struct StepMetrics {
     pub nest: i32,
     /// Domains advanced by this (possibly lockstep) step.
     pub domains: u32,
-    /// Simulated seconds when the step began (max rank readiness before).
+    /// Seconds when the step began. The network simulator records the
+    /// *earliest* readiness among the step's ranks before it runs (a step
+    /// starts with its first rank, not its last).
     pub start: f64,
-    /// Simulated seconds when the step ended (max rank readiness after).
+    /// Seconds when the step ended (the simulator: the latest readiness
+    /// among those ranks afterwards).
     pub end: f64,
     /// Σ over ranks of compute seconds in this step.
     pub compute: f64,

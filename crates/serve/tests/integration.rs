@@ -579,10 +579,14 @@ fn queued_request_past_deadline_gets_typed_error() {
     let handle = spawn(cfg).expect("spawn server");
     let mut client = Client::connect(handle.addr()).expect("connect");
 
-    // First line pins the single worker behind a full strategy comparison
-    // (two simulated runs — reliably longer than 1 ms, where a bare
-    // predictor fit is not on a fast machine); the second (1 ms deadline)
-    // expires in the queue before the worker reaches it.
+    // First line pins the single worker behind a full strategy comparison;
+    // the second (1 ms deadline, the protocol minimum) expires in the queue
+    // before the worker reaches it. The pin has to outlast that 1 ms by a
+    // margin no optimisation of the simulator eats: `PIN_ITERATIONS` parent
+    // iterations of both strategies measure 57-83 ms in a release build
+    // here and 0.4-0.8 s in debug (5 iterations: 0.6 ms in release, and
+    // the doomed request is planned instead of expiring).
+    const PIN_ITERATIONS: u32 = 1500;
     let pin = Request::new(
         Some("pin".into()),
         RequestBody::Compare {
@@ -595,7 +599,7 @@ fn queued_request_past_deadline_gets_typed_error() {
                 mapping: MappingKind::Partition,
                 io: None,
             },
-            iterations: 5,
+            iterations: PIN_ITERATIONS,
         },
     );
     let mut doomed = plan_request(
