@@ -205,14 +205,13 @@ const EXTERNAL_ROOTS: [&str; 37] = [
 ];
 
 /// Crates vendored or std-adjacent whose contents are outside the graph.
-const EXTERNAL_CRATES: [&str; 7] = [
+const EXTERNAL_CRATES: [&str; 6] = [
     "serde",
     "serde_json",
     "serde_derive",
     "rand",
     "loom",
     "proptest",
-    "criterion",
 ];
 
 fn is_common_method(name: &str) -> bool {
@@ -291,6 +290,7 @@ impl Workspace {
             ..GraphStats::default()
         };
         let mut unresolved_by_file: BTreeMap<String, usize> = BTreeMap::new();
+        let dump_unresolved = std::env::var("NESTWX_DUMP_UNRESOLVED").is_ok();
 
         for (idx, out) in edges_out.iter_mut().enumerate() {
             let (fi, di) = (ws.fns[idx].file, ws.fns[idx].decl);
@@ -322,7 +322,7 @@ impl Workspace {
                     }
                     Resolution::External => stats.external += 1,
                     Resolution::Unresolved => {
-                        if std::env::var("NESTWX_DUMP_UNRESOLVED").is_ok() {
+                        if dump_unresolved {
                             eprintln!(
                                 "UNRES {:?} {} {}:{}",
                                 call.kind,

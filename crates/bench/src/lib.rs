@@ -53,10 +53,10 @@ pub fn rng_for(experiment: &str) -> StdRng {
     StdRng::from_seed(seed)
 }
 
-// The env knob parsers moved to `nestwx_core::env` so the CLI and the serve
-// daemon share them; re-exported here to keep the experiment binaries'
+// The env knob parser moved to `nestwx_core::env` so the CLI and the serve
+// daemon share it; re-exported here to keep the experiment binaries'
 // imports unchanged.
-pub use nestwx_core::env::{env_f64, env_u32, env_usize};
+pub use nestwx_core::env::env_usize;
 
 // The work-stealing driver moved to `nestwx_core::parallel` so the sweep
 // engine can share it; re-exported here to keep the experiment binaries'
@@ -201,25 +201,6 @@ mod tests {
             trace_out_from(args(&["--trace-out"]).into_iter(), Some("env.json".into())),
             None
         );
-    }
-
-    #[test]
-    fn env_helpers_parse_and_fall_back() {
-        // Unique variable names: tests run concurrently in one process.
-        std::env::set_var("NESTWX_TEST_EH_A", "7");
-        assert_eq!(env_usize("NESTWX_TEST_EH_A", 3), 7);
-        assert_eq!(env_u32("NESTWX_TEST_EH_A", 3), 7);
-        std::env::set_var("NESTWX_TEST_EH_B", " 12 ");
-        assert_eq!(env_u32("NESTWX_TEST_EH_B", 3), 12);
-        std::env::set_var("NESTWX_TEST_EH_C", "0");
-        assert_eq!(env_usize("NESTWX_TEST_EH_C", 3), 3); // non-positive → default
-        std::env::set_var("NESTWX_TEST_EH_D", "nope");
-        assert_eq!(env_u32("NESTWX_TEST_EH_D", 5), 5);
-        std::env::set_var("NESTWX_TEST_EH_E", "2.5");
-        assert_eq!(env_f64("NESTWX_TEST_EH_E", 1.0), 2.5);
-        std::env::set_var("NESTWX_TEST_EH_F", "-1");
-        assert_eq!(env_f64("NESTWX_TEST_EH_F", 1.0), 1.0);
-        assert_eq!(env_f64("NESTWX_TEST_EH_UNSET", 9.0), 9.0);
     }
 
     #[test]

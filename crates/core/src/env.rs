@@ -6,10 +6,13 @@
 //! a warning on stderr for an invalid value, and a silent fall-back to the
 //! built-in default when the variable is unset.
 
-fn env_parsed<T: std::str::FromStr>(name: &str, default: T, valid: impl Fn(&T) -> bool) -> T {
+/// Environment variable `name` as a positive `usize`, else `default`
+/// (warns on an invalid value). Shared by every binary so the knobs
+/// (`NESTWX_JOBS`, `NESTWX_SERVE_WORKERS`, ...) parse identically.
+pub fn env_usize(name: &str, default: usize) -> usize {
     match std::env::var(name) {
-        Ok(v) => match v.trim().parse::<T>() {
-            Ok(n) if valid(&n) => n,
+        Ok(v) => match v.trim().parse::<usize>() {
+            Ok(n) if n >= 1 => n,
             _ => {
                 eprintln!("warning: ignoring invalid {name}={v:?}");
                 default
@@ -17,24 +20,6 @@ fn env_parsed<T: std::str::FromStr>(name: &str, default: T, valid: impl Fn(&T) -
         },
         Err(_) => default,
     }
-}
-
-/// Environment variable `name` as a positive `usize`, else `default`
-/// (warns on an invalid value). Shared by every binary so the knobs
-/// (`NESTWX_JOBS`, `NESTWX_SERVE_WORKERS`, ...) parse identically.
-pub fn env_usize(name: &str, default: usize) -> usize {
-    env_parsed(name, default, |&n| n >= 1)
-}
-
-/// Environment variable `name` as a positive `u32`, else `default`.
-pub fn env_u32(name: &str, default: u32) -> u32 {
-    env_parsed(name, default, |&n| n >= 1)
-}
-
-/// Environment variable `name` as a finite non-negative `f64`, else
-/// `default`.
-pub fn env_f64(name: &str, default: f64) -> f64 {
-    env_parsed(name, default, |&x: &f64| x.is_finite() && x >= 0.0)
 }
 
 #[cfg(test)]
@@ -47,14 +32,14 @@ mod tests {
     #[test]
     fn unset_returns_default() {
         assert_eq!(env_usize("NESTWX_TEST_ENV_UNSET", 7), 7);
-        assert_eq!(env_f64("NESTWX_TEST_ENV_UNSET_F", 1.5), 1.5);
     }
 
     #[test]
     fn set_value_parses() {
         std::env::set_var("NESTWX_TEST_ENV_SET", "42");
         assert_eq!(env_usize("NESTWX_TEST_ENV_SET", 7), 42);
-        assert_eq!(env_u32("NESTWX_TEST_ENV_SET", 7), 42);
+        std::env::set_var("NESTWX_TEST_ENV_PADDED", " 12 ");
+        assert_eq!(env_usize("NESTWX_TEST_ENV_PADDED", 7), 12);
     }
 
     #[test]
@@ -62,8 +47,8 @@ mod tests {
         std::env::set_var("NESTWX_TEST_ENV_BAD", "zero");
         assert_eq!(env_usize("NESTWX_TEST_ENV_BAD", 7), 7);
         std::env::set_var("NESTWX_TEST_ENV_ZERO", "0");
-        assert_eq!(env_u32("NESTWX_TEST_ENV_ZERO", 9), 9);
-        std::env::set_var("NESTWX_TEST_ENV_NEG", "-1.0");
-        assert_eq!(env_f64("NESTWX_TEST_ENV_NEG", 2.0), 2.0);
+        assert_eq!(env_usize("NESTWX_TEST_ENV_ZERO", 9), 9);
+        std::env::set_var("NESTWX_TEST_ENV_NEG", "-1");
+        assert_eq!(env_usize("NESTWX_TEST_ENV_NEG", 2), 2);
     }
 }

@@ -38,7 +38,7 @@ pub use canon::Scenario;
 pub use compare::{
     compare_strategies, compare_strategies_observed, ObservedComparison, StrategyComparison,
 };
-pub use env::{env_f64, env_u32, env_usize};
+pub use env::env_usize;
 pub use nestwx_grid::fnv1a64;
 pub use parallel::{parallel_jobs, run_parallel, run_parallel_with};
 pub use planner::{ExecutionPlan, PlanError, Planner};

@@ -6,9 +6,10 @@
 //!   compute seconds, halo-wait seconds, bytes moved, link hops, contention
 //!   stalls — and hand the per-step deltas to a [`Recorder`] as
 //!   [`StepMetrics`] records. Recording is a handful of adds plus one ring
-//!   push per *step* (thousands of messages), so the measured cost in
-//!   `bench_netsim` stays well under 2 % of steps/s. With no recorder
-//!   attached the producers skip even that.
+//!   push per *step* (thousands of messages), so the measured cost (the
+//!   ledger's `obs.counter_overhead_pct`) is within run-to-run noise of an
+//!   unobserved replay. With no recorder attached the producers skip even
+//!   that.
 //! * **Span mode (feature `spans`):** named durations ([`SpanEvent`])
 //!   are stored and exported alongside the step records. Without the
 //!   feature, [`Recorder::span`] compiles to a no-op.

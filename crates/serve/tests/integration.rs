@@ -646,12 +646,16 @@ fn queued_request_past_deadline_gets_typed_error() {
 
 /// The per-client token bucket sheds requests beyond the burst with a
 /// typed `rate_limited` error; requests carrying no client identity are
-/// exempt, and control requests cost nothing.
+/// exempt, and control requests cost nothing. A flood of distinct
+/// identities over short-lived connections is never refused (buckets
+/// start full) and leaves the client table at its cap.
 #[test]
 fn rate_limited_clients_shed_while_anonymous_pass() {
+    const CLIENT_CAP: u64 = 64;
     let mut cfg = ServeConfig::new("127.0.0.1:0");
     cfg.rate = 1; // 1 token/s — no meaningful refill within the test
     cfg.burst = 4; // covers exactly two plan calls (cost 2 each)
+    cfg.client_cap = CLIENT_CAP as usize;
     let handle = spawn(cfg).expect("spawn server");
     let mut client = Client::connect(handle.addr()).expect("connect");
 
@@ -688,6 +692,25 @@ fn rate_limited_clients_shed_while_anonymous_pass() {
         .expect("anonymous plan");
     assert!(anon.ok(), "anonymous requests are exempt: {}", anon.raw);
 
+    // Identity flood: 4096 never-seen client ids, a fresh connection per
+    // pipelined wave. Every first charge passes, and the bucket table
+    // evicts instead of growing.
+    let (waves, wave) = (8u64, 512u64);
+    for w in 0..waves {
+        let lines: Vec<String> = (0..wave)
+            .map(|j| {
+                let mut req = charged(0);
+                req.client = Some(format!("cl-{}", w * wave + j));
+                req.to_json_line()
+            })
+            .collect();
+        let mut conn = Client::connect(handle.addr()).expect("wave connect");
+        let raws = conn.call_pipelined(&lines).expect("wave");
+        let refused = raws.iter().filter(|r| !r.contains("\"ok\":true")).count();
+        assert_eq!(refused, 0, "fresh identities refused in wave {w}");
+    }
+    let flooded = waves * wave;
+
     // Stats is a zero-cost control endpoint even for the shed client.
     let mut stats_req = Request::new(None, RequestBody::Stats);
     stats_req.client = Some("tenant-a".into());
@@ -699,7 +722,15 @@ fn rate_limited_clients_shed_while_anonymous_pass() {
         .cloned()
         .unwrap();
     assert!(u64s(&limits, "rate_shed") >= 1, "{limits:?}");
-    assert!(u64s(&limits, "clients_tracked") >= 1, "{limits:?}");
+    let tracked = u64s(&limits, "clients_tracked");
+    assert!((1..=CLIENT_CAP).contains(&tracked), "{limits:?}");
+    // One bucket per identity ever charged (tenant-a and the flood), each
+    // either still tracked or evicted.
+    assert_eq!(
+        u64s(&limits, "rate_evictions"),
+        flooded + 1 - tracked,
+        "{limits:?}"
+    );
 
     let resp = client
         .call(&Request::new(Some("bye".into()), RequestBody::Shutdown))
@@ -925,6 +956,10 @@ fn trace_endpoint_drains_versioned_envelope_once() {
     let mut sorted = ts.clone();
     sorted.sort_unstable();
     assert_eq!(ts, sorted, "spans not time-ordered");
+    // A real drained envelope passes the schema check and converts to a
+    // Chrome trace with one complete event per serialized span.
+    let chrome = nestwx_obs::serve::serve_chrome_trace(&v).expect("chrome trace");
+    assert_eq!(chrome.matches("\"ph\": \"X\"").count(), spans.len());
 
     // Second drain: only the spans recorded since (the trace request
     // itself, at most a couple) — the plans do not reappear.
