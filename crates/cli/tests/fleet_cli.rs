@@ -2,11 +2,14 @@
 //!
 //! Spawns the built `nestwx` binary, which in turn spawns its own
 //! `fleet-worker` children via `current_exe`, and checks the merged
-//! report against a directly-driven in-process fleet: the core ISSUE
+//! report against a directly-driven in-process fleet: the fleet's core
 //! invariant (socket halos are bitwise-transparent) holds across real
-//! process boundaries, not just threads.
+//! process boundaries and fleet sizes, not just threads. Together with
+//! the obs render and the orphaned-worker bound, these are the whole
+//! real-process fleet check; no CI job repeats them.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 const PARENT: &str = "96x84@24";
 const NEST_A: &str = "40x40r3@6,6";
@@ -43,12 +46,10 @@ fn reference_run() -> nestwx_fleet::FleetRun {
     .unwrap()
 }
 
-#[test]
-fn fleet_command_spawns_real_workers_and_matches_in_process_run() {
-    let exe = env!("CARGO_BIN_EXE_nestwx");
-    let dir = nestwx_core::TempDir::new("cli-fleet").unwrap();
-    let obs_path = dir.path().join("fleet.json");
-    let out = Command::new(exe)
+/// Runs `nestwx fleet --check --json` on the two-nest scenario with
+/// `workers` real worker processes; returns the parsed summary.
+fn fleet_check_json(workers: &str, obs_path: &std::path::Path) -> serde_json::Value {
+    let out = Command::new(env!("CARGO_BIN_EXE_nestwx"))
         .args([
             "fleet",
             "--machine",
@@ -62,7 +63,7 @@ fn fleet_command_spawns_real_workers_and_matches_in_process_run() {
             "--iterations",
             "3",
             "--workers",
-            "2",
+            workers,
             "--check",
             "--json",
             "--obs-out",
@@ -72,11 +73,19 @@ fn fleet_command_spawns_real_workers_and_matches_in_process_run() {
         .unwrap();
     assert!(
         out.status.success(),
-        "fleet exited nonzero\nstdout: {}\nstderr: {}",
+        "{workers}-worker fleet exited nonzero\nstdout: {}\nstderr: {}",
         String::from_utf8_lossy(&out.stdout),
         String::from_utf8_lossy(&out.stderr)
     );
-    let v: serde_json::Value = serde_json::from_slice(&out.stdout).unwrap();
+    serde_json::from_slice(&out.stdout).unwrap()
+}
+
+#[test]
+fn fleet_command_spawns_real_workers_and_matches_in_process_run() {
+    let exe = env!("CARGO_BIN_EXE_nestwx");
+    let dir = nestwx_core::TempDir::new("cli-fleet").unwrap();
+    let obs_path = dir.path().join("fleet.json");
+    let v = fleet_check_json("2", &obs_path);
     assert_eq!(v["schema"].as_str().unwrap(), "nestwx-obs-fleet-summary");
     assert_eq!(v["workers"].as_u64().unwrap(), 2);
     assert_eq!(v["iterations"].as_u64().unwrap(), 3);
@@ -104,6 +113,21 @@ fn fleet_command_spawns_real_workers_and_matches_in_process_run() {
     assert!(text.contains("fleet summary"), "{text}");
     assert!(text.contains("coordinator"), "{text}");
     assert!(text.contains("worker 1"), "{text}");
+}
+
+#[test]
+fn four_worker_fleet_has_the_two_worker_digest() {
+    // Real worker processes at two fleet sizes: partitioning the nests
+    // differently must not move a single bit of the merged report.
+    let dir = nestwx_core::TempDir::new("cli-fleet-sizes").unwrap();
+    let two = fleet_check_json("2", &dir.path().join("fleet2.json"));
+    let four = fleet_check_json("4", &dir.path().join("fleet4.json"));
+    assert_eq!(four["workers"].as_u64().unwrap(), 4);
+    assert_eq!(four["worker_rows"].as_array().unwrap().len(), 4);
+    let digest = two["digest"].as_str().unwrap();
+    assert!(!digest.is_empty());
+    assert_eq!(four["digest"].as_str().unwrap(), digest);
+    assert_eq!(four["parent_digest"], two["parent_digest"]);
 }
 
 #[test]
@@ -143,14 +167,29 @@ fn fleet_human_output_reports_check_and_digest() {
 #[test]
 fn fleet_worker_without_coordinator_fails_fast() {
     // A worker pointed at a dead port must exit nonzero with a clear
-    // error, not hang.
+    // error, not hang: it gets 10 s of wall time before it is killed.
     let exe = env!("CARGO_BIN_EXE_nestwx");
-    let out = Command::new(exe)
+    let started = Instant::now();
+    let mut child = Command::new(exe)
         .args(["fleet-worker", "--connect", "127.0.0.1:1"])
         .env("NESTWX_FLEET_CONNECT_TIMEOUT_MS", "500")
-        .output()
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
         .unwrap();
-    assert!(!out.status.success());
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if started.elapsed() > Duration::from_secs(10) {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("orphaned fleet-worker still running after 10 s");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert!(!status.success());
+    let out = child.wait_with_output().unwrap();
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("cannot reach coordinator"), "{err}");
 }

@@ -27,7 +27,8 @@ use nestwx_obs::{clock, LogHistogram};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-/// Fleet sizing and deadline knobs, all overridable from the environment.
+/// Fleet sizing and deadline knobs. Every field but `threads` (fixed at 1
+/// by [`FleetConfig::from_env`]) is overridable from the environment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
     /// Worker processes (`NESTWX_FLEET_WORKERS`, default 2).
@@ -159,7 +160,8 @@ impl SocketHost {
         Ok(progressed)
     }
 
-    /// Pumps all connections until `check` finds what the caller waits for.
+    /// Pumps all connections until `check` finds what the caller waits for,
+    /// blocking on `blamed_slot`'s socket whenever a round made no progress.
     fn wait_until<T>(
         &mut self,
         blamed_slot: usize,
@@ -198,7 +200,15 @@ impl SocketHost {
                 )));
             }
             if !progressed {
-                std::thread::sleep(Duration::from_micros(200));
+                // Block on the connection the answer must come from; any
+                // other slot's frames wait in the kernel until the next
+                // pump. Queued output anywhere bounds the block to a slice.
+                let idle = !self.conns.iter().any(FrameConn::has_pending_output);
+                self.conns[blamed_slot]
+                    .wait_readable(deadline, idle)
+                    .inspect_err(|_| {
+                        self.last_error_slot = Some(blamed_slot);
+                    })?;
             }
         }
     }

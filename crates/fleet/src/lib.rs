@@ -10,8 +10,8 @@
 //! ([`frame`]). Because every f64 crosses as its exact bit pattern and
 //! feedbacks apply in sibling order, a fleet run of any size produces a
 //! [`SimReport`](nestwx_miniwrf::SimReport) byte-identical to the
-//! in-process run — the invariant CI's `fleet-smoke` job and the
-//! determinism tests enforce.
+//! in-process run — the invariant the determinism tests and the CLI's
+//! real-process tests (`crates/cli/tests/fleet_cli.rs`) enforce.
 //!
 //! Layering: the coupled-loop halves ([`nestwx_miniwrf::drive_parent`] /
 //! [`nestwx_miniwrf::drive_nests`]) live in miniwrf behind transport

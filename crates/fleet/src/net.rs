@@ -11,9 +11,16 @@
 //! newline-JSON, so the machinery is reimplemented here rather than
 //! imported — `nestwx-serve` depends on this crate, not the reverse.
 //!
-//! Waiting is a poll loop ([`FrameConn::wait_frame`]): pump every readable
-//! byte, sleep briefly when nothing progressed, give up at the deadline.
-//! All deadline checks go through the `nestwx_obs::clock` shim.
+//! Waiting blocks in the kernel (`FrameConn::wait_readable`): a waiter
+//! first pumps without blocking, and only when that made no progress does
+//! it switch the socket to blocking for one read bounded by
+//! `set_read_timeout` — so a frame, an EOF or an error wakes it at once,
+//! and the deadline bounds it otherwise. Writes never block: large
+//! `Feedback` and `Boundary` frames cross in opposite directions, and two
+//! peers each blocked writing to the other would deadlock. A waiter whose
+//! outbox still holds bytes therefore blocks only for a short slice and
+//! pumps again. All deadline checks go through the `nestwx_obs::clock`
+//! shim.
 
 use crate::frame::{decode_frame, encode_frame, max_frame_bytes, Tag};
 use nestwx_miniwrf::TransportError;
@@ -25,10 +32,14 @@ use std::time::{Duration, Instant};
 /// Compact the outbox once this many sent bytes accumulate at its front.
 const COMPACT_THRESHOLD: usize = 64 * 1024;
 
-/// Sleep between poll rounds when a pump made no progress. Short enough
-/// that halo latency stays dominated by the solver, long enough not to
-/// spin a core while the peer computes.
-const POLL_SLEEP: Duration = Duration::from_micros(200);
+/// Longest kernel wait while queued output is still unsent: reads are the
+/// only readiness std can block on, so a writer re-pumps this often.
+const WRITE_SLICE: Duration = Duration::from_micros(100);
+
+/// First and largest pause between nonblocking accepts; the pause doubles
+/// from one to the other while no worker is connecting.
+const ACCEPT_BACKOFF_MIN: Duration = Duration::from_micros(20);
+const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(2);
 
 /// One nonblocking framed connection with transfer counters.
 #[derive(Debug)]
@@ -123,6 +134,11 @@ impl FrameConn {
         self.eof
     }
 
+    /// Whether queued output is still waiting to be written.
+    pub(crate) fn has_pending_output(&self) -> bool {
+        self.sent < self.outbuf.len()
+    }
+
     /// Reads every currently-available byte into the input buffer.
     /// Returns `true` when new bytes arrived. EOF is recorded, not raised:
     /// a peer may legitimately close right after its final frame, and that
@@ -184,7 +200,69 @@ impl FrameConn {
         Ok(wrote || read)
     }
 
-    /// Pumps until a complete frame arrives or `deadline` passes.
+    /// Blocks in the kernel until this connection has input, the peer
+    /// closes or errors, or the wait should resume: at `deadline` when
+    /// `outbox_idle` (nothing the caller owns is waiting to be written),
+    /// after a short slice otherwise. Whatever one read returns is
+    /// buffered; the caller pumps and decodes as usual.
+    pub(crate) fn wait_readable(
+        &mut self,
+        deadline: Instant,
+        outbox_idle: bool,
+    ) -> Result<(), TransportError> {
+        let until = if outbox_idle {
+            deadline
+        } else {
+            deadline.min(clock::deadline_after(WRITE_SLICE))
+        };
+        // Zero remaining means expired, and a zero read timeout is an
+        // error in std: the wait is simply over.
+        let timeout = clock::remaining(until);
+        if timeout.is_zero() {
+            return Ok(());
+        }
+        if self.eof {
+            // A closed read side returns at once and cannot be blocked on;
+            // only a flush still waits here, for the slice.
+            std::thread::sleep(timeout.min(WRITE_SLICE));
+            return Ok(());
+        }
+        let mut chunk = [0u8; 16 * 1024];
+        let got = self
+            .set_blocking(Some(timeout))
+            .map(|()| self.stream.read(&mut chunk));
+        self.set_blocking(None)?;
+        match got? {
+            Ok(0) => self.eof = true,
+            Ok(n) => {
+                self.inbuf.extend_from_slice(&chunk[..n]);
+                self.bytes_in += n as u64;
+            }
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) => {}
+            Err(e) => return Err(TransportError::Closed(format!("{}: read: {e}", self.peer))),
+        }
+        Ok(())
+    }
+
+    /// Switches the stream to blocking reads bounded by `timeout`, or back
+    /// to nonblocking with `None`.
+    fn set_blocking(&mut self, timeout: Option<Duration>) -> Result<(), TransportError> {
+        let set = match timeout {
+            Some(t) => self
+                .stream
+                .set_read_timeout(Some(t))
+                .and_then(|()| self.stream.set_nonblocking(false)),
+            None => self.stream.set_nonblocking(true),
+        };
+        set.map_err(|e| TransportError::Closed(format!("{}: set_nonblocking: {e}", self.peer)))
+    }
+
+    /// Pumps until a complete frame arrives or `deadline` passes, blocking
+    /// in the kernel whenever a pump made no progress.
     pub fn wait_frame(&mut self, deadline: Instant) -> Result<(Tag, Vec<u8>), TransportError> {
         loop {
             if let Some(frame) = self.next_frame()? {
@@ -207,13 +285,15 @@ impl FrameConn {
                 )));
             }
             if !progressed {
-                std::thread::sleep(POLL_SLEEP);
+                let idle = !self.has_pending_output();
+                self.wait_readable(deadline, idle)?;
             }
         }
     }
 
     /// Pumps until the outbox is empty or `deadline` passes — used to push
-    /// out `Done`/`Abort` before closing.
+    /// out `Done`/`Abort` before closing. Input that arrives meanwhile is
+    /// buffered, not lost.
     pub fn flush_fully(&mut self, deadline: Instant) -> Result<(), TransportError> {
         loop {
             if self.flush()? {
@@ -225,7 +305,7 @@ impl FrameConn {
                     self.peer
                 )));
             }
-            std::thread::sleep(POLL_SLEEP);
+            self.wait_readable(deadline, false)?;
         }
     }
 }
@@ -251,9 +331,13 @@ pub fn accept_n(
     deadline: Instant,
 ) -> Result<Vec<FrameConn>, TransportError> {
     let mut conns = Vec::with_capacity(n);
+    let mut backoff = ACCEPT_BACKOFF_MIN;
     while conns.len() < n {
         match listener.accept() {
-            Ok((stream, _)) => conns.push(FrameConn::new(stream)?),
+            Ok((stream, _)) => {
+                conns.push(FrameConn::new(stream)?);
+                backoff = ACCEPT_BACKOFF_MIN;
+            }
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
                 if clock::expired(deadline) {
                     return Err(TransportError::Timeout(format!(
@@ -261,7 +345,8 @@ pub fn accept_n(
                         conns.len()
                     )));
                 }
-                std::thread::sleep(Duration::from_millis(2));
+                std::thread::sleep(backoff.min(clock::remaining(deadline)));
+                backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
             }
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(e) => return Err(TransportError::Closed(format!("accept: {e}"))),
@@ -288,5 +373,83 @@ pub fn connect(addr: &str, deadline: Instant) -> Result<FrameConn, TransportErro
                 std::thread::sleep(Duration::from_millis(20));
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A connected loopback pair: (connecting side, accepted side).
+    fn pair() -> (FrameConn, FrameConn) {
+        let (listener, addr) = bind_listener("127.0.0.1:0").expect("bind");
+        let near = connect(&addr, clock::deadline_after(Duration::from_secs(5))).expect("connect");
+        let mut far =
+            accept_n(&listener, 1, clock::deadline_after(Duration::from_secs(5))).expect("accept");
+        (near, far.remove(0))
+    }
+
+    #[test]
+    fn large_frames_crossing_both_ways_do_not_deadlock() {
+        // Each frame is far larger than what loopback socket buffers take
+        // in while nobody reads (yet under the 16 MiB cap), so neither
+        // side's flush completes until the other reads: blocking writes
+        // on both ends would wedge here.
+        let big = |seed: u8| -> Vec<u8> { (0..12 << 20).map(|i| (i as u8) ^ seed).collect() };
+        let (a, b) = pair();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        for (mut conn, mine, theirs) in [(a, big(1), big(2)), (b, big(2), big(1))] {
+            let done_tx = done_tx.clone();
+            std::thread::spawn(move || {
+                conn.queue(Tag::Feedback, &mine);
+                let deadline = clock::deadline_after(Duration::from_secs(20));
+                let got = conn.wait_frame(deadline).map(|(tag, payload)| {
+                    (tag, payload == theirs, conn.flush_fully(deadline).is_ok())
+                });
+                let _ = done_tx.send(got);
+            });
+        }
+        for _ in 0..2 {
+            let got = done_rx
+                .recv_timeout(Duration::from_secs(30))
+                .expect("both sides finish: no write deadlock");
+            assert_eq!(got.expect("frame arrives"), (Tag::Feedback, true, true));
+        }
+    }
+
+    #[test]
+    fn silent_peer_times_out_at_the_deadline() {
+        let (mut near, _far) = pair();
+        let wait = Duration::from_millis(200);
+        let start = clock::now();
+        let err = near
+            .wait_frame(clock::deadline_after(wait))
+            .expect_err("nothing was sent");
+        let took = clock::since(start);
+        assert!(matches!(err, TransportError::Timeout(_)), "{err}");
+        assert!(took >= wait, "gave up early, after {took:?}");
+        assert!(
+            took <= wait + Duration::from_millis(100),
+            "overslept the deadline: {took:?}"
+        );
+    }
+
+    #[test]
+    fn final_frame_before_close_still_decodes() {
+        let (mut near, mut far) = pair();
+        far.queue(Tag::Done, b"last words");
+        far.flush_fully(clock::deadline_after(Duration::from_secs(5)))
+            .expect("flush");
+        drop(far);
+        let deadline = clock::deadline_after(Duration::from_secs(5));
+        let (tag, payload) = near.wait_frame(deadline).expect("final frame");
+        assert_eq!((tag, payload.as_slice()), (Tag::Done, &b"last words"[..]));
+        let start = clock::now();
+        let err = near.wait_frame(deadline).expect_err("peer is gone");
+        assert!(matches!(err, TransportError::Closed(_)), "{err}");
+        assert!(
+            clock::since(start) < Duration::from_secs(1),
+            "EOF must wake the wait, not the deadline"
+        );
     }
 }

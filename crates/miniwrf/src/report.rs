@@ -8,7 +8,8 @@
 //! here reads a clock, so a report assembled by a distributed fleet run
 //! must be byte-identical to one computed from an in-process run of the
 //! same scenario: that equality is the fleet's core correctness invariant
-//! and is asserted by integration tests and the CI `fleet-smoke` job.
+//! and is asserted by integration tests, among them the real-process
+//! fleet runs in `crates/cli/tests/fleet_cli.rs`.
 //! Wall-clock timings live in [`crate::runtime::PhaseTimings`] and the obs
 //! envelopes instead, deliberately outside this contract.
 
@@ -114,7 +115,8 @@ pub struct SimReport {
     /// Per-nest slices in sibling order.
     pub nests: Vec<NestReport>,
     /// Combined digest over the parent and every nest/child digest, so one
-    /// hex string witnesses the whole state (what `fleet-smoke` greps).
+    /// hex string witnesses the whole state (what `fleet_cli.rs` compares
+    /// across fleet sizes).
     pub digest: String,
 }
 

@@ -1,4 +1,4 @@
-//! The sharded LRU plan cache, and the one [`Lru`] table it and the rate
+//! The sharded LRU plan cache, and the one `Lru` table it and the rate
 //! limiter's client table evict with.
 //!
 //! Plan-cache keys are full canonical scenario strings
@@ -10,7 +10,7 @@
 //! is how the byte-identity guarantee is enforced structurally rather than
 //! hoped for.
 //!
-//! Each shard is an independently locked [`Lru`]; eviction scans the full
+//! Each shard is an independently locked `Lru`; eviction scans the full
 //! shard for the oldest stamp. With the default shard sizes (≤ a few
 //! hundred entries) the scan is cheaper than maintaining an intrusive
 //! list, and it only runs when a shard is full.

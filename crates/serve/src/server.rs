@@ -10,7 +10,7 @@
 //!   enforcing per-client rate limits and per-request deadlines, and
 //!   flushing in-order responses — without ever blocking on one peer;
 //! - a fixed pool of **worker** threads pops jobs from the bounded queue
-//!   — one [`Job`] per queued request, whatever the endpoint. Each job
+//!   — one `Job` per queued request, whatever the endpoint. Each job
 //!   carries a [`CancelToken`]; the worker must *claim* it before
 //!   computing, so a job already answered by the deadline sweep is
 //!   skipped, never double-executed.

@@ -13,7 +13,7 @@
 //! `serde_json`; every string in a list is a token of the shared
 //! scenario vocabulary ([`nestwx_core::vocab`]: `286x307@24` parents,
 //! `150x150r3@10,12` nests), on top of which this module keeps one rule
-//! of its own: swept domains are at least [`MIN_DIM`] points a side.
+//! of its own: swept domains are at least `MIN_DIM` points a side.
 
 use nestwx_core::strategy::{AllocPolicy, MappingKind, Strategy};
 use nestwx_core::vocab::{self, VocabError};
