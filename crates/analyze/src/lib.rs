@@ -36,15 +36,13 @@ pub mod lexer;
 pub mod reach;
 pub mod resolve;
 pub mod rules;
-pub mod sarif;
 
 pub use allowlist::AllowEntry;
 pub use resolve::GraphStats;
-pub use rules::{rule_desc, ChainStep, Finding, GRAPH_RULE_IDS, RULE_IDS};
-pub use sarif::to_sarif;
+pub use rules::{rule_desc, ChainStep, Finding, RULE_IDS};
 
 use serde::Serialize;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// Where each rule family applies. Paths are relative to [`LintConfig::root`],
@@ -525,75 +523,6 @@ pub fn run_lint_ex(
         graph: graph_summary,
         graph_errors,
     })
-}
-
-/// Serializes findings into the committed-baseline format: a sorted list
-/// of (rule, file, line, col) keys, byte-stable across runs.
-pub fn write_baseline(findings: &[Finding]) -> String {
-    use serde_json::Value;
-    let mut keys: Vec<&Finding> = findings.iter().collect();
-    keys.sort_by(|a, b| {
-        (a.rule, a.file.as_str(), a.line, a.col).cmp(&(b.rule, b.file.as_str(), b.line, b.col))
-    });
-    let items: Vec<Value> = keys
-        .iter()
-        .map(|f| {
-            Value::Object(vec![
-                ("rule".to_string(), Value::String(f.rule.to_string())),
-                ("file".to_string(), Value::String(f.file.clone())),
-                ("line".to_string(), Value::Number(f.line as f64)),
-                ("col".to_string(), Value::Number(f.col as f64)),
-            ])
-        })
-        .collect();
-    let root = Value::Object(vec![("findings".to_string(), Value::Array(items))]);
-    let mut out = serde_json::to_string_pretty(&root).unwrap_or_else(|_| "{}".to_string());
-    out.push('\n');
-    out
-}
-
-/// Parses a committed baseline into suppression keys.
-pub fn parse_baseline(text: &str) -> Result<BTreeSet<(String, String, u32, u32)>, String> {
-    let v = serde_json::from_str(text).map_err(|e| format!("baseline: {e}"))?;
-    let Some(items) = v.get("findings").and_then(|f| f.as_array()) else {
-        return Err("baseline: missing `findings` array".to_string());
-    };
-    let mut keys = BTreeSet::new();
-    for (i, item) in items.iter().enumerate() {
-        let rule = item.get("rule").and_then(|x| x.as_str());
-        let file = item.get("file").and_then(|x| x.as_str());
-        let line = item.get("line").and_then(|x| x.as_u64());
-        let col = item.get("col").and_then(|x| x.as_u64());
-        match (rule, file, line, col) {
-            (Some(r), Some(f), Some(l), Some(c)) => {
-                keys.insert((r.to_string(), f.to_string(), l as u32, c as u32));
-            }
-            _ => return Err(format!("baseline: entry {i} missing rule/file/line/col")),
-        }
-    }
-    Ok(keys)
-}
-
-/// Moves findings present in the baseline out of the failing set (into
-/// `suppressed`), so only *new* findings fail the run. Returns how many
-/// were baseline-suppressed.
-pub fn apply_baseline(
-    report: &mut LintReport,
-    keys: &BTreeSet<(String, String, u32, u32)>,
-) -> usize {
-    let findings = std::mem::take(&mut report.findings);
-    let mut kept = Vec::new();
-    let mut n = 0;
-    for f in findings {
-        if keys.contains(&(f.rule.to_string(), f.file.clone(), f.line, f.col)) {
-            n += 1;
-            report.suppressed.push(f);
-        } else {
-            kept.push(f);
-        }
-    }
-    report.findings = kept;
-    n
 }
 
 /// Convenience: [`run_lint`] reading the allowlist from `allow_path` when

@@ -87,11 +87,7 @@ pub const RULE_IDS: [&str; 13] = [
     "NW-S003", "NW-S004", "NW-S005", "NW-S006", "NW-S007",
 ];
 
-/// The interprocedural (workspace call-graph) rule ids, in catalog order.
-pub const GRAPH_RULE_IDS: [&str; 3] = ["NW-G001", "NW-G002", "NW-G003"];
-
-/// One-line description of each rule, embedded in `--json` records and
-/// SARIF rule metadata.
+/// One-line description of each rule, embedded in `--json` records.
 pub fn rule_desc(rule: &str) -> &'static str {
     match rule {
         "NW-D001" => "unordered collection in a determinism-critical path",

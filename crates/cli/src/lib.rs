@@ -69,13 +69,6 @@ pub struct LintArgs {
     pub fixtures: bool,
     /// Also run the workspace call-graph pass (NW-G001..G003).
     pub graph: bool,
-    /// Write the report as a SARIF 2.1.0 log to this file.
-    pub sarif: Option<String>,
-    /// Suppress findings recorded in this baseline file; only new
-    /// findings (and allowlist/graph errors) fail the run.
-    pub baseline: Option<String>,
-    /// Write the current findings as a baseline file and exit 0.
-    pub write_baseline: Option<String>,
 }
 
 /// Arguments of `nestwx sweep`. Flags override the `NESTWX_SWEEP_*`
@@ -89,8 +82,8 @@ pub struct SweepArgs {
     pub cache_dir: Option<String>,
     /// Override of the spec's simulated iterations (`--iterations`).
     pub iterations: Option<u32>,
-    /// Worker threads (`--jobs`, else `NESTWX_SWEEP_JOBS`, else
-    /// `NESTWX_JOBS` / available parallelism).
+    /// Worker threads (`--jobs`, else `NESTWX_JOBS` / available
+    /// parallelism).
     pub jobs: Option<usize>,
     /// Also write the summary envelope JSON to this file (`--out`).
     pub out: Option<String>,
@@ -109,13 +102,10 @@ impl SweepArgs {
             .clone()
             .or_else(|| env_nonempty("NESTWX_SWEEP_CACHE_DIR"))
             .map(std::path::PathBuf::from);
-        let jobs = self
-            .jobs
-            .or_else(|| env_nonempty("NESTWX_SWEEP_JOBS").and_then(|v| v.parse().ok()));
         nestwx_sweep::SweepOptions {
             cache_dir,
             iterations: self.iterations,
-            jobs,
+            jobs: self.jobs,
         }
     }
 }
@@ -500,7 +490,7 @@ fn parse_sweep_args(args: &[String]) -> Result<SweepArgs, ParseError> {
 }
 
 /// Parses `lint [--root DIR] [--allow FILE] [--json] [--fixtures]
-/// [--graph] [--sarif FILE] [--baseline FILE] [--write-baseline FILE]`.
+/// [--graph]`.
 fn parse_lint_args(args: &[String]) -> Result<LintArgs, ParseError> {
     let mut lint = LintArgs::default();
     let mut it = args.iter();
@@ -516,16 +506,8 @@ fn parse_lint_args(args: &[String]) -> Result<LintArgs, ParseError> {
             "--json" => lint.json = true,
             "--fixtures" => lint.fixtures = true,
             "--graph" => lint.graph = true,
-            "--sarif" => lint.sarif = Some(value("--sarif")?),
-            "--baseline" => lint.baseline = Some(value("--baseline")?),
-            "--write-baseline" => lint.write_baseline = Some(value("--write-baseline")?),
             other => return Err(err(format!("unknown lint flag '{other}'"))),
         }
-    }
-    if lint.baseline.is_some() && lint.write_baseline.is_some() {
-        return Err(err(
-            "--baseline and --write-baseline are mutually exclusive",
-        ));
     }
     Ok(lint)
 }
@@ -947,35 +929,12 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), Box<dyn std
                 Some(p) => std::path::PathBuf::from(p),
                 None => root.join("lint.allow"),
             };
-            let mut report =
+            let report =
                 nestwx_analyze::run_lint_with_allow_file_ex(&cfg, graph_cfg.as_ref(), &allow_path)?;
-            if let Some(path) = &a.write_baseline {
-                std::fs::write(path, nestwx_analyze::write_baseline(&report.findings))?;
-                writeln!(
-                    out,
-                    "wrote baseline with {} finding(s) to {path}",
-                    report.findings.len()
-                )?;
-                return Ok(());
-            }
-            let mut baselined = 0usize;
-            if let Some(path) = &a.baseline {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| format!("cannot read baseline {path}: {e}"))?;
-                let keys = nestwx_analyze::parse_baseline(&text)
-                    .map_err(|e| format!("bad baseline {path}: {e}"))?;
-                baselined = nestwx_analyze::apply_baseline(&mut report, &keys);
-            }
-            if let Some(path) = &a.sarif {
-                std::fs::write(path, nestwx_analyze::to_sarif(&report))?;
-            }
             if a.json {
                 writeln!(out, "{}", serde_json::to_string_pretty(&report)?)?;
             } else {
                 write!(out, "{}", report.render())?;
-                if baselined > 0 {
-                    writeln!(out, "baseline: {baselined} finding(s) suppressed")?;
-                }
             }
             if !report.ok() {
                 return Err(format!(
@@ -1089,7 +1048,6 @@ USAGE:
                  [--burst N] [--client-cap N] [--predictors N] [--idle-ms MS]
                  [--lifetime-ms MS] [--cache-dir DIR]
   nestwx lint    [--root DIR] [--allow FILE] [--json] [--fixtures] [--graph]
-                 [--sarif FILE] [--baseline FILE] [--write-baseline FILE]
 
 FLAGS:
   --machine FAMILY:CORES   {machines} (power of two)
@@ -1117,9 +1075,9 @@ SWEEP:
   NESTWX_SWEEP_CACHE_DIR) results persist to a disk cache shared with
   'nestwx serve --cache-dir' — a warm sweep pre-heats the service, and
   re-running a sweep replays from disk. --jobs falls back to
-  NESTWX_SWEEP_JOBS, then NESTWX_JOBS. Output: Pareto front (ranks vs
-  s/iter), winner-per-region table, and a versioned summary envelope
-  ('nestwx obs report' understands it; --out writes it to a file).
+  NESTWX_JOBS. Output: Pareto front (ranks vs s/iter), winner-per-region
+  table, and a versioned summary envelope ('nestwx obs report'
+  understands it; --out writes it to a file).
 
 FLEET:
   Runs the scenario as a real multi-process fleet: the coordinator plans
@@ -1552,57 +1510,82 @@ mod tests {
 
     #[test]
     fn run_sweep_end_to_end_with_cache_and_obs_report() {
+        use nestwx_serve::keys::{versioned_key, KeyKind, PLAN_FORMAT_VERSION};
+        // The committed example spec: 96 combinations that dedup to 64
+        // unique scenarios. A cold pass computes every one and persists
+        // its plan and sweep entries; a warm pass under another job count
+        // answers every one from disk with the same plan set.
+        let spec_path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../examples/sweep_smoke.json"
+        );
         let dir = nestwx_core::TempDir::new("cli-sweep").unwrap();
-        let spec_path = dir.path().join("space.json");
-        let out_path = dir.path().join("summary.json");
         let cache_dir = dir.path().join("cache");
-        std::fs::write(
-            &spec_path,
-            r#"{
-                "machines": ["bgl:64"],
-                "parents": ["286x307@24"],
-                "nest_sets": [["150x150r3@10,12"]],
-                "allocs": ["equal", "huffman"],
-                "mappings": ["partition", "txyz"],
-                "iterations": 1
-            }"#,
-        )
-        .unwrap();
-        let args = SweepArgs {
-            spec: spec_path.to_str().unwrap().into(),
-            cache_dir: Some(cache_dir.to_str().unwrap().into()),
-            iterations: None,
-            jobs: Some(2),
-            out: Some(out_path.to_str().unwrap().into()),
-            json: false,
+        let sweep = |jobs: usize, out: &str| {
+            let out_path = dir.path().join(out).to_str().unwrap().to_string();
+            let args = SweepArgs {
+                spec: spec_path.into(),
+                cache_dir: Some(cache_dir.to_str().unwrap().into()),
+                iterations: None,
+                jobs: Some(jobs),
+                out: Some(out_path.clone()),
+                json: false,
+            };
+            let mut buf = Vec::new();
+            run(Command::Sweep(args), &mut buf).unwrap();
+            let text = String::from_utf8(buf).unwrap();
+            (text, obs::load_summary(&out_path).unwrap(), out_path)
         };
-        let mut buf = Vec::new();
-        run(Command::Sweep(args.clone()), &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.contains("swept 4 scenarios"), "{text}");
+        let fields = [
+            "expanded",
+            "unique",
+            "duplicates",
+            "computed",
+            "disk_hits",
+            "errors",
+        ];
+        let counts = |v: &serde_json::Value| fields.map(|f| v[f].as_u64().unwrap());
+        let disk_fields = ["hits", "misses", "writes", "corrupt"];
+        let disk = |v: &serde_json::Value| disk_fields.map(|f| v["disk"][f].as_u64().unwrap());
+
+        let (text, cold, _) = sweep(2, "cold.json");
         assert!(text.contains("pareto front"), "{text}");
         assert!(text.contains("winner per region"), "{text}");
+        assert_eq!(counts(&cold), [96, 64, 32, 64, 0, 0]);
+        assert_eq!(disk(&cold), [0, 64, 128, 0]);
 
-        // The --out envelope loads through `nestwx obs report`.
-        let v = obs::load_summary(out_path.to_str().unwrap()).unwrap();
-        assert_eq!(v["schema"].as_str(), Some(nestwx_obs::SWEEP_SCHEMA));
+        // Format-version guard: every entry the cold pass wrote is found
+        // under the current version and missed cleanly (no corruption)
+        // under the next one, for both key kinds the sweep persists.
+        let text = std::fs::read_to_string(spec_path).unwrap();
+        let spec = nestwx_sweep::SweepSpec::parse(&text).unwrap();
+        let store = nestwx_serve::disk::DiskCache::open(&cache_dir).unwrap();
+        for scenario in &spec.expand().scenarios {
+            for kind in [KeyKind::Plan, KeyKind::Sweep(spec.iterations)] {
+                let current = versioned_key(PLAN_FORMAT_VERSION, scenario, kind);
+                let bumped = versioned_key(PLAN_FORMAT_VERSION + 1, scenario, kind);
+                assert!(store.get(&current).is_some(), "{kind:?} entry missing");
+                assert!(
+                    store.get(&bumped).is_none(),
+                    "{kind:?} entry survived a bump"
+                );
+            }
+        }
+        let stats = store.stats();
+        assert_eq!((stats.hits, stats.misses, stats.corrupt), (128, 128, 0));
+
+        let (_, warm, warm_path) = sweep(7, "warm.json");
+        assert_eq!(counts(&warm), [96, 64, 32, 0, 64, 0]);
+        assert_eq!(disk(&warm), [64, 0, 0, 0]);
+        assert_eq!(warm["plans_digest"], cold["plans_digest"]);
+
+        // The --out envelope renders through `nestwx obs report`.
+        assert_eq!(warm["schema"].as_str(), Some(nestwx_obs::SWEEP_SCHEMA));
         let mut buf = Vec::new();
-        run(
-            Command::Obs(ObsCmd::Report {
-                path: out_path.to_str().unwrap().into(),
-            }),
-            &mut buf,
-        )
-        .unwrap();
+        run(Command::Obs(ObsCmd::Report { path: warm_path }), &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("sweep summary"), "{text}");
         assert!(text.contains("winner per region"), "{text}");
-
-        // Second run replays entirely from the disk cache.
-        let mut buf = Vec::new();
-        run(Command::Sweep(args), &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.contains("computed 0  disk hits 4"), "{text}");
     }
 
     #[test]
@@ -1705,39 +1688,13 @@ mod tests {
             })
         );
         assert_eq!(
-            parse_args(&argv(&[
-                "lint",
-                "--graph",
-                "--sarif",
-                "out.sarif",
-                "--baseline",
-                "base.json"
-            ]))
-            .unwrap(),
+            parse_args(&argv(&["lint", "--graph"])).unwrap(),
             Command::Lint(LintArgs {
                 graph: true,
-                sarif: Some("out.sarif".into()),
-                baseline: Some("base.json".into()),
-                ..LintArgs::default()
-            })
-        );
-        assert_eq!(
-            parse_args(&argv(&["lint", "--write-baseline", "base.json"])).unwrap(),
-            Command::Lint(LintArgs {
-                write_baseline: Some("base.json".into()),
                 ..LintArgs::default()
             })
         );
         assert!(parse_args(&argv(&["lint", "--root"])).is_err());
-        assert!(parse_args(&argv(&["lint", "--sarif"])).is_err());
-        assert!(parse_args(&argv(&[
-            "lint",
-            "--baseline",
-            "a.json",
-            "--write-baseline",
-            "b.json"
-        ]))
-        .is_err());
         assert!(parse_args(&argv(&["lint", "--bogus"])).is_err());
     }
 
@@ -1921,6 +1878,23 @@ mod tests {
         .unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("metrics differ"));
+        // The simulator is deterministic, so the default run's summary
+        // matches the committed baseline recorded from this same command.
+        let mut buf = Vec::new();
+        run(
+            Command::Obs(ObsCmd::Diff {
+                a: concat!(
+                    env!("CARGO_MANIFEST_DIR"),
+                    "/../../results/obs_baseline.json"
+                )
+                .into(),
+                b: default_path.clone(),
+            }),
+            &mut buf,
+        )
+        .unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        assert!(text.contains("\n  0 metrics differ"), "{text}");
         // top via `run` as well.
         let mut buf = Vec::new();
         run(

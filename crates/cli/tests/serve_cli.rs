@@ -10,7 +10,7 @@ use nestwx_core::{AllocPolicy, MappingKind, Strategy};
 use nestwx_grid::{Domain, NestSpec};
 use nestwx_serve::{Client, PredictParams, Request, RequestBody, ScenarioParams};
 use std::io::{BufRead, BufReader, Read};
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, ChildStdout, Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
 
 /// Kills the server if the test unwinds before it has exited, so a red
@@ -22,6 +22,59 @@ impl Drop for ServerProcess {
         let _ = self.0.kill();
         let _ = self.0.wait();
     }
+}
+
+/// Starts `nestwx serve` on an ephemeral port with `env` added to its
+/// environment; returns the process, its stdout past the `listening on`
+/// line, and the bound address.
+fn start_server(env: &[(&str, &str)]) -> (ServerProcess, BufReader<ChildStdout>, String) {
+    let child = Command::new(env!("CARGO_BIN_EXE_nestwx"))
+        .args(["serve", "--addr", "127.0.0.1:0"])
+        .envs(env.iter().copied())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn nestwx serve");
+    let mut server = ServerProcess(child);
+    let mut stdout = BufReader::new(server.0.stdout.take().expect("piped stdout"));
+    let mut first = String::new();
+    stdout.read_line(&mut first).expect("read listening line");
+    let addr = first
+        .trim()
+        .strip_prefix("listening on ")
+        .unwrap_or_else(|| panic!("no listening line, got {first:?}"))
+        .to_string();
+    (server, stdout, addr)
+}
+
+/// Sends `shutdown`, waits (bounded) for the process to drain and exit on
+/// its own, and returns its exit status, remaining stdout and stderr.
+fn shut_down(
+    server: &mut ServerProcess,
+    mut stdout: BufReader<ChildStdout>,
+    client: &mut Client,
+) -> (ExitStatus, String, String) {
+    let bye = client
+        .call(&Request::new(Some("bye".into()), RequestBody::Shutdown))
+        .expect("shutdown");
+    assert!(bye.ok(), "shutdown rejected: {}", bye.raw);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = server.0.try_wait().expect("try_wait") {
+            break status;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "server still running 30 s after shutdown"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let mut log = String::new();
+    stdout.read_to_string(&mut log).expect("read drain report");
+    let mut stderr = String::new();
+    let mut pipe = server.0.stderr.take().expect("piped stderr");
+    pipe.read_to_string(&mut stderr).expect("read stderr");
+    (status, log, stderr)
 }
 
 /// `n` distinct two-nest scenarios on one 64-rank BG/L slice: one machine
@@ -45,22 +98,7 @@ fn working_set(n: u32) -> Vec<ScenarioParams> {
 
 #[test]
 fn serve_process_answers_a_mixed_session_then_drains_and_exits_zero() {
-    let child = Command::new(env!("CARGO_BIN_EXE_nestwx"))
-        .args(["serve", "--addr", "127.0.0.1:0"])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn nestwx serve");
-    let mut server = ServerProcess(child);
-    let mut stdout = BufReader::new(server.0.stdout.take().expect("piped stdout"));
-    let mut first = String::new();
-    stdout.read_line(&mut first).expect("read listening line");
-    let addr = first
-        .trim()
-        .strip_prefix("listening on ")
-        .unwrap_or_else(|| panic!("no listening line, got {first:?}"))
-        .to_string();
-
+    let (mut server, stdout, addr) = start_server(&[]);
     let mut client = Client::connect(&addr).expect("connect");
 
     // Two passes over the working set: the second is answered from the
@@ -147,32 +185,37 @@ fn serve_process_answers_a_mixed_session_then_drains_and_exits_zero() {
     assert_eq!(predict["requests"].as_u64(), Some(32), "{predict:?}");
     assert_eq!(predict["errors"].as_u64(), Some(0), "{predict:?}");
 
-    let bye = client
-        .call(&Request::new(Some("bye".into()), RequestBody::Shutdown))
-        .expect("shutdown");
-    assert!(bye.ok(), "shutdown rejected: {}", bye.raw);
-
-    // The process must drain and exit on its own, within a bounded wait.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let status = loop {
-        if let Some(status) = server.0.try_wait().expect("try_wait") {
-            break status;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "server still running 30 s after shutdown"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    };
-    let mut log = String::new();
-    stdout.read_to_string(&mut log).expect("read drain report");
-    let mut stderr = String::new();
-    let mut pipe = server.0.stderr.take().expect("piped stderr");
-    pipe.read_to_string(&mut stderr).expect("read stderr");
+    let (status, log, stderr) = shut_down(&mut server, stdout, &mut client);
     assert!(
         status.success(),
         "serve exited {status}\nstdout: {log}\nstderr: {stderr}"
     );
     assert!(log.contains("\"queue_residual\":0"), "{log}");
     assert!(log.contains("\"live_conns\":0"), "{log}");
+}
+
+#[test]
+fn zero_valued_serve_knobs_are_accepted_and_trace_zero_stops_recording() {
+    // 0 is the documented "off" value of each of these knobs.
+    let (mut server, stdout, addr) = start_server(&[
+        ("NESTWX_SERVE_TRACE", "0"),
+        ("NESTWX_SERVE_TRACE_SLOW_US", "0"),
+        ("NESTWX_SERVE_RATE", "0"),
+        ("NESTWX_SERVE_DEADLINE_MS", "0"),
+        ("NESTWX_SERVE_IDLE_MS", "0"),
+        ("NESTWX_SERVE_LIFETIME_MS", "0"),
+    ]);
+    let mut client = Client::connect(&addr).expect("connect");
+    let trace = client
+        .call(&Request::new(Some("trace".into()), RequestBody::Trace))
+        .expect("trace");
+    let envelope = trace.result().expect("trace result");
+    assert_eq!(
+        envelope["summary"]["recording"].as_bool(),
+        Some(false),
+        "{envelope:?}"
+    );
+    let (status, log, stderr) = shut_down(&mut server, stdout, &mut client);
+    assert!(status.success(), "serve exited {status}\nstdout: {log}");
+    assert!(!stderr.contains("ignoring invalid"), "{stderr}");
 }

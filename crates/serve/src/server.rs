@@ -116,21 +116,34 @@ impl ServeConfig {
             queue_depth: nestwx_core::env_usize("NESTWX_SERVE_QUEUE", 64),
             cache_capacity: nestwx_core::env_usize("NESTWX_SERVE_CACHE", 256),
             max_conns: nestwx_core::env_usize("NESTWX_SERVE_MAX_CONNS", 64),
-            deadline_ms: nestwx_core::env_usize("NESTWX_SERVE_DEADLINE_MS", 0) as u64,
-            rate: nestwx_core::env_usize("NESTWX_SERVE_RATE", 0) as u64,
+            deadline_ms: env_u64("NESTWX_SERVE_DEADLINE_MS", 0),
+            rate: env_u64("NESTWX_SERVE_RATE", 0),
             burst: nestwx_core::env_usize("NESTWX_SERVE_BURST", 8) as u64,
             client_cap: nestwx_core::env_usize("NESTWX_SERVE_CLIENT_CAP", 1024),
             predictors: nestwx_core::env_usize("NESTWX_SERVE_PREDICTORS", 64),
-            idle_ms: nestwx_core::env_usize("NESTWX_SERVE_IDLE_MS", 0) as u64,
-            lifetime_ms: nestwx_core::env_usize("NESTWX_SERVE_LIFETIME_MS", 0) as u64,
+            idle_ms: env_u64("NESTWX_SERVE_IDLE_MS", 0),
+            lifetime_ms: env_u64("NESTWX_SERVE_LIFETIME_MS", 0),
             cache_dir: std::env::var("NESTWX_SERVE_CACHE_DIR")
                 .ok()
                 .filter(|v| !v.is_empty())
                 .map(std::path::PathBuf::from),
-            trace: nestwx_core::env_usize("NESTWX_SERVE_TRACE", 1) != 0,
+            trace: env_u64("NESTWX_SERVE_TRACE", 1) != 0,
             trace_ring: nestwx_core::env_usize("NESTWX_SERVE_TRACE_RING", 4096),
-            trace_slow_us: nestwx_core::env_usize("NESTWX_SERVE_TRACE_SLOW_US", 0) as u64,
+            trace_slow_us: env_u64("NESTWX_SERVE_TRACE_SLOW_US", 0),
         }
+    }
+}
+
+/// Environment variable `name` as a `u64`, else `default`. Unlike
+/// [`nestwx_core::env_usize`], 0 is valid: it is the documented "off"
+/// value of the trace, slow-log, deadline, rate, idle and lifetime knobs.
+fn env_u64(name: &str, default: u64) -> u64 {
+    match std::env::var(name) {
+        Ok(v) => v.trim().parse().unwrap_or_else(|_| {
+            eprintln!("warning: ignoring invalid {name}={v:?}");
+            default
+        }),
+        Err(_) => default,
     }
 }
 
