@@ -513,7 +513,8 @@ fn parse_lint_args(args: &[String]) -> Result<LintArgs, ParseError> {
 }
 
 /// Parses the `obs` subcommand family: `report FILE`, `top FILE [--by
-/// METRIC] [-n N]`, `diff A B`.
+/// FIELD] [-n N]`, `diff A B`. Which `--by` fields exist depends on the
+/// file, so `top` checks the field when it loads it.
 fn parse_obs_args(args: &[String]) -> Result<ObsCmd, ParseError> {
     let Some(sub) = args.first() else {
         return Err(err("obs needs a subcommand (report|top|diff)"));
@@ -548,22 +549,11 @@ fn parse_obs_args(args: &[String]) -> Result<ObsCmd, ParseError> {
                     extra => return Err(err(format!("unexpected argument '{extra}'"))),
                 }
             }
-            // Step metrics for run summaries, span stages for serve trace
-            // envelopes — which applies is decided when the file loads.
-            if !obs::TOP_METRICS.contains(&by.as_str())
-                && !obs::SERVE_TOP_METRICS.contains(&by.as_str())
-            {
-                return Err(err(format!(
-                    "unknown metric '{by}' (one of {} for runs, {} for serve traces)",
-                    obs::TOP_METRICS.join("|"),
-                    obs::SERVE_TOP_METRICS.join("|")
-                )));
-            }
             if n == 0 {
                 return Err(err("-n must be ≥ 1"));
             }
             Ok(ObsCmd::Top {
-                path: path.ok_or_else(|| err("usage: obs top FILE [--by METRIC] [-n N]"))?,
+                path: path.ok_or_else(|| err("usage: obs top FILE [--by FIELD] [-n N]"))?,
                 by,
                 n,
             })
@@ -581,25 +571,6 @@ fn parse_obs_args(args: &[String]) -> Result<ObsCmd, ParseError> {
             "unknown obs subcommand '{other}' (report|top|diff)"
         ))),
     }
-}
-
-#[derive(Serialize)]
-struct PlanOut {
-    machine: String,
-    ranks: u32,
-    grid: (u32, u32),
-    predicted_ratios: Vec<f64>,
-    partitions: Vec<PartitionOut>,
-}
-
-#[derive(Serialize)]
-struct PartitionOut {
-    nest: usize,
-    x: u32,
-    y: u32,
-    w: u32,
-    h: u32,
-    ranks: u64,
 }
 
 #[derive(Serialize)]
@@ -634,25 +605,9 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), Box<dyn std
                 .planner()
                 .plan(&a.scenario.parent, &a.scenario.nests)?;
             if a.json {
-                let o = PlanOut {
-                    machine: plan.machine.name.clone(),
-                    ranks: plan.machine.ranks(),
-                    grid: (plan.grid.px, plan.grid.py),
-                    predicted_ratios: plan.predicted_ratios.clone(),
-                    partitions: plan
-                        .partitions
-                        .iter()
-                        .map(|p| PartitionOut {
-                            nest: p.domain,
-                            x: p.rect.x0,
-                            y: p.rect.y0,
-                            w: p.rect.w,
-                            h: p.rect.h,
-                            ranks: p.rect.area(),
-                        })
-                        .collect(),
-                };
-                writeln!(out, "{}", serde_json::to_string_pretty(&o)?)?;
+                // The same bytes serve's `plan` result and sweep's disk
+                // entries carry.
+                writeln!(out, "{}", nestwx_serve::render_plan(&a.scenario, &plan)?)?;
             } else {
                 writeln!(
                     out,
@@ -1040,8 +995,9 @@ USAGE:
                  [--check]
   nestwx fleet-worker --connect HOST:PORT
   nestwx obs report FILE
-  nestwx obs top  FILE [--by duration|compute|halo_wait|bytes|messages|hops|stall] [-n N]
-                       (serve traces: --by total|parse|wait|work|write)
+  nestwx obs top  FILE [--by FIELD] [-n N]
+                       (any numeric record field, e.g. halo_wait or wait_us;
+                        default duration = end - start)
   nestwx obs diff A B
   nestwx serve   [--addr 127.0.0.1:7878] [--workers N] [--queue N] [--cache N]
                  [--max-conns N] [--readers N] [--deadline-ms MS] [--rate N]
@@ -1301,6 +1257,34 @@ mod tests {
     }
 
     #[test]
+    fn plan_json_is_the_served_plan_bytes() {
+        let args = argv(&[
+            "plan",
+            "--machine",
+            "bgl:64",
+            "--parent",
+            "286x307@24",
+            "--nest",
+            "200x200r3@10,12",
+            "--nest",
+            "150x160r3@80,80",
+            "--json",
+        ]);
+        let mut buf = Vec::new();
+        run(parse_args(&args).unwrap(), &mut buf).unwrap();
+        let Command::Plan(a) = parse_args(&args).unwrap() else {
+            panic!("wrong command")
+        };
+        let plan = a
+            .scenario
+            .planner()
+            .plan(&a.scenario.parent, &a.scenario.nests)
+            .unwrap();
+        let expected = nestwx_serve::render_plan(&a.scenario, &plan).unwrap() + "\n";
+        assert_eq!(String::from_utf8(buf).unwrap(), expected);
+    }
+
+    #[test]
     fn run_compare_json_is_valid() {
         let args: Vec<String> = [
             "compare",
@@ -1372,7 +1356,10 @@ mod tests {
         );
         assert!(parse_args(&argv(&["obs"])).is_err());
         assert!(parse_args(&argv(&["obs", "report"])).is_err());
-        assert!(parse_args(&argv(&["obs", "top", "run.json", "--by", "bogus"])).is_err());
+        // `--by` names a record field of the file, so it is checked at
+        // load time (see `obs::top`), not here.
+        assert!(parse_args(&argv(&["obs", "top", "run.json", "--by", "bogus"])).is_ok());
+        assert!(parse_args(&argv(&["obs", "top", "run.json", "-n", "0"])).is_err());
         assert!(parse_args(&argv(&["obs", "diff", "a.json"])).is_err());
         // --obs-out is compare-only.
         assert!(parse_args(&argv(&[
@@ -1584,8 +1571,10 @@ mod tests {
         let mut buf = Vec::new();
         run(Command::Obs(ObsCmd::Report { path: warm_path }), &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
-        assert!(text.contains("sweep summary"), "{text}");
-        assert!(text.contains("winner per region"), "{text}");
+        assert!(text.starts_with("nestwx-obs-sweep-summary v1\n"), "{text}");
+        assert!(text.contains("  winners ("), "{text}");
+        assert!(text.contains("  pareto ("), "{text}");
+        assert!(text.contains("disk: hits=64  misses=0"), "{text}");
     }
 
     #[test]
@@ -1862,8 +1851,8 @@ mod tests {
         let mut buf = Vec::new();
         obs::report(&v, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
-        assert!(text.contains("load imbalance"));
-        assert!(text.contains("ratio"));
+        assert!(text.contains("analysis: overall_imbalance="), "{text}");
+        assert!(text.contains("time_ratio"), "{text}");
 
         // diff against the planned run goes through `run` end to end.
         let planned_path = format!("{prefix}.planned.json");
@@ -1906,6 +1895,23 @@ mod tests {
             &mut buf,
         )
         .unwrap();
-        assert!(String::from_utf8(buf).unwrap().contains("top 5 steps"));
+        let text = String::from_utf8(buf).unwrap();
+        assert!(text.contains("top 5 of"), "{text}");
+        assert!(text.contains("ring.steps records by halo_wait"), "{text}");
+        // An unknown field fails when the file loads and lists the real ones.
+        let err = run(
+            Command::Obs(ObsCmd::Top {
+                path: planned_path,
+                by: "bogus".into(),
+                n: 5,
+            }),
+            &mut Vec::new(),
+        )
+        .unwrap_err()
+        .to_string();
+        assert!(
+            err.contains("'bogus'") && err.contains("halo_wait"),
+            "{err}"
+        );
     }
 }

@@ -1,94 +1,71 @@
-//! The `nestwx obs` subcommand family: human-readable analysis of the
-//! versioned summary-JSON files the recorder writes (`report`), the most
-//! expensive recorded steps (`top`), and per-metric deltas between two
-//! runs (`diff`).
-//!
-//! All three consume the `nestwx-obs-run-summary` envelope (see DESIGN.md
-//! "Summary JSON schema"); they additionally understand the
-//! `nestwx-obs-sweep-summary` envelope `nestwx sweep` writes, the
-//! `nestwx-obs-serve-summary` envelope the serve flight recorder's
-//! `trace` endpoint returns, and the `nestwx-obs-fleet-summary` envelope
-//! `nestwx fleet` / the serve `execute` endpoint produce. An unknown
-//! schema tag, a serve-schema version mismatch, or a parse failure is an
+//! The `nestwx obs` subcommand family over the versioned envelopes listed
+//! in [`nestwx_obs::ENVELOPES`] — run, sweep, fleet and serve-trace
+//! summaries (see DESIGN.md "Summary JSON schema"): `report` renders any
+//! envelope as key=value lines and tables, `top` ranks its record array by
+//! any numeric field, and `diff` prints per-metric deltas between two
+//! files. None of them knows a schema beyond that table. An unknown schema
+//! tag, a version other than the current one, or a parse failure is an
 //! error, so CI can gate on it.
 
-use nestwx_netsim::SUMMARY_SCHEMA;
-use nestwx_obs::serve::check_serve_schema;
-use nestwx_obs::{FLEET_SCHEMA, SERVE_SCHEMA, SWEEP_SCHEMA};
+use nestwx_obs::{check_envelope, Envelope};
 use serde_json::Value;
 use std::error::Error;
-use std::fmt::Write as _;
+use std::io;
 
 /// The `obs` subcommands.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ObsCmd {
-    /// Render one run's summary as tables.
+    /// Render one envelope as lines and tables.
     Report {
-        /// Path of a summary JSON file.
+        /// Path of an envelope JSON file.
         path: String,
     },
-    /// List the most expensive recorded steps.
+    /// List the largest records of an envelope's record array.
     Top {
-        /// Path of a summary JSON file.
+        /// Path of an envelope JSON file.
         path: String,
-        /// Step metric to rank by.
+        /// Numeric record field to rank by (or `duration`).
         by: String,
         /// Rows to print.
         n: usize,
     },
-    /// Per-metric deltas between two runs.
+    /// Per-metric deltas between two envelopes.
     Diff {
-        /// Baseline summary JSON.
+        /// Baseline envelope JSON.
         a: String,
-        /// Candidate summary JSON.
+        /// Candidate envelope JSON.
         b: String,
     },
 }
 
-/// Loads a summary file and validates the envelope (schema tag + version).
+/// Loads a JSON file and checks its envelope (schema tag + exact version).
 pub fn load_summary(path: &str) -> Result<Value, Box<dyn Error>> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read '{path}': {e}"))?;
     let v: Value =
         serde_json::from_str(&text).map_err(|e| format!("'{path}' is not valid JSON: {e:?}"))?;
-    let schema = v
-        .get("schema")
-        .and_then(|s| s.as_str())
-        .ok_or_else(|| format!("'{path}' has no 'schema' tag (not a run summary?)"))?;
-    if schema == SERVE_SCHEMA {
-        // Serve envelopes carry an exact-version contract: a reader that
-        // tolerated future versions would silently misread renamed
-        // counters, so a mismatch is a hard error.
-        check_serve_schema(&v).map_err(|e| format!("'{path}': {e}"))?;
-        return Ok(v);
-    }
-    if schema != SUMMARY_SCHEMA && schema != SWEEP_SCHEMA && schema != FLEET_SCHEMA {
-        return Err(format!(
-            "'{path}' has schema '{schema}', expected '{SUMMARY_SCHEMA}', '{SWEEP_SCHEMA}', \
-             '{FLEET_SCHEMA}' or '{SERVE_SCHEMA}'"
-        )
-        .into());
-    }
-    v.get("version")
-        .and_then(|x| x.as_u64())
-        .ok_or_else(|| format!("'{path}' has no 'version' field"))?;
+    check_envelope(&v).map_err(|e| format!("'{path}': {e}"))?;
     Ok(v)
 }
 
-fn f(v: &Value, path: &[&str]) -> f64 {
-    let mut cur = v;
-    for k in path {
-        match cur.get(k) {
-            Some(next) => cur = next,
-            None => return 0.0,
-        }
-    }
-    cur.as_f64().unwrap_or(0.0)
+/// Dotted key path of an envelope's record array (empty when it has none).
+fn record_path(envelope: &Envelope) -> String {
+    envelope.records.join(".")
 }
 
+fn join(prefix: &str, key: &str) -> String {
+    if prefix.is_empty() {
+        key.to_string()
+    } else {
+        format!("{prefix}.{key}")
+    }
+}
+
+/// Integers below a million print exactly; everything else with an SI
+/// suffix and three decimals.
 fn fmt_si(x: f64) -> String {
     let ax = x.abs();
-    if ax == 0.0 {
-        "0".into()
+    if x.fract() == 0.0 && ax < 1e6 {
+        format!("{x}")
     } else if ax >= 1e9 {
         format!("{:.2}G", x / 1e9)
     } else if ax >= 1e6 {
@@ -106,604 +83,238 @@ fn fmt_si(x: f64) -> String {
     }
 }
 
-fn hist_row(name: &str, h: &Value) -> String {
-    format!(
-        "  {name:<14} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9}",
-        f(h, &["count"]) as u64,
-        fmt_si(f(h, &["mean"])),
-        fmt_si(f(h, &["p50"])),
-        fmt_si(f(h, &["p90"])),
-        fmt_si(f(h, &["p99"])),
-        fmt_si(f(h, &["max"])),
-    )
+/// How `report` and `top` print one scalar leaf: numbers through the SI
+/// formatter, arrays of scalars as `[a,b]`, `null` as `-`.
+pub fn cell(v: &Value) -> String {
+    match v {
+        Value::Null => "-".into(),
+        Value::Bool(b) => b.to_string(),
+        Value::Number(x) => fmt_si(*x),
+        Value::String(s) => s.clone(),
+        Value::Array(items) => {
+            let cells: Vec<String> = items.iter().map(cell).collect();
+            format!("[{}]", cells.join(","))
+        }
+        Value::Object(fields) => format!("{{{} fields}}", fields.len()),
+    }
 }
 
-/// `nestwx obs report FILE` — renders the run's summary, histogram,
-/// per-nest and link tables; sweep summaries get counts, the Pareto
-/// front and the winner table instead.
-pub fn report(v: &Value, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>> {
-    if v.get("schema").and_then(Value::as_str) == Some(SWEEP_SCHEMA) {
-        return sweep_report(v, out);
+/// A leaf `report` prints inline: anything but an object or an array
+/// holding objects.
+fn is_scalar(v: &Value) -> bool {
+    match v {
+        Value::Object(_) => false,
+        Value::Array(items) => !items.iter().any(|x| matches!(x, Value::Object(_))),
+        _ => true,
     }
-    if v.get("schema").and_then(Value::as_str) == Some(SERVE_SCHEMA) {
-        return serve_report(v, out);
-    }
-    if v.get("schema").and_then(Value::as_str) == Some(FLEET_SCHEMA) {
-        return fleet_report(v, out);
-    }
-    let s = v.get("summary").ok_or("missing 'summary' block")?;
-    writeln!(out, "run summary (schema v{})", f(v, &["version"]) as u64)?;
-    writeln!(
-        out,
-        "  steps {}  compute {}s  mpi_wait {}s  io {}s",
-        f(s, &["steps"]) as u64,
-        fmt_si(f(s, &["compute"])),
-        fmt_si(f(s, &["halo_wait"])),
-        fmt_si(f(s, &["io_time"])),
-    )?;
-    writeln!(
-        out,
-        "  messages {}  bytes {}  avg hops {:.2}  stall {}s",
-        f(s, &["messages"]) as u64,
-        fmt_si(f(s, &["bytes"])),
-        if f(s, &["transfers"]) > 0.0 {
-            f(s, &["hops"]) / f(s, &["transfers"])
-        } else {
-            0.0
-        },
-        fmt_si(f(s, &["stall"])),
-    )?;
+}
 
-    let ring = v.get("ring").ok_or("missing 'ring' block")?;
-    let dropped = f(ring, &["dropped"]) as u64;
-    writeln!(
-        out,
-        "  ring: {} of {} steps retained, {} dropped{}",
-        f(ring, &["retained"]) as u64,
-        f(ring, &["capacity"]) as u64,
-        dropped,
-        if dropped > 0 {
-            "  (trace truncated!)"
-        } else {
-            ""
-        },
-    )?;
-
-    if let Some(hists) = v.get("hists") {
-        writeln!(out)?;
-        writeln!(
-            out,
-            "  {:<14} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9}",
-            "histogram", "count", "mean", "p50", "p90", "p99", "max"
-        )?;
-        if let Some(h) = hists.get("step_time") {
-            writeln!(out, "{}", hist_row("step_time", h))?;
-        }
-        if let Some(h) = hists.get("rank_mpi_wait") {
-            writeln!(out, "{}", hist_row("rank_mpi_wait", h))?;
-        }
-        if let Some(h) = hists.get("msg_latency") {
-            writeln!(out, "{}", hist_row("msg_latency", h))?;
-        }
-    }
-
-    let analysis = v.get("analysis").ok_or("missing 'analysis' block")?;
-    writeln!(out)?;
-    writeln!(
-        out,
-        "  load imbalance (max/mean rank busy): {:.3}",
-        f(analysis, &["overall_imbalance"])
-    )?;
-    if let Some(nests) = analysis.get("per_nest").and_then(|n| n.as_array()) {
-        if !nests.is_empty() {
-            writeln!(
-                out,
-                "  {:<6} {:>6} {:>9} {:>10} {:>10} {:>7}",
-                "nest", "steps", "time", "ratio", "imbalance", "wait%"
-            )?;
-            for n in nests {
-                let time = f(n, &["time"]);
-                let wait_pct = if time > 0.0 {
-                    100.0 * f(n, &["halo_wait"]) / (f(n, &["compute"]) + f(n, &["halo_wait"]))
-                } else {
-                    0.0
-                };
-                writeln!(
-                    out,
-                    "  {:<6} {:>6} {:>9} {:>10.4} {:>10.3} {:>6.1}%",
-                    f(n, &["nest"]) as u64,
-                    f(n, &["steps"]) as u64,
-                    fmt_si(time),
-                    f(n, &["time_ratio"]),
-                    f(n, &["imbalance"]),
-                    wait_pct,
-                )?;
+/// The scalar leaves of one table row, nested objects flattened into
+/// dotted column names (`obs.bytes_in`).
+fn row_leaves(v: &Value, prefix: &str, out: &mut Vec<(String, String)>) {
+    if let Value::Object(fields) = v {
+        for (k, x) in fields {
+            let key = join(prefix, k);
+            match x {
+                Value::Object(_) => row_leaves(x, &key, out),
+                _ => out.push((key, cell(x))),
             }
         }
     }
-    if let Some(ranks) = analysis.get("critical_ranks").and_then(|r| r.as_array()) {
-        if !ranks.is_empty() {
-            let mut line = String::from("  critical-path ranks:");
-            for r in ranks {
-                let _ = write!(
-                    line,
-                    " r{} ({:.0}%)",
-                    f(r, &["rank"]) as u64,
-                    100.0 * f(r, &["share"])
-                );
-            }
-            writeln!(out, "{line}")?;
-        }
-    }
-    if let Some(links) = analysis.get("links") {
-        writeln!(
-            out,
-            "  links: {} of {} active, mean util {:.4}, max {:.4}, p99 {:.4}",
-            f(links, &["active_links"]) as u64,
-            f(links, &["links"]) as u64,
-            f(links, &["mean_util"]),
-            f(links, &["max_util"]),
-            f(links, &["p99_util"]),
-        )?;
-        if let Some(top) = links.get("top").and_then(|t| t.as_array()) {
-            for l in top {
-                writeln!(
-                    out,
-                    "    link {:>5}  node ({},{},{}) {}  busy {}s  util {:.4}",
-                    f(l, &["link"]) as u64,
-                    f(l, &["coord_x"]) as u64,
-                    f(l, &["coord_y"]) as u64,
-                    f(l, &["coord_z"]) as u64,
-                    l.get("dim").and_then(|d| d.as_str()).unwrap_or("?"),
-                    fmt_si(f(l, &["busy"])),
-                    f(l, &["util"]),
-                )?;
-            }
-        }
-    }
-    Ok(())
 }
 
-/// Renders a `nestwx sweep` summary: run counts, disk-cache counters,
-/// the Pareto front and the winner-per-region table.
-fn sweep_report(v: &Value, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>> {
-    writeln!(out, "sweep summary (schema v{})", f(v, &["version"]) as u64)?;
-    writeln!(
-        out,
-        "  scenarios: {} unique of {} expanded ({} duplicate), {} iterations each",
-        f(v, &["unique"]) as u64,
-        f(v, &["expanded"]) as u64,
-        f(v, &["duplicates"]) as u64,
-        f(v, &["iterations"]) as u64,
-    )?;
-    writeln!(
-        out,
-        "  computed {}  disk hits {}  errors {}  ({} jobs, {}s)",
-        f(v, &["computed"]) as u64,
-        f(v, &["disk_hits"]) as u64,
-        f(v, &["errors"]) as u64,
-        f(v, &["jobs"]) as u64,
-        fmt_si(f(v, &["elapsed_seconds"])),
-    )?;
-    writeln!(
-        out,
-        "  plans digest: {}",
-        v.get("plans_digest").and_then(Value::as_str).unwrap_or("?")
-    )?;
-    if let Some(d) = v.get("disk") {
-        writeln!(
-            out,
-            "  disk cache: {} hits, {} misses, {} writes, {} corrupt",
-            f(d, &["hits"]) as u64,
-            f(d, &["misses"]) as u64,
-            f(d, &["writes"]) as u64,
-            f(d, &["corrupt"]) as u64,
-        )?;
-    }
-    let token = |p: &Value, key: &str| -> String {
-        p.get(key)
-            .and_then(Value::as_str)
-            .unwrap_or("?")
-            .to_string()
-    };
-    if let Some(front) = v.get("pareto").and_then(Value::as_array) {
-        writeln!(out)?;
-        writeln!(
-            out,
-            "  pareto front  {:>7} {:>10} {:<24} region",
-            "ranks", "s/iter", "machine strat/alloc/map"
-        )?;
-        for p in front {
-            writeln!(
-                out,
-                "  {:13} {:>7} {:>10.4} {:<24} {}",
-                "",
-                f(p, &["ranks"]) as u64,
-                f(p, &["planned_s_per_iter"]),
-                format!(
-                    "{} {}/{}/{}",
-                    token(p, "machine"),
-                    token(p, "strategy"),
-                    token(p, "alloc"),
-                    token(p, "mapping")
-                ),
-                token(p, "region"),
-            )?;
-        }
-    }
-    if let Some(winners) = v.get("winners").and_then(Value::as_array) {
-        writeln!(out)?;
-        writeln!(out, "  winner per region:")?;
-        for w in winners {
-            writeln!(
-                out,
-                "    {}  ->  {}:{} {}/{}/{}  {:.4} s/iter  ({} scenarios, worst +{:.1}%)",
-                token(w, "region"),
-                token(w, "machine"),
-                f(w, &["ranks"]) as u64,
-                token(w, "strategy"),
-                token(w, "alloc"),
-                token(w, "mapping"),
-                f(w, &["planned_s_per_iter"]),
-                f(w, &["scenarios"]) as u64,
-                f(w, &["spread_pct"]),
-            )?;
-        }
-    }
-    Ok(())
-}
+/// A computed leading table column: its name and per-row value.
+type Lead<'a> = (&'a str, &'a dyn Fn(&Value) -> f64);
 
-/// Renders a fleet envelope: worker count, deterministic digests, and
-/// per-side socket traffic with stall attribution.
-fn fleet_report(v: &Value, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>> {
-    writeln!(out, "fleet summary (schema v{})", f(v, &["version"]) as u64)?;
-    writeln!(
-        out,
-        "  {} workers x {} iterations, elapsed {}s",
-        f(v, &["workers"]) as u64,
-        f(v, &["iterations"]) as u64,
-        fmt_si(f(v, &["elapsed_s"])),
-    )?;
-    writeln!(
-        out,
-        "  digest {}  parent {}",
-        v.get("digest").and_then(Value::as_str).unwrap_or("?"),
-        v.get("parent_digest")
-            .and_then(Value::as_str)
-            .unwrap_or("?"),
-    )?;
-    writeln!(
-        out,
-        "  logical halo bytes {}",
-        fmt_si(f(v, &["logical_halo_bytes"])),
-    )?;
-    writeln!(out)?;
-    writeln!(
-        out,
-        "  {:<18} {:>9} {:>9} {:>7} {:>7} {:>9} {:>9} {:>9}",
-        "side", "bytes_in", "bytes_out", "fr_in", "fr_out", "compute", "wait", "p99wait"
-    )?;
-    let side_row = |name: &str, s: &Value| -> String {
-        format!(
-            "  {name:<18} {:>9} {:>9} {:>7} {:>7} {:>9} {:>9} {:>9}",
-            fmt_si(f(s, &["bytes_in"])),
-            fmt_si(f(s, &["bytes_out"])),
-            f(s, &["frames_in"]) as u64,
-            f(s, &["frames_out"]) as u64,
-            fmt_si(f(s, &["compute_s"])),
-            fmt_si(f(s, &["wait_s"])),
-            fmt_si(f(s, &["recv_wait", "p99"])),
-        )
-    };
-    if let Some(c) = v.get("coordinator") {
-        writeln!(out, "{}", side_row("coordinator", c))?;
+/// Prints `rows` as one table: the columns are the union of the rows'
+/// dotted scalar keys in first-seen order, optionally after a `lead`
+/// column computed per row.
+fn table(out: &mut dyn io::Write, rows: &[&Value], lead: Option<Lead>) -> io::Result<()> {
+    let leaves: Vec<Vec<(String, String)>> = rows
+        .iter()
+        .map(|r| {
+            let mut l = Vec::new();
+            if let Some((name, f)) = lead {
+                l.push((name.to_string(), fmt_si(f(r))));
+            }
+            row_leaves(r, "", &mut l);
+            l
+        })
+        .collect();
+    let mut header: Vec<&str> = Vec::new();
+    for (k, _) in leaves.iter().flatten() {
+        if !header.contains(&k.as_str()) {
+            header.push(k);
+        }
     }
-    if let Some(rows) = v.get("worker_rows").and_then(Value::as_array) {
-        for w in rows {
-            let nests: Vec<String> = w
-                .get("nests")
-                .and_then(Value::as_array)
-                .map(|a| {
-                    a.iter()
-                        .filter_map(|n| n.as_u64())
-                        .map(|n| n.to_string())
-                        .collect()
+    let grid: Vec<Vec<&str>> = leaves
+        .iter()
+        .map(|row| {
+            header
+                .iter()
+                .map(|h| {
+                    row.iter()
+                        .find(|(k, _)| k == h)
+                        .map_or("-", |(_, c)| c.as_str())
                 })
-                .unwrap_or_default();
-            let name = format!("worker {} [{}]", f(w, &["slot"]) as u64, nests.join(","));
-            if let Some(obs) = w.get("obs") {
-                writeln!(out, "{}", side_row(&name, obs))?;
-            }
-        }
+                .collect()
+        })
+        .collect();
+    let widths: Vec<usize> = (0..header.len())
+        .map(|i| {
+            grid.iter()
+                .map(|r| r[i].len())
+                .fold(header[i].len(), usize::max)
+        })
+        .collect();
+    for line in std::iter::once(&header).chain(&grid) {
+        let cols: Vec<String> = line
+            .iter()
+            .zip(&widths)
+            .map(|(c, w)| format!("{c:>w$}"))
+            .collect();
+        writeln!(out, "    {}", cols.join("  "))?;
     }
     Ok(())
 }
 
-/// Renders a serve flight-recorder trace envelope: recorder state, drain
-/// and drop counters, path/op breakdowns and the slow-request log.
-fn serve_report(v: &Value, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>> {
-    let s = v.get("summary").ok_or("missing 'summary' block")?;
-    writeln!(
-        out,
-        "serve trace summary (schema v{})",
-        f(v, &["version"]) as u64
-    )?;
-    writeln!(
-        out,
-        "  recording {}  readers {}  ring capacity {}",
-        if s.get("recording").and_then(Value::as_bool).unwrap_or(false) {
-            "on"
-        } else {
-            "off"
-        },
-        f(s, &["readers"]) as u64,
-        f(s, &["ring_capacity"]) as u64,
-    )?;
-    let drained_dropped = f(s, &["dropped"]) as u64;
-    writeln!(
-        out,
-        "  drained {} spans, {} dropped this drain{}",
-        f(s, &["drained"]) as u64,
-        drained_dropped,
-        if drained_dropped > 0 {
-            "  (trace truncated!)"
-        } else {
-            ""
-        },
-    )?;
-    let spans_cut = f(s, &["spans_truncated"]) as u64;
-    let slow_cut = f(s, &["slow_truncated"]) as u64;
-    if spans_cut + slow_cut > 0 {
-        writeln!(
-            out,
-            "  envelope capped: {spans_cut} span(s) + {slow_cut} slow entr(ies) \
-             omitted to fit one protocol line (aggregates still cover them)",
-        )?;
-    }
-    writeln!(
-        out,
-        "  lifetime: {} recorded, {} dropped, {} slow (threshold {}us)",
-        f(s, &["recorded_total"]) as u64,
-        f(s, &["dropped_total"]) as u64,
-        f(s, &["slow_total"]) as u64,
-        f(s, &["slow_threshold_us"]) as u64,
-    )?;
-    if let Some(bp) = s.get("by_path") {
-        writeln!(
-            out,
-            "  by path: hot {}  inline {}  worker {}  deadline {}",
-            f(bp, &["hot"]) as u64,
-            f(bp, &["inline"]) as u64,
-            f(bp, &["worker"]) as u64,
-            f(bp, &["deadline"]) as u64,
-        )?;
-    }
-    if let Some(Value::Object(ops)) = s.get("by_op") {
-        let mut line = String::from("  by op:");
-        for (op, n) in ops {
-            let _ = write!(line, "  {op} {}", n.as_u64().unwrap_or(0));
-        }
-        writeln!(out, "{line}")?;
-    }
-    let span_row = |sp: &Value| -> String {
-        format!(
-            "    {:<8} {:<8} {:<4} {:>9} {:>8} {:>8} {:>8} {:>8}",
-            sp.get("op").and_then(Value::as_str).unwrap_or("?"),
-            sp.get("path").and_then(Value::as_str).unwrap_or("?"),
-            if sp.get("ok").and_then(Value::as_bool).unwrap_or(false) {
-                "ok"
-            } else {
-                "err"
-            },
-            fmt_si(f(sp, &["total_us"]) * 1e-6),
-            fmt_si(f(sp, &["parse_us"]) * 1e-6),
-            fmt_si(f(sp, &["wait_us"]) * 1e-6),
-            fmt_si(f(sp, &["work_us"]) * 1e-6),
-            fmt_si(f(sp, &["write_us"]) * 1e-6),
-        )
+/// `nestwx obs report FILE` — a `<schema> v<version>` header, then per
+/// object one line of its scalar leaves prefixed by the object's path, each
+/// array of objects as a table, and the record array as its length.
+pub fn report(v: &Value, out: &mut dyn io::Write) -> Result<(), Box<dyn Error>> {
+    let envelope = check_envelope(v)?;
+    writeln!(out, "{} v{}", envelope.schema, envelope.version)?;
+    section(v, "", &record_path(envelope), out)?;
+    Ok(())
+}
+
+fn section(v: &Value, path: &str, records: &str, out: &mut dyn io::Write) -> io::Result<()> {
+    let Value::Object(fields) = v else {
+        return Ok(());
     };
-    if let Some(slow) = v.get("slow").and_then(Value::as_array) {
-        if !slow.is_empty() {
-            writeln!(out)?;
-            writeln!(
-                out,
-                "  slow requests ({}):\n    {:<8} {:<8} {:<4} {:>9} {:>8} {:>8} {:>8} {:>8}",
-                slow.len(),
-                "op",
-                "path",
-                "ok",
-                "total",
-                "parse",
-                "wait",
-                "work",
-                "write"
-            )?;
-            for sp in slow {
-                writeln!(out, "{}", span_row(sp))?;
+    // The header already carries the root's schema and version tags.
+    let scalars: Vec<String> = fields
+        .iter()
+        .filter(|(k, x)| {
+            is_scalar(x) && join(path, k) != records && !(path.is_empty() && is_tag(k))
+        })
+        .map(|(k, x)| format!("{k}={}", cell(x)))
+        .collect();
+    if !scalars.is_empty() {
+        let label = if path.is_empty() {
+            String::new()
+        } else {
+            format!("{path}: ")
+        };
+        writeln!(out, "  {label}{}", scalars.join("  "))?;
+    }
+    for (k, x) in fields {
+        let key = join(path, k);
+        match x {
+            Value::Array(items) if key == records => {
+                writeln!(out, "  {key}: {} records (nestwx obs top)", items.len())?
             }
+            Value::Object(_) => section(x, &key, records, out)?,
+            Value::Array(items) if !is_scalar(x) => {
+                writeln!(out, "  {key} ({} rows):", items.len())?;
+                table(out, &items.iter().collect::<Vec<_>>(), None)?;
+            }
+            _ => {}
         }
     }
     Ok(())
 }
 
-/// Step metrics `top` can rank by.
-pub const TOP_METRICS: &[&str] = &[
-    "duration",
-    "compute",
-    "halo_wait",
-    "bytes",
-    "messages",
-    "hops",
-    "stall",
-];
+fn is_tag(key: &str) -> bool {
+    key == "schema" || key == "version"
+}
 
-/// Span metrics `top` can rank serve trace envelopes by.
-pub const SERVE_TOP_METRICS: &[&str] = &["total", "parse", "wait", "work", "write"];
-
-/// `nestwx obs top` on a serve trace envelope: the N most expensive
-/// drained spans by the given lifecycle stage.
-fn serve_top(
-    v: &Value,
-    by: &str,
-    n: usize,
-    out: &mut dyn std::io::Write,
-) -> Result<(), Box<dyn Error>> {
-    if !SERVE_TOP_METRICS.contains(&by) {
+/// `nestwx obs top FILE --by FIELD -n N` — the N records of the envelope's
+/// record array with the largest `FIELD`: any numeric record field, or
+/// `duration` (`end - start`) where records carry both.
+pub fn top(v: &Value, by: &str, n: usize, out: &mut dyn io::Write) -> Result<(), Box<dyn Error>> {
+    let envelope = check_envelope(v)?;
+    let path = record_path(envelope);
+    if path.is_empty() {
+        return Err(format!("{} envelopes have no record array to rank", envelope.schema).into());
+    }
+    let records = envelope
+        .records(v)
+        .ok_or_else(|| format!("missing '{path}' array"))?;
+    let mut fields: Vec<&str> = Vec::new();
+    for r in records {
+        if let Value::Object(kv) = r {
+            for (k, x) in kv {
+                if x.as_f64().is_some() && !fields.contains(&k.as_str()) {
+                    fields.push(k);
+                }
+            }
+        }
+    }
+    let derived =
+        fields.contains(&"start") && fields.contains(&"end") && !fields.contains(&"duration");
+    if derived {
+        fields.push("duration");
+    }
+    let by_duration = derived && by == "duration";
+    if !records.is_empty() && !fields.contains(&by) {
         return Err(format!(
-            "unknown span metric '{by}' (one of {})",
-            SERVE_TOP_METRICS.join("|")
+            "unknown field '{by}' for {path} records (one of {})",
+            fields.join("|")
         )
         .into());
     }
-    let spans = v
-        .get("spans")
-        .and_then(Value::as_array)
-        .ok_or("missing 'spans' array")?;
-    let field = format!("{by}_us");
-    let mut order: Vec<&Value> = spans.iter().collect();
-    order.sort_by(|a, b| {
-        f(b, &[field.as_str()])
-            .partial_cmp(&f(a, &[field.as_str()]))
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    writeln!(
-        out,
-        "top {} spans by {by} ({} drained):",
-        n.min(order.len()),
-        order.len()
-    )?;
-    writeln!(
-        out,
-        "  {:<8} {:<8} {:<4} {:>10} {:>9} {:>9} {:>9}",
-        "op", "path", "ok", by, "total", "wait", "work"
-    )?;
-    for s in order.iter().take(n) {
-        writeln!(
-            out,
-            "  {:<8} {:<8} {:<4} {:>10} {:>9} {:>9} {:>9}",
-            s.get("op").and_then(Value::as_str).unwrap_or("?"),
-            s.get("path").and_then(Value::as_str).unwrap_or("?"),
-            if s.get("ok").and_then(Value::as_bool).unwrap_or(false) {
-                "ok"
-            } else {
-                "err"
-            },
-            fmt_si(f(s, &[field.as_str()]) * 1e-6),
-            fmt_si(f(s, &["total_us"]) * 1e-6),
-            fmt_si(f(s, &["wait_us"]) * 1e-6),
-            fmt_si(f(s, &["work_us"]) * 1e-6),
-        )?;
-    }
-    Ok(())
-}
-
-/// `nestwx obs top FILE --by METRIC -n N` — the N most expensive retained
-/// steps by the given metric.
-pub fn top(
-    v: &Value,
-    by: &str,
-    n: usize,
-    out: &mut dyn std::io::Write,
-) -> Result<(), Box<dyn Error>> {
-    if v.get("schema").and_then(Value::as_str) == Some(SERVE_SCHEMA) {
-        return serve_top(v, by, n, out);
-    }
-    if !TOP_METRICS.contains(&by) {
-        return Err(format!("unknown metric '{by}' (one of {})", TOP_METRICS.join("|")).into());
-    }
-    let steps = v
-        .get("ring")
-        .and_then(|r| r.get("steps"))
-        .and_then(|s| s.as_array())
-        .ok_or("missing 'ring.steps' array")?;
-    let metric = |s: &Value| -> f64 {
-        if by == "duration" {
-            f(s, &["end"]) - f(s, &["start"])
+    let num = |r: &Value, k: &str| r.get(k).and_then(Value::as_f64).unwrap_or(0.0);
+    let metric = |r: &Value| {
+        if by_duration {
+            num(r, "end") - num(r, "start")
         } else {
-            f(s, &[by])
+            num(r, by)
         }
     };
-    let mut order: Vec<&Value> = steps.iter().collect();
-    order.sort_by(|a, b| {
-        metric(b)
-            .partial_cmp(&metric(a))
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
+    let mut order: Vec<&Value> = records.iter().collect();
+    order.sort_by(|a, b| metric(b).total_cmp(&metric(a)));
+    order.truncate(n);
     writeln!(
         out,
-        "top {} steps by {by} ({} retained):",
-        n.min(order.len()),
-        order.len()
+        "top {} of {} {path} records by {by}:",
+        order.len(),
+        records.len()
     )?;
-    writeln!(
-        out,
-        "  {:>6} {:<7} {:>5} {:>10} {:>9} {:>9} {:>9}",
-        "step", "phase", "nest", by, "compute", "wait", "bytes"
-    )?;
-    for s in order.iter().take(n) {
-        writeln!(
-            out,
-            "  {:>6} {:<7} {:>5} {:>10} {:>9} {:>9} {:>9}",
-            f(s, &["step"]) as u64,
-            s.get("phase").and_then(|p| p.as_str()).unwrap_or("?"),
-            s.get("nest").and_then(|x| x.as_f64()).unwrap_or(-1.0) as i64,
-            fmt_si(metric(s)),
-            fmt_si(f(s, &["compute"])),
-            fmt_si(f(s, &["halo_wait"])),
-            fmt_si(f(s, &["bytes"])),
-        )?;
-    }
+    let lead: Option<Lead> = by_duration.then_some(("duration", &metric));
+    table(out, &order, lead)?;
     Ok(())
 }
 
 /// Flattens every numeric leaf into `prefix.key` → value. Arrays of
-/// objects are indexed; the (potentially huge) `ring.steps` array is
-/// skipped — `diff` compares aggregates, not individual steps — and the
-/// serve envelope's `spans`/`slow` arrays collapse to their lengths for
-/// the same reason.
-fn flatten(v: &Value, prefix: &str, out: &mut Vec<(String, f64)>) {
+/// objects are indexed; the envelope's record array collapses to
+/// `<path>.count` — `diff` compares aggregates, not individual records.
+fn flatten(v: &Value, prefix: &str, records: &str, out: &mut Vec<(String, f64)>) {
     match v {
         Value::Number(x) => out.push((prefix.to_string(), *x)),
         Value::Object(fields) => {
             for (k, val) in fields {
-                if prefix.is_empty() && k == "ring" {
-                    // Only retention counters, not the step array.
-                    for stat in ["capacity", "retained", "dropped"] {
-                        if let Some(x) = val.get(stat).and_then(|x| x.as_f64()) {
-                            out.push((format!("ring.{stat}"), x));
-                        }
-                    }
-                    continue;
-                }
-                if prefix.is_empty() && (k == "spans" || k == "slow") {
-                    if let Some(items) = val.as_array() {
-                        out.push((format!("{k}.count"), items.len() as f64));
-                        continue;
-                    }
-                }
-                let p = if prefix.is_empty() {
-                    k.clone()
-                } else {
-                    format!("{prefix}.{k}")
-                };
-                flatten(val, &p, out);
+                flatten(val, &join(prefix, k), records, out);
             }
+        }
+        Value::Array(items) if prefix == records => {
+            out.push((format!("{prefix}.count"), items.len() as f64));
         }
         Value::Array(items) => {
             for (i, item) in items.iter().enumerate() {
-                flatten(item, &format!("{prefix}[{i}]"), out);
+                flatten(item, &format!("{prefix}[{i}]"), records, out);
             }
         }
         _ => {}
     }
 }
 
-/// `nestwx obs diff A B` — per-metric deltas between two run summaries.
-pub fn diff(a: &Value, b: &Value, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>> {
+/// `nestwx obs diff A B` — per-metric deltas between two envelopes.
+pub fn diff(a: &Value, b: &Value, out: &mut dyn io::Write) -> Result<(), Box<dyn Error>> {
     let mut fa = Vec::new();
     let mut fb = Vec::new();
-    flatten(a, "", &mut fa);
-    flatten(b, "", &mut fb);
+    flatten(a, "", &record_path(check_envelope(a)?), &mut fa);
+    flatten(b, "", &record_path(check_envelope(b)?), &mut fb);
     let lookup_b: std::collections::HashMap<&str, f64> =
         fb.iter().map(|(k, x)| (k.as_str(), *x)).collect();
     let keys_a: std::collections::HashSet<&str> = fa.iter().map(|(k, _)| k.as_str()).collect();
@@ -762,6 +373,7 @@ pub fn diff(a: &Value, b: &Value, out: &mut dyn std::io::Write) -> Result<(), Bo
 mod tests {
     use super::*;
     use nestwx_netsim::{ObsConfig, Recorder, StepMetrics, StepPhase};
+    use nestwx_obs::{FLEET_SCHEMA, SERVE_SCHEMA, SWEEP_SCHEMA};
 
     fn recorded_summary() -> Value {
         let mut rec = Recorder::new(ObsConfig::detailed());
@@ -795,17 +407,27 @@ mod tests {
         serde_json::from_str(&rec.summary_json()).unwrap()
     }
 
+    fn render(v: &Value) -> String {
+        let mut buf = Vec::new();
+        report(v, &mut buf).unwrap();
+        String::from_utf8(buf).unwrap()
+    }
+
     #[test]
     fn report_renders_all_blocks() {
-        let v = recorded_summary();
-        let mut buf = Vec::new();
-        report(&v, &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.contains("run summary"));
-        assert!(text.contains("rank_mpi_wait"));
-        assert!(text.contains("load imbalance"));
-        assert!(text.contains("ratio"));
-        assert!(text.contains("critical-path ranks"));
+        let text = render(&recorded_summary());
+        assert!(text.starts_with("nestwx-obs-run-summary v2\n"), "{text}");
+        assert!(text.contains("  summary: steps=4  compute=4"), "{text}");
+        assert!(text.contains("hists.rank_mpi_wait: count=16"), "{text}");
+        assert!(text.contains("analysis: overall_imbalance="), "{text}");
+        assert!(text.contains("time_ratio"), "{text}");
+        assert!(text.contains("analysis.critical_ranks ("), "{text}");
+        assert!(
+            text.contains("  ring.steps: 4 records (nestwx obs top)"),
+            "{text}"
+        );
+        // Per-step records are listed by `top`, never by `report`.
+        assert!(!text.contains("halo_wait=0.500"), "{text}");
     }
 
     #[test]
@@ -815,10 +437,22 @@ mod tests {
         top(&v, "duration", 2, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         // Step 4 has the longest duration (1.0s), then step 3 (0.75s).
-        let pos4 = text.find("\n       4 ").expect("step 4 listed");
-        let pos3 = text.find("\n       3 ").expect("step 3 listed");
-        assert!(pos4 < pos3, "steps not sorted by duration:\n{text}");
-        assert!(top(&v, "nonsense", 2, &mut Vec::new()).is_err());
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines[0], "top 2 of 4 ring.steps records by duration:");
+        assert!(
+            lines[1].trim_start().starts_with("duration  step"),
+            "{text}"
+        );
+        assert!(lines[2].trim_start().starts_with("1     4"), "{text}");
+        assert!(
+            lines[3].trim_start().starts_with("750.000m     3"),
+            "{text}"
+        );
+        assert_eq!(lines.len(), 4, "{text}");
+        let e = top(&v, "nonsense", 2, &mut Vec::new())
+            .unwrap_err()
+            .to_string();
+        assert!(e.contains("halo_wait") && e.contains("duration"), "{e}");
     }
 
     #[test]
@@ -845,6 +479,8 @@ mod tests {
         diff(&a, &b, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("summary.compute"));
+        assert!(text.contains("ring.steps.count"));
+        assert!(!text.contains("ring.steps["), "{text}");
         assert!(text.contains("metrics differ"));
         // Identical runs diff to zero changed metrics.
         let mut buf = Vec::new();
@@ -871,30 +507,35 @@ mod tests {
 
     #[test]
     fn serve_report_renders_trace_envelope() {
-        let v: Value = serde_json::from_str(&serve_envelope(1)).unwrap();
-        let mut buf = Vec::new();
-        report(&v, &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.contains("serve trace summary (schema v1)"), "{text}");
-        assert!(text.contains("recording on"), "{text}");
-        assert!(text.contains("trace truncated"), "{text}");
-        assert!(text.contains("by path: hot 1  inline 1  worker 1  deadline 0"));
-        assert!(text.contains("plan 2"), "{text}");
-        assert!(text.contains("slow requests (1)"), "{text}");
+        let text = render(&serde_json::from_str(&serve_envelope(1)).unwrap());
+        assert!(text.starts_with("nestwx-obs-serve-summary v1\n"), "{text}");
+        assert!(text.contains("recording=true"), "{text}");
+        assert!(text.contains("dropped=1"), "{text}");
+        assert!(
+            text.contains("summary.by_path: hot=1  inline=1  worker=1  deadline=0"),
+            "{text}"
+        );
+        assert!(text.contains("plan=2"), "{text}");
+        assert!(text.contains("  spans: 3 records"), "{text}");
+        assert!(text.contains("  slow (1 rows):"), "{text}");
+        assert!(text.contains("2000"), "{text}");
     }
 
     #[test]
     fn serve_top_ranks_spans_by_stage() {
         let v: Value = serde_json::from_str(&serve_envelope(1)).unwrap();
         let mut buf = Vec::new();
-        top(&v, "work", 2, &mut buf).unwrap();
+        top(&v, "work_us", 2, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         // The worker plan (200us work) outranks the inline stats (8us).
         let worker = text.find("worker").expect("worker span listed");
         let inline = text.find("inline").expect("inline span listed");
         assert!(worker < inline, "spans not sorted by work:\n{text}");
-        // Step metrics don't apply to serve envelopes.
+        assert!(!text.contains("hot"), "only two rows:\n{text}");
+        // Step fields don't apply to serve envelopes; stages carry `_us`.
         assert!(top(&v, "halo_wait", 2, &mut Vec::new()).is_err());
+        let e = top(&v, "work", 2, &mut Vec::new()).unwrap_err().to_string();
+        assert!(e.contains("work_us"), "{e}");
     }
 
     #[test]
@@ -908,7 +549,7 @@ mod tests {
         diff(&a, &b, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("summary.recorded_total"), "{text}");
-        // Per-span leaves never appear — arrays collapse to counts.
+        // Per-span leaves never appear — the record array collapses to its count.
         assert!(!text.contains("spans[0]"), "{text}");
         let mut buf = Vec::new();
         diff(&a, &a, &mut buf).unwrap();
@@ -952,16 +593,19 @@ mod tests {
 
     #[test]
     fn fleet_report_renders_envelope() {
-        let v: Value = serde_json::from_str(&fleet_envelope()).unwrap();
-        let mut buf = Vec::new();
-        report(&v, &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.contains("fleet summary (schema v1)"), "{text}");
-        assert!(text.contains("2 workers x 4 iterations"), "{text}");
-        assert!(text.contains("digest abcd1234"), "{text}");
-        assert!(text.contains("coordinator"), "{text}");
-        assert!(text.contains("worker 0 [0,2]"), "{text}");
-        assert!(text.contains("worker 1 [1]"), "{text}");
+        let text = render(&serde_json::from_str(&fleet_envelope()).unwrap());
+        assert!(text.starts_with("nestwx-obs-fleet-summary v1\n"), "{text}");
+        assert!(text.contains("workers=2  iterations=4"), "{text}");
+        assert!(text.contains("digest=abcd1234"), "{text}");
+        assert!(text.contains("  coordinator: bytes_in=1024"), "{text}");
+        assert!(text.contains("coordinator.recv_wait: count=8"), "{text}");
+        assert!(text.contains("  worker_rows (2 rows):"), "{text}");
+        assert!(text.contains("obs.recv_wait.p99"), "{text}");
+        assert!(text.contains("[0,2]"), "{text}");
+        assert!(text.contains("[1]"), "{text}");
+        // No record array: nothing for `top` to rank.
+        let v = serde_json::from_str(&fleet_envelope()).unwrap();
+        assert!(top(&v, "slot", 1, &mut Vec::new()).is_err());
     }
 
     #[test]
@@ -980,7 +624,9 @@ mod tests {
             &mut buf,
         )
         .unwrap();
-        assert!(String::from_utf8(buf).unwrap().contains("fleet summary"));
+        assert!(String::from_utf8(buf)
+            .unwrap()
+            .contains("nestwx-obs-fleet-summary v1"));
     }
 
     #[test]
@@ -1002,5 +648,16 @@ mod tests {
         let e = load_summary(bad.to_str().unwrap()).unwrap_err().to_string();
         assert!(e.contains("schema"), "{e}");
         assert!(load_summary("/nonexistent/nestwx.json").is_err());
+    }
+
+    #[test]
+    fn fmt_si_prints_integers_exactly() {
+        assert_eq!(fmt_si(0.0), "0");
+        assert_eq!(fmt_si(14.0), "14");
+        assert_eq!(fmt_si(-3.0), "-3");
+        assert_eq!(fmt_si(40960.0), "40960");
+        assert_eq!(fmt_si(2.5e6), "2.50M");
+        assert_eq!(fmt_si(1234.5), "1.23k");
+        assert_eq!(fmt_si(0.75), "750.000m");
     }
 }

@@ -110,9 +110,10 @@ fn fleet_command_spawns_real_workers_and_matches_in_process_run() {
         String::from_utf8_lossy(&report.stderr)
     );
     let text = String::from_utf8(report.stdout).unwrap();
-    assert!(text.contains("fleet summary"), "{text}");
-    assert!(text.contains("coordinator"), "{text}");
-    assert!(text.contains("worker 1"), "{text}");
+    assert!(text.starts_with("nestwx-obs-fleet-summary v1\n"), "{text}");
+    assert!(text.contains("  coordinator: bytes_in="), "{text}");
+    assert!(text.contains("  worker_rows (2 rows):"), "{text}");
+    assert!(text.contains("obs.recv_wait.p99"), "{text}");
 }
 
 #[test]

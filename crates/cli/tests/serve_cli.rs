@@ -170,7 +170,7 @@ fn serve_process_answers_a_mixed_session_then_drains_and_exits_zero() {
         .unwrap();
     let text = String::from_utf8_lossy(&report.stdout);
     assert!(
-        report.status.success() && text.contains("serve trace summary"),
+        report.status.success() && text.starts_with("nestwx-obs-serve-summary v1\n"),
         "obs report on a drained envelope: {text}\n{}",
         String::from_utf8_lossy(&report.stderr)
     );

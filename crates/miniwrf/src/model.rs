@@ -4,6 +4,7 @@ use crate::nest::{
     apply_boundary, feedback_to_parent, initialize_from_parent, interpolate_boundary, BoundaryData,
     NestGeometry,
 };
+use crate::runtime::step_parallel;
 use crate::solver::{Boundary, ShallowWater};
 use serde::{Deserialize, Serialize};
 
@@ -111,13 +112,16 @@ impl NestedModel {
         });
     }
 
-    /// Solves one nest's `r` sub-steps given its boundary data, recursing
-    /// into its second-level children after each sub-step (pure function of
-    /// the nest — safe to run concurrently across siblings).
-    pub fn solve_nest(nest: &mut NestState, bc: &BoundaryData) {
+    /// Solves one nest's `r` sub-steps given its boundary data on `threads`
+    /// row bands, recursing into its second-level children after each
+    /// sub-step (pure function of the nest — safe to run concurrently
+    /// across siblings). Children share the nest's thread group, mirroring
+    /// how they sub-divide their parent's processors in the planner; the
+    /// state is bitwise independent of `threads`.
+    pub fn solve_nest(nest: &mut NestState, bc: &BoundaryData, threads: usize) {
         for _ in 0..nest.geo.ratio {
             apply_boundary(&mut nest.solver, bc);
-            nest.solver.step();
+            step_parallel(&mut nest.solver, threads);
             let NestState {
                 solver, children, ..
             } = nest;
@@ -125,7 +129,7 @@ impl NestedModel {
                 let cbc = interpolate_boundary(solver, &child.geo);
                 for _ in 0..child.geo.ratio {
                     apply_boundary(&mut child.solver, &cbc);
-                    child.solver.step();
+                    step_parallel(&mut child.solver, threads);
                 }
                 feedback_to_parent(&child.solver, solver, &child.geo);
             }
@@ -147,7 +151,7 @@ impl NestedModel {
         self.parent.step();
         let bcs = self.boundaries();
         for (nest, bc) in self.nests.iter_mut().zip(&bcs) {
-            NestedModel::solve_nest(nest, bc);
+            NestedModel::solve_nest(nest, bc, 1);
         }
         self.apply_feedbacks();
     }

@@ -9,7 +9,7 @@
 //! states — only wall-clock time differs.
 
 use crate::field::Field2D;
-use crate::model::{NestState, NestedModel};
+use crate::model::NestedModel;
 use crate::solver::{RowBand, ShallowWater};
 use nestwx_obs::clock;
 use nestwx_obs::{Recorder, StepMetrics, StepPhase};
@@ -95,9 +95,9 @@ pub fn run_iterations(
 
 /// [`run_iterations`] with a [`Recorder`] attached: every parent step and
 /// every sibling solve lands in the step-metrics ring (wall-clock seconds
-/// since the run started, `compute` = the phase's duration), plus span
-/// events when the `obs-spans` feature is on. The model state is bitwise
-/// identical to an unobserved run — observation only reads clocks.
+/// since the run started, `compute` = the phase's duration). The model
+/// state is bitwise identical to an unobserved run — observation only
+/// reads clocks.
 pub fn run_iterations_observed(
     model: &mut NestedModel,
     iterations: u32,
@@ -140,9 +140,6 @@ fn run_iterations_inner(
             let start = t0.duration_since(t_start).as_secs_f64();
             let dur = parent_dt.as_secs_f64();
             rec.record_step(phase_metrics(step_no, StepPhase::Parent, -1, start, dur));
-            if nestwx_obs::SPANS_ENABLED {
-                rec.span("parent step", 0, start * 1e6, dur * 1e6);
-            }
         }
 
         let t1 = clock::now();
@@ -154,7 +151,7 @@ fn run_iterations_inner(
                 .zip(&bcs)
                 .map(|(nest, bc)| {
                     let ts = clock::now();
-                    solve_nest_threaded(nest, bc, total_threads);
+                    NestedModel::solve_nest(nest, bc, total_threads);
                     ts.elapsed()
                 })
                 .collect(),
@@ -167,7 +164,7 @@ fn run_iterations_inner(
                     .map(|((nest, bc), &threads)| {
                         scope.spawn(move || {
                             let ts = clock::now();
-                            solve_nest_threaded(nest, bc, threads);
+                            NestedModel::solve_nest(nest, bc, threads);
                             ts.elapsed()
                         })
                     })
@@ -212,14 +209,6 @@ fn run_iterations_inner(
                     |_| 0.0,
                 );
             }
-            if nestwx_obs::SPANS_ENABLED {
-                rec.span(
-                    "sibling phase",
-                    0,
-                    start * 1e6,
-                    sibling_dt.as_secs_f64() * 1e6,
-                );
-            }
         }
     }
 
@@ -249,28 +238,6 @@ fn phase_metrics(step: u64, phase: StepPhase, nest: i32, start: f64, dur: f64) -
         transfers: 0,
         hops: 0,
         stall: 0.0,
-    }
-}
-
-/// Solves one nest's `r` sub-steps with its own thread group, recursing
-/// into second-level children after each sub-step (children share their
-/// parent nest's thread group, mirroring how they sub-divide their parent's
-/// processors in the planner).
-fn solve_nest_threaded(nest: &mut NestState, bc: &crate::nest::BoundaryData, threads: usize) {
-    for _ in 0..nest.geo.ratio {
-        crate::nest::apply_boundary(&mut nest.solver, bc);
-        step_parallel(&mut nest.solver, threads);
-        let NestState {
-            solver, children, ..
-        } = nest;
-        for child in children.iter_mut() {
-            let cbc = crate::nest::interpolate_boundary(solver, &child.geo);
-            for _ in 0..child.geo.ratio {
-                crate::nest::apply_boundary(&mut child.solver, &cbc);
-                step_parallel(&mut child.solver, threads);
-            }
-            crate::nest::feedback_to_parent(&child.solver, solver, &child.geo);
-        }
     }
 }
 

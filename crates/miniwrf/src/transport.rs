@@ -130,7 +130,7 @@ pub fn drive_nests<L: HaloLink>(
     for iter in 0..iterations {
         for (idx, nest) in owned.iter_mut() {
             let bc = link.recv_boundary(*idx, iter)?;
-            NestedModel::solve_nest(nest, &bc);
+            NestedModel::solve_nest(nest, &bc, 1);
             let fb = collect_feedback(&nest.solver, &nest.geo);
             link.send_feedback(*idx, iter, &fb)?;
         }

@@ -613,24 +613,6 @@ impl<'a> Simulation<'a> {
                 io: iter_io,
                 mpi_wait: self.mpi_wait.iter().sum::<f64>() - wait0,
             });
-            if nestwx_obs::SPANS_ENABLED {
-                if let Some(rec) = self.obs.as_mut() {
-                    let t_end = t_nests1 + iter_io;
-                    rec.span("iteration", 0, t_iter0 * 1e6, (t_end - t_iter0) * 1e6);
-                    rec.span(
-                        "parent phase",
-                        1,
-                        t_iter0 * 1e6,
-                        (t_parent1 - t_iter0) * 1e6,
-                    );
-                    rec.span(
-                        "nest phase",
-                        1,
-                        t_parent1 * 1e6,
-                        (t_nests1 - t_parent1) * 1e6,
-                    );
-                }
-            }
         }
 
         let total_time = self.barrier_all();

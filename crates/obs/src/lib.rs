@@ -1,18 +1,14 @@
 //! Step-level observability for the `nestwx` workspace (`nestwx-obs`).
 //!
-//! A near-zero-overhead metrics/tracing facade with two tiers:
-//!
-//! * **Counter core (always on):** producers accumulate plain counters —
-//!   compute seconds, halo-wait seconds, bytes moved, link hops, contention
-//!   stalls — and hand the per-step deltas to a [`Recorder`] as
-//!   [`StepMetrics`] records. Recording is a handful of adds plus one ring
-//!   push per *step* (thousands of messages), so the measured cost (the
-//!   ledger's `obs.counter_overhead_pct`) is within run-to-run noise of an
-//!   unobserved replay. With no recorder attached the producers skip even
-//!   that.
-//! * **Span mode (feature `spans`):** named durations ([`SpanEvent`])
-//!   are stored and exported alongside the step records. Without the
-//!   feature, [`Recorder::span`] compiles to a no-op.
+//! A near-zero-overhead metrics facade: producers accumulate plain
+//! counters — compute seconds, halo-wait seconds, bytes moved, link hops,
+//! contention stalls — and hand the per-step deltas to a [`Recorder`] as
+//! [`StepMetrics`] records. Recording is a handful of adds plus one ring
+//! push per *step* (thousands of messages), so the measured cost (the
+//! ledger's `obs.counter_overhead_pct`) is within run-to-run noise of an
+//! unobserved replay. With no recorder attached the producers skip even
+//! that. Per-rank timelines, histograms and per-link loads are the opt-in
+//! detailed tier ([`ObsConfig::detailed`]).
 //!
 //! Recorded data exports two ways: [`Recorder::summary_json`] (aggregate
 //! totals plus per-nest breakdowns) and [`Recorder::chrome_trace_json`]
@@ -31,7 +27,6 @@ pub mod clock;
 pub mod hist;
 pub mod ring;
 pub mod serve;
-pub mod span;
 pub mod timeline;
 pub mod trace;
 
@@ -39,10 +34,10 @@ pub use analyze::{AnalysisReport, LinkLoad, LinkUtil, NestAnalysis, NetDetail, R
 pub use hist::{HistSummary, LogHistogram};
 pub use ring::StepRing;
 pub use serve::{SERVE_SCHEMA, SERVE_VERSION};
-pub use span::{SpanEvent, SPANS_ENABLED};
 pub use timeline::{FrameMeta, Timeline, TimelineConfig};
 
 use serde::Serialize;
+use serde_json::Value;
 use std::io::Write;
 use std::path::Path;
 
@@ -217,9 +212,8 @@ impl ObsConfig {
     }
 }
 
-/// Collects [`StepMetrics`] into running totals plus a recent-steps ring,
-/// optional per-rank timelines and histograms, and (with the `spans`
-/// feature) span events.
+/// Collects [`StepMetrics`] into running totals plus a recent-steps ring
+/// and optional per-rank timelines and histograms.
 #[derive(Debug, Clone)]
 pub struct Recorder {
     ring: StepRing,
@@ -229,8 +223,6 @@ pub struct Recorder {
     timeline: Option<Timeline>,
     net: Option<NetDetail>,
     last_end: f64,
-    #[cfg(feature = "spans")]
-    spans: Vec<SpanEvent>,
 }
 
 impl Recorder {
@@ -244,8 +236,6 @@ impl Recorder {
             timeline: config.timeline.map(Timeline::new),
             net: None,
             last_end: 0.0,
-            #[cfg(feature = "spans")]
-            spans: Vec::new(),
         }
     }
 
@@ -260,8 +250,6 @@ impl Recorder {
         }
         self.net = None;
         self.last_end = 0.0;
-        #[cfg(feature = "spans")]
-        self.spans.clear();
     }
 
     /// Records one step's counters.
@@ -371,36 +359,6 @@ impl Recorder {
         )
     }
 
-    /// Records a span (no-op unless the `spans` feature is enabled).
-    /// `ts_us` / `dur_us` are microseconds on the trace timeline.
-    #[inline]
-    pub fn span(&mut self, name: &str, tid: u32, ts_us: f64, dur_us: f64) {
-        #[cfg(feature = "spans")]
-        self.spans.push(SpanEvent {
-            name: name.to_owned(),
-            ts: ts_us,
-            dur: dur_us,
-            tid,
-        });
-        #[cfg(not(feature = "spans"))]
-        {
-            let _ = (name, tid, ts_us, dur_us);
-        }
-    }
-
-    /// Span events stored so far (always empty without the `spans`
-    /// feature).
-    pub fn spans(&self) -> &[SpanEvent] {
-        #[cfg(feature = "spans")]
-        {
-            &self.spans
-        }
-        #[cfg(not(feature = "spans"))]
-        {
-            &[]
-        }
-    }
-
     /// The retained recent steps, oldest → newest.
     pub fn steps(&self) -> impl Iterator<Item = &StepMetrics> {
         self.ring.iter()
@@ -451,10 +409,10 @@ impl Recorder {
         serde_json::to_string_pretty(&run).expect("summary serialization cannot fail")
     }
 
-    /// The retained steps (plus spans, if stored) as Chrome `trace_event`
-    /// JSON for `chrome://tracing`.
+    /// The retained steps as Chrome `trace_event` JSON for
+    /// `chrome://tracing`.
     pub fn chrome_trace_json(&self) -> String {
-        trace::chrome_trace_json(self.ring.iter(), self.spans())
+        trace::chrome_trace_json(self.ring.iter())
     }
 
     /// Writes [`Recorder::chrome_trace_json`] to `path`.
@@ -481,6 +439,86 @@ pub const SWEEP_VERSION: u64 = 1;
 pub const FLEET_SCHEMA: &str = "nestwx-obs-fleet-summary";
 /// Current version of the fleet summary envelope.
 pub const FLEET_VERSION: u64 = 1;
+
+/// One versioned JSON envelope `nestwx` writes and `nestwx obs` reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Envelope {
+    /// The `schema` tag.
+    pub schema: &'static str,
+    /// The one `version` this build reads: a reader that tolerated other
+    /// versions would silently misread renamed fields.
+    pub version: u64,
+    /// Key path of the per-record array (`nestwx obs top` ranks it); empty
+    /// when the envelope has none.
+    pub records: &'static [&'static str],
+}
+
+impl Envelope {
+    /// The record array of `v`, when this envelope has one and `v`
+    /// carries it.
+    pub fn records<'a>(&self, v: &'a Value) -> Option<&'a Vec<Value>> {
+        if self.records.is_empty() {
+            return None;
+        }
+        self.records
+            .iter()
+            .try_fold(v, |cur, key| cur.get(key))?
+            .as_array()
+    }
+}
+
+/// Every envelope, with its record array: the only per-schema data the
+/// `nestwx obs` readers hold.
+pub static ENVELOPES: [Envelope; 4] = [
+    Envelope {
+        schema: SUMMARY_SCHEMA,
+        version: SUMMARY_VERSION,
+        records: &["ring", "steps"],
+    },
+    Envelope {
+        schema: SWEEP_SCHEMA,
+        version: SWEEP_VERSION,
+        records: &["scenarios"],
+    },
+    Envelope {
+        schema: FLEET_SCHEMA,
+        version: FLEET_VERSION,
+        records: &[],
+    },
+    Envelope {
+        schema: SERVE_SCHEMA,
+        version: SERVE_VERSION,
+        records: &["spans"],
+    },
+];
+
+/// Finds `v`'s envelope in [`ENVELOPES`] and requires its exact current
+/// version. The error names the unknown schema or the unsupported
+/// version.
+pub fn check_envelope(v: &Value) -> Result<&'static Envelope, String> {
+    let schema = v
+        .get("schema")
+        .and_then(Value::as_str)
+        .ok_or("no 'schema' tag (not a nestwx envelope?)")?;
+    let Some(envelope) = ENVELOPES.iter().find(|e| e.schema == schema) else {
+        let known: Vec<&str> = ENVELOPES.iter().map(|e| e.schema).collect();
+        return Err(format!(
+            "unknown schema '{schema}' (expected one of {})",
+            known.join(", ")
+        ));
+    };
+    let version = v
+        .get("version")
+        .and_then(Value::as_u64)
+        .ok_or_else(|| format!("{schema} envelope has no 'version' tag"))?;
+    if version != envelope.version {
+        return Err(format!(
+            "unsupported {schema} version {version} (this build reads {})",
+            envelope.version
+        ));
+    }
+    Ok(envelope)
+}
 
 /// The summary-JSON envelope (what [`Recorder::summary_json`] emits).
 #[derive(Debug, Clone, Serialize)]
@@ -594,11 +632,9 @@ mod tests {
     fn clear_resets_everything() {
         let mut rec = Recorder::new(ObsConfig::counters());
         rec.record_step(metrics(1, StepPhase::Parent, -1));
-        rec.span("x", 0, 0.0, 1.0);
         rec.clear();
         assert_eq!(rec.summary(), &ObsSummary::default());
         assert_eq!(rec.steps().count(), 0);
-        assert!(rec.spans().is_empty());
     }
 
     #[test]
@@ -650,10 +686,34 @@ mod tests {
         assert!(analysis.get("overall_imbalance").unwrap().as_f64().unwrap() > 1.0);
     }
 
+    fn tagged(schema: &str, version: u64) -> Value {
+        serde_json::from_str(&format!(
+            r#"{{"schema":"{schema}","version":{version},"spans":[{{"total_us":3}}]}}"#
+        ))
+        .unwrap()
+    }
+
     #[test]
-    fn span_storage_matches_feature() {
+    fn check_envelope_requires_the_exact_version_of_every_schema() {
+        for e in &ENVELOPES {
+            assert_eq!(check_envelope(&tagged(e.schema, e.version)), Ok(e));
+            let err = check_envelope(&tagged(e.schema, e.version + 1)).unwrap_err();
+            assert!(err.contains(&format!("version {}", e.version + 1)), "{err}");
+        }
+        let err = check_envelope(&tagged("bogus", 1)).unwrap_err();
+        assert!(err.contains("bogus"), "{err}");
+        assert!(check_envelope(&serde_json::from_str("{}").unwrap()).is_err());
+    }
+
+    #[test]
+    fn record_array_follows_the_table_path() {
         let mut rec = Recorder::new(ObsConfig::counters());
-        rec.span("probe", 3, 10.0, 5.0);
-        assert_eq!(rec.spans().len(), usize::from(SPANS_ENABLED));
+        rec.record_step(metrics(1, StepPhase::Nest, 0));
+        let run: Value = serde_json::from_str(&rec.summary_json()).unwrap();
+        let env = check_envelope(&run).unwrap();
+        assert_eq!(env.records(&run).map(Vec::len), Some(1));
+        let serve = tagged(SERVE_SCHEMA, SERVE_VERSION);
+        assert_eq!(ENVELOPES[3].records(&serve).map(Vec::len), Some(1));
+        assert_eq!(ENVELOPES[1].records(&serve), None);
     }
 }

@@ -1,123 +1,32 @@
-//! Serve-side flight-recorder summary schema.
+//! Serve-side flight-recorder envelope tags.
 //!
 //! `nestwx serve` drains its per-reader span rings through the `trace`
-//! protocol endpoint as a versioned envelope (schema [`SERVE_SCHEMA`],
-//! version [`SERVE_VERSION`]). This module owns the consumer side: schema
-//! validation for `nestwx obs report|top|diff` and conversion of the
-//! drained spans into Chrome `trace_event` JSON so serve traces open in
-//! the same Perfetto UI as the simulator traces from [`crate::trace`].
-//!
-//! The envelope layout (all durations in microseconds on the server's
-//! epoch timeline):
+//! protocol endpoint as a versioned envelope; `nestwx obs report|top|diff`
+//! read it back through [`crate::check_envelope`] like every other
+//! envelope. The layout (durations in microseconds on the server's epoch
+//! timeline):
 //!
 //! ```json
 //! {
 //!   "schema": "nestwx-obs-serve-summary",
 //!   "version": 1,
-//!   "summary": {
-//!     "recording": true, "readers": 2, "ring_capacity": 4096,
-//!     "drained": 123, "dropped": 0,
-//!     "recorded_total": 123, "dropped_total": 0,
-//!     "slow_total": 1, "slow_threshold_us": 5000,
-//!     "spans_truncated": 0, "slow_truncated": 0,
-//!     "by_path": {"hot": 100, "inline": 3, "worker": 20, "deadline": 0},
-//!     "by_op": {"predict": 0, "plan": 120, ...}
-//!   },
+//!   "summary": {"recording": true, "drained": 123, "dropped": 0, ...},
 //!   "spans": [ {"ts_us": ..., "op": "plan", "path": "worker", ...} ],
 //!   "slow":  [ ...same shape... ]
 //! }
 //! ```
 
-use crate::span::SpanEvent;
-use crate::trace;
-use serde_json::Value;
-
-/// `schema` tag of the serve flight-recorder envelope.
+/// `schema` tag of the serve flight-recorder envelope (drained by the
+/// `nestwx serve` `trace` endpoint, consumed by `nestwx obs report`).
 pub const SERVE_SCHEMA: &str = "nestwx-obs-serve-summary";
 /// Current version of the serve flight-recorder envelope.
 pub const SERVE_VERSION: u64 = 1;
 
-/// Lifecycle-path lanes used for the Chrome trace `tid` so hot-cache
-/// hits, inline control responses, worker round-trips and deadline
-/// expiries each render on their own track.
-const PATH_LANES: [&str; 4] = ["hot", "inline", "worker", "deadline"];
-
-/// Checks the `schema`/`version` tags of a serve summary. Returns the
-/// version on success; a rendered error otherwise (unknown schema, or a
-/// version this build does not understand).
-pub fn check_serve_schema(v: &Value) -> Result<u64, String> {
-    let schema = v
-        .get("schema")
-        .and_then(Value::as_str)
-        .ok_or_else(|| "missing 'schema' tag".to_string())?;
-    if schema != SERVE_SCHEMA {
-        return Err(format!(
-            "unsupported schema '{schema}' (expected '{SERVE_SCHEMA}')"
-        ));
-    }
-    let version = v
-        .get("version")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| "missing 'version' tag".to_string())?;
-    if version != SERVE_VERSION {
-        return Err(format!(
-            "unsupported {SERVE_SCHEMA} version {version} (this build reads {SERVE_VERSION})"
-        ));
-    }
-    Ok(version)
-}
-
-/// Lane index of a lifecycle path name (unknown paths share lane 0).
-fn path_lane(path: &str) -> u32 {
-    PATH_LANES
-        .iter()
-        .position(|p| *p == path)
-        .map(|i| i as u32)
-        .unwrap_or(0)
-}
-
-/// Converts one drained span object into a Chrome trace [`SpanEvent`].
-fn span_event(s: &Value) -> Option<SpanEvent> {
-    let op = s.get("op").and_then(Value::as_str)?;
-    let path = s.get("path").and_then(Value::as_str)?;
-    let ts = s.get("ts_us").and_then(Value::as_f64)?;
-    let dur = s.get("total_us").and_then(Value::as_f64)?;
-    let ok = s.get("ok").and_then(Value::as_bool).unwrap_or(true);
-    let mark = if ok { "" } else { " (err)" };
-    Some(SpanEvent {
-        name: format!("{op}/{path}{mark}"),
-        ts,
-        dur,
-        tid: path_lane(path),
-    })
-}
-
-/// Renders a serve summary envelope as Chrome `trace_event` JSON: one
-/// complete ("X") event per drained span (and per slow-log entry, on the
-/// same timeline), lanes keyed by lifecycle path. Validates the schema
-/// tag first so `nestwx obs` surfaces version skew instead of emitting an
-/// empty trace.
-pub fn serve_chrome_trace(v: &Value) -> Result<String, String> {
-    check_serve_schema(v)?;
-    let mut events = Vec::new();
-    for key in ["spans", "slow"] {
-        if let Some(arr) = v.get(key).and_then(Value::as_array) {
-            for s in arr {
-                if let Some(ev) = span_event(s) {
-                    events.push(ev);
-                }
-            }
-        }
-    }
-    Ok(trace::chrome_trace_json(
-        std::iter::empty::<&crate::StepMetrics>(),
-        &events,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check_envelope;
+    use serde_json::Value;
 
     fn envelope_json() -> &'static str {
         r#"{
@@ -143,44 +52,20 @@ mod tests {
 
     #[test]
     fn schema_check_accepts_current_version() {
-        assert_eq!(check_serve_schema(&envelope()).unwrap(), SERVE_VERSION);
+        let env = check_envelope(&envelope()).unwrap();
+        assert_eq!(env.schema, SERVE_SCHEMA);
+        assert_eq!(env.version, SERVE_VERSION);
+        assert_eq!(env.records(&envelope()).map(Vec::len), Some(2));
     }
 
     #[test]
     fn schema_check_rejects_wrong_schema_and_version() {
         let bad = envelope_json().replace("nestwx-obs-serve-summary", "bogus");
         let v: Value = serde_json::from_str(&bad).unwrap();
-        assert!(check_serve_schema(&v).unwrap_err().contains("bogus"));
+        assert!(check_envelope(&v).unwrap_err().contains("bogus"));
 
         let bad = envelope_json().replace("\"version\": 1", "\"version\": 99");
         let v: Value = serde_json::from_str(&bad).unwrap();
-        assert!(check_serve_schema(&v).unwrap_err().contains("99"));
-    }
-
-    #[test]
-    fn chrome_trace_covers_spans_and_slow_log() {
-        let json = serve_chrome_trace(&envelope()).unwrap();
-        let v: Value = serde_json::from_str(&json).unwrap();
-        let events = v.get("traceEvents").unwrap().as_array().unwrap();
-        assert_eq!(events.len(), 3);
-        assert_eq!(
-            events[0].get("name").unwrap().as_str().unwrap(),
-            "plan/worker"
-        );
-        assert_eq!(events[0].get("ph").unwrap().as_str().unwrap(), "X");
-        // Hot-path spans land on lane 0, worker spans on lane 2.
-        assert_eq!(events[1].get("tid").unwrap().as_u64().unwrap(), 0);
-        assert_eq!(events[0].get("tid").unwrap().as_u64().unwrap(), 2);
-        assert_eq!(
-            events[2].get("name").unwrap().as_str().unwrap(),
-            "compare/worker (err)"
-        );
-    }
-
-    #[test]
-    fn trace_rejects_wrong_version_instead_of_empty_output() {
-        let bad = envelope_json().replace("\"version\": 1", "\"version\": 2");
-        let v: Value = serde_json::from_str(&bad).unwrap();
-        assert!(serve_chrome_trace(&v).is_err());
+        assert!(check_envelope(&v).unwrap_err().contains("99"));
     }
 }

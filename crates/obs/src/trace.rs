@@ -1,12 +1,10 @@
 //! Chrome `trace_event` export.
 //!
-//! Converts recorded [`StepMetrics`] (simulated seconds) and
-//! [`SpanEvent`]s (already in microseconds) into the JSON object format
-//! understood by `chrome://tracing` and <https://ui.perfetto.dev>: a
-//! `traceEvents` array of complete ("X") events with per-event `args`
-//! carrying the step counters.
+//! Converts recorded [`StepMetrics`] (simulated seconds) into the JSON
+//! object format understood by `chrome://tracing` and
+//! <https://ui.perfetto.dev>: a `traceEvents` array of complete ("X")
+//! events with per-event `args` carrying the step counters.
 
-use crate::span::SpanEvent;
 use crate::{StepMetrics, StepPhase};
 use serde::Serialize;
 
@@ -64,14 +62,13 @@ fn step_tid(m: &StepMetrics) -> u32 {
     }
 }
 
-/// Builds the `chrome://tracing` JSON for the given step records and span
-/// events. `steps` timestamps are simulated seconds (scaled to µs here);
-/// `spans` are already on a microsecond timeline.
-pub fn chrome_trace_json<'a, I>(steps: I, spans: &[SpanEvent]) -> String
+/// Builds the `chrome://tracing` JSON for the given step records, whose
+/// timestamps are simulated seconds (scaled to µs here).
+pub fn chrome_trace_json<'a, I>(steps: I) -> String
 where
     I: IntoIterator<Item = &'a StepMetrics>,
 {
-    let mut events: Vec<Event> = steps
+    let events: Vec<Event> = steps
         .into_iter()
         .map(|m| Event {
             name: step_name(m),
@@ -94,25 +91,6 @@ where
             },
         })
         .collect();
-    for s in spans {
-        events.push(Event {
-            name: s.name.clone(),
-            cat: "span".into(),
-            ph: "X".into(),
-            ts: s.ts,
-            dur: s.dur,
-            pid: 1,
-            tid: s.tid,
-            args: EventArgs {
-                compute: 0.0,
-                halo_wait: 0.0,
-                bytes: 0.0,
-                messages: 0,
-                hops: 0,
-                stall: 0.0,
-            },
-        });
-    }
     let file = TraceFile {
         traceEvents: events,
         displayTimeUnit: "ms".into(),
@@ -145,18 +123,10 @@ mod tests {
     #[test]
     fn trace_is_valid_json_with_expected_fields() {
         let s = step();
-        let json = chrome_trace_json(
-            [&s],
-            &[SpanEvent {
-                name: "iteration".into(),
-                ts: 0.0,
-                dur: 250.0,
-                tid: 0,
-            }],
-        );
+        let json = chrome_trace_json([&s]);
         let v = serde_json::from_str(&json).unwrap();
         let events = v.get("traceEvents").unwrap().as_array().unwrap();
-        assert_eq!(events.len(), 2);
+        assert_eq!(events.len(), 1);
         let ev = &events[0];
         assert_eq!(ev.get("ph").unwrap().as_str().unwrap(), "X");
         assert_eq!(
@@ -175,7 +145,7 @@ mod tests {
         let mut s = step();
         s.phase = StepPhase::Io;
         s.nest = -1;
-        let json = chrome_trace_json([&s], &[]);
+        let json = chrome_trace_json([&s]);
         let v = serde_json::from_str(&json).unwrap();
         let ev = v.get("traceEvents").unwrap().get_index(0).unwrap();
         assert_eq!(ev.get("tid").unwrap().as_u64().unwrap(), 0);

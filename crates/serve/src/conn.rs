@@ -3,10 +3,10 @@
 //! A [`Conn`] owns one registered stream plus everything needed to speak
 //! the pipelined line protocol over it without ever blocking:
 //!
-//! - an **input buffer** that splits complete request lines out of
-//!   whatever bytes the socket had ready, with the same oversized-line
-//!   skip discipline as [`crate::protocol::LineReader`] (a hostile line
-//!   never buffers past the cap);
+//! - an **input buffer** (`protocol::LineBuf`, shared with
+//!   [`crate::protocol::LineReader`]) that splits complete request lines
+//!   out of whatever bytes the socket had ready (a hostile line never
+//!   buffers past the cap);
 //! - a **slot queue** preserving response order under pipelining: each
 //!   request reserves a slot, answered either immediately
 //!   ([`Slot::Done`]) or later by a worker completion filling its
@@ -23,7 +23,7 @@
 //! it with `TcpStream`.
 
 use crate::flight::RequestSpan;
-use crate::protocol::Line;
+use crate::protocol::{Line, LineBuf};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::time::{Duration, Instant};
@@ -65,11 +65,7 @@ pub struct Conn<S> {
     pub stream: S,
     /// Connection number within the owning reader (completion routing key).
     pub id: u64,
-    inbuf: Vec<u8>,
-    /// Searched prefix of `inbuf` known to hold no newline.
-    scanned: usize,
-    skipping: bool,
-    max_line: usize,
+    lines: LineBuf,
     outbox: Vec<u8>,
     sent: usize,
     slots: VecDeque<Slot>,
@@ -102,10 +98,7 @@ impl<S: Read + Write> Conn<S> {
         Conn {
             stream,
             id,
-            inbuf: Vec::new(),
-            scanned: 0,
-            skipping: false,
-            max_line,
+            lines: LineBuf::new(max_line),
             outbox: Vec::new(),
             sent: 0,
             slots: VecDeque::new(),
@@ -156,7 +149,7 @@ impl<S: Read + Write> Conn<S> {
                     break;
                 }
                 Ok(n) => {
-                    self.inbuf.extend_from_slice(&chunk[..n]);
+                    self.lines.push(&chunk[..n]);
                     progressed = true;
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -177,43 +170,7 @@ impl<S: Read + Write> Conn<S> {
     /// `None` when more bytes are needed. Oversized lines surface exactly
     /// once with the discarded byte count, then resync at the next newline.
     pub fn next_line(&mut self) -> Option<Line> {
-        if self.skipping {
-            if let Some(i) = self.inbuf.iter().position(|&b| b == b'\n') {
-                self.inbuf.drain(..=i);
-                self.scanned = 0;
-                self.skipping = false;
-            } else {
-                self.inbuf.clear();
-                self.scanned = 0;
-                return None;
-            }
-        }
-        if let Some(off) = self.inbuf[self.scanned..].iter().position(|&b| b == b'\n') {
-            let i = self.scanned + off;
-            self.scanned = 0;
-            if i > self.max_line {
-                self.inbuf.drain(..=i);
-                return Some(Line::Oversized { discarded: i });
-            }
-            let line: Vec<u8> = self.inbuf.drain(..=i).collect();
-            return Some(Line::Data(String::from_utf8_lossy(&line[..i]).into_owned()));
-        }
-        self.scanned = self.inbuf.len();
-        if self.inbuf.len() > self.max_line {
-            let discarded = self.inbuf.len();
-            self.inbuf.clear();
-            self.scanned = 0;
-            self.skipping = true;
-            return Some(Line::Oversized { discarded });
-        }
-        if self.read_closed && !self.inbuf.is_empty() {
-            // Final unterminated line: accept it, as LineReader does.
-            let text = String::from_utf8_lossy(&self.inbuf).into_owned();
-            self.inbuf.clear();
-            self.scanned = 0;
-            return Some(Line::Data(text));
-        }
-        None
+        self.lines.take_line(self.read_closed)
     }
 
     /// Reserves the next in-order response slot for a queued job and
@@ -314,7 +271,7 @@ impl<S: Read + Write> Conn<S> {
         if self.outbox.len() - self.sent > MAX_OUTBOX_BYTES {
             return Some(Gone::SlowConsumer);
         }
-        if self.read_closed && self.output_drained() && self.inbuf.is_empty() {
+        if self.read_closed && self.output_drained() && self.lines.is_empty() {
             return Some(Gone::Finished);
         }
         // Idle/lifetime caps never cut off a connection with answers still

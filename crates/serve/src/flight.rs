@@ -10,8 +10,7 @@
 //!
 //! The `trace` protocol endpoint drains all rings into a versioned
 //! `nestwx-obs-serve-summary` envelope ([`FlightRecorder::envelope`]),
-//! rendered by `nestwx obs report|top|diff` and convertible to Chrome
-//! `trace_event` JSON by `nestwx_obs::serve::serve_chrome_trace`.
+//! rendered by `nestwx obs report|top|diff`.
 //!
 //! Drop accounting is exact: a ring overwrite bumps the ring's local drop
 //! counter under the same lock as the push, and [`SpanRing::drain`] takes

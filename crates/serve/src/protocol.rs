@@ -738,14 +738,90 @@ pub enum Line {
     Eof,
 }
 
-/// A newline-delimited reader that never buffers more than the line cap:
-/// oversized lines are reported immediately and their remainder discarded,
-/// so a hostile client cannot balloon server memory.
-pub struct LineReader<R> {
-    inner: R,
+/// The capped line splitter behind both [`LineReader`] and the event
+/// loop's connections: bytes go in with [`LineBuf::push`], lines come out
+/// of [`LineBuf::take_line`]. It never holds more than the cap: an oversized
+/// line is reported once, as soon as it is known, and its remainder is
+/// discarded through the next newline, so a hostile client cannot balloon
+/// server memory.
+pub(crate) struct LineBuf {
     buf: Vec<u8>,
+    /// Searched prefix of `buf` known to hold no newline.
+    scanned: usize,
     skipping: bool,
     max: usize,
+}
+
+impl LineBuf {
+    /// An empty buffer with a per-line cap of `max` bytes.
+    pub(crate) fn new(max: usize) -> LineBuf {
+        LineBuf {
+            buf: Vec::new(),
+            scanned: 0,
+            skipping: false,
+            max,
+        }
+    }
+
+    /// Appends bytes read from the peer.
+    pub(crate) fn push(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// True when no bytes are buffered.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.buf.is_empty()
+    }
+
+    /// Pops the next complete line, or `None` when more bytes are needed.
+    /// Oversized lines surface exactly once with the discarded byte count,
+    /// then resync at the next newline. With `at_eof` a final unterminated
+    /// line is accepted (clients may close right after the last request).
+    pub(crate) fn take_line(&mut self, at_eof: bool) -> Option<Line> {
+        if self.skipping {
+            if let Some(i) = self.buf.iter().position(|&b| b == b'\n') {
+                self.buf.drain(..=i);
+                self.scanned = 0;
+                self.skipping = false;
+            } else {
+                self.buf.clear();
+                self.scanned = 0;
+                return None;
+            }
+        }
+        if let Some(off) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
+            let i = self.scanned + off;
+            self.scanned = 0;
+            if i > self.max {
+                self.buf.drain(..=i);
+                return Some(Line::Oversized { discarded: i });
+            }
+            let line: Vec<u8> = self.buf.drain(..=i).collect();
+            return Some(Line::Data(String::from_utf8_lossy(&line[..i]).into_owned()));
+        }
+        self.scanned = self.buf.len();
+        if self.buf.len() > self.max {
+            let discarded = self.buf.len();
+            self.buf.clear();
+            self.scanned = 0;
+            self.skipping = true;
+            return Some(Line::Oversized { discarded });
+        }
+        if at_eof && !self.buf.is_empty() {
+            let text = String::from_utf8_lossy(&self.buf).into_owned();
+            self.buf.clear();
+            self.scanned = 0;
+            return Some(Line::Data(text));
+        }
+        None
+    }
+}
+
+/// A blocking newline-delimited reader over a `LineBuf`: the same cap,
+/// oversized-line skip and unterminated-tail rules as the event loop.
+pub struct LineReader<R> {
+    inner: R,
+    lines: LineBuf,
 }
 
 impl<R: Read> LineReader<R> {
@@ -753,9 +829,7 @@ impl<R: Read> LineReader<R> {
     pub fn new(inner: R, max: usize) -> LineReader<R> {
         LineReader {
             inner,
-            buf: Vec::new(),
-            skipping: false,
-            max,
+            lines: LineBuf::new(max),
         }
     }
 
@@ -765,43 +839,14 @@ impl<R: Read> LineReader<R> {
     pub fn next_line(&mut self) -> io::Result<Line> {
         let mut chunk = [0u8; 4096];
         loop {
-            if self.skipping {
-                if let Some(i) = self.buf.iter().position(|&b| b == b'\n') {
-                    self.buf.drain(..=i);
-                    self.skipping = false;
-                } else {
-                    self.buf.clear();
-                }
-            }
-            if !self.skipping {
-                if let Some(i) = self.buf.iter().position(|&b| b == b'\n') {
-                    if i > self.max {
-                        self.buf.drain(..=i);
-                        return Ok(Line::Oversized { discarded: i });
-                    }
-                    let line: Vec<u8> = self.buf.drain(..=i).collect();
-                    let text = String::from_utf8_lossy(&line[..i]).into_owned();
-                    return Ok(Line::Data(text));
-                }
-                if self.buf.len() > self.max {
-                    let discarded = self.buf.len();
-                    self.buf.clear();
-                    self.skipping = true;
-                    return Ok(Line::Oversized { discarded });
-                }
+            if let Some(line) = self.lines.take_line(false) {
+                return Ok(line);
             }
             let n = self.inner.read(&mut chunk)?;
             if n == 0 {
-                if !self.skipping && !self.buf.is_empty() {
-                    // Final unterminated line: accept it (clients may close
-                    // right after the last request).
-                    let text = String::from_utf8_lossy(&self.buf).into_owned();
-                    self.buf.clear();
-                    return Ok(Line::Data(text));
-                }
-                return Ok(Line::Eof);
+                return Ok(self.lines.take_line(true).unwrap_or(Line::Eof));
             }
-            self.buf.extend_from_slice(&chunk[..n]);
+            self.lines.push(&chunk[..n]);
         }
     }
 }

@@ -956,10 +956,11 @@ fn trace_endpoint_drains_versioned_envelope_once() {
     let mut sorted = ts.clone();
     sorted.sort_unstable();
     assert_eq!(ts, sorted, "spans not time-ordered");
-    // A real drained envelope passes the schema check and converts to a
-    // Chrome trace with one complete event per serialized span.
-    let chrome = nestwx_obs::serve::serve_chrome_trace(&v).expect("chrome trace");
-    assert_eq!(chrome.matches("\"ph\": \"X\"").count(), spans.len());
+    // A real drained envelope passes the exact-version envelope check,
+    // and `spans` is the record array `nestwx obs top` ranks.
+    let envelope = nestwx_obs::check_envelope(&v).expect("envelope check");
+    assert_eq!(envelope.schema, nestwx_obs::SERVE_SCHEMA);
+    assert_eq!(envelope.records(&v).map(Vec::len), Some(spans.len()));
 
     // Second drain: only the spans recorded since (the trace request
     // itself, at most a couple) — the plans do not reappear.
