@@ -9,8 +9,10 @@
 //! 4. **physics jitter** — how the modelled load imbalance contributes to
 //!    the default strategy's MPI_Wait.
 
+use crate::{
+    banner, mean, pacific_parent, random_nests, rng_for, Opts, MEASURE_ITERS, TABLE2_PARTS,
+};
 use nestwx_alloc::partition::{partition_grid_with, SplitDim};
-use nestwx_bench::{banner, mean, pacific_parent, random_nests, rng_for, MEASURE_ITERS};
 use nestwx_core::profile::{fit_predictor, measure_domain_time, profile_basis, PROFILE_RANKS};
 use nestwx_core::{compare_strategies, Planner};
 use nestwx_grid::{DomainFeatures, ProcGrid, Rect};
@@ -19,11 +21,11 @@ use nestwx_predict::NaivePointsModel;
 use nestwx_topo::metrics::{halo_edges, nested_iteration_edges, CommStats};
 use nestwx_topo::Mapping;
 
-fn main() {
-    banner("ablation", "design-choice ablations");
+pub fn run(_: &Opts) -> String {
+    let mut out = banner("ablation", "design-choice ablations");
 
     // ---- 1. aspect-ratio feature ----
-    println!("\n[1] predictor feature space (BG/L 64-rank profiling):");
+    out += "\n[1] predictor feature space (BG/L 64-rank profiling):\n";
     let machine = Machine::bgl(64);
     let model2d = fit_predictor(&machine, 42);
     let naive = NaivePointsModel::fit(&profile_basis(&machine, 42));
@@ -42,17 +44,17 @@ fn main() {
         e2.push((model2d.predict(&f).unwrap() - truth).abs() / truth * 100.0);
         e1.push((naive.predict(&f) - truth).abs() / truth * 100.0);
     }
-    println!(
-        "  (aspect, points) interpolation: mean error {:.2} %",
+    out += &format!(
+        "  (aspect, points) interpolation: mean error {:.2} %\n",
         mean(&e2)
     );
-    println!(
-        "  points-only linear model      : mean error {:.2} %",
+    out += &format!(
+        "  points-only linear model      : mean error {:.2} %\n",
         mean(&e1)
     );
 
     // ---- 2. split dimension, end to end ----
-    println!("\n[2] Algorithm 1 split dimension (BG/L 1024, 4 siblings, 5 configs):");
+    out += "\n[2] Algorithm 1 split dimension (BG/L 1024, 4 siblings, 5 configs):\n";
     let parent = pacific_parent();
     let mut rng = rng_for("ablation-split");
     let machine = Machine::bgl_rack();
@@ -87,29 +89,24 @@ fn main() {
             acc.push(rep.per_iteration());
         }
     }
-    println!(
-        "  split along longer dimension : {:.3} s/iter (mean)",
+    out += &format!(
+        "  split along longer dimension : {:.3} s/iter (mean)\n",
         mean(&t_long)
     );
-    println!(
-        "  split along shorter dimension: {:.3} s/iter (mean)",
+    out += &format!(
+        "  split along shorter dimension: {:.3} s/iter (mean)\n",
         mean(&t_short)
     );
-    println!(
-        "  → longer-dimension split is {:.1} % faster",
+    out += &format!(
+        "  → longer-dimension split is {:.1} % faster\n",
         (1.0 - mean(&t_long) / mean(&t_short)) * 100.0
     );
 
     // ---- 3. fold level (hop metrics) ----
-    println!("\n[3] mapping fold level (BG/L rack, Table 2 partitions):");
+    out += "\n[3] mapping fold level (BG/L rack, Table 2 partitions):\n";
     let shape = machine.shape;
     let grid = ProcGrid::new(32, 32);
-    let parts = [
-        Rect::new(0, 0, 18, 24),
-        Rect::new(0, 24, 18, 8),
-        Rect::new(18, 0, 14, 12),
-        Rect::new(18, 12, 14, 20),
-    ];
+    let parts = TABLE2_PARTS;
     let nest_edges: Vec<_> = parts
         .iter()
         .flat_map(|p| halo_edges(&grid, p, 1.0))
@@ -128,14 +125,14 @@ fn main() {
     ] {
         let sn = CommStats::compute(&m, &nest_edges);
         let sa = CommStats::compute(&m, &all_edges);
-        println!(
-            "  {name}: nest avg {:.2} hops; nest+parent avg {:.2} hops, max link load {:.0}",
+        out += &format!(
+            "  {name}: nest avg {:.2} hops; nest+parent avg {:.2} hops, max link load {:.0}\n",
             sn.avg_hops, sa.avg_hops, sa.max_link_bytes
         );
     }
 
     // ---- 4. physics jitter ----
-    println!("\n[4] physics load-imbalance jitter (BG/L 1024, 4 configs):");
+    out += "\n[4] physics load-imbalance jitter (BG/L 1024, 4 configs):\n";
     let mut rng = rng_for("ablation-jitter");
     let configs: Vec<Vec<nestwx_grid::NestSpec>> = (0..4)
         .map(|_| random_nests(&mut rng, 3, 178 * 202, 394 * 418, &parent))
@@ -151,11 +148,12 @@ fn main() {
             imps.push(cmp.improvement_pct());
             waits.push(cmp.default_run.mpi_wait_total);
         }
-        println!(
-            "  jitter ±{:>2.0} %: improvement {:.2} %, default MPI_Wait {:.0} rank-s",
+        out += &format!(
+            "  jitter ±{:>2.0} %: improvement {:.2} %, default MPI_Wait {:.0} rank-s\n",
             jitter * 100.0,
             mean(&imps),
             mean(&waits)
         );
     }
+    out
 }

@@ -5,13 +5,13 @@
 //! Demonstrates recovery from a deliberately bad initial allocation and
 //! convergence toward the statically-predicted plan's performance.
 
-use nestwx_bench::{banner, pacific_parent, row};
+use crate::{banner, pacific_parent, row, Opts};
 use nestwx_core::{run_adaptive, AllocPolicy, Planner};
 use nestwx_grid::NestSpec;
 use nestwx_netsim::Machine;
 
-fn main() {
-    banner(
+pub fn run(_: &Opts) -> String {
+    let mut out = banner(
         "adaptive",
         "adaptive re-partitioning (steering) on BG/L(1024)",
     );
@@ -40,53 +40,38 @@ fn main() {
     let adaptive = run_adaptive(&static_equal, &parent, &nests, 12, 3).unwrap();
 
     let widths = [34, 12];
-    println!("{}", row(&["strategy".into(), "s/iter".into()], &widths));
-    println!(
-        "{}",
+    row(&mut out, &["strategy", "s/iter"], &widths);
+    for (strategy, per_iter) in [
+        ("static equal split", equal.per_iteration()),
+        (
+            "adaptive (equal start, replan/3 it)",
+            adaptive.per_iteration(),
+        ),
+        ("static predicted (paper)", oracle.per_iteration()),
+    ] {
         row(
-            &[
-                "static equal split".into(),
-                format!("{:.3}", equal.per_iteration())
-            ],
-            &widths
-        )
-    );
-    println!(
-        "{}",
-        row(
-            &[
-                "adaptive (equal start, replan/3 it)".into(),
-                format!("{:.3}", adaptive.per_iteration())
-            ],
-            &widths
-        )
-    );
-    println!(
-        "{}",
-        row(
-            &[
-                "static predicted (paper)".into(),
-                format!("{:.3}", oracle.per_iteration())
-            ],
-            &widths
-        )
-    );
-    println!("\nper-chunk per-iteration times (adaptive):");
-    for (k, c) in adaptive.chunks.iter().enumerate() {
-        println!("  chunk {}: {:.3} s/iter", k + 1, c.per_iteration());
+            &mut out,
+            &[strategy.into(), format!("{per_iter:.3}")],
+            &widths,
+        );
     }
-    println!(
-        "redistribution charged: {:.3} s total",
+    out += "\nper-chunk per-iteration times (adaptive):\n";
+    for (k, c) in adaptive.chunks.iter().enumerate() {
+        out += &format!("  chunk {}: {:.3} s/iter\n", k + 1, c.per_iteration());
+    }
+    out += &format!(
+        "redistribution charged: {:.3} s total\n",
         adaptive.redistribution_time
     );
-    println!(
-        "final measured ratios: {:?}",
+    out += &format!(
+        "final measured ratios: {:?}\n",
         adaptive
             .final_ratios
             .iter()
             .map(|r| (r * 1000.0).round() / 1000.0)
             .collect::<Vec<_>>()
     );
-    println!("\nThe measured-ratio re-plan recovers most of the gap between a bad initial");
-    println!("allocation and the paper's prediction-driven plan.");
+    out += "\nThe measured-ratio re-plan recovers most of the gap between a bad initial\n";
+    out += "allocation and the paper's prediction-driven plan.\n";
+    out
 }

@@ -6,33 +6,28 @@
 //! carries over: each sibling partition is laid on a contiguous run of a
 //! boustrophedon (everywhere-1-hop) walk of the 5-D torus.
 
-use nestwx_bench::banner;
-use nestwx_grid::{ProcGrid, Rect};
+use crate::{banner, Opts, TABLE2_PARTS};
+use nestwx_grid::ProcGrid;
 use nestwx_topo::torus5d::{partition_halo_pairs, Mapping5, Torus5};
 
-fn main() {
-    banner("bgq", "5-D torus mapping preview (Blue Gene/Q future work)");
+pub fn run(_: &Opts) -> String {
+    let mut out = banner("bgq", "5-D torus mapping preview (Blue Gene/Q future work)");
     // One BG/Q rack of 1024 nodes (4×4×4×8×2), one rank per node; the
     // Table 2 partition geometry.
     let torus = Torus5::bgq_rack();
     let grid = ProcGrid::new(32, 32);
-    let parts = [
-        Rect::new(0, 0, 18, 24),
-        Rect::new(0, 24, 18, 8),
-        Rect::new(18, 0, 14, 12),
-        Rect::new(18, 12, 14, 20),
-    ];
+    let parts = TABLE2_PARTS;
     let nest_edges = partition_halo_pairs(&grid, &parts);
     // Parent edges: all neighbour pairs of the full grid.
     let parent_edges = partition_halo_pairs(&grid, &[grid.rect()]);
 
-    println!(
-        "torus: {:?} = {} nodes; virtual grid 32x32",
+    out += &format!(
+        "torus: {:?} = {} nodes; virtual grid 32x32\n",
         torus.dims,
         torus.nodes()
     );
-    println!(
-        "{:<28} {:>12} {:>14}",
+    out += &format!(
+        "{:<28} {:>12} {:>14}\n",
         "mapping", "nest hops", "parent hops"
     );
     let ob = Mapping5::oblivious(torus, 1024).unwrap();
@@ -43,16 +38,17 @@ fn main() {
         ("partition serpentine", &ps),
         ("universal folded (AD)x(BCE)", &pf),
     ] {
-        println!(
-            "{:<28} {:>12.2} {:>14.2}",
+        out += &format!(
+            "{:<28} {:>12.2} {:>14.2}\n",
             name,
             m.avg_hops(&nest_edges),
             m.avg_hops(&parent_edges)
         );
     }
     let red = (1.0 - pf.avg_hops(&nest_edges) / ob.avg_hops(&nest_edges)) * 100.0;
-    println!("\nuniversal folded mapping: every nest and parent neighbour is 1 hop —");
-    println!("{red:.1} % fewer nest-halo hops than oblivious. With five dimensions to");
-    println!("combine, the 3-D torus's 'non-foldable' problem disappears whenever the");
-    println!("extents factor (power-of-two BG/Q shapes always do).");
+    out += "\nuniversal folded mapping: every nest and parent neighbour is 1 hop —\n";
+    out += &format!("{red:.1} % fewer nest-halo hops than oblivious. With five dimensions to\n");
+    out += "combine, the 3-D torus's 'non-foldable' problem disappears whenever the\n";
+    out += "extents factor (power-of-two BG/Q shapes always do).\n";
+    out
 }

@@ -1,5 +1,5 @@
 //! Calibration check: verifies the machine-model constants against the
-//! paper's quantitative anchors before the experiment binaries are trusted.
+//! paper's quantitative anchors before the other experiments are trusted.
 //!
 //! Anchors:
 //! * Fig. 9 — sibling times on 1024 BG/L: sequential ≈ 0.4/0.2/0.2/0.3 s,
@@ -7,36 +7,33 @@
 //! * §4.3.1 — avg ≈ 21 %, max ≈ 33 % improvement over random configs;
 //! * Fig. 10 — large nests: ≈ 1 % at 1024 BG/P cores → ≈ 21 % at 8192.
 
-use nestwx_bench::{banner, mean, pacific_parent, random_nests, rng_for, MEASURE_ITERS};
+use crate::{
+    banner, large_nests, max, mean, min, pacific_parent, random_nests, rng_for, table2_nests, Opts,
+    MEASURE_ITERS,
+};
 use nestwx_core::{compare_strategies, Planner};
-use nestwx_grid::{Domain, NestSpec};
 use nestwx_netsim::Machine;
 
-fn main() {
-    banner("calibrate", "machine-model calibration anchors");
+pub fn run(_: &Opts) -> String {
+    let mut out = banner("calibrate", "machine-model calibration anchors");
 
     // ---- Fig. 9 anchor: Table 2 configuration on BG/L(1024) ----
     let parent = pacific_parent();
-    let nests = vec![
-        NestSpec::new(394, 418, 3, (10, 10)),
-        NestSpec::new(232, 202, 3, (150, 10)),
-        NestSpec::new(232, 256, 3, (10, 160)),
-        NestSpec::new(313, 337, 3, (150, 160)),
-    ];
+    let nests = table2_nests();
     let planner = Planner::new(Machine::bgl_rack());
     let cmp = compare_strategies(&planner, &parent, &nests, MEASURE_ITERS).unwrap();
-    println!("\n[fig9 anchor] BG/L(1024), Table 2 nests");
-    println!(
-        "  default per-iteration : {:.3} s (paper ≈ 1.1 s nests + parent)",
+    out += "\n[fig9 anchor] BG/L(1024), Table 2 nests\n";
+    out += &format!(
+        "  default per-iteration : {:.3} s (paper ≈ 1.1 s nests + parent)\n",
         cmp.default_run.per_iteration()
     );
-    println!(
-        "  parallel per-iteration: {:.3} s",
+    out += &format!(
+        "  parallel per-iteration: {:.3} s\n",
         cmp.planned_run.per_iteration()
     );
     for i in 0..4 {
-        println!(
-            "  sibling {}: seq {:.3} s | conc {:.3} s   (paper: {} | {})",
+        out += &format!(
+            "  sibling {}: seq {:.3} s | conc {:.3} s   (paper: {} | {})\n",
             i + 1,
             cmp.default_run.sibling_per_iter(i),
             cmp.planned_run.sibling_per_iter(i),
@@ -44,12 +41,12 @@ fn main() {
             [0.7, 0.6, 0.6, 0.7][i],
         );
     }
-    println!(
-        "  improvement: {:.2}% (paper nest-phase ≈ 36%)",
+    out += &format!(
+        "  improvement: {:.2}% (paper nest-phase ≈ 36%)\n",
         cmp.improvement_pct()
     );
-    println!(
-        "  MPI_Wait improvement: {:.2}%",
+    out += &format!(
+        "  MPI_Wait improvement: {:.2}%\n",
         cmp.mpi_wait_improvement_pct()
     );
 
@@ -62,32 +59,28 @@ fn main() {
         let cmp = compare_strategies(&planner, &parent, &nests, MEASURE_ITERS).unwrap();
         imps.push(cmp.improvement_pct());
     }
-    println!("\n[sec4.3.1 anchor] 12 random configs, 2-4 siblings, BG/L(1024)");
-    println!(
-        "  improvement avg {:.2}% (paper 21.14%), max {:.2}% (paper 33.04%), min {:.2}%",
+    out += "\n[sec4.3.1 anchor] 12 random configs, 2-4 siblings, BG/L(1024)\n";
+    out += &format!(
+        "  improvement avg {:.2}% (paper 21.14%), max {:.2}% (paper 33.04%), min {:.2}%\n",
         mean(&imps),
-        nestwx_bench::max(&imps),
-        imps.iter().copied().fold(f64::INFINITY, f64::min)
+        max(&imps),
+        min(&imps)
     );
 
     // ---- Fig. 10 anchor: large nests on BG/P ----
-    let big_parent = Domain::parent(572, 614, 24.0);
-    let large = vec![
-        NestSpec::new(586, 643, 3, (10, 10)),
-        NestSpec::new(856, 919, 3, (250, 10)),
-        NestSpec::new(925, 850, 3, (10, 300)),
-    ];
-    println!("\n[fig10 anchor] 3 large siblings on BG/P");
+    let (big_parent, large) = large_nests();
+    out += "\n[fig10 anchor] 3 large siblings on BG/P\n";
     for cores in [1024u32, 2048, 4096, 8192] {
         let planner = Planner::new(Machine::bgp(cores));
         let cmp = compare_strategies(&planner, &big_parent, &large, MEASURE_ITERS).unwrap();
-        println!(
-            "  {:>5} cores: default {:.3} s, parallel {:.3} s, improvement {:+.2}%",
+        out += &format!(
+            "  {:>5} cores: default {:.3} s, parallel {:.3} s, improvement {:+.2}%\n",
             cores,
             cmp.default_run.per_iteration(),
             cmp.planned_run.per_iteration(),
             cmp.improvement_pct()
         );
     }
-    println!("  (paper: 1.33% at 1024 → 20.64% at 8192)");
+    out += "  (paper: 1.33% at 1024 → 20.64% at 8192)\n";
+    out
 }

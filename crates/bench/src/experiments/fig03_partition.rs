@@ -1,12 +1,12 @@
 //! Fig. 3(b) — Partitions of the processor space in the ratio of execution
 //! times 0.15 : 0.3 : 0.35 : 0.2, rendered as ASCII art.
 
+use crate::{banner, Opts};
 use nestwx_alloc::partition_grid;
-use nestwx_bench::banner;
 use nestwx_grid::ProcGrid;
 
-fn main() {
-    banner(
+pub fn run(_: &Opts) -> String {
+    let mut out = banner(
         "fig03",
         "processor-space partitioning for ratios 0.15:0.3:0.35:0.2",
     );
@@ -23,12 +23,12 @@ fn main() {
         }
     }
     for line in canvas {
-        println!("  {}", line.iter().collect::<String>());
+        out += &format!("  {}\n", line.iter().collect::<String>());
     }
-    println!();
+    out += "\n";
     for (p, r) in parts.iter().zip(&ratios) {
-        println!(
-            "  nest {}: {:>3} processors ({:.1}% of 1024, target {:.0}%)  rect {}x{} at ({},{})  squareness {:.2}",
+        out += &format!(
+            "  nest {}: {:>3} processors ({:.1}% of 1024, target {:.0}%)  rect {}x{} at ({},{})  squareness {:.2}\n",
             p.domain + 1,
             p.rect.area(),
             p.rect.area() as f64 / 1024.0 * 100.0,
@@ -37,7 +37,8 @@ fn main() {
             p.rect.h,
             p.rect.x0,
             p.rect.y0,
-            p.rect.squareness(),
+            p.rect.squareness()
         );
     }
+    out
 }

@@ -2,13 +2,13 @@
 //! resulting rectangles are more square-like, balancing x- and
 //! y-communication volumes.
 
+use crate::{banner, Opts};
 use nestwx_alloc::metrics::mean_squareness;
 use nestwx_alloc::partition::{partition_grid_with, SplitDim};
-use nestwx_bench::banner;
 use nestwx_grid::ProcGrid;
 
-fn main() {
-    banner(
+pub fn run(_: &Opts) -> String {
+    let mut out = banner(
         "fig04",
         "first split along longer vs shorter dimension (k = 3)",
     );
@@ -19,17 +19,18 @@ fn main() {
         ("shorter (Fig. 4b)", SplitDim::Shorter),
     ] {
         let parts = partition_grid_with(&grid, &ratios, dim).unwrap();
-        println!("\nfirst split along the {label}:");
+        out += &format!("\nfirst split along the {label}:\n");
         for p in &parts {
-            println!(
-                "  nest {}: {:>2}x{:<2} (squareness {:.2})",
+            out += &format!(
+                "  nest {}: {:>2}x{:<2} (squareness {:.2})\n",
                 p.domain + 1,
                 p.rect.w,
                 p.rect.h,
                 p.rect.squareness()
             );
         }
-        println!("  mean squareness: {:.3}", mean_squareness(&parts));
+        out += &format!("  mean squareness: {:.3}\n", mean_squareness(&parts));
     }
-    println!("\nPaper: \"rectangle 3 is more square-like in Fig. 4(a) than in Fig. 4(b)\".");
+    out += "\nPaper: \"rectangle 3 is more square-like in Fig. 4(a) than in Fig. 4(b)\".\n";
+    out
 }

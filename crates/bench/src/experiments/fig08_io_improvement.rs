@@ -5,30 +5,22 @@
 //! collective writes do not scale with writer count and the parallel
 //! strategy writes each sibling's history with fewer ranks.
 
-use nestwx_bench::{
-    banner, env_usize, mean, pacific_parent, random_nests, rng_for, row, MEASURE_ITERS,
-};
+use crate::{banner, mean, pacific_parent, random_nests, rng_for, row, Opts, MEASURE_ITERS};
 use nestwx_core::{compare_strategies, Planner};
 use nestwx_netsim::{IoMode, Machine};
 
-fn main() {
-    let configs = env_usize("NESTWX_CONFIGS", 10);
-    banner(
+pub fn run(opts: &Opts) -> String {
+    let configs = opts.configs.unwrap_or(10);
+    let mut out = banner(
         "fig08",
         &format!("improvement incl./excl. I/O on BG/P ({configs} configs per point)"),
     );
     let parent = pacific_parent();
     let widths = [7, 16, 16];
-    println!(
-        "{}",
-        row(
-            &[
-                "cores".into(),
-                "excl. I/O (%)".into(),
-                "incl. I/O (%)".into()
-            ],
-            &widths
-        )
+    row(
+        &mut out,
+        &["cores", "excl. I/O (%)", "incl. I/O (%)"],
+        &widths,
     );
     for cores in [512u32, 1024, 2048, 4096] {
         let mut rng = rng_for("fig08");
@@ -47,17 +39,16 @@ fn main() {
             let cmp = compare_strategies(&planner, &parent, &nests, MEASURE_ITERS).unwrap();
             incl.push(cmp.improvement_pct());
         }
-        println!(
-            "{}",
-            row(
-                &[
-                    cores.to_string(),
-                    format!("{:.2}", mean(&excl)),
-                    format!("{:.2}", mean(&incl))
-                ],
-                &widths
-            )
+        row(
+            &mut out,
+            &[
+                cores.to_string(),
+                format!("{:.2}", mean(&excl)),
+                format!("{:.2}", mean(&incl)),
+            ],
+            &widths,
         );
     }
-    println!("\nPaper shape: the incl.-I/O bars exceed the excl.-I/O bars at every core count.");
+    out += "\nPaper shape: the incl.-I/O bars exceed the excl.-I/O bars at every core count.\n";
+    out
 }

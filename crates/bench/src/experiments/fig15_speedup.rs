@@ -5,13 +5,13 @@
 //! strategy is faster at every core count, and its speedup pulls ahead at
 //! high core counts (the simulation stops scaling beyond ≈ 700 cores).
 
-use nestwx_bench::{banner, pacific_parent, row, MEASURE_ITERS};
+use crate::{banner, pacific_parent, row, Opts, MEASURE_ITERS};
 use nestwx_core::{compare_strategies, Planner};
 use nestwx_grid::NestSpec;
 use nestwx_netsim::Machine;
 
-fn main() {
-    banner(
+pub fn run(_: &Opts) -> String {
+    let mut out = banner(
         "fig15",
         "scalability & speedup, two 259×229 siblings on BG/L",
     );
@@ -21,19 +21,17 @@ fn main() {
         NestSpec::new(259, 229, 3, (150, 150)),
     ];
     let widths = [7, 12, 12, 12, 12, 12];
-    println!(
-        "{}",
-        row(
-            &[
-                "cores".into(),
-                "seq s/iter".into(),
-                "conc s/iter".into(),
-                "seq spdup".into(),
-                "conc spdup".into(),
-                "improve %".into(),
-            ],
-            &widths
-        )
+    row(
+        &mut out,
+        &[
+            "cores",
+            "seq s/iter",
+            "conc s/iter",
+            "seq spdup",
+            "conc spdup",
+            "improve %",
+        ],
+        &widths,
     );
     let mut seq0 = None;
     let mut conc0 = None;
@@ -46,21 +44,20 @@ fn main() {
         );
         let s0 = *seq0.get_or_insert(s);
         let c0 = *conc0.get_or_insert(c);
-        println!(
-            "{}",
-            row(
-                &[
-                    cores.to_string(),
-                    format!("{s:.3}"),
-                    format!("{c:.3}"),
-                    format!("{:.2}", s0 / s),
-                    format!("{:.2}", c0 / c),
-                    format!("{:.2}", cmp.improvement_pct()),
-                ],
-                &widths
-            )
+        row(
+            &mut out,
+            &[
+                cores.to_string(),
+                format!("{s:.3}"),
+                format!("{c:.3}"),
+                format!("{:.2}", s0 / s),
+                format!("{:.2}", c0 / c),
+                format!("{:.2}", cmp.improvement_pct()),
+            ],
+            &widths,
         );
     }
-    println!("\nPaper shape: concurrent is never slower, and its advantage widens as the");
-    println!("simulation approaches its scalability limit near the full rack.");
+    out += "\nPaper shape: concurrent is never slower, and its advantage widens as the\n";
+    out += "simulation approaches its scalability limit near the full rack.\n";
+    out
 }

@@ -4,14 +4,14 @@
 //! Paper claims: interpolation error < 6 % on test domains (55 900–94 990
 //! points, aspect 0.5–1.5); naïve model errs > 19 %.
 
-use nestwx_bench::{banner, mean, row};
+use crate::{banner, max, mean, row, Opts};
 use nestwx_core::profile::{measure_domain_time, profile_basis, PROFILE_RANKS};
 use nestwx_grid::DomainFeatures;
 use nestwx_netsim::Machine;
 use nestwx_predict::{ExecTimePredictor, NaivePointsModel};
 
-fn main() {
-    banner("pred", "execution-time prediction accuracy (§3.1)");
+pub fn run(_: &Opts) -> String {
+    let mut out = banner("pred", "execution-time prediction accuracy (§3.1)");
     let machine = Machine::bgl(64);
     let basis = profile_basis(&machine, 42);
     let model = ExecTimePredictor::fit(&basis).unwrap();
@@ -33,19 +33,17 @@ fn main() {
     ];
 
     let widths = [11, 10, 12, 12, 12, 12];
-    println!(
-        "{}",
-        row(
-            &[
-                "domain".into(),
-                "points".into(),
-                "true s".into(),
-                "interp s".into(),
-                "err%".into(),
-                "naive err%".into()
-            ],
-            &widths
-        )
+    row(
+        &mut out,
+        &[
+            "domain",
+            "points",
+            "true s",
+            "interp s",
+            "err%",
+            "naive err%",
+        ],
+        &widths,
     );
     let mut interp_errs = Vec::new();
     let mut naive_errs = Vec::new();
@@ -58,29 +56,28 @@ fn main() {
         let ne = (npred - truth).abs() / truth * 100.0;
         interp_errs.push(e);
         naive_errs.push(ne);
-        println!(
-            "{}",
-            row(
-                &[
-                    format!("{nx}x{ny}"),
-                    (nx as u64 * ny as u64).to_string(),
-                    format!("{truth:.4}"),
-                    format!("{pred:.4}"),
-                    format!("{e:.2}"),
-                    format!("{ne:.2}"),
-                ],
-                &widths
-            )
+        row(
+            &mut out,
+            &[
+                format!("{nx}x{ny}"),
+                (nx as u64 * ny as u64).to_string(),
+                format!("{truth:.4}"),
+                format!("{pred:.4}"),
+                format!("{e:.2}"),
+                format!("{ne:.2}"),
+            ],
+            &widths,
         );
     }
-    println!(
-        "\ninterpolation: mean {:.2}%  max {:.2}%   (paper: <6% for most configurations)",
+    out += &format!(
+        "\ninterpolation: mean {:.2}%  max {:.2}%   (paper: <6% for most configurations)\n",
         mean(&interp_errs),
-        nestwx_bench::max(&interp_errs)
+        max(&interp_errs)
     );
-    println!(
-        "naive points : mean {:.2}%  max {:.2}%   (paper: >19%)",
+    out += &format!(
+        "naive points : mean {:.2}%  max {:.2}%   (paper: >19%)\n",
         mean(&naive_errs),
-        nestwx_bench::max(&naive_errs)
+        max(&naive_errs)
     );
+    out
 }

@@ -8,7 +8,7 @@
 //! nests, 500 m level-2 nests) and reports the divide-and-conquer
 //! improvement for each on a BG/L rack.
 
-use nestwx_bench::{banner, mean, row, MEASURE_ITERS};
+use crate::{banner, mean, row, Opts, MEASURE_ITERS};
 use nestwx_core::{compare_strategies, Planner};
 use nestwx_grid::{Domain, NestSpec};
 use nestwx_netsim::Machine;
@@ -88,26 +88,24 @@ fn configs() -> Vec<(&'static str, Vec<NestSpec>)> {
     ]
 }
 
-fn main() {
-    banner(
+pub fn run(_: &Opts) -> String {
+    let mut out = banner(
         "sea",
         "South East Asia: eight configurations, two nesting levels (§4.1.1)",
     );
     let parent = Domain::parent(400, 340, 4.5);
     let planner = Planner::new(Machine::bgl_rack());
     let widths = [24, 8, 11, 11, 11];
-    println!(
-        "{}",
-        row(
-            &[
-                "configuration".into(),
-                "nests".into(),
-                "default s".into(),
-                "parallel s".into(),
-                "improve %".into()
-            ],
-            &widths
-        )
+    row(
+        &mut out,
+        &[
+            "configuration",
+            "nests",
+            "default s",
+            "parallel s",
+            "improve %",
+        ],
+        &widths,
     );
     let mut l1_only = Vec::new();
     let mut with_l2 = Vec::new();
@@ -119,28 +117,27 @@ fn main() {
         } else {
             l1_only.push(imp);
         }
-        println!(
-            "{}",
-            row(
-                &[
-                    name.into(),
-                    nests.len().to_string(),
-                    format!("{:.3}", cmp.default_run.per_iteration()),
-                    format!("{:.3}", cmp.planned_run.per_iteration()),
-                    format!("{:.2}", imp),
-                ],
-                &widths
-            )
+        row(
+            &mut out,
+            &[
+                name.into(),
+                nests.len().to_string(),
+                format!("{:.3}", cmp.default_run.per_iteration()),
+                format!("{:.3}", cmp.planned_run.per_iteration()),
+                format!("{:.2}", imp),
+            ],
+            &widths,
         );
     }
-    println!(
-        "\nfirst-level-only configs : avg improvement {:.2} %",
+    out += &format!(
+        "\nfirst-level-only configs : avg improvement {:.2} %\n",
         mean(&l1_only)
     );
-    println!(
-        "second-level configs     : avg improvement {:.2} %",
+    out += &format!(
+        "second-level configs     : avg improvement {:.2} %\n",
         mean(&with_l2)
     );
-    println!("\nSecond-level siblings sub-partition their parent nest's processors; the");
-    println!("divide-and-conquer gain persists across both nesting depths.");
+    out += "\nSecond-level siblings sub-partition their parent nest's processors; the\n";
+    out += "divide-and-conquer gain persists across both nesting depths.\n";
+    out
 }

@@ -7,15 +7,13 @@
 //! Also reports the §4.3.4 split by sibling count (paper: 19.43 % for
 //! 2 siblings vs 24.22 % for 4).
 
-use nestwx_bench::{
-    banner, env_usize, max, mean, pacific_parent, random_nests, rng_for, MEASURE_ITERS,
-};
+use crate::{banner, max, mean, min, pacific_parent, random_nests, rng_for, Opts, MEASURE_ITERS};
 use nestwx_core::{compare_strategies, Planner};
 use nestwx_netsim::Machine;
 
-fn main() {
-    let configs = env_usize("NESTWX_CONFIGS", 85);
-    banner(
+pub fn run(opts: &Opts) -> String {
+    let configs = opts.configs.unwrap_or(85);
+    let mut out = banner(
         "sec431",
         &format!("improvement over {configs} random configs on BG/L(1024)"),
     );
@@ -32,28 +30,22 @@ fn main() {
         let imp = cmp.improvement_pct();
         all.push(imp);
         by_siblings[k - 2].push(imp);
-        if (i + 1) % 10 == 0 {
-            eprintln!("  … {}/{configs}", i + 1);
-        }
     }
 
-    println!("configurations : {}", all.len());
-    println!(
-        "average improvement: {:>6.2} %   (paper: 21.14 %)",
+    out += &format!("configurations : {}\n", all.len());
+    out += &format!(
+        "average improvement: {:>6.2} %   (paper: 21.14 %)\n",
         mean(&all)
     );
-    println!(
-        "maximum improvement: {:>6.2} %   (paper: 33.04 %)",
+    out += &format!(
+        "maximum improvement: {:>6.2} %   (paper: 33.04 %)\n",
         max(&all)
     );
-    println!(
-        "minimum improvement: {:>6.2} %",
-        all.iter().copied().fold(f64::INFINITY, f64::min)
-    );
-    println!("\nby sibling count (§4.3.4):");
+    out += &format!("minimum improvement: {:>6.2} %\n", min(&all));
+    out += "\nby sibling count (§4.3.4):\n";
     for (k, imps) in by_siblings.iter().enumerate() {
-        println!(
-            "  {} siblings: avg {:>6.2} %  over {} configs{}",
+        out += &format!(
+            "  {} siblings: avg {:>6.2} %  over {} configs{}\n",
             k + 2,
             mean(imps),
             imps.len(),
@@ -64,4 +56,5 @@ fn main() {
             }
         );
     }
+    out
 }

@@ -9,38 +9,34 @@
 //! [`StepMetrics`](nestwx_netsim::StepMetrics) totals — the per-step
 //! MPI_Wait deltas summed by `nestwx-obs` — and cross-checked against the
 //! simulator's internal `SimReport` accumulator (the two differ only in
-//! float summation order). Pass `--trace-out <path>` (or set
-//! `NESTWX_TRACE`) to also dump a Chrome trace of the first planned run.
+//! float summation order). `repro tab01_mpiwait --trace-out <path>` also
+//! writes a Chrome trace of the first planned run.
 
-use nestwx_bench::{
-    banner, env_usize, max, mean, pacific_parent, random_nests, rng_for, row, trace_out,
-    write_trace, MEASURE_ITERS,
+use crate::{
+    banner, max, mean, pacific_parent, random_nests, rng_for, row, write_trace, Opts, MEASURE_ITERS,
 };
 use nestwx_core::{compare_strategies_observed, Planner};
-use nestwx_netsim::{Machine, ObsConfig};
+use nestwx_netsim::Machine;
 
-fn main() {
-    let configs = env_usize("NESTWX_CONFIGS", 10);
-    banner(
+pub fn run(opts: &Opts) -> String {
+    let configs = opts.configs.unwrap_or(10);
+    let mut out = banner(
         "tab01",
         &format!("MPI_Wait improvement, {configs} configs per machine"),
     );
     let parent = pacific_parent();
-    let trace_path = trace_out();
     let widths = [16, 12, 12, 10, 10, 22];
-    println!(
-        "{}",
-        row(
-            &[
-                "machine".into(),
-                "avg (%)".into(),
-                "max (%)".into(),
-                "imb dflt".into(),
-                "imb d&c".into(),
-                "paper avg/max (%)".into()
-            ],
-            &widths
-        )
+    row(
+        &mut out,
+        &[
+            "machine",
+            "avg (%)",
+            "max (%)",
+            "imb dflt",
+            "imb d&c",
+            "paper avg/max (%)",
+        ],
+        &widths,
     );
     let machines: [(Machine, &str); 5] = [
         (Machine::bgl_rack(), "38.42 / 66.30"),
@@ -49,7 +45,6 @@ fn main() {
         (Machine::bgp(2048), "27.02 / 55.54"),
         (Machine::bgp(4096), "28.68 / 43.86"),
     ];
-    let mut traced = false;
     for (machine, paper) in machines {
         let name = machine.name.clone();
         let planner = Planner::new(machine);
@@ -75,31 +70,24 @@ fn main() {
             // strategy, from the recorded timelines.
             imb_default.push(cmp.default_analysis().overall_imbalance);
             imb_planned.push(cmp.planned_analysis().overall_imbalance);
-            if !traced {
-                if let Some(path) = &trace_path {
-                    let (_, rec) = planner
-                        .plan(&parent, &nests)
-                        .unwrap()
-                        .simulate_observed(MEASURE_ITERS, ObsConfig::counters())
-                        .unwrap();
-                    write_trace(&rec, path);
-                    traced = true;
-                }
-            }
         }
-        println!(
-            "{}",
-            row(
-                &[
-                    name,
-                    format!("{:.2}", mean(&imps)),
-                    format!("{:.2}", max(&imps)),
-                    format!("{:.3}", mean(&imb_default)),
-                    format!("{:.3}", mean(&imb_planned)),
-                    paper.into()
-                ],
-                &widths
-            )
+        row(
+            &mut out,
+            &[
+                name,
+                format!("{:.2}", mean(&imps)),
+                format!("{:.2}", max(&imps)),
+                format!("{:.3}", mean(&imb_default)),
+                format!("{:.3}", mean(&imb_planned)),
+                paper.into(),
+            ],
+            &widths,
         );
     }
+    if let Some(path) = &opts.trace_out {
+        // The first config of the first machine.
+        let nests = random_nests(&mut rng_for("tab01"), 2, 178 * 202, 394 * 418, &parent);
+        write_trace(&Planner::new(Machine::bgl_rack()), &parent, &nests, path);
+    }
+    out
 }

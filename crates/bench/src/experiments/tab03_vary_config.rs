@@ -5,19 +5,17 @@
 //! 205×223, 21.87 % for 394×418, 10.11 % for 925×820 on up to 8192 BG/P
 //! cores).
 
-use nestwx_bench::{
-    banner, env_usize, mean, pacific_parent, random_nests, rng_for, row, MEASURE_ITERS,
-};
+use crate::{banner, mean, pacific_parent, random_nests, rng_for, row, Opts, MEASURE_ITERS};
 use nestwx_core::{compare_strategies, Planner};
 use nestwx_grid::{Domain, NestSpec};
 use nestwx_netsim::Machine;
 
-fn main() {
-    let configs = env_usize("NESTWX_CONFIGS", 8);
-    banner("tab03", "improvement vs sibling count and nest size");
+pub fn run(opts: &Opts) -> String {
+    let configs = opts.configs.unwrap_or(8);
+    let mut out = banner("tab03", "improvement vs sibling count and nest size");
 
     // ---- varying number of siblings (BG/L 1024) ----
-    println!("\n§4.3.4 — varying number of siblings, BG/L(1024), {configs} configs each:");
+    out += &format!("\n§4.3.4 — varying number of siblings, BG/L(1024), {configs} configs each:\n");
     let parent = pacific_parent();
     let planner = Planner::new(Machine::bgl_rack());
     for k in [2usize, 3, 4] {
@@ -33,19 +31,13 @@ fn main() {
             4 => "  (paper: 24.22 %)",
             _ => "",
         };
-        println!("  {k} siblings: avg {:>6.2} %{paper}", mean(&imps));
+        out += &format!("  {k} siblings: avg {:>6.2} %{paper}\n", mean(&imps));
     }
 
     // ---- varying maximum nest size (BG/P 8192) ----
-    println!("\nTable 3 — varying maximum nest size, BG/P(8192), 3 siblings:");
+    out += "\nTable 3 — varying maximum nest size, BG/P(8192), 3 siblings:\n";
     let widths = [16, 14, 10];
-    println!(
-        "{}",
-        row(
-            &["max nest".into(), "improve (%)".into(), "paper".into()],
-            &widths
-        )
-    );
+    row(&mut out, &["max nest", "improve (%)", "paper"], &widths);
     let planner = Planner::new(Machine::bgp(8192));
     let cases: [((u32, u32), &str, Domain); 3] = [
         ((205, 223), "25.62", pacific_parent()),
@@ -60,17 +52,16 @@ fn main() {
             NestSpec::new(nx * 3 / 4, ny * 3 / 4, 3, (10, parent.ny / 2)),
         ];
         let cmp = compare_strategies(&planner, &parent, &nests, MEASURE_ITERS).unwrap();
-        println!(
-            "{}",
-            row(
-                &[
-                    format!("{nx}x{ny}"),
-                    format!("{:.2}", cmp.improvement_pct()),
-                    paper.into()
-                ],
-                &widths
-            )
+        row(
+            &mut out,
+            &[
+                format!("{nx}x{ny}"),
+                format!("{:.2}", cmp.improvement_pct()),
+                paper.into(),
+            ],
+            &widths,
         );
     }
-    println!("\nPaper shape: larger nests ⇒ later saturation ⇒ smaller improvement.");
+    out += "\nPaper shape: larger nests ⇒ later saturation ⇒ smaller improvement.\n";
+    out
 }

@@ -1,30 +1,28 @@
-//! The committed `results/*.txt` are what the experiment binaries print.
+//! The committed `results/*.txt` are what the registered experiments print.
 //!
-//! Every binary is deterministic (no clock, no thread-count dependence), so
-//! its stdout must equal the committed file byte for byte. A change that
-//! moves a number has to regenerate the file (EXPERIMENTS.md §Reproducing)
-//! and re-check the verdicts EXPERIMENTS.md draws from it.
+//! Every experiment is deterministic (no clock, no thread-count
+//! dependence), so its table at the default options must equal the
+//! committed file byte for byte. A change that moves a number has to
+//! regenerate the file (EXPERIMENTS.md §Reproducing) and re-check the
+//! verdicts EXPERIMENTS.md draws from it.
 
-use std::path::Path;
-use std::process::Command;
+use nestwx_bench::{Opts, EXPERIMENTS};
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
 
-fn assert_locked(name: &str, exe: &str) {
-    let mut cmd = Command::new(exe);
-    // The tables are defined at the default knobs (NESTWX_CONFIGS etc.).
-    for (key, _) in std::env::vars_os() {
-        if key.to_string_lossy().starts_with("NESTWX_") {
-            cmd.env_remove(key);
-        }
-    }
-    let out = cmd.output().expect("experiment binary runs");
-    assert!(out.status.success(), "{name} exited with {}", out.status);
-    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../results")
-        .join(format!("{name}.txt"));
-    let committed = std::fs::read(&path).expect("committed results file");
-    if out.stdout != committed {
-        let printed = String::from_utf8_lossy(&out.stdout);
-        let stored = String::from_utf8_lossy(&committed);
+fn results_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results")
+}
+
+fn assert_locked(name: &str) {
+    let experiment = EXPERIMENTS
+        .iter()
+        .find(|e| e.name == name)
+        .unwrap_or_else(|| panic!("{name} is not in the registry"));
+    let printed = (experiment.run)(&Opts::default());
+    let path = results_dir().join(format!("{name}.txt"));
+    let stored = std::fs::read_to_string(&path).expect("committed results file");
+    if printed != stored {
         let line = printed
             .lines()
             .zip(stored.lines())
@@ -40,15 +38,15 @@ fn assert_locked(name: &str, exe: &str) {
 }
 
 macro_rules! locked {
-    ($($name:ident)*) => {$(
-        #[test]
-        fn $name() {
-            assert_locked(
-                stringify!($name),
-                env!(concat!("CARGO_BIN_EXE_", stringify!($name))),
-            );
-        }
-    )*};
+    ($($name:ident)*) => {
+        const LOCKED: &[&str] = &[$(stringify!($name)),*];
+        $(
+            #[test]
+            fn $name() {
+                assert_locked(stringify!($name));
+            }
+        )*
+    };
 }
 
 locked! {
@@ -57,4 +55,21 @@ locked! {
     fig10_large_nests tab03_vary_config tab04_mapping_bgl tab05_mapping_bgp
     fig13_io_scaling sec46_alloc_quality fig15_speedup sea_configs
     adaptive_steering bgq_preview ablation_study calibrate
+}
+
+/// A table without an experiment, an experiment without a table, or an
+/// experiment this file does not lock all fail here.
+#[test]
+fn registry_matches_committed_tables() {
+    let registered: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+    let tables: BTreeSet<String> = std::fs::read_dir(results_dir())
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "txt"))
+        .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
+        .collect();
+    let names: BTreeSet<String> = registered.iter().map(|n| n.to_string()).collect();
+    assert_eq!(names.len(), registered.len(), "duplicate registry name");
+    assert_eq!(names, tables, "registry names vs results/*.txt stems");
+    assert_eq!(registered, LOCKED, "locked! list vs registry order");
 }

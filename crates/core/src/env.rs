@@ -1,6 +1,6 @@
 //! Environment-variable knobs shared across the workspace binaries.
 //!
-//! The experiment harness (`NESTWX_JOBS`, `NESTWX_CONFIGS`, ...), the serve
+//! The experiment harness (`NESTWX_JOBS`), the serve
 //! daemon (`NESTWX_SERVE_WORKERS`, queue depth, cache capacity) and the CLI
 //! all read tuning knobs the same way: a typed parse with a validity check,
 //! a warning on stderr for an invalid value, and a silent fall-back to the

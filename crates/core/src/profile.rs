@@ -66,7 +66,7 @@ pub fn profile_basis(machine: &Machine, seed: u64) -> Vec<(DomainFeatures, f64)>
 }
 
 /// Profiles and fits the execution-time predictor in one call: the
-/// uncached convenience for tests and experiment binaries (any seed; panics
+/// uncached convenience for tests and the experiments (any seed; panics
 /// on a degenerate basis). Planning goes through
 /// [`PredictorStore`](crate::PredictorStore).
 pub fn fit_predictor(machine: &Machine, seed: u64) -> ExecTimePredictor {

@@ -21,7 +21,7 @@ use nestwx_predict::{ExecTimePredictor, PredictError};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Capacity of the process-wide store: the number of distinct machines a
-/// sweep, a CLI run or an experiment binary keeps fitted at once.
+/// sweep, a CLI run or an experiment run keeps fitted at once.
 const SHARED_CAPACITY: usize = 64;
 
 static SHARED: PredictorStore = PredictorStore::new(SHARED_CAPACITY);
