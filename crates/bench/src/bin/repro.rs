@@ -5,6 +5,8 @@
 //! ```
 //!
 //! `all` prints every experiment in registry order; a usage error exits 2.
+//! That includes a flag no picked experiment reads: `--configs` needs a
+//! sampled sweep among them, `--trace-out` exactly one tracing experiment.
 
 use nestwx_bench::{Experiment, Opts, EXPERIMENTS};
 use std::process::ExitCode;
@@ -43,17 +45,23 @@ fn main() -> ExitCode {
     if picked.is_empty() {
         return usage("name an experiment, or all");
     }
-    // One trace file per run: several tracing experiments would overwrite it.
-    if opts.trace_out.is_some() && !(picked.len() == 1 && picked[0].traces) {
-        let traced: Vec<_> = EXPERIMENTS
+    // The experiments a flag applies to, for its usage error.
+    let names = |applies: fn(&Experiment) -> bool| {
+        let names: Vec<_> = EXPERIMENTS
             .iter()
-            .filter(|e| e.traces)
+            .filter(|e| applies(e))
             .map(|e| e.name)
             .collect();
-        return usage(&format!(
-            "--trace-out takes exactly one of {}",
-            traced.join(", ")
-        ));
+        names.join(", ")
+    };
+    // One trace file per run: several tracing experiments would overwrite it.
+    if opts.trace_out.is_some() && !(picked.len() == 1 && picked[0].traces) {
+        let traced = names(|e| e.traces);
+        return usage(&format!("--trace-out takes exactly one of {traced}"));
+    }
+    if opts.configs.is_some() && !picked.iter().any(|e| e.samples) {
+        let sampled = names(|e| e.samples);
+        return usage(&format!("--configs needs at least one of {sampled}"));
     }
     for e in picked {
         print!("{}", (e.run)(&opts));

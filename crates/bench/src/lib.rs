@@ -42,9 +42,9 @@ use experiments::*;
 /// `repro`'s two flags, as every experiment sees them.
 #[derive(Debug, Default)]
 pub struct Opts {
-    /// `--configs N`: random configurations per point for the sweeps that
-    /// sample them (`fig08`, `sec431`, `tab01`, `tab03`); `None` keeps
-    /// each one's default, at which `results/` is recorded.
+    /// `--configs N`: random configurations per point for the experiments
+    /// with [`Experiment::samples`] (`fig08`, `sec431`, `tab01`, `tab03`);
+    /// `None` keeps each one's default, at which `results/` is recorded.
     pub configs: Option<usize>,
     /// `--trace-out PATH`: where an experiment with [`Experiment::traces`]
     /// writes the Chrome trace of one of its runs.
@@ -59,34 +59,56 @@ pub struct Experiment {
     pub run: fn(&Opts) -> String,
     /// Whether `run` honours [`Opts::trace_out`].
     pub traces: bool,
+    /// Whether `run` honours [`Opts::configs`].
+    pub samples: bool,
 }
 
-const fn exp(name: &'static str, run: fn(&Opts) -> String, traces: bool) -> Experiment {
-    Experiment { name, run, traces }
+const fn exp(
+    name: &'static str,
+    run: fn(&Opts) -> String,
+    traces: bool,
+    samples: bool,
+) -> Experiment {
+    Experiment {
+        name,
+        run,
+        traces,
+        samples,
+    }
 }
 
 /// Every experiment, in the order `repro all` prints them.
 pub const EXPERIMENTS: &[Experiment] = &[
-    exp("fig02_scalability", fig02_scalability::run, true),
-    exp("pred_accuracy", pred_accuracy::run, false),
-    exp("fig03_partition", fig03_partition::run, false),
-    exp("fig04_split_dim", fig04_split_dim::run, false),
-    exp("sec431_improvement", sec431_improvement::run, false),
-    exp("fig08_io_improvement", fig08_io_improvement::run, false),
-    exp("tab01_mpiwait", tab01_mpiwait::run, true),
-    exp("fig09_siblings", fig09_siblings::run, false),
-    exp("fig10_large_nests", fig10_large_nests::run, false),
-    exp("tab03_vary_config", tab03_vary_config::run, false),
-    exp("tab04_mapping_bgl", tab04_mapping_bgl::run, true),
-    exp("tab05_mapping_bgp", tab05_mapping_bgp::run, true),
-    exp("fig13_io_scaling", fig13_io_scaling::run, false),
-    exp("sec46_alloc_quality", sec46_alloc_quality::run, false),
-    exp("fig15_speedup", fig15_speedup::run, false),
-    exp("sea_configs", sea_configs::run, false),
-    exp("adaptive_steering", adaptive_steering::run, false),
-    exp("bgq_preview", bgq_preview::run, false),
-    exp("ablation_study", ablation_study::run, false),
-    exp("calibrate", calibrate::run, false),
+    exp("fig02_scalability", fig02_scalability::run, true, false),
+    exp("pred_accuracy", pred_accuracy::run, false, false),
+    exp("fig03_partition", fig03_partition::run, false, false),
+    exp("fig04_split_dim", fig04_split_dim::run, false, false),
+    exp("sec431_improvement", sec431_improvement::run, false, true),
+    exp(
+        "fig08_io_improvement",
+        fig08_io_improvement::run,
+        false,
+        true,
+    ),
+    exp("tab01_mpiwait", tab01_mpiwait::run, true, true),
+    exp("fig09_siblings", fig09_siblings::run, false, false),
+    exp("fig10_large_nests", fig10_large_nests::run, false, false),
+    exp("tab03_vary_config", tab03_vary_config::run, false, true),
+    exp("tab04_mapping_bgl", tab04_mapping_bgl::run, true, false),
+    exp("tab05_mapping_bgp", tab05_mapping_bgp::run, true, false),
+    exp("fig13_io_scaling", fig13_io_scaling::run, false, false),
+    exp(
+        "sec46_alloc_quality",
+        sec46_alloc_quality::run,
+        false,
+        false,
+    ),
+    exp("fig15_speedup", fig15_speedup::run, false, false),
+    exp("sea_configs", sea_configs::run, false, false),
+    exp("adaptive_steering", adaptive_steering::run, false, false),
+    exp("bgq_preview", bgq_preview::run, false, false),
+    exp("ablation_study", ablation_study::run, false, false),
+    exp("calibrate", calibrate::run, false, false),
 ];
 
 /// Number of simulated parent iterations per measurement. Three is enough:

@@ -60,3 +60,14 @@ fn trace_out_on_an_untraced_experiment_is_a_usage_error() {
     assert!(out.stdout.is_empty());
     assert!(!path.exists());
 }
+
+#[test]
+fn configs_on_an_unsampled_experiment_is_a_usage_error() {
+    let out = repro(&["fig03_partition", "--configs", "2"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    for sampled in nestwx_bench::EXPERIMENTS.iter().filter(|e| e.samples) {
+        assert!(stderr.contains(sampled.name), "{stderr}");
+    }
+    assert!(out.stdout.is_empty());
+}

@@ -24,6 +24,8 @@ pub mod obs;
 
 use nestwx_core::vocab::{self, VocabError};
 use nestwx_core::{compare_strategies, compare_strategies_observed, Scenario};
+use nestwx_serve::ServeConfig;
+use nestwx_sweep::SweepOptions;
 pub use obs::ObsCmd;
 use serde::Serialize;
 use std::fmt;
@@ -40,7 +42,7 @@ pub enum Command {
     /// Analyze recorded run summaries (`nestwx obs report|top|diff`).
     Obs(ObsCmd),
     /// Run the planning daemon (`nestwx serve`).
-    Serve(ServeArgs),
+    Serve(ServeConfig),
     /// Sweep a declarative scenario space (`nestwx sweep`).
     Sweep(SweepArgs),
     /// Run a multi-process worker fleet locally (`nestwx fleet`).
@@ -71,43 +73,19 @@ pub struct LintArgs {
     pub graph: bool,
 }
 
-/// Arguments of `nestwx sweep`. Flags override the `NESTWX_SWEEP_*`
-/// environment knobs, which override the spec/built-in defaults.
+/// Arguments of `nestwx sweep`; each flag writes its field.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SweepArgs {
     /// Scenario-space spec file (JSON; `--spec`, required).
     pub spec: String,
-    /// Disk-cache directory shared with `nestwx serve` (`--cache-dir`,
-    /// else `NESTWX_SWEEP_CACHE_DIR`; unset = no persistence).
-    pub cache_dir: Option<String>,
-    /// Override of the spec's simulated iterations (`--iterations`).
-    pub iterations: Option<u32>,
-    /// Worker threads (`--jobs`, else `NESTWX_JOBS` / available
-    /// parallelism).
-    pub jobs: Option<usize>,
+    /// Engine options: `--cache-dir` (shared with `nestwx serve`; unset =
+    /// no persistence), `--iterations` and `--jobs` (unset = `NESTWX_JOBS`
+    /// / available parallelism).
+    pub options: SweepOptions,
     /// Also write the summary envelope JSON to this file (`--out`).
     pub out: Option<String>,
     /// Print the summary envelope as JSON instead of tables.
     pub json: bool,
-}
-
-impl SweepArgs {
-    /// Resolves flags and environment into engine options. The cache dir
-    /// always flows in explicitly from here (flag or `NESTWX_SWEEP_*`
-    /// env) — the engine itself never reads ambient paths (NW-D006).
-    pub fn to_options(&self) -> nestwx_sweep::SweepOptions {
-        let env_nonempty = |key: &str| std::env::var(key).ok().filter(|v| !v.is_empty());
-        let cache_dir = self
-            .cache_dir
-            .clone()
-            .or_else(|| env_nonempty("NESTWX_SWEEP_CACHE_DIR"))
-            .map(std::path::PathBuf::from);
-        nestwx_sweep::SweepOptions {
-            cache_dir,
-            iterations: self.iterations,
-            jobs: self.jobs,
-        }
-    }
 }
 
 /// Arguments of `nestwx fleet-worker` — the child process `nestwx fleet`
@@ -116,94 +94,6 @@ impl SweepArgs {
 pub struct FleetWorkerArgs {
     /// Coordinator address to connect back to.
     pub connect: String,
-}
-
-/// Arguments of `nestwx serve`. Flags override the `NESTWX_SERVE_*`
-/// environment knobs, which override the built-in defaults.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServeArgs {
-    /// Bind address (default `127.0.0.1:7878`; port 0 picks a free one).
-    pub addr: String,
-    /// Worker threads (`--workers`, else `NESTWX_SERVE_WORKERS`).
-    pub workers: Option<usize>,
-    /// Job-queue depth (`--queue`, else `NESTWX_SERVE_QUEUE`).
-    pub queue: Option<usize>,
-    /// Plan-cache capacity (`--cache`, else `NESTWX_SERVE_CACHE`).
-    pub cache: Option<usize>,
-    /// Connection cap (`--max-conns`, else `NESTWX_SERVE_MAX_CONNS`).
-    pub max_conns: Option<usize>,
-    /// Event-loop reader threads (`--readers`, else `NESTWX_SERVE_READERS`).
-    pub readers: Option<usize>,
-    /// Default request deadline in ms, 0 = none (`--deadline-ms`, else
-    /// `NESTWX_SERVE_DEADLINE_MS`).
-    pub deadline_ms: Option<u64>,
-    /// Per-client rate in tokens/second, 0 = off (`--rate`, else
-    /// `NESTWX_SERVE_RATE`).
-    pub rate: Option<u64>,
-    /// Token-bucket burst capacity (`--burst`, else `NESTWX_SERVE_BURST`).
-    pub burst: Option<u64>,
-    /// Maximum tracked rate-limit clients (`--client-cap`, else
-    /// `NESTWX_SERVE_CLIENT_CAP`).
-    pub client_cap: Option<usize>,
-    /// Maximum cached predictors (`--predictors`, else
-    /// `NESTWX_SERVE_PREDICTORS`).
-    pub predictors: Option<usize>,
-    /// Idle connection cap in ms, 0 = none (`--idle-ms`, else
-    /// `NESTWX_SERVE_IDLE_MS`).
-    pub idle_ms: Option<u64>,
-    /// Connection lifetime cap in ms, 0 = none (`--lifetime-ms`, else
-    /// `NESTWX_SERVE_LIFETIME_MS`).
-    pub lifetime_ms: Option<u64>,
-    /// Disk plan-cache directory (`--cache-dir`, else
-    /// `NESTWX_SERVE_CACHE_DIR`; unset = in-memory cache only).
-    pub cache_dir: Option<String>,
-}
-
-impl ServeArgs {
-    /// Resolves flags and environment into the server config.
-    pub fn to_config(&self) -> nestwx_serve::ServeConfig {
-        let mut cfg = nestwx_serve::ServeConfig::new(self.addr.clone());
-        if let Some(n) = self.workers {
-            cfg.workers = n;
-        }
-        if let Some(n) = self.queue {
-            cfg.queue_depth = n;
-        }
-        if let Some(n) = self.cache {
-            cfg.cache_capacity = n;
-        }
-        if let Some(n) = self.max_conns {
-            cfg.max_conns = n;
-        }
-        if let Some(n) = self.readers {
-            cfg.readers = n;
-        }
-        if let Some(n) = self.deadline_ms {
-            cfg.deadline_ms = n;
-        }
-        if let Some(n) = self.rate {
-            cfg.rate = n;
-        }
-        if let Some(n) = self.burst {
-            cfg.burst = n;
-        }
-        if let Some(n) = self.client_cap {
-            cfg.client_cap = n;
-        }
-        if let Some(n) = self.predictors {
-            cfg.predictors = n;
-        }
-        if let Some(n) = self.idle_ms {
-            cfg.idle_ms = n;
-        }
-        if let Some(n) = self.lifetime_ms {
-            cfg.lifetime_ms = n;
-        }
-        if let Some(dir) = &self.cache_dir {
-            cfg.cache_dir = Some(std::path::PathBuf::from(dir));
-        }
-        cfg
-    }
 }
 
 /// Arguments of `plan`, `compare` and `fleet`: one scenario and how to
@@ -222,7 +112,7 @@ pub struct RunArgs {
     /// compare: write run summaries to `PREFIX.default.json` /
     /// `PREFIX.planned.json`; fleet: write the fleet envelope to this file.
     pub obs_out: Option<String>,
-    /// fleet: worker processes (`--workers`, else `NESTWX_FLEET_WORKERS`).
+    /// fleet: worker processes (`--workers`; unset = `FleetConfig`'s 2).
     pub workers: Option<u32>,
     /// fleet: re-run in-process and require a bitwise-identical report.
     pub check: bool,
@@ -381,72 +271,54 @@ fn parse_fleet_worker_args(args: &[String]) -> Result<FleetWorkerArgs, ParseErro
     })
 }
 
-/// Parses `serve [--addr A] [--workers N] [--queue N] [--cache N]
-/// [--max-conns N]`.
-fn parse_serve_args(args: &[String]) -> Result<ServeArgs, ParseError> {
-    let mut serve = ServeArgs {
-        addr: "127.0.0.1:7878".to_string(),
-        workers: None,
-        queue: None,
-        cache: None,
-        max_conns: None,
-        readers: None,
-        deadline_ms: None,
-        rate: None,
-        burst: None,
-        client_cap: None,
-        predictors: None,
-        idle_ms: None,
-        lifetime_ms: None,
-        cache_dir: None,
-    };
+/// Parses `nestwx serve`'s flags: each one writes its [`ServeConfig`]
+/// field over [`ServeConfig::new`]'s defaults.
+fn parse_serve_args(args: &[String]) -> Result<ServeConfig, ParseError> {
+    let mut cfg = ServeConfig::new("127.0.0.1:7878");
     let mut it = args.iter();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
+        let mut value = || {
             it.next()
                 .cloned()
-                .ok_or_else(|| err(format!("{name} needs a value")))
+                .ok_or_else(|| err(format!("{flag} needs a value")))
         };
-        let positive = |name: &str, v: String| -> Result<usize, ParseError> {
-            match v.parse::<usize>() {
-                Ok(n) if n >= 1 => Ok(n),
-                _ => Err(err(format!("{name} must be a positive integer, got '{v}'"))),
-            }
+        let positive = |v: String| match v.parse::<usize>() {
+            Ok(n) if n >= 1 => Ok(n),
+            _ => Err(err(format!("{flag} must be a positive integer, got '{v}'"))),
         };
         // Limits where 0 is meaningful: it disables the knob.
-        let nonneg = |name: &str, v: String| -> Result<u64, ParseError> {
+        let nonneg = |v: String| {
             v.parse::<u64>()
-                .map_err(|_| err(format!("{name} must be a non-negative integer, got '{v}'")))
+                .map_err(|_| err(format!("{flag} must be a non-negative integer, got '{v}'")))
         };
         match flag.as_str() {
-            "--addr" => serve.addr = value("--addr")?,
-            "--workers" => serve.workers = Some(positive("--workers", value("--workers")?)?),
-            "--queue" => serve.queue = Some(positive("--queue", value("--queue")?)?),
-            "--cache" => serve.cache = Some(positive("--cache", value("--cache")?)?),
-            "--max-conns" => {
-                serve.max_conns = Some(positive("--max-conns", value("--max-conns")?)?)
+            "--addr" => cfg.addr = value()?,
+            "--workers" => cfg.workers = positive(value()?)?,
+            "--readers" => cfg.readers = positive(value()?)?,
+            "--queue" => cfg.queue_depth = positive(value()?)?,
+            "--cache" => cfg.cache_capacity = positive(value()?)?,
+            "--max-conns" => cfg.max_conns = positive(value()?)?,
+            "--deadline-ms" => cfg.deadline_ms = nonneg(value()?)?,
+            "--rate" => cfg.rate = nonneg(value()?)?,
+            "--burst" => cfg.burst = positive(value()?)? as u64,
+            "--client-cap" => cfg.client_cap = positive(value()?)?,
+            "--predictors" => cfg.predictors = positive(value()?)?,
+            "--idle-ms" => cfg.idle_ms = nonneg(value()?)?,
+            "--lifetime-ms" => cfg.lifetime_ms = nonneg(value()?)?,
+            "--cache-dir" => cfg.cache_dir = Some(value()?.into()),
+            "--trace" => {
+                cfg.trace = match value()?.as_str() {
+                    "0" => false,
+                    "1" => true,
+                    v => return Err(err(format!("--trace must be 0 or 1, got '{v}'"))),
+                }
             }
-            "--readers" => serve.readers = Some(positive("--readers", value("--readers")?)?),
-            "--deadline-ms" => {
-                serve.deadline_ms = Some(nonneg("--deadline-ms", value("--deadline-ms")?)?)
-            }
-            "--rate" => serve.rate = Some(nonneg("--rate", value("--rate")?)?),
-            "--burst" => serve.burst = Some(positive("--burst", value("--burst")?)? as u64),
-            "--client-cap" => {
-                serve.client_cap = Some(positive("--client-cap", value("--client-cap")?)?)
-            }
-            "--predictors" => {
-                serve.predictors = Some(positive("--predictors", value("--predictors")?)?)
-            }
-            "--idle-ms" => serve.idle_ms = Some(nonneg("--idle-ms", value("--idle-ms")?)?),
-            "--lifetime-ms" => {
-                serve.lifetime_ms = Some(nonneg("--lifetime-ms", value("--lifetime-ms")?)?)
-            }
-            "--cache-dir" => serve.cache_dir = Some(value("--cache-dir")?),
+            "--trace-ring" => cfg.trace_ring = positive(value()?)?,
+            "--trace-slow-us" => cfg.trace_slow_us = nonneg(value()?)?,
             other => return Err(err(format!("unknown serve flag '{other}'"))),
         }
     }
-    Ok(serve)
+    Ok(cfg)
 }
 
 /// Parses `sweep --spec FILE [--cache-dir DIR] [--iterations N]
@@ -463,7 +335,7 @@ fn parse_sweep_args(args: &[String]) -> Result<SweepArgs, ParseError> {
         };
         match flag.as_str() {
             "--spec" => spec = Some(value("--spec")?),
-            "--cache-dir" => sweep.cache_dir = Some(value("--cache-dir")?),
+            "--cache-dir" => sweep.options.cache_dir = Some(value("--cache-dir")?.into()),
             "--iterations" => {
                 let n: u32 = value("--iterations")?
                     .parse()
@@ -471,14 +343,14 @@ fn parse_sweep_args(args: &[String]) -> Result<SweepArgs, ParseError> {
                 if n == 0 {
                     return Err(err("--iterations must be ≥ 1"));
                 }
-                sweep.iterations = Some(n);
+                sweep.options.iterations = Some(n);
             }
             "--jobs" => {
                 let n: usize = value("--jobs")?.parse().map_err(|_| err("bad --jobs"))?;
                 if n == 0 {
                     return Err(err("--jobs must be ≥ 1"));
                 }
-                sweep.jobs = Some(n);
+                sweep.options.jobs = Some(n);
             }
             "--out" => sweep.out = Some(value("--out")?),
             "--json" => sweep.json = true,
@@ -648,8 +520,8 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), Box<dyn std
                 obs::diff(&va, &vb, out)?;
             }
         },
-        Command::Serve(a) => {
-            let handle = nestwx_serve::spawn(a.to_config())?;
+        Command::Serve(cfg) => {
+            let handle = nestwx_serve::spawn(cfg)?;
             writeln!(out, "listening on {}", handle.addr())?;
             out.flush()?;
             // Blocks until a client sends `shutdown`; then every thread is
@@ -664,7 +536,7 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), Box<dyn std
             let text = std::fs::read_to_string(&a.spec)
                 .map_err(|e| format!("cannot read spec '{}': {e}", a.spec))?;
             let spec = nestwx_sweep::SweepSpec::parse(&text)?;
-            let report = nestwx_sweep::run_sweep(&spec, &a.to_options())?;
+            let report = nestwx_sweep::run_sweep(&spec, &a.options)?;
             let envelope = nestwx_sweep::to_json(&report);
             if let Some(path) = &a.out {
                 std::fs::write(path, &envelope)
@@ -1002,7 +874,8 @@ USAGE:
   nestwx serve   [--addr 127.0.0.1:7878] [--workers N] [--queue N] [--cache N]
                  [--max-conns N] [--readers N] [--deadline-ms MS] [--rate N]
                  [--burst N] [--client-cap N] [--predictors N] [--idle-ms MS]
-                 [--lifetime-ms MS] [--cache-dir DIR]
+                 [--lifetime-ms MS] [--cache-dir DIR] [--trace 0|1]
+                 [--trace-ring N] [--trace-slow-us US]
   nestwx lint    [--root DIR] [--allow FILE] [--json] [--fixtures] [--graph]
 
 FLAGS:
@@ -1027,13 +900,12 @@ SWEEP:
   Expands a declarative JSON scenario-space spec (lists/ranges over
   machines, parents, nest sets, strategies, allocs, mappings, io),
   dedups by canonical scenario, and plans+simulates every unique
-  scenario on a work-stealing thread pool. With --cache-dir (or
-  NESTWX_SWEEP_CACHE_DIR) results persist to a disk cache shared with
-  'nestwx serve --cache-dir' — a warm sweep pre-heats the service, and
-  re-running a sweep replays from disk. --jobs falls back to
-  NESTWX_JOBS. Output: Pareto front (ranks vs s/iter), winner-per-region
-  table, and a versioned summary envelope ('nestwx obs report'
-  understands it; --out writes it to a file).
+  scenario on a work-stealing thread pool. With --cache-dir results
+  persist to a disk cache shared with 'nestwx serve --cache-dir' — a
+  warm sweep pre-heats the service, and re-running a sweep replays from
+  disk. --jobs falls back to NESTWX_JOBS. Output: Pareto front (ranks
+  vs s/iter), winner-per-region table, and a versioned summary envelope
+  ('nestwx obs report' understands it; --out writes it to a file).
 
 FLEET:
   Runs the scenario as a real multi-process fleet: the coordinator plans
@@ -1046,37 +918,32 @@ FLEET:
   run at any worker count; --check re-runs in-process and fails loudly
   on any divergence. --obs-out writes the 'nestwx-obs-fleet-summary'
   envelope (socket traffic, per-worker stall attribution) that
-  'nestwx obs report' renders. Unset --workers falls back to
-  NESTWX_FLEET_WORKERS (default 2); handshake and mid-run silence
-  budgets come from NESTWX_FLEET_CONNECT_TIMEOUT_MS /
-  NESTWX_FLEET_FRAME_TIMEOUT_MS, and frame size is capped by
-  NESTWX_FLEET_MAX_FRAME_BYTES. A lost or silent worker aborts the
-  whole fleet with a typed worker_lost error — no partial reports.
+  'nestwx obs report' renders. --workers defaults to 2; handshake and
+  mid-run silence budgets come from NESTWX_FLEET_CONNECT_TIMEOUT_MS /
+  NESTWX_FLEET_FRAME_TIMEOUT_MS, and a frame body is capped at 16 MiB.
+  A lost or silent worker aborts the whole fleet with a typed
+  worker_lost error — no partial reports.
 
 SERVE:
   Runs the planning daemon: newline-delimited JSON requests over TCP
   (predict|plan|compare|execute|stats|trace|shutdown), served by a nonblocking
   event loop with plan caching, one shared predictor fit per machine,
   per-request deadlines, per-client token-bucket rate limits and live
-  latency metrics. Unset flags fall back to the NESTWX_SERVE_WORKERS /
-  NESTWX_SERVE_READERS / NESTWX_SERVE_QUEUE / NESTWX_SERVE_CACHE /
-  NESTWX_SERVE_MAX_CONNS / NESTWX_SERVE_DEADLINE_MS / NESTWX_SERVE_RATE /
-  NESTWX_SERVE_BURST / NESTWX_SERVE_CLIENT_CAP / NESTWX_SERVE_PREDICTORS /
-  NESTWX_SERVE_IDLE_MS / NESTWX_SERVE_LIFETIME_MS /
-  NESTWX_SERVE_CACHE_DIR environment knobs (deadline/rate/idle/lifetime
-  default 0 = off; cache-dir unset = memory-only plan cache). With a
+  latency metrics. Every setting is one flag (README \"`nestwx serve`
+  flags\"): deadline/rate/idle/lifetime default to 0 = off, and an
+  unset --cache-dir keeps the plan cache in memory only. With a
   cache dir, plans persist across restarts and are shared with
   'nestwx sweep'. An 'execute' request runs the planned scenario as an
   in-process socket fleet (see FLEET) and returns the merged report plus
   the fleet envelope; execute responses are never cached. The process
   exits (code 0) after a clean drain once a client sends 'shutdown'.
 
-  A flight recorder (NESTWX_SERVE_TRACE, default on) stamps every
-  request's lifecycle (parse/queue/work/write) into bounded per-reader
-  span rings (NESTWX_SERVE_TRACE_RING per reader) with a slow-request
-  log above NESTWX_SERVE_TRACE_SLOW_US (0 = off). The 'trace' endpoint
-  drains the rings as a versioned 'nestwx-obs-serve-summary' envelope
-  that 'nestwx obs report|top|diff' renders; 'stats' returns the
+  A flight recorder (--trace, default 1 = on) stamps every request's
+  lifecycle (parse/queue/work/write) into bounded per-reader span rings
+  (--trace-ring spans per reader) with a slow-request log above
+  --trace-slow-us (0 = off). The 'trace' endpoint drains the rings as a
+  versioned 'nestwx-obs-serve-summary' envelope that
+  'nestwx obs report|top|diff' renders; 'stats' returns the
   unified 'nestwx-serve-stats' v3 envelope. 'plan'/'compare' requests
   with \"explain\":true append per-nest rank shares, predicted s/iter
   and a hop histogram; responses without it stay byte-identical to
@@ -1378,19 +1245,12 @@ mod tests {
 
     #[test]
     fn parse_serve_commands() {
-        let Command::Serve(defaults) = parse_args(&argv(&["serve"])).unwrap() else {
-            panic!("wrong command")
-        };
-        assert_eq!(defaults.addr, "127.0.0.1:7878");
-        assert_eq!(defaults.workers, None);
-        assert_eq!(defaults.queue, None);
-        assert_eq!(defaults.cache, None);
-        assert_eq!(defaults.max_conns, None);
-        assert_eq!(defaults.readers, None);
-        assert_eq!(defaults.deadline_ms, None);
-        assert_eq!(defaults.rate, None);
-        assert_eq!(defaults.idle_ms, None);
-        let Command::Serve(a) = parse_args(&argv(&[
+        // Bare `serve` is every built-in default on the default address.
+        assert_eq!(
+            parse_args(&argv(&["serve"])).unwrap(),
+            Command::Serve(ServeConfig::new("127.0.0.1:7878"))
+        );
+        let Command::Serve(cfg) = parse_args(&argv(&[
             "serve",
             "--addr",
             "0.0.0.0:9999",
@@ -1418,24 +1278,19 @@ mod tests {
             "0",
             "--lifetime-ms",
             "60000",
+            "--cache-dir",
+            "/tmp/plans",
+            "--trace",
+            "0",
+            "--trace-ring",
+            "128",
+            "--trace-slow-us",
+            "5000",
         ]))
         .unwrap() else {
             panic!("wrong command")
         };
-        assert_eq!(a.addr, "0.0.0.0:9999");
-        assert_eq!(a.workers, Some(8));
-        assert_eq!(a.queue, Some(32));
-        assert_eq!(a.cache, Some(512));
-        assert_eq!(a.max_conns, Some(16));
-        assert_eq!(a.readers, Some(2));
-        assert_eq!(a.deadline_ms, Some(250));
-        assert_eq!(a.rate, Some(100));
-        assert_eq!(a.burst, Some(20));
-        assert_eq!(a.client_cap, Some(4096));
-        assert_eq!(a.predictors, Some(32));
-        assert_eq!(a.idle_ms, Some(0));
-        assert_eq!(a.lifetime_ms, Some(60000));
-        let cfg = a.to_config();
+        assert_eq!(cfg.addr, "0.0.0.0:9999");
         assert_eq!(cfg.workers, 8);
         assert_eq!(cfg.queue_depth, 32);
         assert_eq!(cfg.cache_capacity, 512);
@@ -1448,12 +1303,26 @@ mod tests {
         assert_eq!(cfg.predictors, 32);
         assert_eq!(cfg.idle_ms, 0);
         assert_eq!(cfg.lifetime_ms, 60000);
+        assert_eq!(
+            cfg.cache_dir.as_deref(),
+            Some(std::path::Path::new("/tmp/plans"))
+        );
+        assert!(!cfg.trace);
+        assert_eq!(cfg.trace_ring, 128);
+        assert_eq!(cfg.trace_slow_us, 5000);
+        let Command::Serve(on) = parse_args(&argv(&["serve", "--trace", "1"])).unwrap() else {
+            panic!("wrong command")
+        };
+        assert!(on.trace);
         assert!(parse_args(&argv(&["serve", "--workers", "0"])).is_err());
         assert!(parse_args(&argv(&["serve", "--queue"])).is_err());
         assert!(parse_args(&argv(&["serve", "--bogus"])).is_err());
         assert!(parse_args(&argv(&["serve", "--readers", "0"])).is_err());
         assert!(parse_args(&argv(&["serve", "--deadline-ms", "-1"])).is_err());
         assert!(parse_args(&argv(&["serve", "--rate"])).is_err());
+        assert!(parse_args(&argv(&["serve", "--trace-ring", "0"])).is_err());
+        assert!(parse_args(&argv(&["serve", "--trace", "2"])).is_err());
+        assert!(parse_args(&argv(&["serve", "--trace-slow-us", "-1"])).is_err());
     }
 
     #[test]
@@ -1476,18 +1345,16 @@ mod tests {
             panic!("wrong command")
         };
         assert_eq!(a.spec, "space.json");
-        assert_eq!(a.cache_dir.as_deref(), Some("/tmp/cache"));
-        assert_eq!(a.iterations, Some(4));
-        assert_eq!(a.jobs, Some(3));
+        assert_eq!(
+            a.options,
+            SweepOptions {
+                cache_dir: Some("/tmp/cache".into()),
+                iterations: Some(4),
+                jobs: Some(3),
+            }
+        );
         assert_eq!(a.out.as_deref(), Some("summary.json"));
         assert!(a.json);
-        let opts = a.to_options();
-        assert_eq!(
-            opts.cache_dir.as_deref(),
-            Some(std::path::Path::new("/tmp/cache"))
-        );
-        assert_eq!(opts.iterations, Some(4));
-        assert_eq!(opts.jobs, Some(3));
         assert!(parse_args(&argv(&["sweep"])).is_err()); // --spec required
         assert!(parse_args(&argv(&["sweep", "--spec"])).is_err());
         assert!(parse_args(&argv(&["sweep", "--spec", "s.json", "--jobs", "0"])).is_err());
@@ -1512,9 +1379,11 @@ mod tests {
             let out_path = dir.path().join(out).to_str().unwrap().to_string();
             let args = SweepArgs {
                 spec: spec_path.into(),
-                cache_dir: Some(cache_dir.to_str().unwrap().into()),
-                iterations: None,
-                jobs: Some(jobs),
+                options: SweepOptions {
+                    cache_dir: Some(cache_dir.clone()),
+                    iterations: None,
+                    jobs: Some(jobs),
+                },
                 out: Some(out_path.clone()),
                 json: false,
             };
@@ -1604,7 +1473,7 @@ mod tests {
         assert!(a.check);
         assert!(a.json);
         assert_eq!(a.obs_out.as_deref(), Some("fleet.json"));
-        // Defaults: workers fall back to NESTWX_FLEET_WORKERS at run time.
+        // Defaults: unset workers mean FleetConfig's 2 at run time.
         let Command::Fleet(d) = parse_args(&argv(&[
             "fleet",
             "--machine",
@@ -1723,21 +1592,9 @@ mod tests {
                 tx: Some(tx),
             };
             let res = run(
-                Command::Serve(ServeArgs {
-                    addr: "127.0.0.1:0".into(),
-                    workers: Some(2),
-                    queue: None,
-                    cache: None,
-                    max_conns: None,
-                    readers: None,
-                    deadline_ms: None,
-                    rate: None,
-                    burst: None,
-                    client_cap: None,
-                    predictors: None,
-                    idle_ms: None,
-                    lifetime_ms: None,
-                    cache_dir: None,
+                Command::Serve(ServeConfig {
+                    workers: 2,
+                    ..ServeConfig::new("127.0.0.1:0")
                 }),
                 &mut buf,
             );

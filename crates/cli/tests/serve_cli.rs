@@ -24,13 +24,13 @@ impl Drop for ServerProcess {
     }
 }
 
-/// Starts `nestwx serve` on an ephemeral port with `env` added to its
-/// environment; returns the process, its stdout past the `listening on`
+/// Starts `nestwx serve` on an ephemeral port with `flags` appended to its
+/// command line; returns the process, its stdout past the `listening on`
 /// line, and the bound address.
-fn start_server(env: &[(&str, &str)]) -> (ServerProcess, BufReader<ChildStdout>, String) {
+fn start_server(flags: &[&str]) -> (ServerProcess, BufReader<ChildStdout>, String) {
     let child = Command::new(env!("CARGO_BIN_EXE_nestwx"))
         .args(["serve", "--addr", "127.0.0.1:0"])
-        .envs(env.iter().copied())
+        .args(flags)
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
@@ -198,12 +198,18 @@ fn serve_process_answers_a_mixed_session_then_drains_and_exits_zero() {
 fn zero_valued_serve_knobs_are_accepted_and_trace_zero_stops_recording() {
     // 0 is the documented "off" value of each of these knobs.
     let (mut server, stdout, addr) = start_server(&[
-        ("NESTWX_SERVE_TRACE", "0"),
-        ("NESTWX_SERVE_TRACE_SLOW_US", "0"),
-        ("NESTWX_SERVE_RATE", "0"),
-        ("NESTWX_SERVE_DEADLINE_MS", "0"),
-        ("NESTWX_SERVE_IDLE_MS", "0"),
-        ("NESTWX_SERVE_LIFETIME_MS", "0"),
+        "--trace",
+        "0",
+        "--trace-slow-us",
+        "0",
+        "--rate",
+        "0",
+        "--deadline-ms",
+        "0",
+        "--idle-ms",
+        "0",
+        "--lifetime-ms",
+        "0",
     ]);
     let mut client = Client::connect(&addr).expect("connect");
     let trace = client

@@ -1,14 +1,15 @@
 //! Environment-variable knobs shared across the workspace binaries.
 //!
-//! The experiment harness (`NESTWX_JOBS`), the serve
-//! daemon (`NESTWX_SERVE_WORKERS`, queue depth, cache capacity) and the CLI
-//! all read tuning knobs the same way: a typed parse with a validity check,
-//! a warning on stderr for an invalid value, and a silent fall-back to the
+//! Only settings with no command-line flag are read from the environment:
+//! the experiment job count (`NESTWX_JOBS`) and the fleet's connect and
+//! frame budgets, which reach each spawned `fleet-worker` child through
+//! its environment. Each is a typed parse with a validity check, a
+//! warning on stderr for an invalid value, and a silent fall-back to the
 //! built-in default when the variable is unset.
 
 /// Environment variable `name` as a positive `usize`, else `default`
 /// (warns on an invalid value). Shared by every binary so the knobs
-/// (`NESTWX_JOBS`, `NESTWX_SERVE_WORKERS`, ...) parse identically.
+/// (`NESTWX_JOBS`, `NESTWX_FLEET_FRAME_TIMEOUT_MS`, ...) parse identically.
 pub fn env_usize(name: &str, default: usize) -> usize {
     match std::env::var(name) {
         Ok(v) => match v.trim().parse::<usize>() {

@@ -27,11 +27,13 @@ use nestwx_obs::{clock, LogHistogram};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-/// Fleet sizing and deadline knobs. Every field but `threads` (fixed at 1
-/// by [`FleetConfig::from_env`]) is overridable from the environment.
+/// Fleet sizing and deadline knobs. [`FleetConfig::from_env`] reads only
+/// the two budgets from the environment, which is how a spawned
+/// `fleet-worker` child gets them; the worker count is set by
+/// `nestwx fleet --workers` or the serve `execute` request's `workers`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
-    /// Worker processes (`NESTWX_FLEET_WORKERS`, default 2).
+    /// Worker processes (default 2).
     pub workers: usize,
     /// Threads for the coordinator's parent step (1 keeps the parent step
     /// identical to `run_iterations`'s serial reference; `step_parallel`
@@ -46,10 +48,10 @@ pub struct FleetConfig {
 }
 
 impl FleetConfig {
-    /// Reads the `NESTWX_FLEET_*` knobs.
+    /// The defaults, with the two `NESTWX_FLEET_*_TIMEOUT_MS` budgets.
     pub fn from_env() -> FleetConfig {
         FleetConfig {
-            workers: nestwx_core::env_usize("NESTWX_FLEET_WORKERS", 2),
+            workers: 2,
             threads: 1,
             connect_timeout: Duration::from_millis(nestwx_core::env_usize(
                 "NESTWX_FLEET_CONNECT_TIMEOUT_MS",

@@ -14,15 +14,11 @@ use std::fmt;
 /// Bytes of the length prefix.
 pub const FRAME_HEADER_BYTES: usize = 4;
 
-/// Default cap on one frame's body (tag + payload). A boundary ring of the
+/// Cap on one frame's body (tag + payload). A boundary ring of the
 /// largest plausible nest is a few hundred KiB; 16 MiB leaves two orders
 /// of magnitude of headroom while still bounding a corrupt length prefix.
+/// A constant, so no setting can raise it for untrusted socket input.
 pub const DEFAULT_MAX_FRAME_BYTES: usize = 16 << 20;
-
-/// Frame-body cap, overridable via `NESTWX_FLEET_MAX_FRAME_BYTES`.
-pub fn max_frame_bytes() -> usize {
-    nestwx_core::env_usize("NESTWX_FLEET_MAX_FRAME_BYTES", DEFAULT_MAX_FRAME_BYTES).max(1)
-}
 
 /// One halo cell as carried in a Boundary/Feedback payload:
 /// `(i, j, h, hu, hv)` relative to the receiving grid.

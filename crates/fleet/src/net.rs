@@ -22,7 +22,7 @@
 //! pumps again. All deadline checks go through the `nestwx_obs::clock`
 //! shim.
 
-use crate::frame::{decode_frame, encode_frame, max_frame_bytes, Tag};
+use crate::frame::{decode_frame, encode_frame, Tag, DEFAULT_MAX_FRAME_BYTES};
 use nestwx_miniwrf::TransportError;
 use nestwx_obs::clock;
 use std::io::{ErrorKind, Read, Write};
@@ -49,7 +49,6 @@ pub struct FrameConn {
     consumed: usize,
     outbuf: Vec<u8>,
     sent: usize,
-    max_frame: usize,
     eof: bool,
     /// Peer address, for error messages.
     pub peer: String,
@@ -81,7 +80,6 @@ impl FrameConn {
             consumed: 0,
             outbuf: Vec::new(),
             sent: 0,
-            max_frame: max_frame_bytes(),
             eof: false,
             peer,
             bytes_in: 0,
@@ -170,7 +168,7 @@ impl FrameConn {
 
     /// Decodes the next buffered frame, if a complete one is available.
     pub fn next_frame(&mut self) -> Result<Option<(Tag, Vec<u8>)>, TransportError> {
-        match decode_frame(&self.inbuf[self.consumed..], self.max_frame) {
+        match decode_frame(&self.inbuf[self.consumed..], DEFAULT_MAX_FRAME_BYTES) {
             Ok(None) => {
                 // Compact the consumed prefix while idle so a long run's
                 // buffer doesn't grow monotonically.

@@ -221,7 +221,7 @@ impl SpanRing {
 /// Counter snapshot of the recorder, embedded in the `stats` envelope.
 #[derive(Debug, Clone, Copy, Serialize)]
 pub struct FlightStats {
-    /// Whether recording is enabled (`NESTWX_SERVE_TRACE`).
+    /// Whether recording is enabled (`ServeConfig::trace`).
     pub recording: bool,
     /// Number of per-reader rings.
     pub rings: u64,

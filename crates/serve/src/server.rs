@@ -49,101 +49,80 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
-/// Server tuning knobs. `ServeConfig::new` reads the `NESTWX_SERVE_*`
-/// environment variables for defaults. All limit knobs (deadline, rate,
-/// idle, lifetime) default to 0 = off, so an unconfigured server behaves
-/// permissively.
-#[derive(Debug, Clone)]
+/// Server tuning knobs. `ServeConfig::new` gives the built-in defaults,
+/// and `nestwx serve` has exactly one flag per field (README "`nestwx
+/// serve` flags"). All limit knobs (deadline, rate, idle, lifetime)
+/// default to 0 = off, so an unconfigured server behaves permissively.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Bind address, e.g. `"127.0.0.1:7878"` (`:0` picks a free port).
     pub addr: String,
-    /// Worker threads (`NESTWX_SERVE_WORKERS`, default 4).
+    /// Worker threads (default 4).
     pub workers: usize,
-    /// Event-loop reader threads (`NESTWX_SERVE_READERS`, default 1).
+    /// Event-loop reader threads (default 1).
     pub readers: usize,
-    /// Bounded job-queue depth (`NESTWX_SERVE_QUEUE`, default 64).
+    /// Bounded job-queue depth (default 64).
     pub queue_depth: usize,
-    /// Plan-cache capacity in entries (`NESTWX_SERVE_CACHE`, default 256).
+    /// Plan-cache capacity in entries (default 256).
     pub cache_capacity: usize,
-    /// Maximum concurrent connections (`NESTWX_SERVE_MAX_CONNS`,
-    /// default 64).
+    /// Maximum concurrent connections (default 64).
     pub max_conns: usize,
-    /// Default per-request deadline in ms, 0 = none
-    /// (`NESTWX_SERVE_DEADLINE_MS`); requests may override with their own
-    /// `deadline_ms` field.
+    /// Default per-request deadline in ms, 0 = none (the default);
+    /// requests may override with their own `deadline_ms` field.
     pub deadline_ms: u64,
     /// Per-client token-bucket refill rate in tokens/second, 0 = rate
-    /// limiting off (`NESTWX_SERVE_RATE`).
+    /// limiting off (the default).
     pub rate: u64,
-    /// Token-bucket capacity in tokens (`NESTWX_SERVE_BURST`, default 8).
+    /// Token-bucket capacity in tokens (default 8).
     pub burst: u64,
     /// Maximum tracked rate-limit clients, LRU-evicted beyond this
-    /// (`NESTWX_SERVE_CLIENT_CAP`, default 1024).
+    /// (default 1024).
     pub client_cap: usize,
     /// Maximum cached per-machine predictors, LRU-evicted beyond this
-    /// (`NESTWX_SERVE_PREDICTORS`, default 64).
+    /// (default 64).
     pub predictors: usize,
-    /// Idle connection cap in ms, 0 = none (`NESTWX_SERVE_IDLE_MS`).
+    /// Idle connection cap in ms, 0 = none (the default).
     pub idle_ms: u64,
-    /// Connection lifetime cap in ms, 0 = none
-    /// (`NESTWX_SERVE_LIFETIME_MS`).
+    /// Connection lifetime cap in ms, 0 = none (the default).
     pub lifetime_ms: u64,
-    /// Disk plan-cache directory, `None` = memory-only
-    /// (`NESTWX_SERVE_CACHE_DIR`, empty = unset). When set, cache misses
-    /// consult the disk store shared with `nestwx sweep` before planning,
-    /// so a warm sweep pre-heats the in-memory shards, and fresh results
-    /// are persisted for the next process. The directory always flows
-    /// through this config — never an ambient path (lint NW-D006).
+    /// Disk plan-cache directory, `None` = memory-only (the default).
+    /// When set, cache misses consult the disk store shared with
+    /// `nestwx sweep` before planning, so a warm sweep pre-heats the
+    /// in-memory shards, and fresh results are persisted for the next
+    /// process. The directory always flows through this config — never
+    /// an ambient path (lint NW-D006).
     pub cache_dir: Option<std::path::PathBuf>,
-    /// Flight recorder on/off (`NESTWX_SERVE_TRACE`, default on).
-    /// Recording is passive — response bytes are identical either way.
+    /// Flight recorder on/off (default on). Recording is passive —
+    /// response bytes are identical either way.
     pub trace: bool,
-    /// Per-reader span-ring capacity in spans
-    /// (`NESTWX_SERVE_TRACE_RING`, default 4096).
+    /// Per-reader span-ring capacity in spans (default 4096).
     pub trace_ring: usize,
-    /// Slow-request log threshold in µs, 0 = slow log off
-    /// (`NESTWX_SERVE_TRACE_SLOW_US`).
+    /// Slow-request log threshold in µs, 0 = slow log off (the default).
     pub trace_slow_us: u64,
 }
 
 impl ServeConfig {
-    /// A config for `addr` with environment-derived defaults.
+    /// A config for `addr` with the built-in defaults.
     pub fn new(addr: impl Into<String>) -> ServeConfig {
         ServeConfig {
             addr: addr.into(),
-            workers: nestwx_core::env_usize("NESTWX_SERVE_WORKERS", 4),
-            readers: nestwx_core::env_usize("NESTWX_SERVE_READERS", 1),
-            queue_depth: nestwx_core::env_usize("NESTWX_SERVE_QUEUE", 64),
-            cache_capacity: nestwx_core::env_usize("NESTWX_SERVE_CACHE", 256),
-            max_conns: nestwx_core::env_usize("NESTWX_SERVE_MAX_CONNS", 64),
-            deadline_ms: env_u64("NESTWX_SERVE_DEADLINE_MS", 0),
-            rate: env_u64("NESTWX_SERVE_RATE", 0),
-            burst: nestwx_core::env_usize("NESTWX_SERVE_BURST", 8) as u64,
-            client_cap: nestwx_core::env_usize("NESTWX_SERVE_CLIENT_CAP", 1024),
-            predictors: nestwx_core::env_usize("NESTWX_SERVE_PREDICTORS", 64),
-            idle_ms: env_u64("NESTWX_SERVE_IDLE_MS", 0),
-            lifetime_ms: env_u64("NESTWX_SERVE_LIFETIME_MS", 0),
-            cache_dir: std::env::var("NESTWX_SERVE_CACHE_DIR")
-                .ok()
-                .filter(|v| !v.is_empty())
-                .map(std::path::PathBuf::from),
-            trace: env_u64("NESTWX_SERVE_TRACE", 1) != 0,
-            trace_ring: nestwx_core::env_usize("NESTWX_SERVE_TRACE_RING", 4096),
-            trace_slow_us: env_u64("NESTWX_SERVE_TRACE_SLOW_US", 0),
+            workers: 4,
+            readers: 1,
+            queue_depth: 64,
+            cache_capacity: 256,
+            max_conns: 64,
+            deadline_ms: 0,
+            rate: 0,
+            burst: 8,
+            client_cap: 1024,
+            predictors: 64,
+            idle_ms: 0,
+            lifetime_ms: 0,
+            cache_dir: None,
+            trace: true,
+            trace_ring: 4096,
+            trace_slow_us: 0,
         }
-    }
-}
-
-/// Environment variable `name` as a `u64`, else `default`. Unlike
-/// [`nestwx_core::env_usize`], 0 is valid: it is the documented "off"
-/// value of the trace, slow-log, deadline, rate, idle and lifetime knobs.
-fn env_u64(name: &str, default: u64) -> u64 {
-    match std::env::var(name) {
-        Ok(v) => v.trim().parse().unwrap_or_else(|_| {
-            eprintln!("warning: ignoring invalid {name}={v:?}");
-            default
-        }),
-        Err(_) => default,
     }
 }
 

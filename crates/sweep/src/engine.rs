@@ -31,7 +31,7 @@ use std::path::PathBuf;
 const ENTRY_VERSION: u64 = 1;
 
 /// Knobs for one sweep run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SweepOptions {
     /// Disk-cache directory shared with `nestwx-serve`; `None` = no
     /// persistence (everything is computed). Always flows in explicitly —
