@@ -16,34 +16,20 @@
 //! | NW-D004  | unordered-iteration           | determinism paths         |
 //! | NW-D005  | thread-spawn-in-replay        | determinism paths         |
 //! | NW-D006  | ambient-filesystem-path       | determinism paths         |
-//! | NW-S001  | panic-on-request-path         | serve + netsim            |
+//! | NW-S001  | panic-on-request-path         | crates serve/fleet link   |
 //! | NW-S002  | raw-mutex-lock                | everywhere but sync shim  |
 //! | NW-S003  | blocking-under-shard-lock     | lock-holding modules      |
 //! | NW-S004  | blocking-socket-io            | serve, minus readiness    |
 //! | NW-S005  | raw-deadline-arithmetic       | serve deadline scope      |
 //! | NW-S006  | raw-span-timestamp            | serve span scope          |
 //! | NW-S007  | fleet-socket-confinement      | fleet, minus transport    |
+//! | NW-S008  | nested-lock-guard             | everywhere                |
 //!
 //! Rationale per rule lives in `DESIGN.md` ("Invariant catalog").
 
 use crate::lexer::{lex, test_module_spans, Tok, TokKind};
 use crate::LintConfig;
 use serde::Serialize;
-
-/// One step of an interprocedural call chain, root first. The last step
-/// points at the offending construct itself.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub struct ChainStep {
-    /// Fully qualified function name (`crate::module::Type::fn`), or the
-    /// offending construct's label for the final step.
-    pub func: String,
-    /// Path relative to the lint root, `/`-separated.
-    pub file: String,
-    /// 1-based line of the call site (or offending construct).
-    pub line: u32,
-    /// 1-based byte column.
-    pub col: u32,
-}
 
 /// One rule violation at a source position.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
@@ -60,14 +46,10 @@ pub struct Finding {
     pub col: u32,
     /// Human-readable description of the violation.
     pub message: String,
-    /// Interprocedural call chain from a root to the offending site
-    /// (graph rules only; empty for per-file token rules).
-    #[serde(skip_serializing_if = "Vec::is_empty")]
-    pub chain: Vec<ChainStep>,
 }
 
 impl Finding {
-    /// Builds a chain-less finding, deriving `desc` from the rule id.
+    /// Builds a finding, deriving `desc` from the rule id.
     pub fn at(rule: &'static str, file: &str, line: u32, col: u32, message: String) -> Finding {
         Finding {
             rule,
@@ -76,15 +58,14 @@ impl Finding {
             line,
             col,
             message,
-            chain: Vec::new(),
         }
     }
 }
 
-/// All per-file rule ids, in catalog order (fixture tests iterate this).
-pub const RULE_IDS: [&str; 13] = [
+/// All rule ids, in catalog order (fixture tests iterate this).
+pub const RULE_IDS: [&str; 14] = [
     "NW-D001", "NW-D002", "NW-D003", "NW-D004", "NW-D005", "NW-D006", "NW-S001", "NW-S002",
-    "NW-S003", "NW-S004", "NW-S005", "NW-S006", "NW-S007",
+    "NW-S003", "NW-S004", "NW-S005", "NW-S006", "NW-S007", "NW-S008",
 ];
 
 /// One-line description of each rule, embedded in `--json` records.
@@ -96,16 +77,14 @@ pub fn rule_desc(rule: &str) -> &'static str {
         "NW-D004" => "unordered-collection iteration in a determinism-critical path",
         "NW-D005" => "thread spawn inside deterministic replay code",
         "NW-D006" => "ambient filesystem path in determinism-critical code",
-        "NW-S001" => "panicking call on the request-handling path",
+        "NW-S001" => "panicking call in a crate the serve/fleet binaries link",
         "NW-S002" => "raw .lock() without a poisoning policy",
         "NW-S003" => "blocking syscall in a lock-holding module",
         "NW-S004" => "blocking socket I/O outside the readiness loop",
         "NW-S005" => "deadline arithmetic bypassing the clock shim",
         "NW-S006" => "raw timestamp source on the span-recording path",
         "NW-S007" => "socket I/O outside the fleet transport module",
-        "NW-G001" => "determinism-forbidden API reachable from a planning root",
-        "NW-G002" => "lock-order cycle across lock_unpoisoned call paths",
-        "NW-G003" => "panic site reachable from a serve/fleet availability root",
+        "NW-S008" => "lock_unpoisoned while a bound guard is live",
         _ => "unknown rule",
     }
 }
@@ -155,6 +134,29 @@ pub fn check_file(path: &str, src: &str, cfg: &LintConfig) -> Vec<Finding> {
     let push = |out: &mut Vec<Finding>, rule: &'static str, t: &Tok, message: String| {
         out.push(Finding::at(rule, path, t.line, t.col, message));
     };
+
+    // NW-S008 — a second lock acquisition while a bound guard is live.
+    // Lock order across functions is left to the loom and TSan jobs; this
+    // rule keeps every guard-holding block down to one lock.
+    if lock_scope {
+        for (at, guard) in nested_lock_guards(&toks) {
+            if in_test(at) {
+                continue;
+            }
+            let t = &toks[at];
+            push(
+                &mut out,
+                "NW-S008",
+                t,
+                format!(
+                    "lock_unpoisoned while guard `{}` (line {}) is live: a \
+                     block that holds two locks can deadlock against any \
+                     path taking them in the other order; drop({}) first",
+                    guard.text, guard.line, guard.text
+                ),
+            );
+        }
+    }
 
     for i in 0..toks.len() {
         if in_test(i) {
@@ -281,7 +283,8 @@ pub fn check_file(path: &str, src: &str, cfg: &LintConfig) -> Vec<Finding> {
             );
         }
 
-        // NW-S001 — panicking calls on the request-handling path.
+        // NW-S001 — panicking calls in any crate the serve and fleet
+        // binaries link.
         if request_path {
             let method_call = t.is_punct(".")
                 && matches!(
@@ -297,8 +300,9 @@ pub fn check_file(path: &str, src: &str, cfg: &LintConfig) -> Vec<Finding> {
                     "NW-S001",
                     m,
                     format!(
-                        ".{}() on the request path can kill a worker/connection \
-                         thread; return a typed error or use a poison-safe helper",
+                        ".{}() in a crate the serve/fleet binaries link can kill \
+                         a worker, connection or coordinator thread; return a \
+                         typed error or justify the invariant in lint.allow",
                         m.text
                     ),
                 );
@@ -314,7 +318,10 @@ pub fn check_file(path: &str, src: &str, cfg: &LintConfig) -> Vec<Finding> {
                     &mut out,
                     "NW-S001",
                     t,
-                    format!("{}! on the request path; return a typed error", t.text),
+                    format!(
+                        "{}! in a crate the serve/fleet binaries link; return a typed error",
+                        t.text
+                    ),
                 );
             }
         }
@@ -502,6 +509,82 @@ pub fn check_file(path: &str, src: &str, cfg: &LintConfig) -> Vec<Finding> {
                         m.text
                     ),
                 );
+            }
+        }
+    }
+    out
+}
+
+/// Every `lock_unpoisoned(` call made while a guard bound by
+/// `let [mut] g = lock_unpoisoned(…);` earlier in the same block is still
+/// live: after the binding, before the block's closing `}` and before a
+/// `drop(g)`. Returns each call's token index with the guard's name token.
+fn nested_lock_guards(toks: &[Tok]) -> Vec<(usize, &Tok)> {
+    let is_lock_call = |i: usize| {
+        toks[i].is_ident("lock_unpoisoned")
+            && matches!(toks.get(i + 1), Some(p) if p.is_punct("("))
+            && !(i > 0 && toks[i - 1].is_ident("fn"))
+    };
+    let mut out = Vec::new();
+    for call in (0..toks.len()).filter(|&i| is_lock_call(i)) {
+        // Walk back over a `path::` prefix to `let [mut] g =`.
+        let mut head = call;
+        while head >= 3
+            && toks[head - 1].is_punct(":")
+            && toks[head - 2].is_punct(":")
+            && toks[head - 3].kind == TokKind::Ident
+        {
+            head -= 3;
+        }
+        if head < 3 || !toks[head - 1].is_punct("=") {
+            continue;
+        }
+        let guard = &toks[head - 2];
+        let let_at = if toks[head - 3].is_ident("mut") {
+            head.checked_sub(4)
+        } else {
+            Some(head - 3)
+        };
+        if guard.kind != TokKind::Ident || !let_at.is_some_and(|k| toks[k].is_ident("let")) {
+            continue;
+        }
+        // The guard is bound only when the call ends the statement;
+        // `let n = lock_unpoisoned(m).len();` drops it at the `;`.
+        let mut j = call + 1;
+        let mut depth = 0usize;
+        while j < toks.len() {
+            if toks[j].is_punct("(") {
+                depth += 1;
+            } else if toks[j].is_punct(")") {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+            j += 1;
+        }
+        if !matches!(toks.get(j + 1), Some(p) if p.is_punct(";")) {
+            continue;
+        }
+        // Live range: to the `}` closing the enclosing block, or `drop(g)`.
+        let mut depth = 0usize;
+        for k in j + 2..toks.len() {
+            let t = &toks[k];
+            if t.is_punct("{") {
+                depth += 1;
+            } else if t.is_punct("}") {
+                if depth == 0 {
+                    break;
+                }
+                depth -= 1;
+            } else if t.is_ident("drop")
+                && matches!(toks.get(k + 1), Some(p) if p.is_punct("("))
+                && matches!(toks.get(k + 2), Some(g) if g.is_ident(&guard.text))
+                && matches!(toks.get(k + 3), Some(p) if p.is_punct(")"))
+            {
+                break;
+            } else if is_lock_call(k) {
+                out.push((k, guard));
             }
         }
     }
@@ -713,6 +796,20 @@ mod tests {
         assert!(!check_file("x.rs", src, &cfg_all())
             .iter()
             .any(|f| f.rule == "NW-S007"));
+    }
+
+    #[test]
+    fn s008_flags_a_second_lock_under_a_live_guard() {
+        let nested = "fn f(a: &M, b: &M) { let mut g = lock_unpoisoned(a); \
+                      let h = sync::lock_unpoisoned(b); }";
+        assert_eq!(rules_of(nested), vec!["NW-S008"]);
+        // A drop, the end of the guard's block and a temporary guard each
+        // leave the next lock alone.
+        let silent =
+            "fn f(a: &M, b: &M) { let g = lock_unpoisoned(a); drop(g); lock_unpoisoned(b); }
+                      fn g(a: &M, b: &M) { { let g = lock_unpoisoned(a); } lock_unpoisoned(b); }
+                      fn h(a: &M, b: &M) { let n = lock_unpoisoned(a).len(); lock_unpoisoned(b); }";
+        assert!(rules_of(silent).is_empty(), "{:?}", rules_of(silent));
     }
 
     #[test]

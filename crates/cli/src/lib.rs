@@ -69,8 +69,6 @@ pub struct LintArgs {
     /// exemptions) instead of the workspace one — for testing the rules
     /// themselves against known-bad snippets.
     pub fixtures: bool,
-    /// Also run the workspace call-graph pass (NW-G001..G003).
-    pub graph: bool,
 }
 
 /// Arguments of `nestwx sweep`; each flag writes its field.
@@ -361,8 +359,7 @@ fn parse_sweep_args(args: &[String]) -> Result<SweepArgs, ParseError> {
     Ok(sweep)
 }
 
-/// Parses `lint [--root DIR] [--allow FILE] [--json] [--fixtures]
-/// [--graph]`.
+/// Parses `lint [--root DIR] [--allow FILE] [--json] [--fixtures]`.
 fn parse_lint_args(args: &[String]) -> Result<LintArgs, ParseError> {
     let mut lint = LintArgs::default();
     let mut it = args.iter();
@@ -377,7 +374,6 @@ fn parse_lint_args(args: &[String]) -> Result<LintArgs, ParseError> {
             "--allow" => lint.allow = Some(value("--allow")?),
             "--json" => lint.json = true,
             "--fixtures" => lint.fixtures = true,
-            "--graph" => lint.graph = true,
             other => return Err(err(format!("unknown lint flag '{other}'"))),
         }
     }
@@ -737,27 +733,16 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), Box<dyn std
         }
         Command::Lint(a) => {
             let root = std::path::PathBuf::from(a.root.as_deref().unwrap_or("."));
-            // --fixtures --graph pairs the empty per-file scopes with the
-            // fixture graph roots, so known-bad graph fixture trees exercise
-            // only NW-G001..G003.
-            let cfg = match (a.fixtures, a.graph) {
-                (true, true) => nestwx_analyze::LintConfig::graph_fixtures(root.clone()),
-                (true, false) => nestwx_analyze::LintConfig::fixtures(root.clone()),
-                (false, _) => nestwx_analyze::LintConfig::workspace_default(root.clone()),
+            let cfg = if a.fixtures {
+                nestwx_analyze::LintConfig::fixtures(root.clone())
+            } else {
+                nestwx_analyze::LintConfig::workspace_default(root.clone())
             };
-            let graph_cfg = a.graph.then(|| {
-                if a.fixtures {
-                    nestwx_analyze::GraphConfig::fixtures()
-                } else {
-                    nestwx_analyze::GraphConfig::workspace_default()
-                }
-            });
             let allow_path = match &a.allow {
                 Some(p) => std::path::PathBuf::from(p),
                 None => root.join("lint.allow"),
             };
-            let report =
-                nestwx_analyze::run_lint_with_allow_file_ex(&cfg, graph_cfg.as_ref(), &allow_path)?;
+            let report = nestwx_analyze::run_lint_with_allow_file(&cfg, &allow_path)?;
             if a.json {
                 writeln!(out, "{}", serde_json::to_string_pretty(&report)?)?;
             } else {
@@ -765,10 +750,9 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), Box<dyn std
             }
             if !report.ok() {
                 return Err(format!(
-                    "lint failed: {} finding(s), {} allowlist error(s), {} graph error(s)",
+                    "lint failed: {} finding(s), {} allowlist error(s)",
                     report.findings.len(),
-                    report.allow_errors.len(),
-                    report.graph_errors.len()
+                    report.allow_errors.len()
                 )
                 .into());
             }
@@ -876,7 +860,7 @@ USAGE:
                  [--burst N] [--client-cap N] [--predictors N] [--idle-ms MS]
                  [--lifetime-ms MS] [--cache-dir DIR] [--trace 0|1]
                  [--trace-ring N] [--trace-slow-us US]
-  nestwx lint    [--root DIR] [--allow FILE] [--json] [--fixtures] [--graph]
+  nestwx lint    [--root DIR] [--allow FILE] [--json] [--fixtures]
 
 FLAGS:
   --machine FAMILY:CORES   {machines} (power of two)
@@ -1542,15 +1526,12 @@ mod tests {
                 allow: Some("my.allow".into()),
                 json: false,
                 fixtures: true,
-                ..LintArgs::default()
             })
         );
-        assert_eq!(
-            parse_args(&argv(&["lint", "--graph"])).unwrap(),
-            Command::Lint(LintArgs {
-                graph: true,
-                ..LintArgs::default()
-            })
+        let graph = parse_args(&argv(&["lint", "--graph"])).unwrap_err();
+        assert!(
+            graph.to_string().contains("unknown lint flag '--graph'"),
+            "{graph}"
         );
         assert!(parse_args(&argv(&["lint", "--root"])).is_err());
         assert!(parse_args(&argv(&["lint", "--bogus"])).is_err());
@@ -1568,7 +1549,6 @@ mod tests {
                 allow: None,
                 json: true,
                 fixtures: true,
-                ..LintArgs::default()
             }),
             &mut buf,
         );

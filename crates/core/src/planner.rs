@@ -150,10 +150,7 @@ impl Planner {
                 AllocPolicy::HuffmanSplitTree => {
                     let predictor = match &self.predictor {
                         Some(p) => Arc::clone(p),
-                        // `Type::method` form: the lint call graph follows
-                        // it into the store; a bare `.get(..)` is ambiguous
-                        // to it and would cut the NW-G001 chain here.
-                        None => PredictorStore::get(PredictorStore::shared(), &self.machine)?,
+                        None => PredictorStore::shared().get(&self.machine)?,
                     };
                     predictor.relative_times(&features)?
                 }

@@ -4,9 +4,6 @@
 //! performs on a 2-D processor grid, specialised to a 1-D pool of worker
 //! threads for [`nestwx_miniwrf::runtime`].
 
-use nestwx_grid::DomainFeatures;
-use nestwx_predict::ExecTimePredictor;
-
 /// Splits `total_threads` among nests proportionally to predicted relative
 /// execution times; every nest gets at least one thread. Uses largest
 /// remainders for the leftover threads.
@@ -27,7 +24,7 @@ pub fn thread_allocation(ratios: &[f64], total_threads: usize) -> Vec<usize> {
     order.sort_by(|&a, &b| {
         let fa = ideal[a] - ideal[a].floor();
         let fb = ideal[b] - ideal[b].floor();
-        fb.partial_cmp(&fa).unwrap()
+        fb.total_cmp(&fa)
     });
     let mut i = 0;
     while assigned < total_threads {
@@ -42,22 +39,6 @@ pub fn thread_allocation(ratios: &[f64], total_threads: usize) -> Vec<usize> {
         assigned -= 1;
     }
     alloc
-}
-
-/// Predicts ratios for nest dimension pairs and allocates threads.
-pub fn thread_allocation_for(
-    predictor: &ExecTimePredictor,
-    nests: &[(u32, u32)],
-    total_threads: usize,
-) -> Vec<usize> {
-    let features: Vec<DomainFeatures> = nests
-        .iter()
-        .map(|&(nx, ny)| DomainFeatures::from_dims(nx, ny))
-        .collect();
-    let ratios = predictor
-        .relative_times(&features)
-        .expect("predictor covers nests");
-    thread_allocation(&ratios, total_threads)
 }
 
 #[cfg(test)]

@@ -162,15 +162,16 @@ pub fn encode_cells(nest: u32, iteration: u64, cells: &[HaloCell]) -> Vec<u8> {
 /// The declared cell count must match the payload length exactly — a
 /// trailing or missing byte means the stream is corrupt.
 pub fn decode_cells(payload: &[u8]) -> Result<(u32, u64, Vec<HaloCell>), FrameError> {
-    if payload.len() < CELLS_PREFIX_BYTES {
-        return Err(FrameError::Malformed(format!(
+    let short = || {
+        FrameError::Malformed(format!(
             "cell payload of {} bytes is shorter than its {CELLS_PREFIX_BYTES}-byte prefix",
             payload.len()
-        )));
-    }
-    let iteration = u64::from_le_bytes(payload[0..8].try_into().expect("8 bytes"));
-    let nest = u32::from_le_bytes(payload[8..12].try_into().expect("4 bytes"));
-    let count = u32::from_le_bytes(payload[12..16].try_into().expect("4 bytes")) as usize;
+        ))
+    };
+    let (iteration, rest) = payload.split_first_chunk::<8>().ok_or_else(short)?;
+    let (nest, rest) = rest.split_first_chunk::<4>().ok_or_else(short)?;
+    let (count, body) = rest.split_first_chunk::<4>().ok_or_else(short)?;
+    let count = u32::from_le_bytes(*count) as usize;
     let expected = CELLS_PREFIX_BYTES + count * CELL_BYTES;
     if payload.len() != expected {
         return Err(FrameError::Malformed(format!(
@@ -178,25 +179,28 @@ pub fn decode_cells(payload: &[u8]) -> Result<(u32, u64, Vec<HaloCell>), FrameEr
             payload.len()
         )));
     }
-    let mut cells = Vec::with_capacity(count);
-    for c in 0..count {
-        let at = CELLS_PREFIX_BYTES + c * CELL_BYTES;
-        let read_i64 =
-            |o: usize| i64::from_le_bytes(payload[at + o..at + o + 8].try_into().expect("8 bytes"));
-        let read_f64 = |o: usize| {
-            f64::from_bits(u64::from_le_bytes(
-                payload[at + o..at + o + 8].try_into().expect("8 bytes"),
-            ))
-        };
-        cells.push((
-            read_i64(0) as isize,
-            read_i64(8) as isize,
-            read_f64(16),
-            read_f64(24),
-            read_f64(32),
-        ));
-    }
-    Ok((nest, iteration, cells))
+    let cells = body
+        .chunks_exact(CELL_BYTES)
+        .map(|cell| {
+            let word = |k: usize| {
+                let mut bytes = [0u8; 8];
+                bytes.copy_from_slice(&cell[8 * k..8 * k + 8]);
+                u64::from_le_bytes(bytes)
+            };
+            (
+                word(0) as i64 as isize,
+                word(1) as i64 as isize,
+                f64::from_bits(word(2)),
+                f64::from_bits(word(3)),
+                f64::from_bits(word(4)),
+            )
+        })
+        .collect();
+    Ok((
+        u32::from_le_bytes(*nest),
+        u64::from_le_bytes(*iteration),
+        cells,
+    ))
 }
 
 #[cfg(test)]

@@ -218,7 +218,9 @@ impl Work {
                 machine,
                 machine_spec,
                 features,
-            } => PredictorStore::get(&state.predictors, machine)
+            } => state
+                .predictors
+                .get(machine)
                 .and_then(|predictor| predictor.relative_times(features))
                 .map_err(prediction_failed)
                 .and_then(|times| render_predict(machine_spec, times)),
@@ -246,9 +248,6 @@ pub(crate) struct ServerState {
     /// predict job; LRU-bounded at [`ServeConfig::predictors`] entries.
     /// The server's own store (not the process-wide one), so the
     /// `predictors_cached` / `predictor_evictions` gauges describe it alone.
-    /// Call it as `PredictorStore::get(&state.predictors, ..)`: the lint
-    /// call graph follows the `Type::method` form into the fit, a bare
-    /// `.get(..)` would cut the NW-G003 chain below `worker_loop`.
     pub(crate) predictors: PredictorStore,
     /// Per-client token buckets (engaged only when `cfg.rate > 0`).
     pub(crate) limiter: RateLimiter,
@@ -283,7 +282,8 @@ impl ServerState {
         if scenario.alloc != AllocPolicy::HuffmanSplitTree {
             return Ok(planner);
         }
-        PredictorStore::get(&self.predictors, &scenario.machine)
+        self.predictors
+            .get(&scenario.machine)
             .map(|predictor| planner.with_predictor(predictor))
             .map_err(prediction_failed)
     }
