@@ -12,9 +12,10 @@
 //!   block-decomposed over;
 //! * [`Decomposition`] — the per-rank patches of a block decomposition,
 //!   including halo-exchange geometry (which neighbours, how many bytes);
-//! * [`fnv1a64`] — the stable byte digest behind cache keys and report
-//!   digests (here because `nestwx-core` and `nestwx-miniwrf` both depend
-//!   on this crate and not on each other).
+//! * [`fnv1a64`] (and its streaming form [`Fnv1a64`]) — the stable byte
+//!   digest behind cache keys and report digests (here because
+//!   `nestwx-core` and `nestwx-miniwrf` both depend on this crate and not
+//!   on each other).
 //!
 //! The paper's setting (§1, §3): the parent domain is solved on the full
 //! processor grid; each nested child domain is solved `r` times per parent
@@ -34,6 +35,6 @@ pub mod rect;
 pub use decomp::{Decomposition, HaloSpec, Neighbor, Patch};
 pub use domain::{Domain, DomainError, DomainId, NestSpec, NestedConfig};
 pub use features::DomainFeatures;
-pub use hash::fnv1a64;
+pub use hash::{fnv1a64, Fnv1a64};
 pub use procgrid::ProcGrid;
 pub use rect::Rect;

@@ -50,6 +50,21 @@ impl Field2D {
         self.data[k] = v;
     }
 
+    /// Stored row `j` (`-1 ≤ j ≤ ny`), halo columns included: element
+    /// `i + 1` is cell `(i, j)`.
+    #[inline(always)]
+    pub fn row(&self, j: isize) -> &[f64] {
+        let k = self.idx(-1, j);
+        &self.data[k..k + self.nx + 2]
+    }
+
+    /// The interior rows `0..ny` as one mutable slice of stored rows
+    /// (`nx + 2` values each, halo columns included).
+    pub fn interior_rows_mut(&mut self) -> &mut [f64] {
+        let w = self.nx + 2;
+        &mut self.data[w..w * (self.ny + 1)]
+    }
+
     /// Interior values in row-major order (`j` outer, `i` inner) — the
     /// deterministic traversal field digests use.
     pub fn interior_values(&self) -> impl Iterator<Item = f64> + '_ {

@@ -15,7 +15,7 @@
 
 use crate::model::{NestState, NestedModel};
 use crate::solver::ShallowWater;
-use nestwx_grid::fnv1a64;
+use nestwx_grid::{fnv1a64, Fnv1a64};
 use serde::{Deserialize, Serialize};
 
 /// Schema tag of the serialized report.
@@ -35,13 +35,13 @@ pub const HALO_CELL_BYTES: u64 = 40;
 /// differently, which is exactly the sensitivity a bitwise-identity
 /// invariant needs.
 pub fn solver_digest(s: &ShallowWater) -> u64 {
-    let mut bytes = Vec::with_capacity(3 * s.nx * s.ny * 8);
+    let mut digest = Fnv1a64::new();
     for f in [&s.h, &s.hu, &s.hv] {
         for v in f.interior_values() {
-            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+            digest.write(&v.to_bits().to_le_bytes());
         }
     }
-    fnv1a64(&bytes)
+    digest.finish()
 }
 
 fn hex(d: u64) -> String {

@@ -8,9 +8,8 @@
 //! precomputed boundary data, the two strategies produce *bitwise identical*
 //! states — only wall-clock time differs.
 
-use crate::field::Field2D;
 use crate::model::NestedModel;
-use crate::solver::{RowBand, ShallowWater};
+use crate::solver::ShallowWater;
 use nestwx_obs::clock;
 use nestwx_obs::{Recorder, StepMetrics, StepPhase};
 use serde::{Deserialize, Serialize};
@@ -55,10 +54,11 @@ impl PhaseTimings {
 
 /// One multi-threaded solver step over `threads` row bands.
 ///
-/// Fills halos, computes bands in parallel scoped threads, commits. With
-/// `threads == 1` no threads are spawned. The result is bitwise identical
-/// to [`ShallowWater::step`] because band decomposition does not change
-/// the arithmetic.
+/// Fills halos, computes each band straight into the next-state buffers
+/// on its own scoped thread, then swaps them in. With `threads == 1` (or
+/// fewer than two rows per band) no threads are spawned. The result is
+/// bitwise identical to [`ShallowWater::step`] because band decomposition
+/// does not change the arithmetic.
 pub fn step_parallel(sw: &mut ShallowWater, threads: usize) {
     assert!(threads > 0);
     if threads == 1 || sw.ny < 2 * threads {
@@ -66,19 +66,14 @@ pub fn step_parallel(sw: &mut ShallowWater, threads: usize) {
         return;
     }
     sw.fill_halos();
-    let bands = Field2D::row_bands(sw.ny, threads);
-    let mut results: Vec<(usize, usize, RowBand)> = bands
-        .iter()
-        .map(|&(j0, j1)| (j0, j1, RowBand::new(sw.nx, j1 - j0)))
-        .collect();
+    let (stencil, bands) = sw.split_step(threads);
     std::thread::scope(|scope| {
-        for (j0, j1, band) in results.iter_mut() {
-            let sw_ref = &*sw;
-            let (j0, j1) = (*j0, *j1);
-            scope.spawn(move || sw_ref.compute_rows(j0, j1, band));
+        for band in bands {
+            let stencil = &stencil;
+            scope.spawn(move || stencil.compute(band));
         }
     });
-    sw.commit_step(results);
+    sw.finish_step();
 }
 
 /// Runs `iterations` coupled iterations under the given strategy with

@@ -169,122 +169,40 @@ impl ShallowWater {
         }
     }
 
-    /// Computes one Lax–Friedrichs update for interior rows `j0..j1`,
-    /// writing into the scratch buffers. Multiple calls with disjoint row
-    /// ranges together update the whole field; [`ShallowWater::commit_step`]
-    /// then swaps buffers. (The thread runtime splits the scratch rows;
-    /// single-threaded callers use [`ShallowWater::step`].)
-    pub fn compute_rows(&self, j0: usize, j1: usize, out: &mut RowBand) {
-        match self.scheme {
-            Scheme::LaxFriedrichs => self.compute_rows_lf(j0, j1, out),
-            Scheme::LaxWendroff => self.compute_rows_lw(j0, j1, out),
+    /// Cuts one step into a read-only [`Stencil`] over the current state
+    /// and the interior rows of the next-state buffers, split into `bands`
+    /// disjoint [`Band`]s ([`Field2D::row_bands`]). Halos must be filled
+    /// first; computing every band, then [`ShallowWater::finish_step`],
+    /// advances the state by one step.
+    pub(crate) fn split_step(&mut self, bands: usize) -> (Stencil<'_>, Vec<Band<'_>>) {
+        fn cut<'a>(rest: &mut &'a mut [f64], n: usize) -> &'a mut [f64] {
+            let (head, tail) = std::mem::take(rest).split_at_mut(n);
+            *rest = tail;
+            head
         }
+        let w = self.nx + 2;
+        let next = [&mut self.next_h, &mut self.next_hu, &mut self.next_hv];
+        let mut rest = next.map(Field2D::interior_rows_mut);
+        let bands = Field2D::row_bands(self.ny, bands)
+            .into_iter()
+            .map(|(j0, j1)| Band {
+                j0,
+                rows: rest.each_mut().map(|r| cut(r, (j1 - j0) * w)),
+            })
+            .collect();
+        let stencil = Stencil {
+            state: [&self.h, &self.hu, &self.hv],
+            scheme: self.scheme,
+            dt: self.dt,
+            dx: self.dx,
+        };
+        (stencil, bands)
     }
 
-    fn compute_rows_lf(&self, j0: usize, j1: usize, out: &mut RowBand) {
-        debug_assert!(j1 <= self.ny && j0 < j1);
-        debug_assert_eq!(out.width, self.nx);
-        let lam = self.dt / (2.0 * self.dx);
-        for j in j0..j1 {
-            let jj = j as isize;
-            for i in 0..self.nx {
-                let ii = i as isize;
-                // Neighbour states.
-                let (hw, he) = (self.h.get(ii - 1, jj), self.h.get(ii + 1, jj));
-                let (hn, hs) = (self.h.get(ii, jj - 1), self.h.get(ii, jj + 1));
-                let (huw, hue) = (self.hu.get(ii - 1, jj), self.hu.get(ii + 1, jj));
-                let (hun, hus) = (self.hu.get(ii, jj - 1), self.hu.get(ii, jj + 1));
-                let (hvw, hve) = (self.hv.get(ii - 1, jj), self.hv.get(ii + 1, jj));
-                let (hvn, hvs) = (self.hv.get(ii, jj - 1), self.hv.get(ii, jj + 1));
-
-                // Fluxes: F = (hu, hu²/h + gh²/2, hu·hv/h) in x,
-                //         G = (hv, hu·hv/h, hv²/h + gh²/2) in y.
-                let fx = |_h: f64, hu: f64| hu;
-                let fxu = |h: f64, hu: f64| hu * hu / h + 0.5 * GRAVITY * h * h;
-                let fxv = |h: f64, hu: f64, hv: f64| hu * hv / h;
-                let gy = |_h: f64, hv: f64| hv;
-                let gyu = |h: f64, hu: f64, hv: f64| hu * hv / h;
-                let gyv = |h: f64, hv: f64| hv * hv / h + 0.5 * GRAVITY * h * h;
-
-                let h_new = 0.25 * (hw + he + hn + hs)
-                    - lam * (fx(he, hue) - fx(hw, huw))
-                    - lam * (gy(hs, hvs) - gy(hn, hvn));
-                let hu_new = 0.25 * (huw + hue + hun + hus)
-                    - lam * (fxu(he, hue) - fxu(hw, huw))
-                    - lam * (gyu(hs, hus, hvs) - gyu(hn, hun, hvn));
-                let hv_new = 0.25 * (hvw + hve + hvn + hvs)
-                    - lam * (fxv(he, hue, hve) - fxv(hw, huw, hvw))
-                    - lam * (gyv(hs, hvs) - gyv(hn, hvn));
-
-                let k = (j - j0) * self.nx + i;
-                out.h[k] = h_new;
-                out.hu[k] = hu_new;
-                out.hv[k] = hv_new;
-            }
-        }
-    }
-
-    /// Richtmyer two-step Lax–Wendroff: half-step predictor states at the
-    /// four cell edges, then a conservative corrector.
-    fn compute_rows_lw(&self, j0: usize, j1: usize, out: &mut RowBand) {
-        debug_assert!(j1 <= self.ny && j0 < j1);
-        debug_assert_eq!(out.width, self.nx);
-        let lam = self.dt / self.dx;
-        // Fluxes of the state vector (h, hu, hv).
-        #[inline(always)]
-        fn fx(u: [f64; 3]) -> [f64; 3] {
-            let [h, hu, hv] = u;
-            [hu, hu * hu / h + 0.5 * GRAVITY * h * h, hu * hv / h]
-        }
-        #[inline(always)]
-        fn gy(u: [f64; 3]) -> [f64; 3] {
-            let [h, hu, hv] = u;
-            [hv, hu * hv / h, hv * hv / h + 0.5 * GRAVITY * h * h]
-        }
-        let at = |i: isize, j: isize| -> [f64; 3] {
-            [self.h.get(i, j), self.hu.get(i, j), self.hv.get(i, j)]
-        };
-        // Half-step edge state between u_l and u_r along x (or y with gy).
-        let half_x = |l: [f64; 3], r: [f64; 3]| -> [f64; 3] {
-            let (fl, fr) = (fx(l), fx(r));
-            std::array::from_fn(|k| 0.5 * (l[k] + r[k]) - 0.5 * lam * (fr[k] - fl[k]))
-        };
-        let half_y = |l: [f64; 3], r: [f64; 3]| -> [f64; 3] {
-            let (gl, gr) = (gy(l), gy(r));
-            std::array::from_fn(|k| 0.5 * (l[k] + r[k]) - 0.5 * lam * (gr[k] - gl[k]))
-        };
-        for j in j0..j1 {
-            let jj = j as isize;
-            for i in 0..self.nx {
-                let ii = i as isize;
-                let c = at(ii, jj);
-                let east = half_x(c, at(ii + 1, jj));
-                let west = half_x(at(ii - 1, jj), c);
-                let south = half_y(c, at(ii, jj + 1));
-                let north = half_y(at(ii, jj - 1), c);
-                let (fe, fw) = (fx(east), fx(west));
-                let (gs, gn) = (gy(south), gy(north));
-                let k = (j - j0) * self.nx + i;
-                out.h[k] = c[0] - lam * (fe[0] - fw[0]) - lam * (gs[0] - gn[0]);
-                out.hu[k] = c[1] - lam * (fe[1] - fw[1]) - lam * (gs[1] - gn[1]);
-                out.hv[k] = c[2] - lam * (fe[2] - fw[2]) - lam * (gs[2] - gn[2]);
-            }
-        }
-    }
-
-    /// Copies computed bands into the scratch fields and swaps buffers.
-    /// `bands` are `(j0, j1, data)` triples covering `0..ny` exactly.
-    pub fn commit_step(&mut self, bands: Vec<(usize, usize, RowBand)>) {
-        for (j0, j1, band) in bands {
-            for j in j0..j1 {
-                for i in 0..self.nx {
-                    let k = (j - j0) * self.nx + i;
-                    self.next_h.set(i as isize, j as isize, band.h[k]);
-                    self.next_hu.set(i as isize, j as isize, band.hu[k]);
-                    self.next_hv.set(i as isize, j as isize, band.hv[k]);
-                }
-            }
-        }
+    /// Swaps the computed next state in and applies the Coriolis source.
+    /// Only interior cells were computed: the swapped-in buffers' halos are
+    /// stale until the next `fill_halos` / `apply_boundary`.
+    pub(crate) fn finish_step(&mut self) {
         std::mem::swap(&mut self.h, &mut self.next_h);
         std::mem::swap(&mut self.hu, &mut self.next_hu);
         std::mem::swap(&mut self.hv, &mut self.next_hv);
@@ -305,12 +223,12 @@ impl ShallowWater {
         self.steps += 1;
     }
 
-    /// One single-threaded step (fill halos, compute, commit).
+    /// One single-threaded step (fill halos, compute, swap).
     pub fn step(&mut self) {
         self.fill_halos();
-        let mut band = RowBand::new(self.nx, self.ny);
-        self.compute_rows(0, self.ny, &mut band);
-        self.commit_step(vec![(0, self.ny, band)]);
+        let (stencil, bands) = self.split_step(1);
+        bands.into_iter().for_each(|band| stencil.compute(band));
+        self.finish_step();
     }
 
     /// Total water volume (mass) in the interior.
@@ -338,27 +256,114 @@ impl ShallowWater {
     }
 }
 
-/// A scratch buffer for one thread's band of rows.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RowBand {
-    /// Interior width.
-    pub width: usize,
-    /// New depth values, row-major, `(j1-j0) × width`.
-    pub h: Vec<f64>,
-    /// New x-momentum values.
-    pub hu: Vec<f64>,
-    /// New y-momentum values.
-    pub hv: Vec<f64>,
+/// One step's read-only view of the current `[h, hu, hv]`.
+pub(crate) struct Stencil<'a> {
+    state: [&'a Field2D; 3],
+    scheme: Scheme,
+    dt: f64,
+    dx: f64,
 }
 
-impl RowBand {
-    /// A zeroed band of `rows × width`.
-    pub fn new(width: usize, rows: usize) -> Self {
-        RowBand {
-            width,
-            h: vec![0.0; width * rows],
-            hu: vec![0.0; width * rows],
-            hv: vec![0.0; width * rows],
+/// Rows `j0..` of the next `[h, hu, hv]`, as stored rows of `nx + 2`
+/// values (halo columns included).
+pub(crate) struct Band<'a> {
+    j0: usize,
+    rows: [&'a mut [f64]; 3],
+}
+
+impl Stencil<'_> {
+    /// Writes the next state of the band's interior cells.
+    pub(crate) fn compute(&self, band: Band<'_>) {
+        match self.scheme {
+            Scheme::LaxFriedrichs => self.lax_friedrichs(band),
+            Scheme::LaxWendroff => self.lax_wendroff(band),
+        }
+    }
+
+    fn lax_friedrichs(&self, out: Band<'_>) {
+        let lam = self.dt / (2.0 * self.dx);
+        let ([h_f, hu_f, hv_f], w) = (self.state, self.state[0].nx + 2);
+        let [out_h, out_hu, out_hv] = out.rows.map(|r| r.chunks_exact_mut(w));
+        for (jj, ((out_h, out_hu), out_hv)) in
+            (out.j0 as isize..).zip(out_h.zip(out_hu).zip(out_hv))
+        {
+            let (h_n, h, h_s) = (h_f.row(jj - 1), h_f.row(jj), h_f.row(jj + 1));
+            let (hu_n, hu, hu_s) = (hu_f.row(jj - 1), hu_f.row(jj), hu_f.row(jj + 1));
+            let (hv_n, hv, hv_s) = (hv_f.row(jj - 1), hv_f.row(jj), hv_f.row(jj + 1));
+            for i in 1..w - 1 {
+                // Neighbour states.
+                let (hw, he) = (h[i - 1], h[i + 1]);
+                let (hn, hs) = (h_n[i], h_s[i]);
+                let (huw, hue) = (hu[i - 1], hu[i + 1]);
+                let (hun, hus) = (hu_n[i], hu_s[i]);
+                let (hvw, hve) = (hv[i - 1], hv[i + 1]);
+                let (hvn, hvs) = (hv_n[i], hv_s[i]);
+
+                // Fluxes: F = (hu, hu²/h + gh²/2, hu·hv/h) in x,
+                //         G = (hv, hu·hv/h, hv²/h + gh²/2) in y.
+                let fx = |_h: f64, hu: f64| hu;
+                let fxu = |h: f64, hu: f64| hu * hu / h + 0.5 * GRAVITY * h * h;
+                let fxv = |h: f64, hu: f64, hv: f64| hu * hv / h;
+                let gy = |_h: f64, hv: f64| hv;
+                let gyu = |h: f64, hu: f64, hv: f64| hu * hv / h;
+                let gyv = |h: f64, hv: f64| hv * hv / h + 0.5 * GRAVITY * h * h;
+
+                out_h[i] = 0.25 * (hw + he + hn + hs)
+                    - lam * (fx(he, hue) - fx(hw, huw))
+                    - lam * (gy(hs, hvs) - gy(hn, hvn));
+                out_hu[i] = 0.25 * (huw + hue + hun + hus)
+                    - lam * (fxu(he, hue) - fxu(hw, huw))
+                    - lam * (gyu(hs, hus, hvs) - gyu(hn, hun, hvn));
+                out_hv[i] = 0.25 * (hvw + hve + hvn + hvs)
+                    - lam * (fxv(he, hue, hve) - fxv(hw, huw, hvw))
+                    - lam * (gyv(hs, hvs) - gyv(hn, hvn));
+            }
+        }
+    }
+
+    /// Richtmyer two-step Lax–Wendroff: half-step predictor states at the
+    /// four cell edges, then a conservative corrector.
+    fn lax_wendroff(&self, out: Band<'_>) {
+        let lam = self.dt / self.dx;
+        let ([h, hu, hv], w) = (self.state, self.state[0].nx + 2);
+        let [out_h, out_hu, out_hv] = out.rows;
+        // Fluxes of the state vector (h, hu, hv).
+        #[inline(always)]
+        fn fx(u: [f64; 3]) -> [f64; 3] {
+            let [h, hu, hv] = u;
+            [hu, hu * hu / h + 0.5 * GRAVITY * h * h, hu * hv / h]
+        }
+        #[inline(always)]
+        fn gy(u: [f64; 3]) -> [f64; 3] {
+            let [h, hu, hv] = u;
+            [hv, hu * hv / h, hv * hv / h + 0.5 * GRAVITY * h * h]
+        }
+        let at = |i: isize, j: isize| -> [f64; 3] { [h.get(i, j), hu.get(i, j), hv.get(i, j)] };
+        // Half-step edge state between u_l and u_r along x (or y with gy).
+        let half_x = |l: [f64; 3], r: [f64; 3]| -> [f64; 3] {
+            let (fl, fr) = (fx(l), fx(r));
+            std::array::from_fn(|k| 0.5 * (l[k] + r[k]) - 0.5 * lam * (fr[k] - fl[k]))
+        };
+        let half_y = |l: [f64; 3], r: [f64; 3]| -> [f64; 3] {
+            let (gl, gr) = (gy(l), gy(r));
+            std::array::from_fn(|k| 0.5 * (l[k] + r[k]) - 0.5 * lam * (gr[k] - gl[k]))
+        };
+        for r in 0..out_h.len() / w {
+            let jj = (out.j0 + r) as isize;
+            for i in 0..w - 2 {
+                let ii = i as isize;
+                let c = at(ii, jj);
+                let east = half_x(c, at(ii + 1, jj));
+                let west = half_x(at(ii - 1, jj), c);
+                let south = half_y(c, at(ii, jj + 1));
+                let north = half_y(at(ii, jj - 1), c);
+                let (fe, fw) = (fx(east), fx(west));
+                let (gs, gn) = (gy(south), gy(north));
+                let k = r * w + i + 1;
+                out_h[k] = c[0] - lam * (fe[0] - fw[0]) - lam * (gs[0] - gn[0]);
+                out_hu[k] = c[1] - lam * (fe[1] - fw[1]) - lam * (gs[1] - gn[1]);
+                out_hv[k] = c[2] - lam * (fe[2] - fw[2]) - lam * (gs[2] - gn[2]);
+            }
         }
     }
 }
@@ -528,20 +533,22 @@ mod tests {
 
     #[test]
     fn banded_computation_matches_full() {
-        // Computing in two bands must equal computing in one.
-        let mut a = ShallowWater::quiescent(20, 20, 1000.0, 100.0, Boundary::Periodic);
+        // Two uneven bands (11 + 10 rows), computed in reverse order, must
+        // equal one band: the whole state, scratch buffers included.
+        let mut a =
+            ShallowWater::quiescent(20, 21, 1000.0, 100.0, Boundary::Periodic).with_coriolis(1e-4);
         a.add_gaussian(10.0, 10.0, -3.0, 3.0);
         let mut b = a.clone();
         a.step();
         b.fill_halos();
-        let mut band1 = RowBand::new(20, 12);
-        let mut band2 = RowBand::new(20, 8);
-        b.compute_rows(0, 12, &mut band1);
-        b.compute_rows(12, 20, &mut band2);
-        b.commit_step(vec![(0, 12, band1), (12, 20, band2)]);
-        assert_eq!(a.h, b.h);
-        assert_eq!(a.hu, b.hu);
-        assert_eq!(a.hv, b.hv);
+        let (stencil, bands) = b.split_step(2);
+        let heights: Vec<usize> = bands.iter().map(|band| band.rows[0].len() / 22).collect();
+        assert_eq!(heights, [11, 10]);
+        for band in bands.into_iter().rev() {
+            stencil.compute(band);
+        }
+        b.finish_step();
+        assert_eq!(a, b);
     }
 
     #[test]

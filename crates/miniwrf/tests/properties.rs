@@ -1,10 +1,11 @@
 //! Property-based tests of the shallow-water solver and nesting.
 
 use nestwx_miniwrf::nest::{
-    feedback_to_parent, initialize_from_parent, interpolate_boundary, NestGeometry,
+    apply_boundary, feedback_to_parent, initialize_from_parent, interpolate_boundary, BoundaryData,
+    NestGeometry,
 };
 use nestwx_miniwrf::runtime::step_parallel;
-use nestwx_miniwrf::solver::{Boundary, ShallowWater};
+use nestwx_miniwrf::solver::{Boundary, Scheme, ShallowWater};
 use proptest::prelude::*;
 
 proptest! {
@@ -33,19 +34,44 @@ proptest! {
     }
 
     /// Banded (threaded) stepping is bitwise identical to serial stepping
-    /// for any band count.
+    /// for any grid shape, band count, boundary and scheme, with rotation
+    /// on. Up to 8 bands: uneven bands and the `ny < 2·threads` serial
+    /// fallback both occur.
     #[test]
-    fn threading_bitwise_stable(n in 12usize..40, threads in 2usize..6, steps in 1u32..8) {
-        let mut serial = ShallowWater::quiescent(n, n, 1000.0, 100.0, Boundary::Periodic);
-        serial.add_gaussian(n as f64 / 2.0, n as f64 / 2.0, -5.0, 3.0);
-        let mut banded = serial.clone();
-        for _ in 0..steps {
-            serial.step();
-            step_parallel(&mut banded, threads);
+    fn threading_bitwise_stable(
+        nx in 6usize..40, ny in 6usize..40, threads in 2usize..=8, steps in 1u32..8,
+    ) {
+        // Fixed Dirichlet data for the External case, varying along the ring.
+        let mut ring = Vec::new();
+        for i in -1..=nx as isize {
+            ring.extend([(i, -1), (i, ny as isize)]);
         }
-        prop_assert_eq!(serial.h, banded.h);
-        prop_assert_eq!(serial.hu, banded.hu);
-        prop_assert_eq!(serial.hv, banded.hv);
+        for j in 0..ny as isize {
+            ring.extend([(-1, j), (nx as isize, j)]);
+        }
+        let bc = BoundaryData::from_cells(
+            ring.into_iter()
+                .map(|(i, j)| (i, j, 1000.0 - 0.01 * (i + 2 * j) as f64, 0.5, -0.3))
+                .collect(),
+        );
+        for boundary in [Boundary::Periodic, Boundary::ZeroGradient, Boundary::External] {
+            for scheme in [Scheme::LaxFriedrichs, Scheme::LaxWendroff] {
+                let mut serial = ShallowWater::quiescent(nx, ny, 20_000.0, 1000.0, boundary)
+                    .with_scheme(scheme)
+                    .with_coriolis(1e-4);
+                serial.add_gaussian(nx as f64 / 2.0, ny as f64 / 3.0, -5.0, 3.0);
+                let mut banded = serial.clone();
+                for _ in 0..steps {
+                    if boundary == Boundary::External {
+                        apply_boundary(&mut serial, &bc);
+                        apply_boundary(&mut banded, &bc);
+                    }
+                    serial.step();
+                    step_parallel(&mut banded, threads);
+                }
+                prop_assert_eq!(&serial, &banded, "{:?} {:?}", boundary, scheme);
+            }
+        }
     }
 
     /// Zero-gradient runs remain bounded: no value exceeds the initial
