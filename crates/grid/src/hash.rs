@@ -11,7 +11,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// Incremental [`fnv1a64`]: bytes fed in any number of pieces digest to
 /// the same value as their concatenation, without buffering them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct Fnv1a64(u64);
 
 impl Fnv1a64 {
