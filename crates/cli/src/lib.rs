@@ -77,8 +77,8 @@ pub struct SweepArgs {
     /// Scenario-space spec file (JSON; `--spec`, required).
     pub spec: String,
     /// Engine options: `--cache-dir` (shared with `nestwx serve`; unset =
-    /// no persistence), `--iterations` and `--jobs` (unset = `NESTWX_JOBS`
-    /// / available parallelism).
+    /// no persistence), `--iterations` and `--jobs` (unset = available
+    /// parallelism).
     pub options: SweepOptions,
     /// Also write the summary envelope JSON to this file (`--out`).
     pub out: Option<String>,
@@ -105,8 +105,6 @@ pub struct RunArgs {
     pub iterations: u32,
     /// Emit machine-readable JSON.
     pub json: bool,
-    /// Include the per-iteration timeline in compare output.
-    pub trace: bool,
     /// compare: write run summaries to `PREFIX.default.json` /
     /// `PREFIX.planned.json`; fleet: write the fleet envelope to this file.
     pub obs_out: Option<String>,
@@ -162,8 +160,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseError> {
 
 /// Parses the flags of `plan`, `compare` and `fleet`: the scenario flags
 /// fill a [`Scenario`] through the shared vocabulary, the rest say how to
-/// run it. `--io`/`--trace` are plan/compare only, `--workers`/`--check`
-/// fleet only.
+/// run it. `--io` is plan/compare only, `--iterations`/`--obs-out`
+/// compare/fleet only, `--workers`/`--check` fleet only.
 fn parse_run_args(cmd: &str, args: &[String]) -> Result<RunArgs, ParseError> {
     let fleet = cmd == "fleet";
     let mut machine = None;
@@ -172,9 +170,8 @@ fn parse_run_args(cmd: &str, args: &[String]) -> Result<RunArgs, ParseError> {
     let mut mapping = None;
     let mut alloc = None;
     let mut io = None;
-    let mut iterations = 5u32;
+    let mut iterations = None;
     let mut json = false;
-    let mut trace = false;
     let mut obs_out = None;
     let mut workers = None;
     let mut check = false;
@@ -193,12 +190,13 @@ fn parse_run_args(cmd: &str, args: &[String]) -> Result<RunArgs, ParseError> {
             "--alloc" => alloc = Some(value("--alloc")?.parse()?),
             "--io" if !fleet => io = Some(vocab::parse_io(&value("--io")?)?),
             "--iterations" => {
-                iterations = value("--iterations")?
-                    .parse()
-                    .map_err(|_| err("bad --iterations"))?;
+                iterations = Some(
+                    value("--iterations")?
+                        .parse()
+                        .map_err(|_| err("bad --iterations"))?,
+                );
             }
             "--json" => json = true,
-            "--trace" if !fleet => trace = true,
             "--obs-out" => obs_out = Some(value("--obs-out")?),
             "--workers" if fleet => {
                 let w: u32 = value("--workers")?
@@ -231,17 +229,21 @@ fn parse_run_args(cmd: &str, args: &[String]) -> Result<RunArgs, ParseError> {
     if scenario.nests.is_empty() {
         return Err(err("at least one --nest is required"));
     }
-    if iterations == 0 {
+    if iterations == Some(0) {
         return Err(err("--iterations must be ≥ 1"));
     }
-    if obs_out.is_some() && cmd == "plan" {
-        return Err(err("--obs-out only applies to compare"));
+    if cmd == "plan" {
+        if obs_out.is_some() {
+            return Err(err("--obs-out only applies to compare and fleet"));
+        }
+        if iterations.is_some() {
+            return Err(err("--iterations only applies to compare and fleet"));
+        }
     }
     Ok(RunArgs {
         scenario,
-        iterations,
+        iterations: iterations.unwrap_or(5),
         json,
-        trace,
         obs_out,
         workers,
         check,
@@ -451,8 +453,6 @@ struct CompareOut {
     mpi_wait_improvement_pct: f64,
     hops_reduction_pct: f64,
     io_improvement_pct: f64,
-    #[serde(skip_serializing_if = "Option::is_none")]
-    trace: Option<Vec<nestwx_netsim::IterationTrace>>,
 }
 
 /// Runs a parsed command, writing human or JSON output to `out`.
@@ -778,12 +778,6 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), Box<dyn std
                 compare_strategies(&planner, parent, nests, a.iterations)?
             };
             if a.json {
-                let trace = if a.trace {
-                    let plan = planner.plan(parent, nests)?;
-                    Some(plan.simulate_traced(a.iterations)?.1)
-                } else {
-                    None
-                };
                 let o = CompareOut {
                     machine: cmp.default_run.machine.clone(),
                     iterations: a.iterations,
@@ -793,7 +787,6 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), Box<dyn std
                     mpi_wait_improvement_pct: cmp.mpi_wait_improvement_pct(),
                     hops_reduction_pct: cmp.hops_reduction_pct(),
                     io_improvement_pct: cmp.io_improvement_pct(),
-                    trace,
                 };
                 writeln!(out, "{}", serde_json::to_string_pretty(&o)?)?;
             } else {
@@ -868,17 +861,16 @@ FLAGS:
   --nest    NXxNYrR@OX,OY[:in=K]
                            repeatable; ':in=K' makes it a second-level nest
                            inside nest K (0-based)
-  --iterations N           compare only (default 5)
+  --iterations N           compare and fleet (default 5)
   --mapping  oblivious|txyz|partition|multilevel   (default partition)
   --alloc    equal|naive|huffman                   (default huffman)
   --io       none|pnetcdf:N|split:N                history output every N iters
                            (the token grammar is DESIGN.md's \"Scenario
                            vocabulary\" table, shared with sweep and serve)
   --json                   machine-readable output
-  --trace                  include the per-iteration timeline (with --json)
-  --obs-out PREFIX         compare only: record both runs and write
+  --obs-out PREFIX         compare: record both runs and write
                            PREFIX.default.json / PREFIX.planned.json run
-                           summaries for 'nestwx obs'
+                           summaries for 'nestwx obs' (fleet: see FLEET)
 
 SWEEP:
   Expands a declarative JSON scenario-space spec (lists/ranges over
@@ -887,9 +879,10 @@ SWEEP:
   scenario on a work-stealing thread pool. With --cache-dir results
   persist to a disk cache shared with 'nestwx serve --cache-dir' — a
   warm sweep pre-heats the service, and re-running a sweep replays from
-  disk. --jobs falls back to NESTWX_JOBS. Output: Pareto front (ranks
-  vs s/iter), winner-per-region table, and a versioned summary envelope
-  ('nestwx obs report' understands it; --out writes it to a file).
+  disk. --jobs defaults to the available parallelism. Output: Pareto
+  front (ranks vs s/iter), winner-per-region table, and a versioned
+  summary envelope ('nestwx obs report' understands it; --out writes it
+  to a file).
 
 FLEET:
   Runs the scenario as a real multi-process fleet: the coordinator plans
@@ -1212,19 +1205,25 @@ mod tests {
         assert!(parse_args(&argv(&["obs", "top", "run.json", "--by", "bogus"])).is_ok());
         assert!(parse_args(&argv(&["obs", "top", "run.json", "-n", "0"])).is_err());
         assert!(parse_args(&argv(&["obs", "diff", "a.json"])).is_err());
-        // --obs-out is compare-only.
-        assert!(parse_args(&argv(&[
-            "plan",
-            "--machine",
-            "bgl:64",
-            "--parent",
-            "286x307@24",
-            "--nest",
-            "200x200r3@10,12",
-            "--obs-out",
-            "x"
-        ]))
-        .is_err());
+        // --obs-out and --iterations are compare/fleet-only, and compare
+        // has no --trace.
+        for extra in [
+            &["plan", "--obs-out", "x"][..],
+            &["plan", "--iterations", "3"],
+            &["compare", "--trace"],
+        ] {
+            let mut args = vec![
+                extra[0],
+                "--machine",
+                "bgl:64",
+                "--parent",
+                "286x307@24",
+                "--nest",
+                "200x200r3@10,12",
+            ];
+            args.extend_from_slice(&extra[1..]);
+            assert!(parse_args(&argv(&args)).is_err(), "{args:?}");
+        }
     }
 
     #[test]

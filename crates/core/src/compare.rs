@@ -1,6 +1,6 @@
 //! Convenience comparison of the default and divide-and-conquer strategies.
 
-use crate::planner::{PlanError, Planner};
+use crate::planner::{ExecutionPlan, PlanError, Planner};
 use crate::strategy::{MappingKind, Strategy};
 use nestwx_grid::{Domain, NestSpec};
 use nestwx_netsim::{AnalysisReport, ObsConfig, ObsSummary, Recorder, SimReport};
@@ -85,6 +85,21 @@ impl ObservedComparison {
     }
 }
 
+/// The paper's default baseline (sequential + oblivious mapping, same
+/// machine/output settings) and `planner`'s own plan, in that order.
+fn baseline_and_planned(
+    planner: &Planner,
+    parent: &Domain,
+    nests: &[NestSpec],
+) -> Result<(ExecutionPlan, ExecutionPlan), PlanError> {
+    let baseline = planner
+        .clone()
+        .strategy(Strategy::Sequential)
+        .mapping(MappingKind::Oblivious)
+        .plan(parent, nests)?;
+    Ok((baseline, planner.plan(parent, nests)?))
+}
+
 /// Runs `planner`'s configuration and the paper's default baseline
 /// (sequential + oblivious mapping, same machine/output settings) on the
 /// given domains for `iterations` parent iterations.
@@ -94,12 +109,7 @@ pub fn compare_strategies(
     nests: &[NestSpec],
     iterations: u32,
 ) -> Result<StrategyComparison, PlanError> {
-    let baseline = planner
-        .clone()
-        .strategy(Strategy::Sequential)
-        .mapping(MappingKind::Oblivious)
-        .plan(parent, nests)?;
-    let planned = planner.plan(parent, nests)?;
+    let (baseline, planned) = baseline_and_planned(planner, parent, nests)?;
     Ok(StrategyComparison {
         default_run: baseline.simulate(iterations)?,
         planned_run: planned.simulate(iterations)?,
@@ -115,12 +125,7 @@ pub fn compare_strategies_observed(
     nests: &[NestSpec],
     iterations: u32,
 ) -> Result<ObservedComparison, PlanError> {
-    let baseline = planner
-        .clone()
-        .strategy(Strategy::Sequential)
-        .mapping(MappingKind::Oblivious)
-        .plan(parent, nests)?;
-    let planned = planner.plan(parent, nests)?;
+    let (baseline, planned) = baseline_and_planned(planner, parent, nests)?;
     let (default_run, default_rec) =
         baseline.simulate_observed(iterations, ObsConfig::detailed())?;
     let (planned_run, planned_rec) =

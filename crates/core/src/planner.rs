@@ -303,25 +303,7 @@ impl ExecutionPlan {
     /// Executes the plan on the machine simulator for `iterations` parent
     /// iterations.
     pub fn simulate(&self, iterations: u32) -> Result<SimReport, PlanError> {
-        Ok(self.simulate_traced(iterations)?.0)
-    }
-
-    /// Like [`ExecutionPlan::simulate`], additionally returning the
-    /// per-iteration timeline.
-    pub fn simulate_traced(
-        &self,
-        iterations: u32,
-    ) -> Result<(SimReport, Vec<nestwx_netsim::IterationTrace>), PlanError> {
-        let sim = Simulation::new(
-            &self.machine,
-            self.grid,
-            &self.config,
-            self.strategy.clone(),
-            self.mapping.clone(),
-            self.io_mode,
-            self.output_interval,
-        )?;
-        Ok(sim.run_traced(iterations))
+        Ok(self.compile()?.run(iterations))
     }
 
     /// Like [`ExecutionPlan::simulate`] with a step-metrics recorder

@@ -6,8 +6,7 @@
 //! only its owned nests, and then runs [`drive_nests`] with a
 //! [`SocketLink`] as the halo transport. Boundary frames for different
 //! nests may arrive in any order relative to what `drive_nests` asks for,
-//! so the link buffers out-of-order frames keyed `(iteration, nest)` —
-//! the same reordering discipline as the in-process channel transport.
+//! so the link buffers out-of-order frames keyed `(iteration, nest)`.
 
 use crate::error::FleetError;
 use crate::frame::{decode_cells, encode_cells, HaloCell, Tag};

@@ -179,11 +179,6 @@ impl Decomposition {
         (0..self.grid.len()).map(|r| self.patch(r)).collect()
     }
 
-    /// Largest patch point count — the compute-bound rank.
-    pub fn max_patch_points(&self) -> u64 {
-        self.patches().iter().map(Patch::points).max().unwrap_or(0)
-    }
-
     /// Bytes this rank exchanges with each existing neighbour per step.
     pub fn halo_bytes(&self, rank: u32, halo: &HaloSpec) -> [(Neighbor, Option<u64>); 4] {
         let (x, y) = self.grid.coords_of(rank);

@@ -27,12 +27,6 @@ impl DomainFeatures {
         }
     }
 
-    /// The feature-plane coordinates `(x, y) = (aspect, points)` used by the
-    /// Delaunay interpolator.
-    pub fn xy(&self) -> (f64, f64) {
-        (self.aspect_ratio, self.points)
-    }
-
     /// Recovers `(nx, ny)` (real-valued) from the features. Inverse of
     /// [`DomainFeatures::from_dims`] up to rounding: `nx = sqrt(a·p)`,
     /// `ny = sqrt(p/a)`.

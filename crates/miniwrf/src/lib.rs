@@ -38,7 +38,4 @@ pub use output::{HistoryWriter, OutputStats};
 pub use report::{solver_digest, NestReport, SimReport, REPORT_SCHEMA, REPORT_VERSION};
 pub use runtime::{run_iterations, run_iterations_observed, PhaseTimings, ThreadStrategy};
 pub use solver::{Scheme, ShallowWater};
-pub use transport::{
-    channel_transport, drive_nests, drive_parent, ChannelHost, ChannelLink, HaloHost, HaloLink,
-    TransportError,
-};
+pub use transport::{drive_nests, drive_parent, HaloHost, HaloLink, TransportError};

@@ -39,7 +39,7 @@ pub mod sim;
 pub use io::{IoMode, IoParams};
 pub use machine::{ComputeParams, Machine, NetworkParams};
 pub use network::Network;
-pub use sim::{ExecStrategy, HaloEngine, IterationTrace, SimReport, Simulation};
+pub use sim::{ExecStrategy, HaloEngine, SimReport, Simulation};
 
 // Observability layer (`nestwx-obs`), re-exported so simulator users can
 // attach a recorder without a separate dependency.

@@ -111,10 +111,10 @@ impl Network {
         msgs: u32,
         inject: f64,
     ) -> f64 {
+        self.messages += msgs as u64;
+        self.transfers += 1;
+        self.bytes += bytes;
         if from == to {
-            self.messages += msgs as u64;
-            self.transfers += 1;
-            self.bytes += bytes;
             // Intra-node: memory copy.
             let t = inject + bytes / self.params.mem_bw + self.params.recv_overhead * msgs as f64;
             if let Some(o) = &mut self.obs {
@@ -122,36 +122,8 @@ impl Network {
             }
             return t;
         }
-        let mut route = std::mem::take(&mut self.route_scratch);
-        self.torus.route_into(from, to, &mut route);
-        let t = self.transfer_routed(&route, false, bytes, msgs, inject);
-        self.route_scratch = route;
-        t
-    }
-
-    /// [`Network::transfer`] over a route computed ahead of time (e.g. from
-    /// a compiled halo schedule). `intra` marks an intra-node copy, for
-    /// which `route` must be empty.
-    pub fn transfer_routed(
-        &mut self,
-        route: &[u32],
-        intra: bool,
-        bytes: f64,
-        msgs: u32,
-        inject: f64,
-    ) -> f64 {
-        self.messages += msgs as u64;
-        self.transfers += 1;
-        self.bytes += bytes;
-        if intra {
-            debug_assert!(route.is_empty());
-            let t = inject + bytes / self.params.mem_bw + self.params.recv_overhead * msgs as f64;
-            if let Some(o) = &mut self.obs {
-                o.msg_latency.record(t - inject);
-            }
-            return t;
-        }
-        self.hops += route.len() as u64;
+        self.torus.route_into(from, to, &mut self.route_scratch);
+        self.hops += self.route_scratch.len() as u64;
         // Per-hop queuing: the head of the message advances link by link,
         // waiting out each link's current occupancy; each link is then held
         // for the serialisation time. (Cut-through per hop: downstream
@@ -161,7 +133,7 @@ impl Network {
         let mut head = inject;
         let mut stalled = 0.0;
         let mut obs = self.obs.as_deref_mut();
-        for &l in route {
+        for &l in &self.route_scratch {
             let start = head.max(self.busy_until[l as usize]);
             stalled += start - head;
             self.busy_until[l as usize] = start + ser;
@@ -178,14 +150,14 @@ impl Network {
         t
     }
 
-    /// One message of a compiled halo step: [`Network::transfer_routed`]
-    /// with the per-transfer arithmetic hoisted to compile time. `cost` is
-    /// the serialisation time `bytes / link_bw` — or the memory-copy time
-    /// `bytes / mem_bw` of an intra-node message, whose `route` is empty —
-    /// and `recv_cost` is `recv_overhead * msgs`. Times are bitwise those
-    /// of `transfer_routed`: the precomputed values come from the same
-    /// expressions, and over an empty route the loop below reduces to the
-    /// intra-node `inject + cost + recv_cost`. The `messages` / `transfers`
+    /// One message of a compiled halo step: [`Network::transfer`] with the
+    /// route and the per-transfer arithmetic hoisted to compile time.
+    /// `cost` is the serialisation time `bytes / link_bw` — or the
+    /// memory-copy time `bytes / mem_bw` of an intra-node message, whose
+    /// `route` is empty — and `recv_cost` is `recv_overhead * msgs`. Times
+    /// are bitwise those of `transfer`: the precomputed values come from
+    /// the same expressions, and over an empty route the loop below
+    /// reduces to the intra-node `inject + cost + recv_cost`. The `messages` / `transfers`
     /// / `bytes` / `hops` counters are *not* touched: the compiled step
     /// adds its exact totals once (see `schedule::CompiledStep`), and it
     /// hands the latency samples to [`Network::record_latencies`] itself.
@@ -331,30 +303,6 @@ mod tests {
             0.0,
         );
         assert!(far > far_quiet);
-    }
-
-    #[test]
-    fn transfer_routed_matches_transfer() {
-        let torus = Torus::new(4, 4, 4);
-        let mut a = Network::new(torus, params());
-        let mut b = Network::new(torus, params());
-        let pairs = [
-            (NodeCoord::new(0, 0, 0), NodeCoord::new(2, 3, 1)),
-            (NodeCoord::new(0, 0, 0), NodeCoord::new(2, 3, 1)), // contended repeat
-            (NodeCoord::new(1, 1, 1), NodeCoord::new(1, 1, 1)), // intra-node
-            (NodeCoord::new(3, 0, 2), NodeCoord::new(0, 1, 2)),
-        ];
-        for (i, &(from, to)) in pairs.iter().enumerate() {
-            let bytes = 1e5 * (i + 1) as f64;
-            let inject = 1e-4 * i as f64;
-            let t_ref = a.transfer(from, to, bytes, 3, inject);
-            let route = torus.route(from, to);
-            let t_pre = b.transfer_routed(&route, from == to, bytes, 3, inject);
-            assert_eq!(t_ref, t_pre);
-        }
-        assert_eq!(a.hops, b.hops);
-        assert_eq!(a.messages, b.messages);
-        assert_eq!(a.bytes, b.bytes);
     }
 
     #[test]

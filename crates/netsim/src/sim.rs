@@ -22,19 +22,22 @@
 //! feedback-release sets, interpolation/feedback costs — is compiled once in
 //! [`Simulation::new`] (see the `schedule` module), so the per-step hot path
 //! allocates nothing. The original rebuild-every-step implementation is kept
-//! as [`HaloEngine::Reference`], the oracle the equivalence tests compare
-//! against: both engines produce bitwise-identical [`SimReport`]s.
+//! in the private `reference` module as [`HaloEngine::Reference`], the
+//! oracle the equivalence tests compare against: both engines produce
+//! bitwise-identical [`SimReport`]s.
 
 use crate::io::IoMode;
 use crate::machine::Machine;
 use crate::network::Network;
-use crate::schedule::{run_compiled_step, CompiledStep, NeighborRoutes, StepScratch, StepTotals};
+use crate::schedule::{run_compiled_step, CompiledStep, NeighborRoutes, StepScratch};
 use nestwx_grid::{Decomposition, NestedConfig, ProcGrid, Rect};
 use nestwx_obs::{ObsConfig, Recorder, StepMetrics, StepPhase};
 use nestwx_topo::Mapping;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
+
+mod reference;
 
 /// How the sibling nests are executed.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -151,11 +154,6 @@ impl SimReport {
         self.io_time / self.iterations as f64
     }
 
-    /// Mean MPI wait per rank per iteration.
-    pub fn mpi_wait_per_rank_iter(&self) -> f64 {
-        self.mpi_wait_total / self.ranks as f64 / self.iterations as f64
-    }
-
     /// Sibling `i`'s nest-solve seconds per iteration.
     pub fn sibling_per_iter(&self, i: usize) -> f64 {
         self.sibling_solve[i] / self.iterations as f64
@@ -166,23 +164,6 @@ impl SimReport {
     pub fn improvement_over(&self, baseline: &SimReport) -> f64 {
         (1.0 - self.per_iteration() / baseline.per_iteration()) * 100.0
     }
-}
-
-/// Per-iteration timeline record produced by [`Simulation::run_traced`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct IterationTrace {
-    /// Iteration index (0-based).
-    pub iteration: u32,
-    /// Wall-clock when the iteration started.
-    pub start: f64,
-    /// Duration of the parent integration step.
-    pub parent: f64,
-    /// Duration of the sibling nest phase.
-    pub nests: f64,
-    /// Duration of the output phase (0 when no frame was written).
-    pub io: f64,
-    /// Halo MPI_Wait accumulated during this iteration (summed over ranks).
-    pub mpi_wait: f64,
 }
 
 // ---------------------------------------------------------------------------
@@ -273,14 +254,20 @@ struct ConcPlan {
     release_nests: Vec<u32>,
 }
 
+/// The strategy's precompiled nest phase.
+#[derive(Debug)]
+enum NestPlan {
+    Sequential(SeqPlan),
+    Concurrent(ConcPlan),
+}
+
 /// Everything compiled once per simulation: interned halo-step tables plus
 /// the strategy's iteration plan.
 #[derive(Debug)]
 struct Compiled {
     steps: Vec<CompiledStep>,
     parent_step: usize,
-    seq: Option<SeqPlan>,
-    conc: Option<ConcPlan>,
+    nests: NestPlan,
 }
 
 /// Reusable per-run buffers (hoisted out of the iteration loop).
@@ -370,16 +357,6 @@ pub struct Simulation<'a> {
     step_counter: u64,
 }
 
-/// One aggregated halo transfer waiting to enter the network (reference
-/// engine only).
-struct PendingMsg {
-    inject: f64,
-    from: u32,
-    to: u32,
-    bytes: f64,
-    msgs: u32,
-}
-
 impl<'a> Simulation<'a> {
     /// Builds a simulation, compiling the halo-step schedules and the
     /// iteration plan for the chosen strategy.
@@ -465,16 +442,10 @@ impl<'a> Simulation<'a> {
 
     /// Selects the halo-exchange engine (builder style). The default is
     /// [`HaloEngine::Compiled`]; [`HaloEngine::Reference`] re-derives
-    /// everything per step and exists for equivalence testing and as the
-    /// baseline of the compiled-schedule benchmarks.
+    /// everything per step and is the oracle of the equivalence tests.
     pub fn with_engine(mut self, engine: HaloEngine) -> Self {
         self.engine = engine;
         self
-    }
-
-    /// The active halo-exchange engine.
-    pub fn engine(&self) -> HaloEngine {
-        self.engine
     }
 
     /// Attaches a step-metrics recorder (builder style). Observation is
@@ -535,20 +506,9 @@ impl<'a> Simulation<'a> {
         self.run_mut(iterations)
     }
 
-    /// Like [`Simulation::run`], additionally returning a per-iteration
-    /// timeline (for analysis tools and the JSON trace output).
-    pub fn run_traced(mut self, iterations: u32) -> (SimReport, Vec<IterationTrace>) {
-        self.run_traced_mut(iterations)
-    }
-
     /// [`Simulation::run`] without consuming the simulation: resets the run
     /// state and replays the compiled schedules. Build once, run many.
     pub fn run_mut(&mut self, iterations: u32) -> SimReport {
-        self.run_traced_mut(iterations).0
-    }
-
-    /// [`Simulation::run_traced`] without consuming the simulation.
-    pub fn run_traced_mut(&mut self, iterations: u32) -> (SimReport, Vec<IterationTrace>) {
         assert!(iterations > 0);
         self.reset();
         let compiled = Arc::clone(&self.compiled);
@@ -557,10 +517,8 @@ impl<'a> Simulation<'a> {
         let mut parent_phase = 0.0;
         let mut nest_phase = 0.0;
         let mut sibling_solve = vec![0.0; self.config.nests.len()];
-        let mut traces = Vec::with_capacity(iterations as usize);
 
         for iter in 0..iterations {
-            let wait0: f64 = self.mpi_wait.iter().sum();
             // ---- parent step on the full grid ----
             let t_iter0 = self.ready.iter().copied().fold(0.0, f64::max);
             self.exec_step(&compiled.steps[compiled.parent_step], StepPhase::Parent, -1);
@@ -568,22 +526,23 @@ impl<'a> Simulation<'a> {
             parent_phase += t_parent1 - t_iter0;
 
             // ---- sibling nests ----
-            if let Some(seq) = &compiled.seq {
-                self.run_sequential_phase(seq, &compiled.steps, &mut sibling_solve);
-            } else if let Some(conc) = &compiled.conc {
-                self.run_concurrent_phase(conc, &compiled.steps, &mut sibling_solve);
+            match &compiled.nests {
+                NestPlan::Sequential(seq) => {
+                    self.run_sequential_phase(seq, &compiled.steps, &mut sibling_solve)
+                }
+                NestPlan::Concurrent(conc) => {
+                    self.run_concurrent_phase(conc, &compiled.steps, &mut sibling_solve)
+                }
             }
 
             let t_nests1 = self.ready.iter().copied().fold(0.0, f64::max);
             nest_phase += t_nests1 - t_parent1;
 
             // ---- history output ----
-            let mut iter_io = 0.0;
             if let Some(every) = self.output_interval {
                 if (iter + 1) % every == 0 && self.io_mode != IoMode::None {
                     let t_io = self.io_phase();
                     io_total += t_io;
-                    iter_io = t_io;
                     let t = self.barrier_all() + t_io;
                     self.set_all_ready(t);
                     if let Some(rec) = self.obs.as_mut() {
@@ -605,14 +564,6 @@ impl<'a> Simulation<'a> {
                     }
                 }
             }
-            traces.push(IterationTrace {
-                iteration: iter,
-                start: t_iter0,
-                parent: t_parent1 - t_iter0,
-                nests: t_nests1 - t_parent1,
-                io: iter_io,
-                mpi_wait: self.mpi_wait.iter().sum::<f64>() - wait0,
-            });
         }
 
         let total_time = self.barrier_all();
@@ -623,7 +574,7 @@ impl<'a> Simulation<'a> {
                 rec.set_net_detail(detail);
             }
         }
-        let report = SimReport {
+        SimReport {
             machine: self.machine.name.clone(),
             iterations,
             ranks: nranks,
@@ -637,8 +588,7 @@ impl<'a> Simulation<'a> {
             avg_hops: self.net.avg_hops(),
             messages: self.net.messages,
             bytes: self.net.bytes,
-        };
-        (report, traces)
+        }
     }
 
     /// Level-1 nests one after another on all ranks; each of their sub-steps
@@ -840,122 +790,6 @@ impl<'a> Simulation<'a> {
         }
     }
 
-    /// One integration step of several domains *simultaneously*, each
-    /// decomposed over its own processor-grid rectangle: per-rank compute,
-    /// then halo exchange with the four neighbours through the contended
-    /// network. All domains' messages are routed in global injection order,
-    /// so concurrent siblings share links without ordering bias.
-    ///
-    /// This is the reference engine: it re-derives decompositions and
-    /// routes on every call. [`crate::schedule::run_compiled_step`] is the
-    /// bitwise-equivalent replay of the precompiled tables.
-    fn halo_step_multi(&mut self, domains: &[(u32, u32, Rect)]) {
-        let halo = self.machine.halo;
-        let mpn = halo.messages_per_neighbor();
-        let send_ovh = mpn as f64 * self.machine.net.send_overhead;
-
-        let mut pending: Vec<PendingMsg> = Vec::new();
-        // (global rank, send_done) per domain, for the completion pass.
-        let mut senders: Vec<(u32, f64)> = Vec::new();
-        self.step_counter += 1;
-        let step = self.step_counter;
-
-        let mut compute_total = 0.0;
-        for &(nx, ny, region) in domains {
-            // Domains smaller than the region use only the leading ranks.
-            let px = region.w.min(nx);
-            let py = region.h.min(ny);
-            let active = Rect::new(region.x0, region.y0, px, py);
-            let sub = ProcGrid::new(px, py);
-            let decomp = Decomposition::new(nx, ny, sub);
-            let global_ranks = self.grid.ranks_in(&active);
-
-            for (local, &g) in global_ranks.iter().enumerate() {
-                let patch = decomp.patch(local as u32);
-                let comp = self.machine.compute.step_time_jittered(
-                    patch.region.w,
-                    patch.region.h,
-                    g,
-                    step,
-                );
-                let t_comp = self.ready[g as usize] + comp;
-                compute_total += comp;
-                if self.scratch.step.record_ranks {
-                    self.scratch.step.rank_compute[g as usize] = comp;
-                }
-                // Post sends to each existing neighbour (within the active
-                // region), paying per-message software overhead serially.
-                let local_coords = sub.coords_of(local as u32);
-                let neighbors =
-                    sub.neighbors_within(sub.rank_of(local_coords.0, local_coords.1), &sub.rect());
-                let mut t_send = t_comp;
-                for nb_local in neighbors.into_iter().flatten() {
-                    let (nx_l, ny_l) = sub.coords_of(nb_local);
-                    let to_g = self.grid.rank_of(active.x0 + nx_l, active.y0 + ny_l);
-                    // Edge length: vertical neighbours exchange rows (patch
-                    // width), horizontal ones exchange columns (patch
-                    // height).
-                    let same_row = ny_l == local_coords.1;
-                    let edge = if same_row {
-                        patch.region.h
-                    } else {
-                        patch.region.w
-                    };
-                    let bytes = halo.edge_bytes(edge) as f64;
-                    t_send += send_ovh;
-                    pending.push(PendingMsg {
-                        inject: t_send,
-                        from: g,
-                        to: to_g,
-                        bytes,
-                        msgs: mpn,
-                    });
-                }
-                senders.push((g, t_send));
-            }
-        }
-
-        // Route messages in injection order for deterministic, unbiased
-        // contention. `total_cmp` keeps the sort well-defined even if a
-        // pathological parameter set ever produced a NaN injection time.
-        pending.sort_by(|a, b| {
-            a.inject
-                .total_cmp(&b.inject)
-                .then(a.from.cmp(&b.from))
-                .then(a.to.cmp(&b.to))
-        });
-        let mut recv_latest: Vec<f64> = vec![0.0; self.grid.len() as usize];
-        for m in pending {
-            let arrive = self.net.transfer(
-                self.mapping.node_coord(m.from),
-                self.mapping.node_coord(m.to),
-                m.bytes,
-                m.msgs,
-                m.inject,
-            );
-            let slot = m.to as usize;
-            if arrive > recv_latest[slot] {
-                recv_latest[slot] = arrive;
-            }
-        }
-
-        let mut wait_total = 0.0;
-        for (g, send_done) in senders {
-            let done = send_done.max(recv_latest[g as usize]);
-            let waited = done - send_done;
-            wait_total += waited;
-            if self.scratch.step.record_ranks {
-                self.scratch.step.rank_wait[g as usize] = waited;
-            }
-            self.mpi_wait[g as usize] += waited;
-            self.ready[g as usize] = done;
-        }
-        self.scratch.step.totals = StepTotals {
-            compute: compute_total,
-            wait: wait_total,
-        };
-    }
-
     /// History-output phase; returns its wall-clock duration.
     fn io_phase(&self) -> f64 {
         let m = self.machine;
@@ -1048,7 +882,7 @@ fn compile_plans(
         &routes,
     );
 
-    let (seq, conc) = match strategy {
+    let nest_plan = match strategy {
         ExecStrategy::Sequential => {
             let items = level1
                 .iter()
@@ -1086,7 +920,7 @@ fn compile_plans(
                     }
                 })
                 .collect();
-            (Some(SeqPlan { items }), None)
+            NestPlan::Sequential(SeqPlan { items })
         }
         ExecStrategy::Concurrent { partitions } => {
             let conc_level1: Vec<ConcNest> = level1
@@ -1197,22 +1031,18 @@ fn compile_plans(
                 }
                 release_offsets.push(release_nests.len() as u32);
             }
-            (
-                None,
-                Some(ConcPlan {
-                    level1: conc_level1,
-                    substeps,
-                    release_offsets,
-                    release_nests,
-                }),
-            )
+            NestPlan::Concurrent(ConcPlan {
+                level1: conc_level1,
+                substeps,
+                release_offsets,
+                release_nests,
+            })
         }
     };
     Compiled {
         steps,
         parent_step,
-        seq,
-        conc,
+        nests: nest_plan,
     }
 }
 
@@ -1513,10 +1343,13 @@ mod tests {
 
     #[test]
     fn trace_records_cover_the_run() {
+        // The recorder's step records are the run's timeline: output
+        // phases land on output iterations only, and the per-step records
+        // add up to the aggregate report.
         let m = small_machine();
         let cfg = two_nest_config();
         let (grid, map) = grid_and_mapping(&m);
-        let (rep, traces) = Simulation::new(
+        let mut sim = Simulation::new(
             &m,
             grid,
             &cfg,
@@ -1526,20 +1359,31 @@ mod tests {
             Some(2),
         )
         .unwrap()
-        .run_traced(4);
-        assert_eq!(traces.len(), 4);
-        // Starts are monotone; io appears only on output iterations.
-        for w in traces.windows(2) {
-            assert!(w[1].start > w[0].start);
+        .with_obs(ObsConfig::counters());
+        let rep = sim.run_mut(4);
+        let steps: Vec<StepMetrics> = sim.obs().unwrap().steps().cloned().collect();
+        assert_eq!(steps.len() as u64, sim.steps_taken() + 2);
+        // Starts are monotone; I/O follows the 2nd and 4th iterations'
+        // seven halo steps (one parent, two nests × r = 3).
+        for w in steps.windows(2) {
+            assert!(w[1].start >= w[0].start);
         }
-        assert_eq!(traces[0].io, 0.0);
-        assert!(traces[1].io > 0.0);
-        // Trace sums match the aggregate report.
-        let t_parent: f64 = traces.iter().map(|t| t.parent).sum();
-        let t_io: f64 = traces.iter().map(|t| t.io).sum();
-        let t_wait: f64 = traces.iter().map(|t| t.mpi_wait).sum();
-        assert!((t_parent - rep.parent_phase).abs() < 1e-9);
-        assert!((t_io - rep.io_time).abs() < 1e-9);
+        let io_steps: Vec<u64> = steps
+            .iter()
+            .filter(|s| s.phase == StepPhase::Io)
+            .map(|s| s.step)
+            .collect();
+        assert_eq!(io_steps, [14, 28]);
+        let sum = |phase: StepPhase| -> f64 {
+            steps
+                .iter()
+                .filter(|s| s.phase == phase)
+                .map(|s| s.end - s.start)
+                .sum()
+        };
+        assert!((sum(StepPhase::Parent) - rep.parent_phase).abs() < 1e-9);
+        assert!((sum(StepPhase::Io) - rep.io_time).abs() < 1e-9);
+        let t_wait: f64 = steps.iter().map(|s| s.halo_wait).sum();
         assert!((t_wait - rep.mpi_wait_total).abs() < 1e-6);
     }
 

@@ -168,6 +168,8 @@ fn sequential_with_second_level_nest_bitwise_identical() {
     );
 }
 
+/// The recorded step timeline — every step's phase, start, end and halo
+/// wait, output phases included — agrees as well as the report.
 #[test]
 fn traces_also_bitwise_identical() {
     let m = Machine::bgl(32);
@@ -186,14 +188,16 @@ fn traces_also_bitwise_identical() {
         )
         .unwrap()
         .with_engine(engine)
+        .with_obs(ObsConfig::counters())
     };
-    let (rep_c, tr_c) = build(HaloEngine::Compiled).run_traced(4);
-    let (rep_r, tr_r) = build(HaloEngine::Reference).run_traced(4);
-    assert_eq!(rep_c, rep_r);
-    assert_eq!(tr_c, tr_r);
+    let (mut compiled, mut reference) = (build(HaloEngine::Compiled), build(HaloEngine::Reference));
+    assert_eq!(compiled.run_mut(4), reference.run_mut(4));
+    let steps =
+        |sim: &Simulation| -> Vec<StepMetrics> { sim.obs().unwrap().steps().cloned().collect() };
+    assert_eq!(steps(&compiled), steps(&reference));
 }
 
-/// Both engines on one plan, recorder off and on: reports, traces and the
+/// Both engines on one plan, recorder off and on: reports and the
 /// recorded per-step counters agree exactly, and the per-step `bytes` /
 /// `messages` / `hops` deltas — which the compiled engine takes from each
 /// step's precomputed totals — add up to the report's own. Everything else
@@ -222,13 +226,13 @@ fn assert_engines_agree_at_scale(
         .unwrap()
         .with_engine(engine)
     };
-    let plain = build(HaloEngine::Compiled).run_traced(2);
-    assert_eq!(plain, build(HaloEngine::Reference).run_traced(2));
+    let plain = build(HaloEngine::Compiled).run(2);
+    assert_eq!(plain, build(HaloEngine::Reference).run(2));
 
     let mut compiled = build(HaloEngine::Compiled).with_obs(ObsConfig::detailed());
     let mut reference = build(HaloEngine::Reference).with_obs(ObsConfig::detailed());
-    assert_eq!(compiled.run_traced_mut(2), plain);
-    assert_eq!(reference.run_traced_mut(2), plain);
+    assert_eq!(compiled.run_mut(2), plain);
+    assert_eq!(reference.run_mut(2), plain);
     let steps: Vec<StepMetrics> = compiled.obs().unwrap().steps().cloned().collect();
     let reference_steps: Vec<StepMetrics> = reference.obs().unwrap().steps().cloned().collect();
     assert_eq!(steps, reference_steps);
@@ -243,7 +247,7 @@ fn assert_engines_agree_at_scale(
         "recorded summary changed: {digest:#018x}"
     );
 
-    let report = &plain.0;
+    let report = &plain;
     assert_eq!(steps.iter().map(|s| s.bytes).sum::<f64>(), report.bytes);
     assert_eq!(
         steps.iter().map(|s| s.messages).sum::<u64>(),

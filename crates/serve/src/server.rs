@@ -39,7 +39,6 @@ use nestwx_core::{compare_strategies, ExecutionPlan, Planner, PredictorStore, Sc
 use nestwx_grid::DomainFeatures;
 use nestwx_netsim::Machine;
 use nestwx_obs::clock;
-use nestwx_obs::HistSummary;
 use nestwx_predict::PredictError;
 use serde::Serialize;
 use std::io;
@@ -808,12 +807,6 @@ impl ServerHandle {
     /// `trace` endpoint renders, for embedding tests and benches.
     pub fn trace_envelope(&self) -> crate::flight::TraceEnvelope {
         self.state.flight.envelope()
-    }
-
-    /// p99 plan latency in seconds (from the live histogram) — convenience
-    /// for embedding tests.
-    pub fn plan_latency(&self) -> HistSummary {
-        self.stats_snapshot().endpoints.plan.latency
     }
 }
 

@@ -14,7 +14,7 @@
 
 use crate::spec::SweepSpec;
 use nestwx_core::{
-    fnv1a64, parallel_jobs, run_parallel_with, vocab, AllocPolicy, MappingKind, Scenario, Strategy,
+    fnv1a64, run_parallel_with, vocab, AllocPolicy, MappingKind, Scenario, Strategy,
 };
 use nestwx_obs::clock;
 use nestwx_serve::disk::{DiskCache, DiskStats};
@@ -39,7 +39,7 @@ pub struct SweepOptions {
     pub cache_dir: Option<PathBuf>,
     /// Override of the spec's `iterations`.
     pub iterations: Option<u32>,
-    /// Worker threads; `None` = `NESTWX_JOBS` / available parallelism.
+    /// Worker threads; `None` = available parallelism.
     pub jobs: Option<usize>,
 }
 
@@ -183,7 +183,10 @@ pub struct SweepReport {
 /// is configured.
 pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepReport, SweepError> {
     let iterations = opts.iterations.unwrap_or(spec.iterations);
-    let jobs = opts.jobs.unwrap_or_else(parallel_jobs).max(1);
+    let jobs = opts
+        .jobs
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+        .max(1);
     let disk = match &opts.cache_dir {
         Some(dir) => Some(DiskCache::open(dir).map_err(SweepError::Disk)?),
         None => None,
