@@ -4,14 +4,15 @@
 //! Every fleet participant — coordinator, each worker, and the in-process
 //! reference run the determinism tests compare against — builds its model
 //! through [`build_model`], so initial state is a pure function of the
-//! scenario's parent/nest specs. The construction order is fixed (nests,
-//! then depressions, then second-level children) because
-//! `NestedModel::add_depression` re-initializes level-1 nests from the
-//! parent: reordering would change which state children interpolate from.
+//! scenario's parent/nest specs. The construction order is fixed
+//! (depressions on the parent, then level-1 nests initialised once from it,
+//! then second-level children from their host nests): reordering would
+//! change which state each nest interpolates from.
 
 use nestwx_grid::{Domain, NestSpec};
 use nestwx_miniwrf::nest::NestGeometry;
-use nestwx_miniwrf::NestedModel;
+use nestwx_miniwrf::solver::Boundary;
+use nestwx_miniwrf::{NestedModel, ShallowWater};
 
 /// Quiescent water depth (metres) of every fleet scenario.
 pub const MODEL_DEPTH_M: f64 = 100.0;
@@ -29,25 +30,27 @@ pub fn build_model(parent: &Domain, nests: &[NestSpec]) -> NestedModel {
         .filter(|(_, s)| s.parent_nest.is_none())
         .collect();
     let geos: Vec<NestGeometry> = level1.iter().map(|(_, s)| geometry(s)).collect();
-    let mut model = NestedModel::new(
+    let mut parent_solver = ShallowWater::quiescent(
         parent.nx as usize,
         parent.ny as usize,
         parent.dx_km * 1000.0,
         MODEL_DEPTH_M,
-        &geos,
+        Boundary::ZeroGradient,
     );
     // One depression per level-1 nest, centred on its parent footprint —
     // a pure function of the geometry, so every process computes the same
-    // initial condition.
+    // initial condition. All of them go on the parent before the nests are
+    // initialised from it, once.
     for (ordinal, geo) in geos.iter().enumerate() {
         let (pi0, pj0, pw, ph) = geo.parent_footprint();
-        model.add_depression(
+        parent_solver.add_gaussian(
             pi0 as f64 + pw as f64 / 2.0,
             pj0 as f64 + ph as f64 / 2.0,
             -4.0 - ordinal as f64,
             2.5 + 0.5 * ordinal as f64,
         );
     }
+    let mut model = NestedModel::with_parent(parent_solver, MODEL_DEPTH_M, &geos);
     // Children last: they initialize from the (already depressed) host
     // nests, in spec order.
     for (_, spec) in nests
@@ -191,5 +194,13 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.nests.len(), 2, "level-1 nests only");
         assert_eq!(a.nests[0].children.len(), 1);
+        // Initialising the nests once after all depressions equals
+        // re-initialising them after each one.
+        let geos: Vec<NestGeometry> = nests[..2].iter().map(geometry).collect();
+        let mut reference = NestedModel::new(48, 48, 24_000.0, MODEL_DEPTH_M, &geos);
+        reference.add_depression(8.0, 8.0, -4.0, 2.5);
+        reference.add_depression(32.0, 32.0, -5.0, 3.0);
+        reference.add_child_nest(0, geometry(&nests[2]));
+        assert_eq!(a, reference);
     }
 }

@@ -38,6 +38,14 @@ impl NestedModel {
     /// from the parent and time-stepped at `dt_parent / r`.
     pub fn new(nx: usize, ny: usize, dx: f64, depth: f64, nest_geos: &[NestGeometry]) -> Self {
         let parent = ShallowWater::quiescent(nx, ny, dx, depth, Boundary::ZeroGradient);
+        NestedModel::with_parent(parent, depth, nest_geos)
+    }
+
+    /// [`NestedModel::new`] around an already-built parent, e.g. one with
+    /// its depressions imprinted: each nest is initialised from it once.
+    /// `depth` is the nests' quiescent depth, as in [`NestedModel::new`].
+    pub fn with_parent(parent: ShallowWater, depth: f64, nest_geos: &[NestGeometry]) -> Self {
+        let (nx, ny, dx) = (parent.nx, parent.ny, parent.dx);
         let mut model = NestedModel {
             parent,
             nests: Vec::with_capacity(nest_geos.len()),

@@ -166,32 +166,29 @@ pub fn collect_feedback(nest: &ShallowWater, geo: &NestGeometry) -> FeedbackData
     let r = geo.ratio;
     let (pi0, pj0, pw, ph) = geo.parent_footprint();
     let mut cells = Vec::with_capacity(pw * ph);
+    // One accumulator per parent cell of the footprint row. Each fine row
+    // is swept once, left to right, so every parent cell still sums its
+    // fine cells in `(fj, fi)` order.
+    let mut sums = vec![[0.0f64; 3]; pw];
     for pj in 0..ph {
-        for pi in 0..pw {
-            let mut sums = [0.0f64; 3];
-            let mut n = 0u32;
-            for fj in 0..r {
-                for fi in 0..r {
-                    let i = pi * r + fi;
-                    let j = pj * r + fj;
-                    if i < geo.nx && j < geo.ny {
-                        sums[0] += nest.h.get(i as isize, j as isize);
-                        sums[1] += nest.hu.get(i as isize, j as isize);
-                        sums[2] += nest.hv.get(i as isize, j as isize);
-                        n += 1;
-                    }
+        sums.fill([0.0; 3]);
+        let fine_rows = pj * r..((pj + 1) * r).min(geo.ny);
+        let n_rows = fine_rows.len();
+        for j in fine_rows {
+            let [h, hu, hv] = [&nest.h, &nest.hu, &nest.hv].map(|f| &f.row(j as isize)[1..=geo.nx]);
+            let fine = h.chunks(r).zip(hu.chunks(r)).zip(hv.chunks(r));
+            for (acc, ((h, hu), hv)) in sums.iter_mut().zip(fine) {
+                for ((h, hu), hv) in h.iter().zip(hu).zip(hv) {
+                    acc[0] += h;
+                    acc[1] += hu;
+                    acc[2] += hv;
                 }
             }
-            if n > 0 {
-                let (gi, gj) = ((pi0 + pi) as isize, (pj0 + pj) as isize);
-                cells.push((
-                    gi,
-                    gj,
-                    sums[0] / n as f64,
-                    sums[1] / n as f64,
-                    sums[2] / n as f64,
-                ));
-            }
+        }
+        let gj = (pj0 + pj) as isize;
+        for (pi, acc) in sums.iter().enumerate() {
+            let n = (r.min(geo.nx - pi * r) * n_rows) as f64;
+            cells.push(((pi0 + pi) as isize, gj, acc[0] / n, acc[1] / n, acc[2] / n));
         }
     }
     FeedbackData { cells }
@@ -300,6 +297,56 @@ mod tests {
         nest.h.set(1, 1, 4.0);
         feedback_to_parent(&nest, &mut p, &g);
         assert!((p.h.get(3, 3) - 2.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn feedback_matches_cellwise_means_on_ragged_footprints() {
+        // 20 × 17 fine cells at r = 3: the last parent column and row cover
+        // 2 fine columns and 2 fine rows. Reference: per parent cell, sum its
+        // fine cells in `(fj, fi)` order with `get`, then divide.
+        let g = NestGeometry {
+            ratio: 3,
+            offset: (2, 4),
+            nx: 20,
+            ny: 17,
+        };
+        let mut nest = ShallowWater::quiescent(20, 17, 1000.0, 100.0, Boundary::External);
+        for j in 0..17 {
+            for i in 0..20 {
+                let x = (i * 31 + j * 17) as f64;
+                nest.h.set(i, j, 100.0 + (0.37 * x).sin());
+                nest.hu.set(i, j, (0.11 * x).cos() / 3.0);
+                nest.hv.set(i, j, -(0.07 * x).sin() / 7.0);
+            }
+        }
+        let (pi0, pj0, pw, ph) = g.parent_footprint();
+        let mut expect = Vec::new();
+        for pj in 0..ph {
+            for pi in 0..pw {
+                let (mut sums, mut n) = ([0.0f64; 3], 0u32);
+                for fj in 0..3 {
+                    for fi in 0..3 {
+                        let (i, j) = ((pi * 3 + fi) as isize, (pj * 3 + fj) as isize);
+                        if i < 20 && j < 17 {
+                            sums[0] += nest.h.get(i, j);
+                            sums[1] += nest.hu.get(i, j);
+                            sums[2] += nest.hv.get(i, j);
+                            n += 1;
+                        }
+                    }
+                }
+                let n = n as f64;
+                let (gi, gj) = ((pi0 + pi) as isize, (pj0 + pj) as isize);
+                expect.push((gi, gj, sums[0] / n, sums[1] / n, sums[2] / n));
+            }
+        }
+        let got = collect_feedback(&nest, &g);
+        let bits = |c: &[(isize, isize, f64, f64, f64)]| -> Vec<_> {
+            c.iter()
+                .map(|&(i, j, h, hu, hv)| (i, j, h.to_bits(), hu.to_bits(), hv.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(got.cells()), bits(&expect));
     }
 
     #[test]

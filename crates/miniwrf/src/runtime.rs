@@ -54,9 +54,9 @@ impl PhaseTimings {
 
 /// One multi-threaded solver step over `threads` row bands.
 ///
-/// Fills halos, computes each band straight into the next-state buffers
-/// on its own scoped thread, then swaps them in. With `threads == 1` (or
-/// fewer than two rows per band) no threads are spawned. The result is
+/// Fills halos, steps each band's rows of the fields in place on its own
+/// scoped thread, then applies the Coriolis rotation. With `threads == 1`
+/// (or fewer than two rows per band) no threads are spawned. The result is
 /// bitwise identical to [`ShallowWater::step`] because band decomposition
 /// does not change the arithmetic.
 pub fn step_parallel(sw: &mut ShallowWater, threads: usize) {

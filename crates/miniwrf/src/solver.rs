@@ -62,9 +62,6 @@ pub struct ShallowWater {
     pub hu: Field2D,
     /// y-momentum `h·v`.
     pub hv: Field2D,
-    next_h: Field2D,
-    next_hu: Field2D,
-    next_hv: Field2D,
     /// Steps taken.
     pub steps: u64,
 }
@@ -87,9 +84,6 @@ impl ShallowWater {
             h: Field2D::filled(nx, ny, depth),
             hu: Field2D::zeros(nx, ny),
             hv: Field2D::zeros(nx, ny),
-            next_h: Field2D::zeros(nx, ny),
-            next_hu: Field2D::zeros(nx, ny),
-            next_hv: Field2D::zeros(nx, ny),
             steps: 0,
         }
     }
@@ -169,43 +163,56 @@ impl ShallowWater {
         }
     }
 
-    /// Cuts one step into a read-only [`Stencil`] over the current state
-    /// and the interior rows of the next-state buffers, split into `bands`
-    /// disjoint [`Band`]s ([`Field2D::row_bands`]). Halos must be filled
-    /// first; computing every band, then [`ShallowWater::finish_step`],
-    /// advances the state by one step.
-    pub(crate) fn split_step(&mut self, bands: usize) -> (Stencil<'_>, Vec<Band<'_>>) {
+    /// Cuts one step into a [`Stencil`] and `bands` [`Band`]s
+    /// ([`Field2D::row_bands`]): disjoint slices of the interior rows of
+    /// `h/hu/hv` themselves, cut with `split_at_mut`, each with a copy of
+    /// the old rows just outside it (`j0 − 1` and `j1`) taken before any
+    /// band writes. Halos must be filled first; computing every band, in
+    /// any order, then [`ShallowWater::finish_step`], advances the state by
+    /// one step.
+    pub(crate) fn split_step(&mut self, bands: usize) -> (Stencil, Vec<Band<'_>>) {
         fn cut<'a>(rest: &mut &'a mut [f64], n: usize) -> &'a mut [f64] {
             let (head, tail) = std::mem::take(rest).split_at_mut(n);
             *rest = tail;
             head
         }
         let w = self.nx + 2;
-        let next = [&mut self.next_h, &mut self.next_hu, &mut self.next_hv];
-        let mut rest = next.map(Field2D::interior_rows_mut);
-        let bands = Field2D::row_bands(self.ny, bands)
+        let ranges = Field2D::row_bands(self.ny, bands);
+        let ghosts: Vec<Vec<f64>> = ranges
+            .iter()
+            .map(|&(j0, j1)| {
+                let mut ghost = Vec::with_capacity(6 * w);
+                for j in [j0 as isize - 1, j1 as isize] {
+                    for f in [&self.h, &self.hu, &self.hv] {
+                        ghost.extend_from_slice(f.row(j));
+                    }
+                }
+                ghost
+            })
+            .collect();
+        let fields = [&mut self.h, &mut self.hu, &mut self.hv];
+        let mut rest = fields.map(Field2D::interior_rows_mut);
+        let bands = ranges
             .into_iter()
-            .map(|(j0, j1)| Band {
-                j0,
+            .zip(ghosts)
+            .map(|((j0, j1), ghosts)| Band {
                 rows: rest.each_mut().map(|r| cut(r, (j1 - j0) * w)),
+                ghosts,
             })
             .collect();
         let stencil = Stencil {
-            state: [&self.h, &self.hu, &self.hv],
             scheme: self.scheme,
             dt: self.dt,
             dx: self.dx,
+            w,
         };
         (stencil, bands)
     }
 
-    /// Swaps the computed next state in and applies the Coriolis source.
-    /// Only interior cells were computed: the swapped-in buffers' halos are
-    /// stale until the next `fill_halos` / `apply_boundary`.
+    /// Applies the split Coriolis source once every band is computed. Only
+    /// interior cells were written: the halos still hold the last refill
+    /// until the next `fill_halos` / `apply_boundary`.
     pub(crate) fn finish_step(&mut self) {
-        std::mem::swap(&mut self.h, &mut self.next_h);
-        std::mem::swap(&mut self.hu, &mut self.next_hu);
-        std::mem::swap(&mut self.hv, &mut self.next_hv);
         // Split-step Coriolis rotation: (hu, hv) rotates by f·dt each step;
         // an exact rotation (rather than forward Euler) preserves kinetic
         // energy and keeps the scheme stable for any f·dt.
@@ -223,7 +230,7 @@ impl ShallowWater {
         self.steps += 1;
     }
 
-    /// One single-threaded step (fill halos, compute, swap).
+    /// One single-threaded step (fill halos, compute in place, rotate).
     pub fn step(&mut self) {
         self.fill_halos();
         let (stencil, bands) = self.split_step(1);
@@ -256,77 +263,120 @@ impl ShallowWater {
     }
 }
 
-/// One step's read-only view of the current `[h, hu, hv]`.
-pub(crate) struct Stencil<'a> {
-    state: [&'a Field2D; 3],
+/// One step's constants: scheme, time step, spacing and stored row width.
+pub(crate) struct Stencil {
     scheme: Scheme,
     dt: f64,
     dx: f64,
+    /// Stored row width, `nx + 2` (halo columns included).
+    w: usize,
 }
 
-/// Rows `j0..` of the next `[h, hu, hv]`, as stored rows of `nx + 2`
-/// values (halo columns included).
+/// Rows `j0..j1` of `[h, hu, hv]`, stepped in place, as stored rows of
+/// `nx + 2` values (halo columns included).
 pub(crate) struct Band<'a> {
-    j0: usize,
     rows: [&'a mut [f64]; 3],
+    /// The old `[h | hu | hv]` of row `j0 − 1`, then of row `j1`, copied
+    /// before any band wrote: a neighbouring band steps those rows.
+    ghosts: Vec<f64>,
 }
 
-impl Stencil<'_> {
-    /// Writes the next state of the band's interior cells.
+/// One stored row of each of `[h, hu, hv]`.
+type Rows<'r> = [&'r [f64]; 3];
+
+/// Cuts `[h | hu | hv]`, three stored rows of `w` values back to back,
+/// into one row per field.
+fn split_fields(s: &[f64], w: usize) -> Rows<'_> {
+    std::array::from_fn(|k| &s[k * w..(k + 1) * w])
+}
+
+impl Stencil {
+    /// Steps the band's interior cells in place, row by row. New row `j`
+    /// goes to a two-row buffer and is written back only after row `j + 1`
+    /// is computed, so every stencil reads old values: rows inside the band
+    /// are not written back yet, and rows outside it are the ghost copies.
     pub(crate) fn compute(&self, band: Band<'_>) {
-        match self.scheme {
-            Scheme::LaxFriedrichs => self.lax_friedrichs(band),
-            Scheme::LaxWendroff => self.lax_wendroff(band),
+        let w = self.w;
+        let Band { mut rows, ghosts } = band;
+        let (north, south) = ghosts.split_at(3 * w);
+        let height = rows[0].len() / w;
+        let mut buf = vec![0.0; 6 * w];
+        let (even, odd) = buf.split_at_mut(3 * w);
+        for r in 0..height {
+            let (out, prev) = if r % 2 == 0 {
+                (&mut *even, &*odd)
+            } else {
+                (&mut *odd, &*even)
+            };
+            let old = rows.each_ref().map(|f| &**f);
+            let n_rows = if r == 0 {
+                split_fields(north, w)
+            } else {
+                old.map(|f| &f[(r - 1) * w..r * w])
+            };
+            let c_rows = old.map(|f| &f[r * w..(r + 1) * w]);
+            let s_rows = if r + 1 == height {
+                split_fields(south, w)
+            } else {
+                old.map(|f| &f[(r + 1) * w..(r + 2) * w])
+            };
+            let (out_h, out_rest) = out.split_at_mut(w);
+            let (out_hu, out_hv) = out_rest.split_at_mut(w);
+            let out = [out_h, out_hu, out_hv];
+            match self.scheme {
+                Scheme::LaxFriedrichs => self.lax_friedrichs(n_rows, c_rows, s_rows, out),
+                Scheme::LaxWendroff => self.lax_wendroff(n_rows, c_rows, s_rows, out),
+            }
+            if r > 0 {
+                write_back(&mut rows, r - 1, prev, w);
+            }
         }
+        let last = if height % 2 == 1 { &*even } else { &*odd };
+        write_back(&mut rows, height - 1, last, w);
     }
 
-    fn lax_friedrichs(&self, out: Band<'_>) {
+    /// New interior cells of one row from the old rows north of it, at it
+    /// and south of it.
+    fn lax_friedrichs(&self, n: Rows<'_>, c: Rows<'_>, s: Rows<'_>, out: [&mut [f64]; 3]) {
         let lam = self.dt / (2.0 * self.dx);
-        let ([h_f, hu_f, hv_f], w) = (self.state, self.state[0].nx + 2);
-        let [out_h, out_hu, out_hv] = out.rows.map(|r| r.chunks_exact_mut(w));
-        for (jj, ((out_h, out_hu), out_hv)) in
-            (out.j0 as isize..).zip(out_h.zip(out_hu).zip(out_hv))
-        {
-            let (h_n, h, h_s) = (h_f.row(jj - 1), h_f.row(jj), h_f.row(jj + 1));
-            let (hu_n, hu, hu_s) = (hu_f.row(jj - 1), hu_f.row(jj), hu_f.row(jj + 1));
-            let (hv_n, hv, hv_s) = (hv_f.row(jj - 1), hv_f.row(jj), hv_f.row(jj + 1));
-            for i in 1..w - 1 {
-                // Neighbour states.
-                let (hw, he) = (h[i - 1], h[i + 1]);
-                let (hn, hs) = (h_n[i], h_s[i]);
-                let (huw, hue) = (hu[i - 1], hu[i + 1]);
-                let (hun, hus) = (hu_n[i], hu_s[i]);
-                let (hvw, hve) = (hv[i - 1], hv[i + 1]);
-                let (hvn, hvs) = (hv_n[i], hv_s[i]);
+        let ([h_n, hu_n, hv_n], [h, hu, hv], [h_s, hu_s, hv_s]) = (n, c, s);
+        let [out_h, out_hu, out_hv] = out;
+        for i in 1..self.w - 1 {
+            // Neighbour states.
+            let (hw, he) = (h[i - 1], h[i + 1]);
+            let (hn, hs) = (h_n[i], h_s[i]);
+            let (huw, hue) = (hu[i - 1], hu[i + 1]);
+            let (hun, hus) = (hu_n[i], hu_s[i]);
+            let (hvw, hve) = (hv[i - 1], hv[i + 1]);
+            let (hvn, hvs) = (hv_n[i], hv_s[i]);
 
-                // Fluxes: F = (hu, hu²/h + gh²/2, hu·hv/h) in x,
-                //         G = (hv, hu·hv/h, hv²/h + gh²/2) in y.
-                let fx = |_h: f64, hu: f64| hu;
-                let fxu = |h: f64, hu: f64| hu * hu / h + 0.5 * GRAVITY * h * h;
-                let fxv = |h: f64, hu: f64, hv: f64| hu * hv / h;
-                let gy = |_h: f64, hv: f64| hv;
-                let gyu = |h: f64, hu: f64, hv: f64| hu * hv / h;
-                let gyv = |h: f64, hv: f64| hv * hv / h + 0.5 * GRAVITY * h * h;
+            // Fluxes: F = (hu, hu²/h + gh²/2, hu·hv/h) in x,
+            //         G = (hv, hu·hv/h, hv²/h + gh²/2) in y.
+            let fx = |_h: f64, hu: f64| hu;
+            let fxu = |h: f64, hu: f64| hu * hu / h + 0.5 * GRAVITY * h * h;
+            let fxv = |h: f64, hu: f64, hv: f64| hu * hv / h;
+            let gy = |_h: f64, hv: f64| hv;
+            let gyu = |h: f64, hu: f64, hv: f64| hu * hv / h;
+            let gyv = |h: f64, hv: f64| hv * hv / h + 0.5 * GRAVITY * h * h;
 
-                out_h[i] = 0.25 * (hw + he + hn + hs)
-                    - lam * (fx(he, hue) - fx(hw, huw))
-                    - lam * (gy(hs, hvs) - gy(hn, hvn));
-                out_hu[i] = 0.25 * (huw + hue + hun + hus)
-                    - lam * (fxu(he, hue) - fxu(hw, huw))
-                    - lam * (gyu(hs, hus, hvs) - gyu(hn, hun, hvn));
-                out_hv[i] = 0.25 * (hvw + hve + hvn + hvs)
-                    - lam * (fxv(he, hue, hve) - fxv(hw, huw, hvw))
-                    - lam * (gyv(hs, hvs) - gyv(hn, hvn));
-            }
+            out_h[i] = 0.25 * (hw + he + hn + hs)
+                - lam * (fx(he, hue) - fx(hw, huw))
+                - lam * (gy(hs, hvs) - gy(hn, hvn));
+            out_hu[i] = 0.25 * (huw + hue + hun + hus)
+                - lam * (fxu(he, hue) - fxu(hw, huw))
+                - lam * (gyu(hs, hus, hvs) - gyu(hn, hun, hvn));
+            out_hv[i] = 0.25 * (hvw + hve + hvn + hvs)
+                - lam * (fxv(he, hue, hve) - fxv(hw, huw, hvw))
+                - lam * (gyv(hs, hvs) - gyv(hn, hvn));
         }
     }
 
     /// Richtmyer two-step Lax–Wendroff: half-step predictor states at the
-    /// four cell edges, then a conservative corrector.
-    fn lax_wendroff(&self, out: Band<'_>) {
+    /// four cell edges, then a conservative corrector. Same row contract
+    /// as [`Stencil::lax_friedrichs`].
+    fn lax_wendroff(&self, n: Rows<'_>, c: Rows<'_>, s: Rows<'_>, out: [&mut [f64]; 3]) {
         let lam = self.dt / self.dx;
-        let ([h, hu, hv], w) = (self.state, self.state[0].nx + 2);
-        let [out_h, out_hu, out_hv] = out.rows;
+        let [out_h, out_hu, out_hv] = out;
         // Fluxes of the state vector (h, hu, hv).
         #[inline(always)]
         fn fx(u: [f64; 3]) -> [f64; 3] {
@@ -338,7 +388,7 @@ impl Stencil<'_> {
             let [h, hu, hv] = u;
             [hv, hu * hv / h, hv * hv / h + 0.5 * GRAVITY * h * h]
         }
-        let at = |i: isize, j: isize| -> [f64; 3] { [h.get(i, j), hu.get(i, j), hv.get(i, j)] };
+        let at = |r: Rows<'_>, i: usize| -> [f64; 3] { [r[0][i], r[1][i], r[2][i]] };
         // Half-step edge state between u_l and u_r along x (or y with gy).
         let half_x = |l: [f64; 3], r: [f64; 3]| -> [f64; 3] {
             let (fl, fr) = (fx(l), fx(r));
@@ -348,23 +398,26 @@ impl Stencil<'_> {
             let (gl, gr) = (gy(l), gy(r));
             std::array::from_fn(|k| 0.5 * (l[k] + r[k]) - 0.5 * lam * (gr[k] - gl[k]))
         };
-        for r in 0..out_h.len() / w {
-            let jj = (out.j0 + r) as isize;
-            for i in 0..w - 2 {
-                let ii = i as isize;
-                let c = at(ii, jj);
-                let east = half_x(c, at(ii + 1, jj));
-                let west = half_x(at(ii - 1, jj), c);
-                let south = half_y(c, at(ii, jj + 1));
-                let north = half_y(at(ii, jj - 1), c);
-                let (fe, fw) = (fx(east), fx(west));
-                let (gs, gn) = (gy(south), gy(north));
-                let k = r * w + i + 1;
-                out_h[k] = c[0] - lam * (fe[0] - fw[0]) - lam * (gs[0] - gn[0]);
-                out_hu[k] = c[1] - lam * (fe[1] - fw[1]) - lam * (gs[1] - gn[1]);
-                out_hv[k] = c[2] - lam * (fe[2] - fw[2]) - lam * (gs[2] - gn[2]);
-            }
+        for i in 1..self.w - 1 {
+            let u = at(c, i);
+            let east = half_x(u, at(c, i + 1));
+            let west = half_x(at(c, i - 1), u);
+            let south = half_y(u, at(s, i));
+            let north = half_y(at(n, i), u);
+            let (fe, fw) = (fx(east), fx(west));
+            let (gs, gn) = (gy(south), gy(north));
+            out_h[i] = u[0] - lam * (fe[0] - fw[0]) - lam * (gs[0] - gn[0]);
+            out_hu[i] = u[1] - lam * (fe[1] - fw[1]) - lam * (gs[1] - gn[1]);
+            out_hv[i] = u[2] - lam * (fe[2] - fw[2]) - lam * (gs[2] - gn[2]);
         }
+    }
+}
+
+/// Copies the interior cells of `new` (`[h | hu | hv]`, stored rows) into
+/// band row `r` of each field; the halo columns keep their last refill.
+fn write_back(rows: &mut [&mut [f64]; 3], r: usize, new: &[f64], w: usize) {
+    for (f, new) in rows.iter_mut().zip(new.chunks_exact(w)) {
+        f[r * w + 1..(r + 1) * w - 1].copy_from_slice(&new[1..w - 1]);
     }
 }
 
@@ -549,6 +602,51 @@ mod tests {
         }
         b.finish_step();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn band_edges_match_step_in_any_order() {
+        // One-row bands (ny − 1 and ny bands) make every row a band edge;
+        // computed in reverse order, each band's ghost rows are already
+        // overwritten in the field when it runs.
+        let (nx, ny) = (7, 9);
+        let ring: Vec<_> = (-1..=nx)
+            .flat_map(|i| [(i, -1), (i, ny)])
+            .chain((0..ny).flat_map(|j| [(-1, j), (nx, j)]))
+            .map(|(i, j)| (i, j, 100.0 + 0.3 * i as f64 - 0.2 * j as f64, 2.0, -1.0))
+            .collect();
+        let bc = crate::nest::BoundaryData::from_cells(ring);
+        for scheme in [Scheme::LaxFriedrichs, Scheme::LaxWendroff] {
+            for boundary in [
+                Boundary::Periodic,
+                Boundary::ZeroGradient,
+                Boundary::External,
+            ] {
+                for bands in [1, 2, 3, ny as usize - 1, ny as usize] {
+                    let mut a =
+                        ShallowWater::quiescent(nx as usize, ny as usize, 1000.0, 100.0, boundary)
+                            .with_scheme(scheme)
+                            .with_coriolis(1e-4);
+                    a.add_gaussian(3.0, 4.0, -3.0, 2.0);
+                    let mut b = a.clone();
+                    for _ in 0..3 {
+                        if boundary == Boundary::External {
+                            crate::nest::apply_boundary(&mut a, &bc);
+                            crate::nest::apply_boundary(&mut b, &bc);
+                        }
+                        a.step();
+                        b.fill_halos();
+                        let (stencil, split) = b.split_step(bands);
+                        assert_eq!(split.len(), bands);
+                        for band in split.into_iter().rev() {
+                            stencil.compute(band);
+                        }
+                        b.finish_step();
+                    }
+                    assert_eq!(a, b, "{scheme:?} {boundary:?} {bands} bands");
+                }
+            }
+        }
     }
 
     #[test]
