@@ -173,3 +173,33 @@ fn sweep_report_orders_scenarios_like_the_spec() {
     assert_eq!(report.winners.len(), 1, "one region configuration swept");
     assert_eq!(report.winners[0].scenarios, 24);
 }
+
+/// Absolute values for the committed example spec. `plans_digest` hashes
+/// every sweep key, so it also locks the key bytes that existing cache
+/// directories are addressed by; the second digest locks the canonical
+/// scenario strings and their order.
+#[test]
+fn smoke_spec_digests_are_pinned() {
+    let text = include_str!("../../../examples/sweep_smoke.json");
+    let spec = SweepSpec::parse(text).expect("spec");
+    let canonical: Vec<String> = spec
+        .expand()
+        .scenarios
+        .iter()
+        .map(|s| s.canonical_string())
+        .collect();
+    let canonical_digest = format!(
+        "{:016x}",
+        nestwx_core::fnv1a64(canonical.join("\n").as_bytes())
+    );
+    assert_eq!(canonical_digest, "7ef2003eec10882d");
+
+    let opts = SweepOptions {
+        cache_dir: None,
+        iterations: None,
+        jobs: Some(2),
+    };
+    let cold = run_sweep(&spec, &opts).expect("cold sweep");
+    assert_eq!((cold.unique, cold.computed, cold.errors), (64, 64, 0));
+    assert_eq!(cold.plans_digest, "bbdb3ab09f1a9c91");
+}
