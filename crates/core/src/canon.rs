@@ -83,14 +83,90 @@ impl Scenario {
     /// bytes; any field difference (including machine calibration) changes
     /// the encoding.
     pub fn canonical_string(&self) -> String {
-        let json = serde_json::to_string(self).expect("scenario serializes");
-        format!("{SCENARIO_ENCODING_VERSION}:{json}")
+        FieldJson {
+            machine: &field_json(&self.machine),
+            parent: &field_json(&self.parent),
+            nests: &field_json(&self.nests),
+            strategy: &field_json(&self.strategy),
+            alloc: &field_json(&self.alloc),
+            mapping: &field_json(&self.mapping),
+            io_mode: &field_json(&self.io_mode),
+            output_interval: &field_json(&self.output_interval),
+        }
+        .assemble()
     }
 
     /// FNV-1a 64 digest of [`Scenario::canonical_string`] — cheap and
     /// stable across runs, for cache sharding and batching keys.
     pub fn digest(&self) -> u64 {
         fnv1a64(self.canonical_string().as_bytes())
+    }
+}
+
+/// The compact JSON of one [`Scenario`] field: the one place a field is
+/// encoded, for [`Scenario::canonical_string`] and for callers that encode
+/// a field once and reuse it across many scenarios.
+pub fn field_json<T: Serialize + ?Sized>(value: &T) -> String {
+    serde_json::to_string(value).expect("scenario fields serialize")
+}
+
+/// The [`field_json`] of each [`Scenario`] field, in declaration order.
+/// [`FieldJson::assemble`] is the one place these are joined into a
+/// canonical string.
+#[derive(Debug, Clone, Copy)]
+pub struct FieldJson<'a> {
+    /// Encoded [`Scenario::machine`].
+    pub machine: &'a str,
+    /// Encoded [`Scenario::parent`].
+    pub parent: &'a str,
+    /// Encoded [`Scenario::nests`].
+    pub nests: &'a str,
+    /// Encoded [`Scenario::strategy`].
+    pub strategy: &'a str,
+    /// Encoded [`Scenario::alloc`].
+    pub alloc: &'a str,
+    /// Encoded [`Scenario::mapping`].
+    pub mapping: &'a str,
+    /// Encoded [`Scenario::io_mode`].
+    pub io_mode: &'a str,
+    /// Encoded [`Scenario::output_interval`].
+    pub output_interval: &'a str,
+}
+
+impl FieldJson<'_> {
+    /// `nestwx-scenario-v1:{"machine":…,…,"output_interval":…}` — the same
+    /// bytes as the version tag, `:` and the derived compact JSON of the
+    /// whole scenario.
+    pub fn assemble(&self) -> String {
+        let fields = [
+            ("machine", self.machine),
+            ("parent", self.parent),
+            ("nests", self.nests),
+            ("strategy", self.strategy),
+            ("alloc", self.alloc),
+            ("mapping", self.mapping),
+            ("io_mode", self.io_mode),
+            ("output_interval", self.output_interval),
+        ];
+        // `"name":` plus a `{` or `,` before each field, `:` and `}` around.
+        let len = SCENARIO_ENCODING_VERSION.len()
+            + 2
+            + fields
+                .iter()
+                .map(|(name, json)| name.len() + json.len() + 4)
+                .sum::<usize>();
+        let mut out = String::with_capacity(len);
+        out.push_str(SCENARIO_ENCODING_VERSION);
+        out.push(':');
+        for (i, (name, json)) in fields.iter().enumerate() {
+            out.push(if i == 0 { '{' } else { ',' });
+            out.push('"');
+            out.push_str(name);
+            out.push_str("\":");
+            out.push_str(json);
+        }
+        out.push('}');
+        out
     }
 }
 
@@ -115,6 +191,47 @@ mod tests {
         assert_eq!(s.canonical_string(), s.canonical_string());
         assert!(s.canonical_string().starts_with("nestwx-scenario-v1:{"));
         assert_eq!(s.digest(), scenario().digest());
+    }
+
+    #[test]
+    fn assembled_string_equals_the_derived_encoding() {
+        // Field by field against the derive: a field added to `Scenario`
+        // but not to `FieldJson::assemble` fails here.
+        let mut nests = scenario().nests;
+        nests.push(NestSpec::child_of(0, 60, 60, 2, (5, 5)));
+        let mut cases = Vec::new();
+        // bgl and bgp are the two machine families the vocabulary knows.
+        for machine in ["bgl:64", "bgp:256"] {
+            let machine = crate::vocab::parse_machine(machine).unwrap();
+            for strategy in Strategy::ALL {
+                for alloc in AllocPolicy::ALL {
+                    for mapping in MappingKind::ALL {
+                        for io_mode in crate::vocab::IO_MODES {
+                            let output_interval = (io_mode != IoMode::None).then_some(2);
+                            cases.push(Scenario {
+                                machine: machine.clone(),
+                                parent: Domain::parent(286, 307, 24.0),
+                                nests: nests.clone(),
+                                strategy,
+                                alloc,
+                                mapping,
+                                io_mode,
+                                output_interval,
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        assert!(cases.iter().any(|s| s.output_interval.is_none()));
+        assert!(cases.iter().any(|s| s.output_interval.is_some()));
+        for s in &cases {
+            let derived = format!(
+                "{SCENARIO_ENCODING_VERSION}:{}",
+                serde_json::to_string(s).unwrap()
+            );
+            assert_eq!(s.canonical_string(), derived);
+        }
     }
 
     #[test]

@@ -75,8 +75,12 @@ impl NestedModel {
         model
     }
 
-    /// Adds a depression (negative Gaussian) at parent coordinates, also
-    /// imprinting it on any nest whose footprint covers it.
+    /// Adds a depression (negative Gaussian) to the parent at parent
+    /// coordinates, then re-initialises every nest from the parent: any
+    /// nest state is discarded, and each call pays a full nest
+    /// initialisation. To start from several depressions, add them to the
+    /// parent solver first and build the model once with
+    /// [`NestedModel::with_parent`].
     pub fn add_depression(&mut self, cx: f64, cy: f64, amp: f64, radius_cells: f64) {
         self.parent.add_gaussian(cx, cy, amp, radius_cells);
         for nest in &mut self.nests {

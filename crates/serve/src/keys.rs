@@ -28,16 +28,25 @@ pub enum KeyKind {
     Sweep(u32),
 }
 
-/// A cache key under an explicit format version: the one builder behind
-/// [`plan_key`], [`compare_key`] and [`sweep_key`], public so tests can
-/// build keys under another version and prove that a bump misses.
-pub fn versioned_key(version: u32, scenario: &Scenario, kind: KeyKind) -> String {
-    let canonical = scenario.canonical_string();
+/// A cache key from a scenario's [`canonical_string`] under an explicit
+/// format version: the one builder of key bytes. A caller that already
+/// holds the canonical string (the sweep carries one per scenario) builds
+/// its keys here without encoding the scenario again.
+///
+/// [`canonical_string`]: Scenario::canonical_string
+pub fn canonical_key(version: u32, canonical: &str, kind: KeyKind) -> String {
     match kind {
         KeyKind::Plan => format!("fmt{version}|{canonical}"),
         KeyKind::Compare(n) => format!("fmt{version}|{canonical}|compare:{n}"),
         KeyKind::Sweep(n) => format!("fmt{version}|{canonical}|sweep:{n}"),
     }
+}
+
+/// [`canonical_key`] of `scenario`, encoded here: the builder behind
+/// [`plan_key`], [`compare_key`] and [`sweep_key`], public so tests can
+/// build keys under another version and prove that a bump misses.
+pub fn versioned_key(version: u32, scenario: &Scenario, kind: KeyKind) -> String {
+    canonical_key(version, &scenario.canonical_string(), kind)
 }
 
 /// The cache key for a `plan` request.
@@ -102,6 +111,11 @@ mod tests {
         assert_eq!(plan_key(&s), PLAN);
         assert_eq!(compare_key(&s, 5), format!("{PLAN}|compare:5"));
         assert_eq!(sweep_key(&s, 3), format!("{PLAN}|sweep:3"));
+        let canonical = s.canonical_string();
+        assert_eq!(
+            canonical_key(PLAN_FORMAT_VERSION, &canonical, KeyKind::Sweep(3)),
+            sweep_key(&s, 3)
+        );
     }
 
     #[test]

@@ -16,9 +16,11 @@ use crate::spec::SweepSpec;
 use nestwx_core::{
     fnv1a64, run_parallel_with, vocab, AllocPolicy, MappingKind, Scenario, Strategy,
 };
+use nestwx_grid::Fnv1a64;
 use nestwx_obs::clock;
 use nestwx_serve::disk::{DiskCache, DiskStats};
-use nestwx_serve::{keys, render_plan};
+use nestwx_serve::keys::{self, KeyKind, PLAN_FORMAT_VERSION};
+use nestwx_serve::render_plan;
 use serde::Serialize;
 use serde_json::Value;
 use std::collections::BTreeMap;
@@ -193,8 +195,13 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepReport, S
     };
     let started = clock::now();
     let expansion = spec.expand();
-    let outcomes = run_parallel_with(jobs, &expansion.scenarios, |scenario| {
-        run_one(scenario, iterations, disk.as_ref())
+    let work: Vec<(&Scenario, &str)> = expansion
+        .scenarios
+        .iter()
+        .zip(expansion.canonical.iter().map(String::as_str))
+        .collect();
+    let outcomes = run_parallel_with(jobs, &work, |&(scenario, canonical)| {
+        run_one(scenario, canonical, iterations, disk.as_ref())
     });
     let elapsed_seconds = clock::since(started).as_secs_f64();
 
@@ -224,8 +231,16 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepReport, S
     })
 }
 
-fn run_one(scenario: &Scenario, iterations: u32, disk: Option<&DiskCache>) -> ScenarioOutcome {
-    let key = keys::sweep_key(scenario, iterations);
+/// Runs one scenario; `canonical` is its canonical string, carried from
+/// the expansion so that no key here encodes the scenario again.
+fn run_one(
+    scenario: &Scenario,
+    canonical: &str,
+    iterations: u32,
+    disk: Option<&DiskCache>,
+) -> ScenarioOutcome {
+    debug_assert_eq!(canonical, scenario.canonical_string());
+    let key = keys::canonical_key(PLAN_FORMAT_VERSION, canonical, KeyKind::Sweep(iterations));
     let mut row = ScenarioOutcome {
         key,
         machine: scenario.machine.name.clone(),
@@ -276,7 +291,8 @@ fn run_one(scenario: &Scenario, iterations: u32, disk: Option<&DiskCache>) -> Sc
         // never to failure). The plan bytes go under the *serve* key so a
         // later `nestwx serve --cache-dir` answers these scenarios from
         // disk, byte-identically.
-        let _ = d.put(&keys::plan_key(scenario), &plan_json);
+        let plan_key = keys::canonical_key(PLAN_FORMAT_VERSION, canonical, KeyKind::Plan);
+        let _ = d.put(&plan_key, &plan_json);
         if let Ok(entry) = render_entry(&row.plan_digest, row.planned_s_per_iter) {
             let _ = d.put(&row.key, &entry);
         }
@@ -336,14 +352,14 @@ fn plans_digest(outcomes: &[ScenarioOutcome]) -> String {
         .map(|o| (o.key.as_str(), o.plan_digest.as_str()))
         .collect();
     pairs.sort_unstable();
-    let mut bytes = Vec::new();
+    let mut hash = Fnv1a64::new();
     for (key, digest) in pairs {
-        bytes.extend_from_slice(key.as_bytes());
-        bytes.push(b'=');
-        bytes.extend_from_slice(digest.as_bytes());
-        bytes.push(b'\n');
+        hash.write(key.as_bytes());
+        hash.write(b"=");
+        hash.write(digest.as_bytes());
+        hash.write(b"\n");
     }
-    format!("{:016x}", fnv1a64(&bytes))
+    format!("{:016x}", hash.finish())
 }
 
 fn by_time(a: f64, b: f64) -> std::cmp::Ordering {

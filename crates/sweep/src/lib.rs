@@ -8,7 +8,7 @@
 //! 1. [`spec`] — a declarative JSON spec of scenario *spaces* (lists and
 //!    ranges over machines, parent domains, nest sets and planner knobs)
 //!    expanded deterministically into concrete [`nestwx_core::Scenario`]s,
-//!    with canonical-encoding dedup.
+//!    deduplicated per axis, each carrying its canonical string.
 //! 2. [`engine`] — a work-stealing executor (shared with the bench
 //!    harness via [`nestwx_core::parallel`]) that plans and simulates
 //!    every unique scenario, reusing a disk-persisted plan cache

@@ -3,11 +3,13 @@
 //! A spec is a JSON document of axes — machines, parent domains, nest
 //! sets (explicit or generated from count × size-range × positions), and
 //! the strategy × allocation × mapping × io knobs. [`SweepSpec::expand`]
-//! takes the cartesian product in declared axis order (machines
-//! outermost, io innermost), so the same spec always yields the same
-//! scenario sequence, and dedups by canonical scenario string keeping the
-//! first occurrence — two axis entries that collapse to the same scenario
-//! are planned once.
+//! drops repeated entries from each axis (two entries repeat when their
+//! field JSON is equal; the first is kept) and takes the cartesian
+//! product of what is left in declared axis order (machines outermost,
+//! io innermost), so the same spec always yields the same scenario
+//! sequence and a repeated entry is planned once. Each scenario comes out
+//! with its canonical string, joined from the axis encodings by
+//! [`nestwx_core::canon::FieldJson`].
 //!
 //! The format is JSON rather than TOML because the workspace vendors only
 //! `serde_json`; every string in a list is a token of the shared
@@ -15,6 +17,7 @@
 //! `150x150r3@10,12` nests), on top of which this module keeps one rule
 //! of its own: swept domains are at least `MIN_DIM` points a side.
 
+use nestwx_core::canon::{field_json, FieldJson};
 use nestwx_core::strategy::{AllocPolicy, MappingKind, Strategy};
 use nestwx_core::vocab::{self, VocabError};
 use nestwx_core::Scenario;
@@ -78,13 +81,17 @@ pub struct SweepSpec {
 }
 
 /// The result of expanding a spec: the raw cartesian-product size plus
-/// the deduplicated scenario list in first-occurrence order.
+/// the deduplicated scenario list in first-occurrence order, each with
+/// its canonical string.
 #[derive(Debug, Clone)]
 pub struct Expansion {
     /// Cartesian-product size before dedup.
     pub expanded: usize,
     /// Unique scenarios, in expansion order.
     pub scenarios: Vec<Scenario>,
+    /// `canonical[i]` is `scenarios[i].canonical_string()`, assembled
+    /// from the axis encodings rather than by encoding the scenario.
+    pub canonical: Vec<String>,
 }
 
 impl SweepSpec {
@@ -194,23 +201,48 @@ impl SweepSpec {
             * self.io.len()
     }
 
-    /// Expands the spec into concrete scenarios: cartesian product in
-    /// declared axis order, deduplicated by canonical scenario string
-    /// keeping first occurrences. Deterministic — equal specs expand to
-    /// equal sequences.
+    /// Expands the spec into concrete scenarios: each axis deduplicated
+    /// by its entries' field JSON (first occurrence kept), then the
+    /// cartesian product of the deduplicated axes in declared axis order.
+    /// That is the product deduplicated by canonical scenario string:
+    /// the canonical string is the fieldwise join of those encodings, so
+    /// two product entries collide exactly when all their axis entries
+    /// do. Each scenario's canonical string is assembled once, here, and
+    /// carried in [`Expansion::canonical`]. Deterministic — equal specs
+    /// expand to equal sequences.
     pub fn expand(&self) -> Expansion {
-        let mut seen: BTreeSet<String> = BTreeSet::new();
+        let machines = dedup_axis(&self.machines, field_json);
+        let parents = dedup_axis(&self.parents, field_json);
+        let nest_sets = dedup_axis(&self.nest_sets, field_json);
+        let strategies = dedup_axis(&self.strategies, field_json);
+        let allocs = dedup_axis(&self.allocs, field_json);
+        let mappings = dedup_axis(&self.mappings, field_json);
+        let io = dedup_axis(&self.io, |(mode, every)| {
+            (field_json(mode), field_json(every))
+        });
         let mut scenarios = Vec::new();
-        let mut expanded = 0usize;
-        for machine in &self.machines {
-            for parent in &self.parents {
-                for nests in &self.nest_sets {
-                    for &strategy in &self.strategies {
-                        for &alloc in &self.allocs {
-                            for &mapping in &self.mappings {
-                                for &(io_mode, output_interval) in &self.io {
-                                    expanded += 1;
-                                    let scenario = Scenario {
+        let mut canonical = Vec::new();
+        for &(machine, ref machine_json) in &machines {
+            for &(parent, ref parent_json) in &parents {
+                for &(nests, ref nests_json) in &nest_sets {
+                    for &(&strategy, ref strategy_json) in &strategies {
+                        for &(&alloc, ref alloc_json) in &allocs {
+                            for &(&mapping, ref mapping_json) in &mappings {
+                                for &(&(io_mode, output_interval), ref io_json) in &io {
+                                    canonical.push(
+                                        FieldJson {
+                                            machine: machine_json,
+                                            parent: parent_json,
+                                            nests: nests_json,
+                                            strategy: strategy_json,
+                                            alloc: alloc_json,
+                                            mapping: mapping_json,
+                                            io_mode: &io_json.0,
+                                            output_interval: &io_json.1,
+                                        }
+                                        .assemble(),
+                                    );
+                                    scenarios.push(Scenario {
                                         machine: machine.clone(),
                                         parent: parent.clone(),
                                         nests: nests.clone(),
@@ -219,10 +251,7 @@ impl SweepSpec {
                                         mapping,
                                         io_mode,
                                         output_interval,
-                                    };
-                                    if seen.insert(scenario.canonical_string()) {
-                                        scenarios.push(scenario);
-                                    }
+                                    });
                                 }
                             }
                         }
@@ -231,10 +260,24 @@ impl SweepSpec {
             }
         }
         Expansion {
-            expanded,
+            expanded: self.product_size(),
             scenarios,
+            canonical,
         }
     }
+}
+
+/// One axis with repeated entries dropped, keeping first occurrences in
+/// order, each entry paired with its encoding.
+fn dedup_axis<T, K: Clone + Ord>(entries: &[T], encode: impl Fn(&T) -> K) -> Vec<(&T, K)> {
+    let mut seen = BTreeSet::new();
+    entries
+        .iter()
+        .filter_map(|entry| {
+            let key = encode(entry);
+            seen.insert(key.clone()).then_some((entry, key))
+        })
+        .collect()
 }
 
 /// Optional list-of-strings field.

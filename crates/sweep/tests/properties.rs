@@ -1,7 +1,17 @@
 //! Property tests for spec expansion: order stability and dedup.
 
-use nestwx_sweep::SweepSpec;
+use nestwx_core::Scenario;
+use nestwx_sweep::{Expansion, SweepSpec};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
+
+/// The pool entries the generated indices pick, as a JSON list body.
+fn pick(pool: &[&str], idx: &[usize]) -> String {
+    idx.iter()
+        .map(|&i| pool[i % pool.len()])
+        .collect::<Vec<_>>()
+        .join(", ")
+}
 
 /// Builds a spec JSON from generated axis choices. Axes draw from small
 /// pools so the product stays cheap while still varying shape.
@@ -19,12 +29,6 @@ fn spec_json(
         "\"partition\"",
         "\"multilevel\"",
     ];
-    let pick = |pool: &[&str], idx: &[usize]| -> String {
-        idx.iter()
-            .map(|&i| pool[i % pool.len()].to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
     format!(
         r#"{{
             "machines": [{}],
@@ -46,7 +50,99 @@ fn spec_json(
     )
 }
 
+/// [`spec_json`] with a repeat on every axis: the first machine, strategy,
+/// alloc and mapping listed again, an explicit nest set equal to the
+/// first generated one, and `"pnetcdf:2"` twice among the io modes.
+fn spec_json_with_repeats(
+    machines: &[usize],
+    sizes: (u64, u64, u64),
+    strategies: &[usize],
+    allocs: &[usize],
+    mappings: &[usize],
+    io: &[usize],
+) -> String {
+    let again = |idx: &[usize]| -> Vec<usize> { idx.iter().chain(&idx[..1]).copied().collect() };
+    let strategy_pool = ["\"sequential\"", "\"concurrent\""];
+    let io_pool = ["\"none\"", "\"pnetcdf:2\"", "\"split:2\"", "\"pnetcdf:3\""];
+    let base = spec_json(&again(machines), sizes, &again(allocs), &again(mappings));
+    let start = sizes.0;
+    let extra = format!(
+        r#"{{
+            "nest_sets": [["{start}x{start}r3@10,12"]],
+            "strategies": [{}],
+            "io": ["pnetcdf:2", {}, "pnetcdf:2"],
+"#,
+        pick(&strategy_pool, &again(strategies)),
+        pick(&io_pool, io),
+    );
+    base.replacen('{', &extra, 1)
+}
+
+/// The expansion as a product followed by a set of canonical strings,
+/// keeping first occurrences: what [`SweepSpec::expand`] must equal.
+fn oracle_expand(spec: &SweepSpec) -> (usize, Vec<Scenario>) {
+    let mut seen = BTreeSet::new();
+    let mut scenarios = Vec::new();
+    let mut expanded = 0;
+    for machine in &spec.machines {
+        for parent in &spec.parents {
+            for nests in &spec.nest_sets {
+                for &strategy in &spec.strategies {
+                    for &alloc in &spec.allocs {
+                        for &mapping in &spec.mappings {
+                            for &(io_mode, output_interval) in &spec.io {
+                                expanded += 1;
+                                let scenario = Scenario {
+                                    machine: machine.clone(),
+                                    parent: parent.clone(),
+                                    nests: nests.clone(),
+                                    strategy,
+                                    alloc,
+                                    mapping,
+                                    io_mode,
+                                    output_interval,
+                                };
+                                if seen.insert(scenario.canonical_string()) {
+                                    scenarios.push(scenario);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    (expanded, scenarios)
+}
+
 proptest! {
+    /// Per-axis dedup equals dedup of the whole product, in order, and
+    /// every carried canonical string is the scenario's own.
+    #[test]
+    fn expansion_matches_the_product_then_dedup_oracle(
+        machines in proptest::collection::vec(0usize..3, 1..3),
+        start in 8u64..64,
+        step in 0u64..16,
+        n in 1u64..3,
+        strategies in proptest::collection::vec(0usize..2, 1..3),
+        allocs in proptest::collection::vec(0usize..3, 1..3),
+        mappings in proptest::collection::vec(0usize..4, 1..3),
+        io in proptest::collection::vec(0usize..4, 1..3),
+    ) {
+        let text = spec_json_with_repeats(
+            &machines, (start, step, n), &strategies, &allocs, &mappings, &io,
+        );
+        let spec = SweepSpec::parse(&text).unwrap();
+        let Expansion { expanded, scenarios, canonical } = spec.expand();
+        let (oracle_expanded, oracle) = oracle_expand(&spec);
+        prop_assert!(oracle.len() < oracle_expanded, "the spec repeats entries");
+        prop_assert_eq!(expanded, oracle_expanded);
+        prop_assert_eq!(expanded - scenarios.len(), oracle_expanded - oracle.len());
+        prop_assert_eq!(&scenarios, &oracle);
+        let own: Vec<String> = scenarios.iter().map(Scenario::canonical_string).collect();
+        prop_assert_eq!(canonical, own);
+    }
+
     /// Expanding the same spec twice yields the same scenario sequence —
     /// byte-for-byte equal canonical strings, in the same order.
     #[test]

@@ -13,7 +13,8 @@
 
 use nestwx::core::threads::thread_allocation;
 use nestwx::miniwrf::nest::NestGeometry;
-use nestwx::miniwrf::{run_iterations, NestedModel, ThreadStrategy};
+use nestwx::miniwrf::solver::Boundary;
+use nestwx::miniwrf::{run_iterations, NestedModel, ShallowWater, ThreadStrategy};
 
 fn build_model() -> NestedModel {
     // 24 km parent over the Pacific (downscaled grid), two 8 km nests
@@ -32,10 +33,12 @@ fn build_model() -> NestedModel {
             ny: 132,
         },
     ];
-    let mut m = NestedModel::new(260, 220, 24_000.0, 1000.0, &geos);
-    m.add_depression(50.0, 45.0, -28.0, 9.0);
-    m.add_depression(150.0, 128.0, -20.0, 6.0);
-    m
+    // Both depressions go on the parent before the nests are initialised
+    // from it, once.
+    let mut parent = ShallowWater::quiescent(260, 220, 24_000.0, 1000.0, Boundary::ZeroGradient);
+    parent.add_gaussian(50.0, 45.0, -28.0, 9.0);
+    parent.add_gaussian(150.0, 128.0, -20.0, 6.0);
+    NestedModel::with_parent(parent, 1000.0, &geos)
 }
 
 fn main() {

@@ -9,7 +9,8 @@
 
 use nestwx::miniwrf::nest::NestGeometry;
 use nestwx::miniwrf::output::read_frame_h;
-use nestwx::miniwrf::{run_iterations, HistoryWriter, NestedModel, ThreadStrategy};
+use nestwx::miniwrf::solver::Boundary;
+use nestwx::miniwrf::{run_iterations, HistoryWriter, NestedModel, ShallowWater, ThreadStrategy};
 use std::time::Instant;
 
 fn main() -> std::io::Result<()> {
@@ -21,8 +22,9 @@ fn main() -> std::io::Result<()> {
         nx: 90,
         ny: 84,
     }];
-    let mut model = NestedModel::new(80, 70, 24_000.0, 1000.0, &geos);
-    model.add_depression(25.0, 22.0, -25.0, 6.0);
+    let mut parent = ShallowWater::quiescent(80, 70, 24_000.0, 1000.0, Boundary::ZeroGradient);
+    parent.add_gaussian(25.0, 22.0, -25.0, 6.0);
+    let mut model = NestedModel::with_parent(parent, 1000.0, &geos);
     model.add_child_nest(
         0,
         NestGeometry {
