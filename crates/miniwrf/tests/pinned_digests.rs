@@ -6,7 +6,7 @@
 //! were captured from the cell-by-cell reference kernel; any change to the
 //! solver's arithmetic, its banding or its Coriolis pass moves them.
 
-use nestwx_miniwrf::nest::NestGeometry;
+use nestwx_miniwrf::nest::{apply_boundary, BoundaryData, NestGeometry};
 use nestwx_miniwrf::runtime::step_parallel;
 use nestwx_miniwrf::solver::{Boundary, Scheme, ShallowWater};
 use nestwx_miniwrf::{run_iterations, solver_digest, NestedModel, ThreadStrategy};
@@ -91,13 +91,24 @@ fn standalone_solver_digests_are_pinned() {
             2e-4,
             "b15e8fc238990416",
         ),
+        (
+            Scheme::LaxFriedrichs,
+            Boundary::External,
+            1e-4,
+            "d6e3165d4c5a229e",
+        ),
     ];
+    let (nx, ny) = (50, 37);
+    let ring = fixed_ring(nx, ny);
     for (scheme, boundary, f, want) in cases {
-        let mut sw = ShallowWater::quiescent(50, 37, 20_000.0, 1000.0, boundary)
+        let mut sw = ShallowWater::quiescent(nx, ny, 20_000.0, 1000.0, boundary)
             .with_scheme(scheme)
             .with_coriolis(f);
         sw.add_gaussian(20.0, 15.0, -10.0, 5.0);
         for k in 0..40 {
+            if boundary == Boundary::External {
+                apply_boundary(&mut sw, &ring);
+            }
             if k % 2 == 0 {
                 sw.step();
             } else {
@@ -106,4 +117,17 @@ fn standalone_solver_digests_are_pinned() {
         }
         assert_eq!(hex(&sw), want, "{scheme:?} {boundary:?} f={f}");
     }
+}
+
+/// `properties.rs::threading_bitwise_stable`'s Dirichlet ring: fixed data
+/// varying along the halo ring of an `nx × ny` grid.
+fn fixed_ring(nx: usize, ny: usize) -> BoundaryData {
+    let (nx, ny) = (nx as isize, ny as isize);
+    let ring = (-1..=nx)
+        .flat_map(|i| [(i, -1), (i, ny)])
+        .chain((0..ny).flat_map(|j| [(-1, j), (nx, j)]));
+    BoundaryData::from_cells(
+        ring.map(|(i, j)| (i, j, 1000.0 - 0.01 * (i + 2 * j) as f64, 0.5, -0.3))
+            .collect(),
+    )
 }
