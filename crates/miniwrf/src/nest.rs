@@ -6,7 +6,6 @@
 //! end of r integration steps, data from the finer region is communicated to
 //! the parent region."
 
-use crate::field::Field2D;
 use crate::solver::ShallowWater;
 use serde::{Deserialize, Serialize};
 
@@ -45,20 +44,28 @@ impl NestGeometry {
     }
 }
 
-/// Bilinearly samples `f` at continuous interior coordinates, clamped to the
-/// valid range (the parent halo is one cell, enough for clamped sampling).
-fn bilinear(f: &Field2D, x: f64, y: f64) -> f64 {
-    let xc = x.clamp(0.0, (f.nx - 1) as f64);
-    let yc = y.clamp(0.0, (f.ny - 1) as f64);
+/// Bilinearly samples `h/hu/hv` of `sw` at continuous interior
+/// coordinates, clamped to the valid range (the parent halo is one cell,
+/// enough for clamped sampling). The position and weights are computed once
+/// and read for all three fields.
+fn bilinear(sw: &ShallowWater, x: f64, y: f64) -> [f64; 3] {
+    let (nx, ny) = (sw.nx, sw.ny);
+    let xc = x.clamp(0.0, (nx - 1) as f64);
+    let yc = y.clamp(0.0, (ny - 1) as f64);
     let (i0, j0) = (xc.floor() as isize, yc.floor() as isize);
     let (fx, fy) = (xc - i0 as f64, yc - j0 as f64);
-    let i1 = (i0 + 1).min(f.nx as isize - 1);
-    let j1 = (j0 + 1).min(f.ny as isize - 1);
-    let v00 = f.get(i0, j0);
-    let v10 = f.get(i1, j0);
-    let v01 = f.get(i0, j1);
-    let v11 = f.get(i1, j1);
-    v00 * (1.0 - fx) * (1.0 - fy) + v10 * fx * (1.0 - fy) + v01 * (1.0 - fx) * fy + v11 * fx * fy
+    let i1 = (i0 + 1).min(nx as isize - 1);
+    let j1 = (j0 + 1).min(ny as isize - 1);
+    [&sw.h, &sw.hu, &sw.hv].map(|f| {
+        let v00 = f.get(i0, j0);
+        let v10 = f.get(i1, j0);
+        let v01 = f.get(i0, j1);
+        let v11 = f.get(i1, j1);
+        v00 * (1.0 - fx) * (1.0 - fy)
+            + v10 * fx * (1.0 - fy)
+            + v01 * (1.0 - fx) * fy
+            + v11 * fx * fy
+    })
 }
 
 /// Precomputed Dirichlet boundary data for one nest step: the halo-ring
@@ -83,6 +90,13 @@ impl BoundaryData {
     pub fn from_cells(ring: Vec<(isize, isize, f64, f64, f64)>) -> BoundaryData {
         BoundaryData { ring }
     }
+
+    /// An empty ring with room for `geo`'s `2(nx + 2) + 2·ny` halo cells.
+    pub(crate) fn for_nest(geo: &NestGeometry) -> BoundaryData {
+        BoundaryData {
+            ring: Vec::with_capacity(2 * (geo.nx + 2) + 2 * geo.ny),
+        }
+    }
 }
 
 /// Two-way feedback data for one nest iteration: the parent-cell writes
@@ -105,32 +119,47 @@ impl FeedbackData {
     pub fn from_cells(cells: Vec<(isize, isize, f64, f64, f64)>) -> FeedbackData {
         FeedbackData { cells }
     }
+
+    /// Empty feedback with room for one write per parent cell of `geo`'s
+    /// footprint.
+    pub(crate) fn for_nest(geo: &NestGeometry) -> FeedbackData {
+        let (_, _, pw, ph) = geo.parent_footprint();
+        FeedbackData {
+            cells: Vec::with_capacity(pw * ph),
+        }
+    }
 }
 
 /// Interpolates the nest's halo-ring boundary conditions from the parent
 /// state (call after the parent's step, before the nest's sub-steps).
 pub fn interpolate_boundary(parent: &ShallowWater, geo: &NestGeometry) -> BoundaryData {
+    let mut bc = BoundaryData::for_nest(geo);
+    interpolate_boundary_into(parent, geo, &mut bc);
+    bc
+}
+
+/// [`interpolate_boundary`] into `bc`'s buffer, replacing its cells.
+pub(crate) fn interpolate_boundary_into(
+    parent: &ShallowWater,
+    geo: &NestGeometry,
+    bc: &mut BoundaryData,
+) {
     let (nx, ny) = (geo.nx as isize, geo.ny as isize);
-    let mut ring = Vec::with_capacity(2 * (nx + ny) as usize + 4);
-    let push = |i: isize, j: isize, p: &ShallowWater, ring: &mut Vec<_>| {
+    let ring = &mut bc.ring;
+    ring.clear();
+    let mut push = |i: isize, j: isize| {
         let (x, y) = geo.parent_coords(i, j);
-        ring.push((
-            i,
-            j,
-            bilinear(&p.h, x, y),
-            bilinear(&p.hu, x, y),
-            bilinear(&p.hv, x, y),
-        ));
+        let [h, hu, hv] = bilinear(parent, x, y);
+        ring.push((i, j, h, hu, hv));
     };
     for i in -1..=nx {
-        push(i, -1, parent, &mut ring);
-        push(i, ny, parent, &mut ring);
+        push(i, -1);
+        push(i, ny);
     }
     for j in 0..ny {
-        push(-1, j, parent, &mut ring);
-        push(nx, j, parent, &mut ring);
+        push(-1, j);
+        push(nx, j);
     }
-    BoundaryData { ring }
 }
 
 /// Writes precomputed boundary data into the nest's halo cells.
@@ -150,9 +179,10 @@ pub fn initialize_from_parent(parent: &ShallowWater, nest: &mut ShallowWater, ge
     for j in 0..geo.ny as isize {
         for i in 0..geo.nx as isize {
             let (x, y) = geo.parent_coords(i, j);
-            nest.h.set(i, j, bilinear(&parent.h, x, y));
-            nest.hu.set(i, j, bilinear(&parent.hu, x, y));
-            nest.hv.set(i, j, bilinear(&parent.hv, x, y));
+            let [h, hu, hv] = bilinear(parent, x, y);
+            nest.h.set(i, j, h);
+            nest.hu.set(i, j, hu);
+            nest.hv.set(i, j, hv);
         }
     }
 }
@@ -163,9 +193,21 @@ pub fn initialize_from_parent(parent: &ShallowWater, nest: &mut ShallowWater, ge
 /// [`apply_feedback`] on the parent side then reproduces exactly what
 /// [`feedback_to_parent`] would have written in-process.
 pub fn collect_feedback(nest: &ShallowWater, geo: &NestGeometry) -> FeedbackData {
+    let mut fb = FeedbackData::for_nest(geo);
+    collect_feedback_into(nest, geo, &mut fb);
+    fb
+}
+
+/// [`collect_feedback`] into `fb`'s buffer, replacing its cells.
+pub(crate) fn collect_feedback_into(
+    nest: &ShallowWater,
+    geo: &NestGeometry,
+    fb: &mut FeedbackData,
+) {
     let r = geo.ratio;
     let (pi0, pj0, pw, ph) = geo.parent_footprint();
-    let mut cells = Vec::with_capacity(pw * ph);
+    let cells = &mut fb.cells;
+    cells.clear();
     // One accumulator per parent cell of the footprint row. Each fine row
     // is swept once, left to right, so every parent cell still sums its
     // fine cells in `(fj, fi)` order.
@@ -191,7 +233,6 @@ pub fn collect_feedback(nest: &ShallowWater, geo: &NestGeometry) -> FeedbackData
             cells.push(((pi0 + pi) as isize, gj, acc[0] / n, acc[1] / n, acc[2] / n));
         }
     }
-    FeedbackData { cells }
 }
 
 /// Writes precomputed feedback cells into the parent.

@@ -4,11 +4,17 @@
 //! is data-parallel over row bands ([`step_parallel`]), and the sibling
 //! phase either runs each nest **sequentially on all threads** (WRF's
 //! default) or **concurrently, each nest on its allocated thread group**
-//! (the paper's strategy). Because the sibling solves are independent given
-//! precomputed boundary data, the two strategies produce *bitwise identical*
+//! (the paper's strategy). Each sibling task couples its own nest: it
+//! interpolates its boundary from the stepped parent (read-only for the
+//! whole sibling phase), solves, and collects its feedback; the calling
+//! thread then applies the feedbacks in sibling order. Because the sibling
+//! tasks are independent, the two strategies produce *bitwise identical*
 //! states — only wall-clock time differs.
 
-use crate::model::NestedModel;
+use crate::model::{NestState, NestedModel};
+use crate::nest::{
+    apply_feedback, collect_feedback_into, interpolate_boundary_into, BoundaryData, FeedbackData,
+};
 use crate::solver::ShallowWater;
 use nestwx_obs::clock;
 use nestwx_obs::{Recorder, StepMetrics, StepPhase};
@@ -38,8 +44,9 @@ pub struct PhaseTimings {
     pub parent: Duration,
     /// Time in the sibling phase (interpolation + nest solves + feedback).
     pub siblings: Duration,
-    /// Per-sibling solve time (sum over iterations). Under the concurrent
-    /// strategy these overlap, so their sum exceeds `siblings`.
+    /// Per-sibling time (sum over iterations): the nest's boundary
+    /// interpolation, its solve and its feedback collection. Under the
+    /// concurrent strategy these overlap, so their sum exceeds `siblings`.
     pub per_sibling: Vec<Duration>,
     /// Total wall-clock.
     pub total: Duration,
@@ -54,11 +61,12 @@ impl PhaseTimings {
 
 /// One multi-threaded solver step over `threads` row bands.
 ///
-/// Fills halos, steps each band's rows of the fields in place on its own
-/// scoped thread, then applies the Coriolis rotation. With `threads == 1`
-/// (or fewer than two rows per band) no threads are spawned. The result is
-/// bitwise identical to [`ShallowWater::step`] because band decomposition
-/// does not change the arithmetic.
+/// Fills halos, then steps each band's rows of the fields in place and
+/// rotates them by the Coriolis angle: the calling thread computes the
+/// first band and `threads − 1` scoped helper threads the others. With
+/// `threads == 1` (or fewer than two rows per band) no threads are
+/// spawned. The result is bitwise identical to [`ShallowWater::step`]
+/// because band decomposition does not change the arithmetic.
 pub fn step_parallel(sw: &mut ShallowWater, threads: usize) {
     assert!(threads > 0);
     if threads == 1 || sw.ny < 2 * threads {
@@ -67,10 +75,15 @@ pub fn step_parallel(sw: &mut ShallowWater, threads: usize) {
     }
     sw.fill_halos();
     let (stencil, bands) = sw.split_step(threads);
+    let stencil = &stencil;
     std::thread::scope(|scope| {
+        let mut bands = bands.into_iter();
+        let first = bands.next();
         for band in bands {
-            let stencil = &stencil;
             scope.spawn(move || stencil.compute(band));
+        }
+        if let Some(band) = first {
+            stencil.compute(band);
         }
     });
     sw.finish_step();
@@ -89,7 +102,8 @@ pub fn run_iterations(
 }
 
 /// [`run_iterations`] with a [`Recorder`] attached: every parent step and
-/// every sibling solve lands in the step-metrics ring (wall-clock seconds
+/// every sibling task (the nest's boundary interpolation, solve and
+/// feedback collection) lands in the step-metrics ring (wall-clock seconds
 /// since the run started, `compute` = the phase's duration). The model
 /// state is bitwise identical to an unobserved run — observation only
 /// reads clocks.
@@ -123,11 +137,26 @@ fn run_iterations_inner(
     let mut sibling_t = Duration::ZERO;
     let mut per_sibling = vec![Duration::ZERO; model.nests.len()];
     let mut step_no = 0u64;
+    let NestedModel {
+        parent,
+        nests,
+        iterations: done,
+    } = model;
+    // Allocated here, not in the sibling threads, and reused every
+    // iteration.
+    let mut slots: Vec<SiblingSlot> = nests
+        .iter()
+        .map(|n| SiblingSlot {
+            bc: BoundaryData::for_nest(&n.geo),
+            fb: FeedbackData::for_nest(&n.geo),
+            time: Duration::ZERO,
+        })
+        .collect();
     let t_start = clock::now();
 
     for _ in 0..iterations {
         let t0 = clock::now();
-        step_parallel(&mut model.parent, total_threads);
+        step_parallel(parent, total_threads);
         let parent_dt = t0.elapsed();
         parent_t += parent_dt;
         if let Some(rec) = obs.as_deref_mut() {
@@ -137,70 +166,61 @@ fn run_iterations_inner(
             rec.record_step(phase_metrics(step_no, StepPhase::Parent, -1, start, dur));
         }
 
+        // Each sibling couples its own nest; the parent is read-only until
+        // the feedbacks are applied, in sibling order, below.
         let t1 = clock::now();
-        let bcs = model.boundaries();
-        let iter_sibling: Vec<Duration> = match strategy {
-            ThreadStrategy::Sequential => model
-                .nests
-                .iter_mut()
-                .zip(&bcs)
-                .map(|(nest, bc)| {
-                    let ts = clock::now();
-                    NestedModel::solve_nest(nest, bc, total_threads);
-                    ts.elapsed()
-                })
-                .collect(),
+        let stepped: &ShallowWater = parent;
+        match strategy {
+            ThreadStrategy::Sequential => {
+                for (nest, slot) in nests.iter_mut().zip(&mut slots) {
+                    slot.run(stepped, nest, total_threads);
+                }
+            }
             ThreadStrategy::Concurrent { allocation } => std::thread::scope(|scope| {
-                let handles: Vec<_> = model
-                    .nests
-                    .iter_mut()
-                    .zip(&bcs)
-                    .zip(allocation)
-                    .map(|((nest, bc), &threads)| {
-                        scope.spawn(move || {
-                            let ts = clock::now();
-                            NestedModel::solve_nest(nest, bc, threads);
-                            ts.elapsed()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("sibling thread panicked"))
-                    .collect()
+                let mut tasks = nests.iter_mut().zip(&mut slots).zip(allocation);
+                let first = tasks.next();
+                for ((nest, slot), &threads) in tasks {
+                    scope.spawn(move || slot.run(stepped, nest, threads));
+                }
+                if let Some(((nest, slot), &threads)) = first {
+                    slot.run(stepped, nest, threads);
+                }
             }),
-        };
-        for (acc, t) in per_sibling.iter_mut().zip(&iter_sibling) {
-            *acc += *t;
         }
-        model.apply_feedbacks();
+        for (acc, slot) in per_sibling.iter_mut().zip(&slots) {
+            *acc += slot.time;
+        }
+        for slot in &slots {
+            apply_feedback(parent, &slot.fb);
+        }
+        *done += 1;
         let sibling_dt = t1.elapsed();
         sibling_t += sibling_dt;
         if let Some(rec) = obs.as_deref_mut() {
             let start = t1.duration_since(t_start).as_secs_f64();
-            for (i, d) in iter_sibling.iter().enumerate() {
+            for (i, slot) in slots.iter().enumerate() {
                 step_no += 1;
                 rec.record_step(phase_metrics(
                     step_no,
                     StepPhase::Nest,
                     i as i32,
                     start,
-                    d.as_secs_f64(),
+                    slot.time.as_secs_f64(),
                 ));
             }
             // One timeline frame per iteration with the siblings as lanes:
             // the lane spread is the paper's load-imbalance factor across
             // nests (what the thread allocation is meant to equalise).
-            if !iter_sibling.is_empty() {
+            if !slots.is_empty() {
                 let end = start + sibling_dt.as_secs_f64();
                 rec.record_rank_step(
-                    iter_sibling.len() as u32,
+                    slots.len() as u32,
                     step_no,
                     -1,
                     start,
                     end,
-                    0..iter_sibling.len() as u32,
-                    |i| iter_sibling[i as usize].as_secs_f64(),
+                    0..slots.len() as u32,
+                    |i| slots[i as usize].time.as_secs_f64(),
                     |_| 0.0,
                 );
             }
@@ -213,6 +233,28 @@ fn run_iterations_inner(
         siblings: sibling_t,
         per_sibling,
         total: t_start.elapsed(),
+    }
+}
+
+/// One sibling's buffers for a coupled iteration and the time its last
+/// task took.
+struct SiblingSlot {
+    bc: BoundaryData,
+    fb: FeedbackData,
+    time: Duration,
+}
+
+impl SiblingSlot {
+    /// One sibling's share of a coupled iteration: interpolate its
+    /// boundary from the stepped parent, solve its `r` sub-steps on
+    /// `threads` ([`NestedModel::solve_nest`]) and collect its feedback,
+    /// timing all three.
+    fn run(&mut self, parent: &ShallowWater, nest: &mut NestState, threads: usize) {
+        let t = clock::now();
+        interpolate_boundary_into(parent, &nest.geo, &mut self.bc);
+        NestedModel::solve_nest(nest, &self.bc, threads);
+        collect_feedback_into(&nest.solver, &nest.geo, &mut self.fb);
+        self.time = t.elapsed();
     }
 }
 

@@ -204,33 +204,20 @@ impl ShallowWater {
             scheme: self.scheme,
             dt: self.dt,
             dx: self.dx,
+            rotation: (self.coriolis != 0.0).then(|| (self.coriolis * self.dt).sin_cos()),
             w,
         };
         (stencil, bands)
     }
 
-    /// Applies the split Coriolis source once every band is computed. Only
-    /// interior cells were written: the halos still hold the last refill
-    /// until the next `fill_halos` / `apply_boundary`.
+    /// Counts the step once every band is computed. Only interior cells
+    /// were written: the halos still hold the last refill until the next
+    /// `fill_halos` / `apply_boundary`.
     pub(crate) fn finish_step(&mut self) {
-        // Split-step Coriolis rotation: (hu, hv) rotates by f·dt each step;
-        // an exact rotation (rather than forward Euler) preserves kinetic
-        // energy and keeps the scheme stable for any f·dt.
-        if self.coriolis != 0.0 {
-            let (s, c) = (self.coriolis * self.dt).sin_cos();
-            for j in 0..self.ny as isize {
-                for i in 0..self.nx as isize {
-                    let hu = self.hu.get(i, j);
-                    let hv = self.hv.get(i, j);
-                    self.hu.set(i, j, c * hu + s * hv);
-                    self.hv.set(i, j, -s * hu + c * hv);
-                }
-            }
-        }
         self.steps += 1;
     }
 
-    /// One single-threaded step (fill halos, compute in place, rotate).
+    /// One single-threaded step (fill halos, compute and rotate in place).
     pub fn step(&mut self) {
         self.fill_halos();
         let (stencil, bands) = self.split_step(1);
@@ -263,11 +250,15 @@ impl ShallowWater {
     }
 }
 
-/// One step's constants: scheme, time step, spacing and stored row width.
+/// One step's constants: scheme, time step, spacing, Coriolis rotation and
+/// stored row width.
 pub(crate) struct Stencil {
     scheme: Scheme,
     dt: f64,
     dx: f64,
+    /// `(sin, cos)` of the split Coriolis rotation angle `f·dt`; `None`
+    /// without rotation.
+    rotation: Option<(f64, f64)>,
     /// Stored row width, `nx + 2` (halo columns included).
     w: usize,
 }
@@ -295,19 +286,26 @@ impl Stencil {
     /// goes to a two-row buffer and is written back only after row `j + 1`
     /// is computed, so every stencil reads old values: rows inside the band
     /// are not written back yet, and rows outside it are the ghost copies.
+    ///
+    /// Lax–Friedrichs keeps three rolling flux rows (north, centre, south;
+    /// see [`flux_row`]): each row pass computes the south row's fluxes and
+    /// the row's stencil in one loop, so every cell's three divisions are
+    /// done once per step instead of once per neighbour.
     pub(crate) fn compute(&self, band: Band<'_>) {
         let w = self.w;
         let Band { mut rows, ghosts } = band;
         let (north, south) = ghosts.split_at(3 * w);
         let height = rows[0].len() / w;
-        let mut buf = vec![0.0; 6 * w];
-        let (even, odd) = buf.split_at_mut(3 * w);
+        let mut buf = vec![0.0; 15 * w];
+        let (new_rows, flux) = buf.split_at_mut(6 * w);
+        let (mut out, mut prev) = new_rows.split_at_mut(3 * w);
+        let (mut flux_n, flux) = flux.split_at_mut(3 * w);
+        let (mut flux_c, mut flux_s) = flux.split_at_mut(3 * w);
+        if self.scheme == Scheme::LaxFriedrichs {
+            flux_row(split_fields(north, w), flux_n);
+            flux_row(rows.each_ref().map(|f| &f[..w]), flux_c);
+        }
         for r in 0..height {
-            let (out, prev) = if r % 2 == 0 {
-                (&mut *even, &*odd)
-            } else {
-                (&mut *odd, &*even)
-            };
             let old = rows.each_ref().map(|f| &**f);
             let n_rows = if r == 0 {
                 split_fields(north, w)
@@ -322,58 +320,71 @@ impl Stencil {
             };
             let (out_h, out_rest) = out.split_at_mut(w);
             let (out_hu, out_hv) = out_rest.split_at_mut(w);
-            let out = [out_h, out_hu, out_hv];
+            let new = [out_h, out_hu, out_hv];
             match self.scheme {
-                Scheme::LaxFriedrichs => self.lax_friedrichs(n_rows, c_rows, s_rows, out),
-                Scheme::LaxWendroff => self.lax_wendroff(n_rows, c_rows, s_rows, out),
+                Scheme::LaxFriedrichs => {
+                    let fluxes = [&*flux_n, &*flux_c];
+                    self.lax_friedrichs(n_rows, c_rows, s_rows, fluxes, flux_s, new);
+                    (flux_n, flux_c, flux_s) = (flux_c, flux_s, flux_n);
+                }
+                Scheme::LaxWendroff => self.lax_wendroff(n_rows, c_rows, s_rows, new),
             }
             if r > 0 {
-                write_back(&mut rows, r - 1, prev, w);
+                self.write_back(&mut rows, r - 1, prev);
             }
+            (out, prev) = (prev, out);
         }
-        let last = if height % 2 == 1 { &*even } else { &*odd };
-        write_back(&mut rows, height - 1, last, w);
+        self.write_back(&mut rows, height - 1, prev);
     }
 
-    /// New interior cells of one row from the old rows north of it, at it
-    /// and south of it.
-    fn lax_friedrichs(&self, n: Rows<'_>, c: Rows<'_>, s: Rows<'_>, out: [&mut [f64]; 3]) {
+    /// Lax–Friedrichs: new interior cells of one row from the old rows
+    /// north of it, at it and south of it, and the [`flux_row`]s of the
+    /// rows north of it and at it. Fills `flux_s` with the south row's
+    /// fluxes in the same loop, so each cell's three divisions are done
+    /// once per step.
+    ///
+    /// Every flux is the per-neighbour kernel's expression, combined in
+    /// its order, so the new state is bitwise the same; the tests hold it
+    /// to that kernel (`reference_lax_friedrichs`).
+    fn lax_friedrichs(
+        &self,
+        n: Rows<'_>,
+        c: Rows<'_>,
+        s: Rows<'_>,
+        fluxes: [&[f64]; 2],
+        flux_s: &mut [f64],
+        out: [&mut [f64]; 3],
+    ) {
+        let w = self.w;
         let lam = self.dt / (2.0 * self.dx);
         let ([h_n, hu_n, hv_n], [h, hu, hv], [h_s, hu_s, hv_s]) = (n, c, s);
+        let [[_, uv_n, vv_n], [uu_c, uv_c, _]] = fluxes.map(|f| split_fields(f, w));
+        let (uu_s, rest) = flux_s.split_at_mut(w);
+        let (uv_s, vv_s) = rest.split_at_mut(w);
         let [out_h, out_hu, out_hv] = out;
-        for i in 1..self.w - 1 {
-            // Neighbour states.
-            let (hw, he) = (h[i - 1], h[i + 1]);
-            let (hn, hs) = (h_n[i], h_s[i]);
-            let (huw, hue) = (hu[i - 1], hu[i + 1]);
-            let (hun, hus) = (hu_n[i], hu_s[i]);
-            let (hvw, hve) = (hv[i - 1], hv[i + 1]);
-            let (hvn, hvs) = (hv_n[i], hv_s[i]);
-
-            // Fluxes: F = (hu, hu²/h + gh²/2, hu·hv/h) in x,
-            //         G = (hv, hu·hv/h, hv²/h + gh²/2) in y.
-            let fx = |_h: f64, hu: f64| hu;
-            let fxu = |h: f64, hu: f64| hu * hu / h + 0.5 * GRAVITY * h * h;
-            let fxv = |h: f64, hu: f64, hv: f64| hu * hv / h;
-            let gy = |_h: f64, hv: f64| hv;
-            let gyu = |h: f64, hu: f64, hv: f64| hu * hv / h;
-            let gyv = |h: f64, hv: f64| hv * hv / h + 0.5 * GRAVITY * h * h;
-
-            out_h[i] = 0.25 * (hw + he + hn + hs)
-                - lam * (fx(he, hue) - fx(hw, huw))
-                - lam * (gy(hs, hvs) - gy(hn, hvn));
-            out_hu[i] = 0.25 * (huw + hue + hun + hus)
-                - lam * (fxu(he, hue) - fxu(hw, huw))
-                - lam * (gyu(hs, hus, hvs) - gyu(hn, hun, hvn));
-            out_hv[i] = 0.25 * (hvw + hve + hvn + hvs)
-                - lam * (fxv(he, hue, hve) - fxv(hw, huw, hvw))
-                - lam * (gyv(hs, hvs) - gyv(hn, hvn));
+        // The south row's halo columns: the next pass reads them as its
+        // centre row's west and east neighbours.
+        for i in [0, w - 1] {
+            [uu_s[i], uv_s[i], vv_s[i]] = flux(h_s[i], hu_s[i], hv_s[i]);
+        }
+        for i in 1..w - 1 {
+            let [uu, uv, vv] = flux(h_s[i], hu_s[i], hv_s[i]);
+            [uu_s[i], uv_s[i], vv_s[i]] = [uu, uv, vv];
+            out_h[i] = 0.25 * (h[i - 1] + h[i + 1] + h_n[i] + h_s[i])
+                - lam * (hu[i + 1] - hu[i - 1])
+                - lam * (hv_s[i] - hv_n[i]);
+            out_hu[i] = 0.25 * (hu[i - 1] + hu[i + 1] + hu_n[i] + hu_s[i])
+                - lam * (uu_c[i + 1] - uu_c[i - 1])
+                - lam * (uv - uv_n[i]);
+            out_hv[i] = 0.25 * (hv[i - 1] + hv[i + 1] + hv_n[i] + hv_s[i])
+                - lam * (uv_c[i + 1] - uv_c[i - 1])
+                - lam * (vv - vv_n[i]);
         }
     }
 
     /// Richtmyer two-step Lax–Wendroff: half-step predictor states at the
-    /// four cell edges, then a conservative corrector. Same row contract
-    /// as [`Stencil::lax_friedrichs`].
+    /// four cell edges, then a conservative corrector. New interior cells
+    /// of one row from the old rows north of it, at it and south of it.
     fn lax_wendroff(&self, n: Rows<'_>, c: Rows<'_>, s: Rows<'_>, out: [&mut [f64]; 3]) {
         let lam = self.dt / self.dx;
         let [out_h, out_hu, out_hv] = out;
@@ -413,17 +424,179 @@ impl Stencil {
     }
 }
 
-/// Copies the interior cells of `new` (`[h | hu | hv]`, stored rows) into
-/// band row `r` of each field; the halo columns keep their last refill.
-fn write_back(rows: &mut [&mut [f64]; 3], r: usize, new: &[f64], w: usize) {
-    for (f, new) in rows.iter_mut().zip(new.chunks_exact(w)) {
-        f[r * w + 1..(r + 1) * w - 1].copy_from_slice(&new[1..w - 1]);
+/// The three distinct flux quotients of one cell, `[uu, uv, vv] =
+/// [hu²/h + gh²/2, hu·hv/h, hv²/h + gh²/2]`: the x-flux of `hu`, the
+/// x-flux of `hv` (equal to the y-flux of `hu`) and the y-flux of `hv`.
+#[inline(always)]
+fn flux(h: f64, hu: f64, hv: f64) -> [f64; 3] {
+    [
+        hu * hu / h + 0.5 * GRAVITY * h * h,
+        hu * hv / h,
+        hv * hv / h + 0.5 * GRAVITY * h * h,
+    ]
+}
+
+/// Fills `out` (`[uu | uv | vv]`, stored rows) with the [`flux`]es of
+/// every cell of one stored row, halo columns included.
+fn flux_row(row: Rows<'_>, out: &mut [f64]) {
+    let w = row[0].len();
+    let (uu, rest) = out.split_at_mut(w);
+    let (uv, vv) = rest.split_at_mut(w);
+    for i in 0..w {
+        [uu[i], uv[i], vv[i]] = flux(row[0][i], row[1][i], row[2][i]);
+    }
+}
+
+impl Stencil {
+    /// Copies the interior cells of `new` (`[h | hu | hv]`, stored rows)
+    /// into band row `r` of each field, rotating `(hu, hv)` by the split
+    /// Coriolis angle on the way; the halo columns keep their last refill.
+    fn write_back(&self, rows: &mut [&mut [f64]; 3], r: usize, new: &[f64]) {
+        let w = self.w;
+        let cells = r * w + 1..(r + 1) * w - 1;
+        let [h, hu, hv] = rows;
+        let [new_h, new_hu, new_hv] = split_fields(new, w).map(|f| &f[1..w - 1]);
+        h[cells.clone()].copy_from_slice(new_h);
+        // Split-step Coriolis rotation: (hu, hv) rotates by f·dt each step;
+        // an exact rotation (rather than forward Euler) preserves kinetic
+        // energy and keeps the scheme stable for any f·dt.
+        let Some((s, c)) = self.rotation else {
+            hu[cells.clone()].copy_from_slice(new_hu);
+            hv[cells].copy_from_slice(new_hv);
+            return;
+        };
+        let (hu, hv) = (&mut hu[cells.clone()], &mut hv[cells]);
+        for i in 0..w - 2 {
+            let (u, v) = (new_hu[i], new_hv[i]);
+            hu[i] = c * u + s * v;
+            hv[i] = -s * u + c * v;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The per-neighbour Lax–Friedrichs row kernel the fused one replaced,
+    /// eight divisions per cell: the oracle `fused_kernel_matches_oracle`
+    /// holds [`Stencil::lax_friedrichs`] to, bit for bit.
+    fn reference_lax_friedrichs(
+        st: &Stencil,
+        n: Rows<'_>,
+        c: Rows<'_>,
+        s: Rows<'_>,
+        out: [&mut [f64]; 3],
+    ) {
+        let lam = st.dt / (2.0 * st.dx);
+        let ([h_n, hu_n, hv_n], [h, hu, hv], [h_s, hu_s, hv_s]) = (n, c, s);
+        let [out_h, out_hu, out_hv] = out;
+        for i in 1..st.w - 1 {
+            // Neighbour states.
+            let (hw, he) = (h[i - 1], h[i + 1]);
+            let (hn, hs) = (h_n[i], h_s[i]);
+            let (huw, hue) = (hu[i - 1], hu[i + 1]);
+            let (hun, hus) = (hu_n[i], hu_s[i]);
+            let (hvw, hve) = (hv[i - 1], hv[i + 1]);
+            let (hvn, hvs) = (hv_n[i], hv_s[i]);
+
+            // Fluxes: F = (hu, hu²/h + gh²/2, hu·hv/h) in x,
+            //         G = (hv, hu·hv/h, hv²/h + gh²/2) in y.
+            let fx = |_h: f64, hu: f64| hu;
+            let fxu = |h: f64, hu: f64| hu * hu / h + 0.5 * GRAVITY * h * h;
+            let fxv = |h: f64, hu: f64, hv: f64| hu * hv / h;
+            let gy = |_h: f64, hv: f64| hv;
+            let gyu = |h: f64, hu: f64, hv: f64| hu * hv / h;
+            let gyv = |h: f64, hv: f64| hv * hv / h + 0.5 * GRAVITY * h * h;
+
+            out_h[i] = 0.25 * (hw + he + hn + hs)
+                - lam * (fx(he, hue) - fx(hw, huw))
+                - lam * (gy(hs, hvs) - gy(hn, hvn));
+            out_hu[i] = 0.25 * (huw + hue + hun + hus)
+                - lam * (fxu(he, hue) - fxu(hw, huw))
+                - lam * (gyu(hs, hus, hvs) - gyu(hn, hun, hvn));
+            out_hv[i] = 0.25 * (hvw + hve + hvn + hvs)
+                - lam * (fxv(he, hue, hve) - fxv(hw, huw, hvw))
+                - lam * (gyv(hs, hvs) - gyv(hn, hvn));
+        }
+    }
+
+    #[test]
+    fn fused_kernel_matches_oracle() {
+        // Random `[h | hu | hv]` rows: depths log-uniform over 1e-3..1e4,
+        // momenta of either sign and exactly zero one time in four, odd and
+        // even widths, bands from one row up, with and without rotation.
+        let mut rng = StdRng::seed_from_u64(45);
+        let row = |rng: &mut StdRng, w: usize| -> Vec<f64> {
+            let h: Vec<f64> = (0..w)
+                .map(|_| 10f64.powf(rng.gen_range(-3.0..4.0)))
+                .collect();
+            let momentum = |rng: &mut StdRng| -> Vec<f64> {
+                h.iter()
+                    .map(|&h| match rng.gen_range(0..4) {
+                        0 => 0.0,
+                        _ => rng.gen_range(-3.0..3.0) * h,
+                    })
+                    .collect()
+            };
+            let (hu, hv) = (momentum(rng), momentum(rng));
+            [h, hu, hv].concat()
+        };
+        for nx in [1, 2, 5, 8, 31, 64] {
+            let w = nx + 2;
+            for height in [1, 2, 3, 6] {
+                for rotation in [None, Some((0.3f64).sin_cos())] {
+                    let stencil = Stencil {
+                        scheme: Scheme::LaxFriedrichs,
+                        dt: rng.gen_range(0.5..50.0),
+                        dx: rng.gen_range(10.0..1e4),
+                        rotation,
+                        w,
+                    };
+                    // Stored rows -1..=height: `[h | hu | hv]` each.
+                    let old: Vec<Vec<f64>> = (0..height + 2).map(|_| row(&mut rng, w)).collect();
+                    let mut want = old[1..=height].to_vec();
+                    for (r, new) in want.iter_mut().enumerate() {
+                        let [n, c, s] = [r, r + 1, r + 2].map(|k| split_fields(&old[k], w));
+                        let (out_h, rest) = new.split_at_mut(w);
+                        let (out_hu, out_hv) = rest.split_at_mut(w);
+                        reference_lax_friedrichs(&stencil, n, c, s, [out_h, out_hu, out_hv]);
+                        if let Some((s, c)) = rotation {
+                            for i in 1..w - 1 {
+                                let (hu, hv) = (new[w + i], new[2 * w + i]);
+                                new[w + i] = c * hu + s * hv;
+                                new[2 * w + i] = -s * hu + c * hv;
+                            }
+                        }
+                    }
+                    let mut fields: [Vec<f64>; 3] = std::array::from_fn(|k| {
+                        old[1..=height]
+                            .iter()
+                            .flat_map(|r| r[k * w..(k + 1) * w].to_vec())
+                            .collect()
+                    });
+                    let band = Band {
+                        rows: fields.each_mut().map(|f| f.as_mut_slice()),
+                        ghosts: [old[0].clone(), old[height + 1].clone()].concat(),
+                    };
+                    stencil.compute(band);
+                    for (r, want) in want.iter().enumerate() {
+                        for (k, field) in fields.iter().enumerate() {
+                            let got = &field[r * w..(r + 1) * w];
+                            let want = &want[k * w..(k + 1) * w];
+                            assert_eq!(
+                                got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                                "nx {nx}, height {height}, row {r}, field {k}, {rotation:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn quiescent_state_is_steady() {

@@ -6,6 +6,7 @@ use nestwx_miniwrf::nest::{
 };
 use nestwx_miniwrf::runtime::step_parallel;
 use nestwx_miniwrf::solver::{Boundary, Scheme, ShallowWater};
+use nestwx_miniwrf::{run_iterations, NestedModel, ThreadStrategy};
 use proptest::prelude::*;
 
 proptest! {
@@ -36,7 +37,9 @@ proptest! {
     /// Banded (threaded) stepping is bitwise identical to serial stepping
     /// for any grid shape, band count, boundary and scheme, with rotation
     /// on. Up to 8 bands: uneven bands and the `ny < 2·threads` serial
-    /// fallback both occur.
+    /// fallback both occur. A concurrent run of three `nx × ny` siblings,
+    /// one with a child nest, equals the single-threaded reference
+    /// iteration (`step_coupled`).
     #[test]
     fn threading_bitwise_stable(
         nx in 6usize..40, ny in 6usize..40, threads in 2usize..=8, steps in 1u32..8,
@@ -72,6 +75,30 @@ proptest! {
                 prop_assert_eq!(&serial, &banded, "{:?} {:?}", boundary, scheme);
             }
         }
+
+        let geo = |offset, nx, ny| NestGeometry { ratio: 3, offset, nx, ny };
+        let mut reference = NestedModel::new(
+            30,
+            30,
+            20_000.0,
+            1000.0,
+            &[geo((1, 1), nx, ny), geo((15, 2), nx, ny), geo((1, 16), nx, ny)],
+        );
+        reference.add_depression(7.0, 6.0, -6.0, 2.5);
+        reference.add_depression(20.0, 20.0, -4.0, 3.0);
+        reference.add_child_nest(1, geo((1, 1), nx, ny));
+        let mut concurrent = reference.clone();
+        for _ in 0..steps {
+            reference.step_coupled();
+        }
+        let allocation = vec![1 + threads % 2, threads / 2, 1];
+        run_iterations(
+            &mut concurrent,
+            steps,
+            threads,
+            &ThreadStrategy::Concurrent { allocation },
+        );
+        prop_assert_eq!(&reference, &concurrent, "concurrent siblings on {} threads", threads);
     }
 
     /// Zero-gradient runs remain bounded: no value exceeds the initial
