@@ -142,8 +142,8 @@ fn run_iterations_inner(
         nests,
         iterations: done,
     } = model;
-    // Allocated here, not in the sibling threads, and reused every
-    // iteration.
+    // The coupling buffers: allocated once, on this thread rather than in
+    // the sibling threads, and reused every iteration.
     let mut slots: Vec<SiblingSlot> = nests
         .iter()
         .map(|n| SiblingSlot {

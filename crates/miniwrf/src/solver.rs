@@ -422,32 +422,7 @@ impl Stencil {
             out_hv[i] = u[2] - lam * (fe[2] - fw[2]) - lam * (gs[2] - gn[2]);
         }
     }
-}
 
-/// The three distinct flux quotients of one cell, `[uu, uv, vv] =
-/// [hu²/h + gh²/2, hu·hv/h, hv²/h + gh²/2]`: the x-flux of `hu`, the
-/// x-flux of `hv` (equal to the y-flux of `hu`) and the y-flux of `hv`.
-#[inline(always)]
-fn flux(h: f64, hu: f64, hv: f64) -> [f64; 3] {
-    [
-        hu * hu / h + 0.5 * GRAVITY * h * h,
-        hu * hv / h,
-        hv * hv / h + 0.5 * GRAVITY * h * h,
-    ]
-}
-
-/// Fills `out` (`[uu | uv | vv]`, stored rows) with the [`flux`]es of
-/// every cell of one stored row, halo columns included.
-fn flux_row(row: Rows<'_>, out: &mut [f64]) {
-    let w = row[0].len();
-    let (uu, rest) = out.split_at_mut(w);
-    let (uv, vv) = rest.split_at_mut(w);
-    for i in 0..w {
-        [uu[i], uv[i], vv[i]] = flux(row[0][i], row[1][i], row[2][i]);
-    }
-}
-
-impl Stencil {
     /// Copies the interior cells of `new` (`[h | hu | hv]`, stored rows)
     /// into band row `r` of each field, rotating `(hu, hv)` by the split
     /// Coriolis angle on the way; the halo columns keep their last refill.
@@ -471,6 +446,29 @@ impl Stencil {
             hu[i] = c * u + s * v;
             hv[i] = -s * u + c * v;
         }
+    }
+}
+
+/// The three distinct flux quotients of one cell, `[uu, uv, vv] =
+/// [hu²/h + gh²/2, hu·hv/h, hv²/h + gh²/2]`: the x-flux of `hu`, the
+/// x-flux of `hv` (equal to the y-flux of `hu`) and the y-flux of `hv`.
+#[inline(always)]
+fn flux(h: f64, hu: f64, hv: f64) -> [f64; 3] {
+    [
+        hu * hu / h + 0.5 * GRAVITY * h * h,
+        hu * hv / h,
+        hv * hv / h + 0.5 * GRAVITY * h * h,
+    ]
+}
+
+/// Fills `out` (`[uu | uv | vv]`, stored rows) with the [`flux`]es of
+/// every cell of one stored row, halo columns included.
+fn flux_row(row: Rows<'_>, out: &mut [f64]) {
+    let w = row[0].len();
+    let (uu, rest) = out.split_at_mut(w);
+    let (uv, vv) = rest.split_at_mut(w);
+    for i in 0..w {
+        [uu[i], uv[i], vv[i]] = flux(row[0][i], row[1][i], row[2][i]);
     }
 }
 
