@@ -167,21 +167,21 @@ impl HuffmanTree {
         }
         out
     }
-
-    /// Weighted external path length `Σ wᵢ · depthᵢ` — minimal over all
-    /// binary trees for Huffman construction.
-    pub fn weighted_path_length(&self, weights: &[f64]) -> f64 {
-        self.depths()
-            .iter()
-            .zip(weights)
-            .map(|(&d, &w)| d as f64 * w)
-            .sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Weighted external path length `Σ wᵢ · depthᵢ` — minimal over all
+    /// binary trees for Huffman construction.
+    fn weighted_path_length(t: &HuffmanTree, weights: &[f64]) -> f64 {
+        t.depths()
+            .iter()
+            .zip(weights)
+            .map(|(&d, &w)| d as f64 * w)
+            .sum()
+    }
 
     #[test]
     fn single_leaf() {
@@ -197,7 +197,7 @@ mod tests {
         let t = HuffmanTree::build(&[1.0, 1.0, 2.0, 4.0]);
         assert_eq!(t.depths(), vec![3, 3, 2, 1]);
         assert_eq!(
-            t.weighted_path_length(&[1.0, 1.0, 2.0, 4.0]),
+            weighted_path_length(&t, &[1.0, 1.0, 2.0, 4.0]),
             3.0 + 3.0 + 4.0 + 4.0
         );
     }
@@ -256,7 +256,7 @@ mod tests {
         // 4-leaf binary trees.
         let w = [0.1, 0.25, 0.3, 0.35];
         let t = HuffmanTree::build(&w);
-        let wpl = t.weighted_path_length(&w);
+        let wpl = weighted_path_length(&t, &w);
         let mut best = f64::INFINITY;
         let idx = [0usize, 1, 2, 3];
         let mut perms = Vec::new();

@@ -22,7 +22,7 @@ use serde::Serialize;
 
 /// One parsed allowlist entry.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub struct AllowEntry {
+pub(crate) struct AllowEntry {
     /// Rule id the entry suppresses.
     pub rule: String,
     /// Path relative to the lint root.
@@ -31,11 +31,11 @@ pub struct AllowEntry {
     pub line: u32,
     /// Optional 1-based column (required when a line holds several
     /// diagnostics of the same rule).
-    pub col: Option<u32>,
+    pub(crate) col: Option<u32>,
     /// The written justification.
     pub reason: String,
     /// Line of the entry in the allowlist file (for error messages).
-    pub src_line: u32,
+    pub(crate) src_line: u32,
 }
 
 impl AllowEntry {
@@ -48,7 +48,7 @@ impl AllowEntry {
 }
 
 /// Parses allowlist text. Returns entries and per-line parse errors.
-pub fn parse(text: &str) -> (Vec<AllowEntry>, Vec<String>) {
+pub(crate) fn parse(text: &str) -> (Vec<AllowEntry>, Vec<String>) {
     let mut entries = Vec::new();
     let mut errors = Vec::new();
     for (i, raw) in text.lines().enumerate() {
@@ -120,7 +120,7 @@ pub fn parse(text: &str) -> (Vec<AllowEntry>, Vec<String>) {
 
 /// Applies the allowlist to `findings`: returns the surviving findings, the
 /// suppressed ones, and entry errors (stale / ambiguous entries).
-pub fn apply(
+pub(crate) fn apply(
     findings: Vec<Finding>,
     entries: &[AllowEntry],
 ) -> (Vec<Finding>, Vec<Finding>, Vec<String>) {

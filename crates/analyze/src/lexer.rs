@@ -10,7 +10,7 @@
 
 /// Kind of a lexed token. The rules only need a coarse classification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TokKind {
+pub(crate) enum TokKind {
     /// Identifier or keyword (`HashMap`, `fn`, `unwrap`, …).
     Ident,
     /// Any punctuation byte sequence (`::`, `.`, `(`, `{`, `!`, …), one
@@ -26,7 +26,7 @@ pub enum TokKind {
 
 /// One token with its source position (1-based line, 1-based column).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Tok {
+pub(crate) struct Tok {
     /// Classification.
     pub kind: TokKind,
     /// The exact source text of the token (empty for literals' bodies is
@@ -35,17 +35,17 @@ pub struct Tok {
     /// 1-based line of the token's first byte.
     pub line: u32,
     /// 1-based column (in bytes) of the token's first byte.
-    pub col: u32,
+    pub(crate) col: u32,
 }
 
 impl Tok {
     /// True when this token is the identifier `s`.
-    pub fn is_ident(&self, s: &str) -> bool {
+    pub(crate) fn is_ident(&self, s: &str) -> bool {
         self.kind == TokKind::Ident && self.text == s
     }
 
     /// True when this token is the punctuation `s` (single byte).
-    pub fn is_punct(&self, s: &str) -> bool {
+    pub(crate) fn is_punct(&self, s: &str) -> bool {
         self.kind == TokKind::Punct && self.text == s
     }
 }
@@ -104,7 +104,7 @@ fn is_ident_continue(b: u8) -> bool {
 /// Unterminated strings/comments end the token stream at EOF rather than
 /// erroring — lint input is always real compiling code, and graceful
 /// degradation beats a hard failure on a fixture typo.
-pub fn lex(src: &str) -> Vec<Tok> {
+pub(crate) fn lex(src: &str) -> Vec<Tok> {
     let mut c = Cursor::new(src);
     let mut out = Vec::new();
     while let Some(b) = c.peek() {
@@ -324,7 +324,7 @@ fn lex_quote(c: &mut Cursor<'_>) -> TokKind {
 /// Byte ranges (as token index ranges) of `#[cfg(test)] mod … { … }` and
 /// `#[cfg(all(test, …))] mod … { … }` blocks, so rules can skip test code.
 /// Returns half-open token index ranges.
-pub fn test_module_spans(toks: &[Tok]) -> Vec<(usize, usize)> {
+pub(crate) fn test_module_spans(toks: &[Tok]) -> Vec<(usize, usize)> {
     let mut spans = Vec::new();
     let mut i = 0;
     while i < toks.len() {

@@ -7,7 +7,7 @@
 //! cannot see a nondeterminism bug until an input happens to trigger it.
 //! This crate adds the static layer: a token-level pass over the whole
 //! workspace (the offline build vendors no `syn`, so the analyzer lexes
-//! rather than parses — see [`lexer`]) that denies the constructs those
+//! rather than parses — see `lexer`) that denies the constructs those
 //! invariants cannot survive:
 //!
 //! * **determinism rules** (`NW-D…`): unordered collections and their
@@ -35,10 +35,9 @@
 #![warn(missing_docs)]
 
 pub mod allowlist;
-pub mod lexer;
+mod lexer;
 pub mod rules;
 
-pub use allowlist::AllowEntry;
 pub use rules::{rule_desc, Finding, RULE_IDS};
 
 use serde::Serialize;
@@ -53,39 +52,39 @@ pub struct LintConfig {
     pub root: PathBuf,
     /// Determinism-critical files (NW-D001/D004/D005/D006): everything
     /// planning, prediction, sweep expansion and fleet partitioning run.
-    pub determinism_paths: Vec<String>,
+    pub(crate) determinism_paths: Vec<String>,
     /// Every crate the serve and fleet binaries link (NW-S001): a panic
     /// anywhere in them can kill a worker, a connection or the
     /// coordinator, whichever call path reaches it.
     pub request_paths: Vec<String>,
     /// The clock shim — the only place allowed to call `Instant::now`.
-    pub clock_files: Vec<String>,
+    pub(crate) clock_files: Vec<String>,
     /// The sync helper(s) — the only places allowed to call `.lock()`.
-    pub lock_helper_files: Vec<String>,
+    pub(crate) lock_helper_files: Vec<String>,
     /// Modules that hold cache-shard/queue locks (NW-S003).
-    pub shard_modules: Vec<String>,
+    pub(crate) shard_modules: Vec<String>,
     /// Where NW-S002 (raw lock) and NW-S008 (nested lock guard) apply.
-    pub lock_scope: Vec<String>,
+    pub(crate) lock_scope: Vec<String>,
     /// Where NW-S004 (blocking socket I/O) applies.
-    pub socket_scope: Vec<String>,
+    pub(crate) socket_scope: Vec<String>,
     /// The readiness loop itself — the only files allowed to touch
     /// sockets directly (accept/read/write), exempt from NW-S004.
-    pub readiness_files: Vec<String>,
+    pub(crate) readiness_files: Vec<String>,
     /// Where NW-S005 (raw deadline arithmetic) applies: deadline checks
     /// must go through the `nestwx_obs::clock` shim.
-    pub deadline_scope: Vec<String>,
+    pub(crate) deadline_scope: Vec<String>,
     /// Where NW-S006 (raw span timestamps) applies: the serve request
     /// path that stamps flight-recorder spans — every timestamp there
     /// must come from `nestwx_obs::clock` so recorded traces replay
     /// under virtual time.
-    pub span_scope: Vec<String>,
+    pub(crate) span_scope: Vec<String>,
     /// Where NW-S007 (fleet socket confinement) applies: the fleet crate,
     /// whose no-hang guarantees depend on every socket syscall flowing
     /// through one transport module.
-    pub fleet_scope: Vec<String>,
+    pub(crate) fleet_scope: Vec<String>,
     /// The fleet's designated transport module — the only file in
     /// `fleet_scope` allowed to touch sockets, exempt from NW-S007.
-    pub transport_files: Vec<String>,
+    pub(crate) transport_files: Vec<String>,
 }
 
 impl LintConfig {

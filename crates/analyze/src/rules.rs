@@ -3,7 +3,7 @@
 //! Every rule is deny-by-default over the paths its scope names; the only
 //! escape hatch is an allowlist entry (see [`crate::allowlist`]) carrying a
 //! written justification. Rules work on the token stream of
-//! [`crate::lexer`], with `#[cfg(test)] mod … { … }` spans removed — test
+//! `crate::lexer`, with `#[cfg(test)] mod … { … }` spans removed — test
 //! code may unwrap and use wall clocks freely.
 //!
 //! # Rule catalog
@@ -43,14 +43,20 @@ pub struct Finding {
     /// 1-based line.
     pub line: u32,
     /// 1-based byte column.
-    pub col: u32,
+    pub(crate) col: u32,
     /// Human-readable description of the violation.
     pub message: String,
 }
 
 impl Finding {
     /// Builds a finding, deriving `desc` from the rule id.
-    pub fn at(rule: &'static str, file: &str, line: u32, col: u32, message: String) -> Finding {
+    pub(crate) fn at(
+        rule: &'static str,
+        file: &str,
+        line: u32,
+        col: u32,
+        message: String,
+    ) -> Finding {
         Finding {
             rule,
             desc: rule_desc(rule),
@@ -105,7 +111,7 @@ pub(crate) fn in_scope(path: &str, scope: &[String]) -> bool {
 }
 
 /// Runs every rule over one file's source, returning its findings.
-pub fn check_file(path: &str, src: &str, cfg: &LintConfig) -> Vec<Finding> {
+pub(crate) fn check_file(path: &str, src: &str, cfg: &LintConfig) -> Vec<Finding> {
     let toks = lex(src);
     let test_spans = test_module_spans(&toks);
     let in_test = |i: usize| test_spans.iter().any(|&(a, b)| i >= a && i < b);

@@ -21,7 +21,7 @@ use nestwx_predict::NaivePointsModel;
 use nestwx_topo::metrics::{halo_edges, nested_iteration_edges, CommStats};
 use nestwx_topo::Mapping;
 
-pub fn run(_: &Opts) -> String {
+pub(crate) fn run(_: &Opts) -> String {
     let mut out = banner("ablation", "design-choice ablations");
 
     // ---- 1. aspect-ratio feature ----

@@ -10,7 +10,7 @@ use nestwx_core::{run_adaptive, AllocPolicy, Planner};
 use nestwx_grid::NestSpec;
 use nestwx_netsim::Machine;
 
-pub fn run(_: &Opts) -> String {
+pub(crate) fn run(_: &Opts) -> String {
     let mut out = banner(
         "adaptive",
         "adaptive re-partitioning (steering) on BG/L(1024)",

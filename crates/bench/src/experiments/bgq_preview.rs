@@ -10,7 +10,7 @@ use crate::{banner, Opts, TABLE2_PARTS};
 use nestwx_grid::ProcGrid;
 use nestwx_topo::torus5d::{partition_halo_pairs, Mapping5, Torus5};
 
-pub fn run(_: &Opts) -> String {
+pub(crate) fn run(_: &Opts) -> String {
     let mut out = banner("bgq", "5-D torus mapping preview (Blue Gene/Q future work)");
     // One BG/Q rack of 1024 nodes (4×4×4×8×2), one rank per node; the
     // Table 2 partition geometry.

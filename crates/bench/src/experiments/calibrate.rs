@@ -14,7 +14,7 @@ use crate::{
 use nestwx_core::{compare_strategies, Planner};
 use nestwx_netsim::Machine;
 
-pub fn run(_: &Opts) -> String {
+pub(crate) fn run(_: &Opts) -> String {
     let mut out = banner("calibrate", "machine-model calibration anchors");
 
     // ---- Fig. 9 anchor: Table 2 configuration on BG/L(1024) ----

@@ -13,7 +13,7 @@ use nestwx_core::Planner;
 use nestwx_grid::NestSpec;
 use nestwx_netsim::Machine;
 
-pub fn run(opts: &Opts) -> String {
+pub(crate) fn run(opts: &Opts) -> String {
     let mut out = banner(
         "fig02",
         "WRF scalability with one 415×445 subdomain on BG/L",

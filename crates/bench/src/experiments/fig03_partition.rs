@@ -5,7 +5,7 @@ use crate::{banner, Opts};
 use nestwx_alloc::partition_grid;
 use nestwx_grid::ProcGrid;
 
-pub fn run(_: &Opts) -> String {
+pub(crate) fn run(_: &Opts) -> String {
     let mut out = banner(
         "fig03",
         "processor-space partitioning for ratios 0.15:0.3:0.35:0.2",

@@ -7,7 +7,7 @@ use nestwx_alloc::metrics::mean_squareness;
 use nestwx_alloc::partition::{partition_grid_with, SplitDim};
 use nestwx_grid::ProcGrid;
 
-pub fn run(_: &Opts) -> String {
+pub(crate) fn run(_: &Opts) -> String {
     let mut out = banner(
         "fig04",
         "first split along longer vs shorter dimension (k = 3)",

@@ -9,7 +9,7 @@ use crate::{banner, mean, pacific_parent, random_nests, rng_for, row, Opts, MEAS
 use nestwx_core::{compare_strategies, Planner};
 use nestwx_netsim::{IoMode, Machine};
 
-pub fn run(opts: &Opts) -> String {
+pub(crate) fn run(opts: &Opts) -> String {
     let configs = opts.configs.unwrap_or(10);
     let mut out = banner(
         "fig08",

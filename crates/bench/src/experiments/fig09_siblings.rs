@@ -10,7 +10,7 @@ use crate::{banner, pacific_parent, row, table2_nests, Opts, MEASURE_ITERS};
 use nestwx_core::{compare_strategies, Planner};
 use nestwx_netsim::Machine;
 
-pub fn run(_: &Opts) -> String {
+pub(crate) fn run(_: &Opts) -> String {
     let mut out = banner(
         "fig09",
         "4-sibling allocation and sibling times on BG/L(1024)",

@@ -9,7 +9,7 @@ use crate::{banner, large_nests, row, Opts, MEASURE_ITERS};
 use nestwx_core::{compare_strategies, Planner};
 use nestwx_netsim::Machine;
 
-pub fn run(_: &Opts) -> String {
+pub(crate) fn run(_: &Opts) -> String {
     let mut out = banner(
         "fig10",
         "large siblings (586×643, 856×919, 925×850) on BG/P",

@@ -11,7 +11,7 @@ use crate::{banner, pacific_parent, random_nests, rng_for, row, Opts, MEASURE_IT
 use nestwx_core::{compare_strategies, Planner};
 use nestwx_netsim::{IoMode, Machine};
 
-pub fn run(_: &Opts) -> String {
+pub(crate) fn run(_: &Opts) -> String {
     let mut out = banner(
         "fig13",
         "high-frequency output scaling on BG/P (PnetCDF every iteration)",

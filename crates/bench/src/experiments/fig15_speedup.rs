@@ -10,7 +10,7 @@ use nestwx_core::{compare_strategies, Planner};
 use nestwx_grid::NestSpec;
 use nestwx_netsim::Machine;
 
-pub fn run(_: &Opts) -> String {
+pub(crate) fn run(_: &Opts) -> String {
     let mut out = banner(
         "fig15",
         "scalability & speedup, two 259×229 siblings on BG/L",

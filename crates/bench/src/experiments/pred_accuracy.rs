@@ -10,7 +10,7 @@ use nestwx_grid::DomainFeatures;
 use nestwx_netsim::Machine;
 use nestwx_predict::{ExecTimePredictor, NaivePointsModel};
 
-pub fn run(_: &Opts) -> String {
+pub(crate) fn run(_: &Opts) -> String {
     let mut out = banner("pred", "execution-time prediction accuracy (§3.1)");
     let machine = Machine::bgl(64);
     let basis = profile_basis(&machine, 42);

@@ -88,7 +88,7 @@ fn configs() -> Vec<(&'static str, Vec<NestSpec>)> {
     ]
 }
 
-pub fn run(_: &Opts) -> String {
+pub(crate) fn run(_: &Opts) -> String {
     let mut out = banner(
         "sea",
         "South East Asia: eight configurations, two nesting levels (§4.1.1)",

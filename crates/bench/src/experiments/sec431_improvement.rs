@@ -11,7 +11,7 @@ use crate::{banner, max, mean, min, pacific_parent, random_nests, rng_for, Opts,
 use nestwx_core::{compare_strategies, Planner};
 use nestwx_netsim::Machine;
 
-pub fn run(opts: &Opts) -> String {
+pub(crate) fn run(opts: &Opts) -> String {
     let configs = opts.configs.unwrap_or(85);
     let mut out = banner(
         "sec431",

@@ -11,7 +11,7 @@ use crate::{
 use nestwx_core::{AllocPolicy, Planner};
 use nestwx_netsim::Machine;
 
-pub fn run(_: &Opts) -> String {
+pub(crate) fn run(_: &Opts) -> String {
     let mut out = banner(
         "sec46",
         "allocation quality: Huffman/split-tree vs naïve strips vs equal",

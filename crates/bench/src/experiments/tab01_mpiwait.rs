@@ -18,7 +18,7 @@ use crate::{
 use nestwx_core::{compare_strategies_observed, Planner};
 use nestwx_netsim::Machine;
 
-pub fn run(opts: &Opts) -> String {
+pub(crate) fn run(opts: &Opts) -> String {
     let configs = opts.configs.unwrap_or(10);
     let mut out = banner(
         "tab01",

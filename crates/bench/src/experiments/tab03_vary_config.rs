@@ -10,7 +10,7 @@ use nestwx_core::{compare_strategies, Planner};
 use nestwx_grid::{Domain, NestSpec};
 use nestwx_netsim::Machine;
 
-pub fn run(opts: &Opts) -> String {
+pub(crate) fn run(opts: &Opts) -> String {
     let configs = opts.configs.unwrap_or(8);
     let mut out = banner("tab03", "improvement vs sibling count and nest size");
 

@@ -33,7 +33,7 @@ const VARIANTS: [Option<MappingKind>; 5] = [
     Some(MappingKind::Txyz),
 ];
 
-pub fn run(opts: &Opts) -> String {
+pub(crate) fn run(opts: &Opts) -> String {
     let mut out = banner(
         "tab04",
         "mapping comparison on BG/L(1024): Table 4 and Fig. 11",

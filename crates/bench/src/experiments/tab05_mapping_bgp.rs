@@ -26,7 +26,7 @@ const VARIANTS: [Option<MappingKind>; 4] = [
     Some(MappingKind::MultiLevel),
 ];
 
-pub fn run(opts: &Opts) -> String {
+pub(crate) fn run(opts: &Opts) -> String {
     let mut out = banner(
         "tab05",
         "mapping comparison on BG/P(4096): Table 5 and Fig. 12",

@@ -26,7 +26,7 @@ use nestwx_core::vocab::{self, VocabError};
 use nestwx_core::{compare_strategies, compare_strategies_observed, Scenario};
 use nestwx_serve::ServeConfig;
 use nestwx_sweep::SweepOptions;
-pub use obs::ObsCmd;
+use obs::ObsCmd;
 use serde::Serialize;
 use std::fmt;
 
@@ -107,7 +107,7 @@ pub struct RunArgs {
     pub json: bool,
     /// compare: write run summaries to `PREFIX.default.json` /
     /// `PREFIX.planned.json`; fleet: write the fleet envelope to this file.
-    pub obs_out: Option<String>,
+    pub(crate) obs_out: Option<String>,
     /// fleet: worker processes (`--workers`; unset = `FleetConfig`'s 2).
     pub workers: Option<u32>,
     /// fleet: re-run in-process and require a bitwise-identical report.

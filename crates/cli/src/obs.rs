@@ -1,5 +1,5 @@
-//! The `nestwx obs` subcommand family over the versioned envelopes listed
-//! in [`nestwx_obs::ENVELOPES`] — run, sweep, fleet and serve-trace
+//! The `nestwx obs` subcommand family over the versioned envelopes that
+//! [`nestwx_obs::check_envelope`] accepts — run, sweep, fleet and serve-trace
 //! summaries (see DESIGN.md "Summary JSON schema"): `report` renders any
 //! envelope as key=value lines and tables, `top` ranks its record array by
 //! any numeric field, and `diff` prints per-metric deltas between two
@@ -39,7 +39,7 @@ pub enum ObsCmd {
 }
 
 /// Loads a JSON file and checks its envelope (schema tag + exact version).
-pub fn load_summary(path: &str) -> Result<Value, Box<dyn Error>> {
+pub(crate) fn load_summary(path: &str) -> Result<Value, Box<dyn Error>> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read '{path}': {e}"))?;
     let v: Value =
         serde_json::from_str(&text).map_err(|e| format!("'{path}' is not valid JSON: {e:?}"))?;
@@ -232,7 +232,12 @@ fn is_tag(key: &str) -> bool {
 /// `nestwx obs top FILE --by FIELD -n N` — the N records of the envelope's
 /// record array with the largest `FIELD`: any numeric record field, or
 /// `duration` (`end - start`) where records carry both.
-pub fn top(v: &Value, by: &str, n: usize, out: &mut dyn io::Write) -> Result<(), Box<dyn Error>> {
+pub(crate) fn top(
+    v: &Value,
+    by: &str,
+    n: usize,
+    out: &mut dyn io::Write,
+) -> Result<(), Box<dyn Error>> {
     let envelope = check_envelope(v)?;
     let path = record_path(envelope);
     if path.is_empty() {
@@ -310,7 +315,7 @@ fn flatten(v: &Value, prefix: &str, records: &str, out: &mut Vec<(String, f64)>)
 }
 
 /// `nestwx obs diff A B` — per-metric deltas between two envelopes.
-pub fn diff(a: &Value, b: &Value, out: &mut dyn io::Write) -> Result<(), Box<dyn Error>> {
+pub(crate) fn diff(a: &Value, b: &Value, out: &mut dyn io::Write) -> Result<(), Box<dyn Error>> {
     let mut fa = Vec::new();
     let mut fb = Vec::new();
     flatten(a, "", &record_path(check_envelope(a)?), &mut fa);

@@ -30,12 +30,12 @@ pub struct AdaptiveReport {
 
 impl AdaptiveReport {
     /// Total wall-clock including redistribution.
-    pub fn total_time(&self) -> f64 {
+    pub(crate) fn total_time(&self) -> f64 {
         self.chunks.iter().map(|c| c.total_time).sum::<f64>() + self.redistribution_time
     }
 
     /// Iterations simulated.
-    pub fn iterations(&self) -> u32 {
+    pub(crate) fn iterations(&self) -> u32 {
         self.chunks.iter().map(|c| c.iterations).sum()
     }
 

@@ -25,7 +25,7 @@ use serde::Serialize;
 /// Version tag prefixed to every canonical encoding. Bump when the
 /// [`Scenario`] layout (or anything influencing plan determinism) changes,
 /// so stale cache entries can never be mistaken for current ones.
-pub const SCENARIO_ENCODING_VERSION: &str = "nestwx-scenario-v1";
+pub(crate) const SCENARIO_ENCODING_VERSION: &str = "nestwx-scenario-v1";
 
 /// The complete, cacheable input of one planning request.
 #[derive(Debug, Clone, PartialEq, Serialize)]

@@ -54,7 +54,7 @@ pub struct ObservedComparison {
     /// Recorded totals of the default (sequential, oblivious) run.
     pub default_obs: ObsSummary,
     /// Recorded totals of the planned run.
-    pub planned_obs: ObsSummary,
+    pub(crate) planned_obs: ObsSummary,
     /// Full recorder of the default run (timelines, histograms, links).
     pub default_rec: Recorder,
     /// Full recorder of the planned run.
@@ -66,12 +66,6 @@ impl ObservedComparison {
     /// (Table 1, via `nestwx-obs` instead of `SimReport`).
     pub fn mpi_wait_improvement_pct(&self) -> f64 {
         (1.0 - self.planned_obs.halo_wait / self.default_obs.halo_wait) * 100.0
-    }
-
-    /// Average-hops reduction computed from the recorded step metrics
-    /// (Fig. 12b, via `nestwx-obs`).
-    pub fn hops_reduction_pct(&self) -> f64 {
-        (1.0 - self.planned_obs.avg_hops() / self.default_obs.avg_hops()) * 100.0
     }
 
     /// Imbalance / link-utilization analysis of the default run.

@@ -33,15 +33,13 @@ pub mod tempdir;
 pub mod threads;
 pub mod vocab;
 
-pub use adaptive::{run_adaptive, AdaptiveReport};
+pub use adaptive::run_adaptive;
 pub use canon::Scenario;
-pub use compare::{
-    compare_strategies, compare_strategies_observed, ObservedComparison, StrategyComparison,
-};
+pub use compare::{compare_strategies, compare_strategies_observed};
 pub use env::env_usize;
 pub use nestwx_grid::fnv1a64;
-pub use parallel::{parallel_jobs, run_parallel, run_parallel_with};
-pub use planner::{ExecutionPlan, PlanError, Planner};
+pub use parallel::{run_parallel, run_parallel_with};
+pub use planner::{ExecutionPlan, Planner};
 pub use profile::{fit_predictor, measure_domain_time, profile_basis, PROFILE_SEED};
 pub use store::PredictorStore;
 pub use strategy::{AllocPolicy, MappingKind, Strategy};

@@ -18,14 +18,14 @@ use crate::env::env_usize;
 /// Worker count for [`run_parallel`]: the `NESTWX_JOBS` environment
 /// variable when set to a positive integer, else the machine's available
 /// parallelism (1 if that cannot be determined).
-pub fn parallel_jobs() -> usize {
+pub(crate) fn parallel_jobs() -> usize {
     let fallback = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     env_usize("NESTWX_JOBS", fallback)
 }
 
-/// Maps `f` over `items` on [`parallel_jobs`] scoped threads, preserving
+/// Maps `f` over `items` on `parallel_jobs` scoped threads, preserving
 /// input order in the returned vector. See [`run_parallel_with`].
 pub fn run_parallel<T, R, F>(items: &[T], f: F) -> Vec<R>
 where

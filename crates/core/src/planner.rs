@@ -338,7 +338,7 @@ impl ExecutionPlan {
 
     /// Processors allocated to nest `i` (the whole grid for sequential
     /// plans).
-    pub fn procs_for_nest(&self, i: usize) -> u32 {
+    pub(crate) fn procs_for_nest(&self, i: usize) -> u32 {
         match &self.strategy {
             ExecStrategy::Sequential => self.grid.len(),
             ExecStrategy::Concurrent { partitions } => partitions[i].area() as u32,

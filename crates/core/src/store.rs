@@ -75,7 +75,7 @@ impl PredictorStore {
 
     /// The process-wide store [`Planner::plan`](crate::Planner::plan) asks
     /// when no predictor was supplied.
-    pub fn shared() -> &'static PredictorStore {
+    pub(crate) fn shared() -> &'static PredictorStore {
         &SHARED
     }
 

@@ -47,24 +47,11 @@ impl MappingKind {
         MappingKind::Partition,
         MappingKind::MultiLevel,
     ];
-
-    /// `true` for the topology-aware schemes.
-    pub fn is_topology_aware(&self) -> bool {
-        matches!(self, MappingKind::Partition | MappingKind::MultiLevel)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn topology_awareness_classification() {
-        assert!(!MappingKind::Oblivious.is_topology_aware());
-        assert!(!MappingKind::Txyz.is_topology_aware());
-        assert!(MappingKind::Partition.is_topology_aware());
-        assert!(MappingKind::MultiLevel.is_topology_aware());
-    }
 
     #[test]
     fn all_lists_every_kind() {

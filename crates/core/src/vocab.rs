@@ -191,14 +191,14 @@ pub fn parse_io(s: &str) -> Result<(IoMode, Option<u32>), VocabError> {
 
 /// Largest core count a machine token may name — one request or argv must
 /// not make the process build an absurd torus.
-pub const MAX_CORES: u32 = 65_536;
+pub(crate) const MAX_CORES: u32 = 65_536;
 
 /// One `FAMILY` of the `FAMILY:CORES` machine token.
 pub struct MachinePreset {
     /// The family token.
     pub family: &'static str,
     /// Smallest partition of this family (cores, a power of two).
-    pub min_cores: u32,
+    pub(crate) min_cores: u32,
     /// One-line description for help output.
     pub about: &'static str,
     build: fn(u32) -> Machine,
@@ -229,7 +229,7 @@ pub const MACHINE_PRESETS: [MachinePreset; 2] = [
 
 /// Parses `FAMILY:CORES` (`bgl:1024`, `bgp:4096`) into the machine model:
 /// a power-of-two core count between the family's minimum and
-/// [`MAX_CORES`].
+/// `MAX_CORES`.
 pub fn parse_machine(s: &str) -> Result<Machine, VocabError> {
     let (family, cores) = s
         .split_once(':')

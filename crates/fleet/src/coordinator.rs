@@ -1,19 +1,19 @@
 //! The fleet coordinator: owns the parent domain, partitions the nests
 //! across workers, and merges their reports.
 //!
-//! The coordinator is the only participant that steps the parent. It
-//! drives [`drive_parent`] against a [`SocketHost`] that routes each
-//! nest's halo traffic to the worker owning it; feedbacks are applied in
-//! sibling order regardless of arrival order, so the merged run is
-//! bitwise identical to the in-process one (the invariant the
-//! determinism tests pin at 1/2/4 workers).
+//! The coordinator is the only participant that steps the parent. Its
+//! half of the coupled loop sends each nest's boundary through a
+//! `SocketHost`, which routes the nest's halo traffic to the worker owning
+//! it; feedbacks are applied in sibling order regardless of arrival order,
+//! so the merged run is bitwise identical to the in-process one (the
+//! invariant the determinism tests pin at 1/2/4 workers).
 //!
 //! Failure discipline: any transport error mid-run aborts the whole
 //! fleet — every surviving worker is sent `Abort` and drained — and the
 //! run returns a typed [`FleetError::WorkerLost`]. A partial run never
 //! yields a `SimReport`.
 
-use crate::error::FleetError;
+use crate::error::{FleetError, TransportError};
 use crate::frame::{decode_cells, encode_cells, HaloCell, Tag};
 use crate::net::{accept_n, bind_listener, connect, FrameConn};
 use crate::scenario::{build_model, nest_weights, partition_nests};
@@ -21,8 +21,9 @@ use crate::summary::{FleetSummary, WorkerRow};
 use crate::wire::{to_payload, Assign, Done, Hello, SideObs, FLEET_WIRE_VERSION};
 use crate::worker::run_worker;
 use nestwx_grid::{Domain, NestSpec};
-use nestwx_miniwrf::nest::{BoundaryData, FeedbackData};
-use nestwx_miniwrf::{drive_parent, solver_digest, NestReport, SimReport, TransportError};
+use nestwx_miniwrf::nest::{apply_feedback, interpolate_boundary, BoundaryData, FeedbackData};
+use nestwx_miniwrf::runtime::step_parallel;
+use nestwx_miniwrf::{solver_digest, NestReport, NestedModel, SimReport};
 use nestwx_obs::{clock, LogHistogram};
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -70,7 +71,7 @@ type Cells = Vec<HaloCell>;
 /// Halo transport over framed sockets, coordinator side: routes each
 /// nest's traffic to its owning worker's connection and buffers
 /// out-of-order feedback keyed `(iteration, nest)`.
-pub struct SocketHost {
+pub(crate) struct SocketHost {
     conns: Vec<FrameConn>,
     /// Global level-1 nest index → owning slot.
     owner: Vec<usize>,
@@ -86,7 +87,11 @@ pub struct SocketHost {
 
 impl SocketHost {
     /// Builds a host over handshaken connections and the nest→slot map.
-    pub fn new(conns: Vec<FrameConn>, owner: Vec<usize>, frame_timeout: Duration) -> SocketHost {
+    pub(crate) fn new(
+        conns: Vec<FrameConn>,
+        owner: Vec<usize>,
+        frame_timeout: Duration,
+    ) -> SocketHost {
         let slots = conns.len();
         SocketHost {
             conns,
@@ -101,7 +106,7 @@ impl SocketHost {
     }
 
     /// The slot that caused the most recent transport error, if known.
-    pub fn last_error_slot(&self) -> Option<usize> {
+    pub(crate) fn last_error_slot(&self) -> Option<usize> {
         self.last_error_slot
     }
 
@@ -216,14 +221,14 @@ impl SocketHost {
     }
 
     /// Waits for `slot`'s `Done`, pumping all connections meanwhile.
-    pub fn wait_done(&mut self, slot: usize) -> Result<Done, TransportError> {
+    pub(crate) fn wait_done(&mut self, slot: usize) -> Result<Done, TransportError> {
         self.wait_until(slot, "completion report", |host| host.done[slot].take())
     }
 
     /// Sends `Abort` to every worker and drains best-effort — called on
     /// the failure path so surviving workers exit instead of hanging on a
     /// boundary that will never come.
-    pub fn abort_all(&mut self) {
+    pub(crate) fn abort_all(&mut self) {
         let deadline = clock::deadline_after(Duration::from_millis(500));
         for conn in &mut self.conns {
             conn.queue(Tag::Abort, b"");
@@ -231,13 +236,7 @@ impl SocketHost {
         }
     }
 
-    /// Consumes the host, returning its connections and wait attribution.
-    fn into_parts(self) -> (Vec<FrameConn>, LogHistogram, f64) {
-        (self.conns, self.recv_wait, self.wait_s)
-    }
-}
-
-impl nestwx_miniwrf::HaloHost for SocketHost {
+    /// Sends nest `nest`'s boundary ring for `iteration` to its owner.
     fn send_boundary(
         &mut self,
         nest: usize,
@@ -253,6 +252,7 @@ impl nestwx_miniwrf::HaloHost for SocketHost {
         Ok(())
     }
 
+    /// Receives nest `nest`'s feedback for `iteration`.
     fn recv_feedback(
         &mut self,
         nest: usize,
@@ -263,6 +263,36 @@ impl nestwx_miniwrf::HaloHost for SocketHost {
         self.wait_until(slot, "feedback", move |host| host.pending.remove(&key))
             .map(FeedbackData::from_cells)
     }
+
+    /// Consumes the host, returning its connections and wait attribution.
+    fn into_parts(self) -> (Vec<FrameConn>, LogHistogram, f64) {
+        (self.conns, self.recv_wait, self.wait_s)
+    }
+}
+
+/// Runs the parent-owner half of `iterations` coupled iterations: step the
+/// parent, send every nest's boundary, then apply every nest's feedback in
+/// sibling order — the same order `NestedModel::apply_feedbacks` uses,
+/// so the parent state is independent of which worker answers first.
+fn drive_parent(
+    model: &mut NestedModel,
+    iterations: u64,
+    threads: usize,
+    host: &mut SocketHost,
+) -> Result<(), TransportError> {
+    for iter in 0..iterations {
+        step_parallel(&mut model.parent, threads);
+        for (idx, nest) in model.nests.iter().enumerate() {
+            let bc = interpolate_boundary(&model.parent, &nest.geo);
+            host.send_boundary(idx, iter, &bc)?;
+        }
+        for idx in 0..model.nests.len() {
+            let fb = host.recv_feedback(idx, iter)?;
+            apply_feedback(&mut model.parent, &fb);
+        }
+        model.iterations += 1;
+    }
+    Ok(())
 }
 
 /// The merged result of a fleet run: the deterministic report plus the

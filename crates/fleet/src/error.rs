@@ -1,7 +1,31 @@
 //! Typed fleet failures.
 
-use nestwx_miniwrf::TransportError;
 use std::fmt;
+
+/// A halo-exchange failure. `Closed` and `Timeout` are how worker loss
+/// surfaces: the driver maps them to a typed `worker_lost` error instead
+/// of hanging or reporting a partial run as complete.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TransportError {
+    /// The counterpart disconnected or dropped its endpoint.
+    Closed(String),
+    /// The counterpart stayed silent past the transport's deadline.
+    Timeout(String),
+    /// The counterpart sent something structurally invalid.
+    Protocol(String),
+}
+
+impl fmt::Display for TransportError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TransportError::Closed(d) => write!(f, "transport closed: {d}"),
+            TransportError::Timeout(d) => write!(f, "transport timeout: {d}"),
+            TransportError::Protocol(d) => write!(f, "transport protocol error: {d}"),
+        }
+    }
+}
+
+impl std::error::Error for TransportError {}
 
 /// A fleet run failure. The coordinator never returns a partial
 /// `SimReport`: any of these means the run produced *no* report, and
@@ -38,7 +62,7 @@ impl FleetError {
     }
 
     /// Wraps a transport failure on `slot`'s connection.
-    pub fn lost(slot: usize, err: &TransportError) -> FleetError {
+    pub(crate) fn lost(slot: usize, err: &TransportError) -> FleetError {
         FleetError::WorkerLost {
             slot,
             reason: err.to_string(),

@@ -22,11 +22,11 @@ pub const DEFAULT_MAX_FRAME_BYTES: usize = 16 << 20;
 
 /// One halo cell as carried in a Boundary/Feedback payload:
 /// `(i, j, h, hu, hv)` relative to the receiving grid.
-pub type HaloCell = (isize, isize, f64, f64, f64);
+pub(crate) type HaloCell = (isize, isize, f64, f64, f64);
 
 /// One decoded frame: its tag, payload slice, and total bytes consumed
 /// from the input buffer (header included).
-pub type DecodedFrame<'a> = (Tag, &'a [u8], usize);
+pub(crate) type DecodedFrame<'a> = (Tag, &'a [u8], usize);
 
 /// Bytes one halo cell occupies in a Boundary/Feedback payload:
 /// `(i64, i64, f64, f64, f64)` little-endian.
@@ -59,7 +59,7 @@ pub enum Tag {
 
 impl Tag {
     /// Decodes a wire tag byte.
-    pub fn from_u8(b: u8) -> Option<Tag> {
+    pub(crate) fn from_u8(b: u8) -> Option<Tag> {
         match b {
             1 => Some(Tag::Hello),
             2 => Some(Tag::Assign),

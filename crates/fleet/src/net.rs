@@ -22,8 +22,8 @@
 //! pumps again. All deadline checks go through the `nestwx_obs::clock`
 //! shim.
 
+use crate::error::TransportError;
 use crate::frame::{decode_frame, encode_frame, Tag, DEFAULT_MAX_FRAME_BYTES};
-use nestwx_miniwrf::TransportError;
 use nestwx_obs::clock;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
@@ -65,7 +65,7 @@ pub struct FrameConn {
 impl FrameConn {
     /// Wraps a connected stream: switches it to nonblocking and disables
     /// Nagle (halo frames are latency-critical and already batched).
-    pub fn new(stream: TcpStream) -> Result<FrameConn, TransportError> {
+    pub(crate) fn new(stream: TcpStream) -> Result<FrameConn, TransportError> {
         let peer = stream
             .peer_addr()
             .map(|a| a.to_string())
@@ -89,7 +89,7 @@ impl FrameConn {
         })
     }
 
-    /// Queues one frame for sending (no I/O; call [`FrameConn::flush`]).
+    /// Queues one frame for sending (no I/O; call `FrameConn::flush`).
     pub fn queue(&mut self, tag: Tag, payload: &[u8]) {
         encode_frame(tag, payload, &mut self.outbuf);
         self.frames_out += 1;
@@ -97,7 +97,7 @@ impl FrameConn {
 
     /// Writes as much queued output as the socket accepts right now.
     /// Returns `true` once the outbox is fully flushed.
-    pub fn flush(&mut self) -> Result<bool, TransportError> {
+    pub(crate) fn flush(&mut self) -> Result<bool, TransportError> {
         while self.sent < self.outbuf.len() {
             match self.stream.write(&self.outbuf[self.sent..]) {
                 Ok(0) => {
@@ -128,7 +128,7 @@ impl FrameConn {
     /// Whether the peer has closed its sending side. Frames already
     /// buffered stay decodable; only *waiting* on an EOF'd connection with
     /// nothing decodable left is an error.
-    pub fn is_eof(&self) -> bool {
+    pub(crate) fn is_eof(&self) -> bool {
         self.eof
     }
 
@@ -141,7 +141,7 @@ impl FrameConn {
     /// Returns `true` when new bytes arrived. EOF is recorded, not raised:
     /// a peer may legitimately close right after its final frame, and that
     /// frame must still decode.
-    pub fn fill(&mut self) -> Result<bool, TransportError> {
+    pub(crate) fn fill(&mut self) -> Result<bool, TransportError> {
         if self.eof {
             return Ok(false);
         }
@@ -167,7 +167,7 @@ impl FrameConn {
     }
 
     /// Decodes the next buffered frame, if a complete one is available.
-    pub fn next_frame(&mut self) -> Result<Option<(Tag, Vec<u8>)>, TransportError> {
+    pub(crate) fn next_frame(&mut self) -> Result<Option<(Tag, Vec<u8>)>, TransportError> {
         match decode_frame(&self.inbuf[self.consumed..], DEFAULT_MAX_FRAME_BYTES) {
             Ok(None) => {
                 // Compact the consumed prefix while idle so a long run's
@@ -190,7 +190,7 @@ impl FrameConn {
 
     /// One nonblocking duty cycle: flush pending output, read pending
     /// input. Returns `true` when either direction progressed.
-    pub fn pump(&mut self) -> Result<bool, TransportError> {
+    pub(crate) fn pump(&mut self) -> Result<bool, TransportError> {
         let had_out = !self.outbuf.is_empty();
         self.flush()?;
         let wrote = had_out && self.outbuf.is_empty();

@@ -15,7 +15,7 @@ use nestwx_miniwrf::solver::Boundary;
 use nestwx_miniwrf::{NestedModel, ShallowWater};
 
 /// Quiescent water depth (metres) of every fleet scenario.
-pub const MODEL_DEPTH_M: f64 = 100.0;
+pub(crate) const MODEL_DEPTH_M: f64 = 100.0;
 
 /// Builds the coupled model for a scenario's domains: one level-1 nest per
 /// spec with `parent_nest: None` (in spec order), one deterministic
@@ -82,7 +82,7 @@ fn geometry(spec: &NestSpec) -> NestGeometry {
 /// that carries a second-level domain weighs what the plan actually
 /// allocated to that subtree. Falls back to fine-cell work (`nx·ny·r`)
 /// when the plan has no per-nest partitions (sequential strategy).
-pub fn nest_weights(nests: &[NestSpec], partitions: &[(usize, u64)]) -> Vec<u64> {
+pub(crate) fn nest_weights(nests: &[NestSpec], partitions: &[(usize, u64)]) -> Vec<u64> {
     let level1: Vec<usize> = (0..nests.len())
         .filter(|&i| nests[i].parent_nest.is_none())
         .collect();
@@ -117,7 +117,7 @@ pub fn nest_weights(nests: &[NestSpec], partitions: &[(usize, u64)]) -> Vec<u64>
 /// midpoint falls into. Deterministic, order-preserving, and stable under
 /// worker count 1 (everything in group 0). Groups may be empty when there
 /// are more workers than nests.
-pub fn partition_nests(weights: &[u64], workers: usize) -> Vec<Vec<usize>> {
+pub(crate) fn partition_nests(weights: &[u64], workers: usize) -> Vec<Vec<usize>> {
     assert!(workers > 0, "at least one worker");
     let total: u64 = weights.iter().sum::<u64>().max(1);
     let mut groups = vec![Vec::new(); workers];

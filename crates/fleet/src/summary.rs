@@ -50,7 +50,7 @@ pub struct FleetSummary {
 
 impl FleetSummary {
     /// Builds the envelope from a finished run.
-    pub fn new(
+    pub(crate) fn new(
         report: &SimReport,
         workers: u32,
         coordinator: SideObs,

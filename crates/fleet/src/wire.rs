@@ -43,7 +43,7 @@ pub struct Assign {
     /// This worker's slot (0-based).
     pub slot: u32,
     /// Global level-1 nest indices this worker owns, ascending.
-    pub owned: Vec<u32>,
+    pub(crate) owned: Vec<u32>,
     /// Total workers in the fleet (for logs and obs only).
     pub workers: u32,
 }
@@ -164,7 +164,7 @@ fn req_u32(v: &Value, key: &str, what: &str) -> Result<u32, FrameError> {
 
 impl Hello {
     /// Decodes a `Hello` frame payload.
-    pub fn decode(payload: &[u8]) -> Result<Hello, FrameError> {
+    pub(crate) fn decode(payload: &[u8]) -> Result<Hello, FrameError> {
         let v = parse(payload, "hello")?;
         Ok(Hello {
             version: req_u32(&v, "version", "hello")?,
@@ -201,7 +201,7 @@ fn decode_nest_spec(v: &Value) -> Result<NestSpec, FrameError> {
 
 impl Assign {
     /// Decodes an `Assign` frame payload.
-    pub fn decode(payload: &[u8]) -> Result<Assign, FrameError> {
+    pub(crate) fn decode(payload: &[u8]) -> Result<Assign, FrameError> {
         const WHAT: &str = "assign";
         let v = parse(payload, WHAT)?;
         let p = v
@@ -285,7 +285,7 @@ fn decode_nest_report(v: &Value) -> Result<NestReport, FrameError> {
 
 impl Done {
     /// Decodes a `Done` frame payload.
-    pub fn decode(payload: &[u8]) -> Result<Done, FrameError> {
+    pub(crate) fn decode(payload: &[u8]) -> Result<Done, FrameError> {
         const WHAT: &str = "done";
         let v = parse(payload, WHAT)?;
         let nests = req_array(&v, "nests", WHAT)?

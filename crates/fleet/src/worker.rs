@@ -3,24 +3,24 @@
 //!
 //! A worker is stateless until its `Assign` arrives: it rebuilds the full
 //! model deterministically (see [`crate::scenario::build_model`]), keeps
-//! only its owned nests, and then runs [`drive_nests`] with a
-//! [`SocketLink`] as the halo transport. Boundary frames for different
-//! nests may arrive in any order relative to what `drive_nests` asks for,
-//! so the link buffers out-of-order frames keyed `(iteration, nest)`.
+//! only its owned nests, and then runs the nest half of the coupled loop
+//! over a `SocketLink`. Boundary frames for different nests may arrive in
+//! any order relative to the order the loop asks for them, so the link
+//! buffers out-of-order frames keyed `(iteration, nest)`.
 
-use crate::error::FleetError;
+use crate::error::{FleetError, TransportError};
 use crate::frame::{decode_cells, encode_cells, HaloCell, Tag};
 use crate::net::FrameConn;
 use crate::scenario::build_model;
 use crate::wire::{to_payload, Assign, Done, Hello, SideObs, FLEET_WIRE_VERSION};
-use nestwx_miniwrf::nest::{BoundaryData, FeedbackData};
-use nestwx_miniwrf::{drive_nests, NestReport, TransportError};
+use nestwx_miniwrf::nest::{collect_feedback, BoundaryData, FeedbackData};
+use nestwx_miniwrf::{NestReport, NestState, NestedModel};
 use nestwx_obs::{clock, LogHistogram};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// Halo transport over a framed socket, worker side.
-pub struct SocketLink<'a> {
+pub(crate) struct SocketLink<'a> {
     conn: &'a mut FrameConn,
     /// Out-of-order boundary frames, keyed `(iteration, nest)`.
     pending: BTreeMap<(u64, usize), Vec<HaloCell>>,
@@ -33,7 +33,7 @@ pub struct SocketLink<'a> {
 
 impl<'a> SocketLink<'a> {
     /// Wraps a handshaken connection.
-    pub fn new(conn: &'a mut FrameConn, frame_timeout: Duration) -> SocketLink<'a> {
+    pub(crate) fn new(conn: &'a mut FrameConn, frame_timeout: Duration) -> SocketLink<'a> {
         SocketLink {
             conn,
             pending: BTreeMap::new(),
@@ -45,17 +45,17 @@ impl<'a> SocketLink<'a> {
     }
 
     /// Whether the coordinator told this worker to stop mid-run.
-    pub fn aborted(&self) -> bool {
+    pub(crate) fn aborted(&self) -> bool {
         self.aborted
     }
 
     /// Drains the wait-attribution the link accumulated.
-    pub fn wait_obs(&self) -> (&LogHistogram, f64) {
+    pub(crate) fn wait_obs(&self) -> (&LogHistogram, f64) {
         (&self.recv_wait, self.wait_s)
     }
-}
 
-impl nestwx_miniwrf::HaloLink for SocketLink<'_> {
+    /// Receives nest `nest`'s boundary ring for `iteration`, buffering
+    /// frames for other nests.
     fn recv_boundary(
         &mut self,
         nest: usize,
@@ -98,6 +98,7 @@ impl nestwx_miniwrf::HaloLink for SocketLink<'_> {
         Ok(BoundaryData::from_cells(cells))
     }
 
+    /// Sends nest `nest`'s feedback for `iteration`.
     fn send_feedback(
         &mut self,
         nest: usize,
@@ -112,6 +113,25 @@ impl nestwx_miniwrf::HaloLink for SocketLink<'_> {
         self.conn.flush()?;
         Ok(())
     }
+}
+
+/// Runs the nest-owner half over `owned` (global nest index, state) pairs:
+/// per iteration and owned nest, receive the boundary, solve the `r`
+/// sub-steps (recursing into children), and send the feedback.
+fn drive_nests(
+    owned: &mut [(usize, NestState)],
+    iterations: u64,
+    link: &mut SocketLink<'_>,
+) -> Result<(), TransportError> {
+    for iter in 0..iterations {
+        for (idx, nest) in owned.iter_mut() {
+            let bc = link.recv_boundary(*idx, iter)?;
+            NestedModel::solve_nest(nest, &bc, 1);
+            let fb = collect_feedback(&nest.solver, &nest.geo);
+            link.send_feedback(*idx, iter, &fb)?;
+        }
+    }
+    Ok(())
 }
 
 /// Runs the whole worker protocol on a connected socket: `Hello` →
@@ -151,7 +171,7 @@ pub fn run_worker(conn: &mut FrameConn, frame_timeout: Duration) -> Result<(), F
     // Rebuild the full model so owned nests initialize exactly as the
     // in-process run would, then keep only the owned ones.
     let model = build_model(&assign.parent, &assign.nests);
-    let mut owned: Vec<(usize, nestwx_miniwrf::NestState)> = assign
+    let mut owned: Vec<(usize, NestState)> = assign
         .owned
         .iter()
         .map(|&g| (g as usize, model.nests[g as usize].clone()))

@@ -88,7 +88,7 @@ pub struct Patch {
     /// The rank owning this patch (rank within the *sub-communicator* of the
     /// domain being decomposed, i.e. an index into the partition's rank
     /// list).
-    pub local_rank: u32,
+    pub(crate) local_rank: u32,
     /// The region of the domain owned, in domain grid coordinates.
     pub region: Rect,
 }

@@ -10,16 +10,6 @@ use crate::rect::Rect;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Identifier of a domain within a [`NestedConfig`]. Id 0 is the parent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct DomainId(pub usize);
-
-impl fmt::Display for DomainId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "d{:02}", self.0)
-    }
-}
-
 /// Errors arising when assembling a nested configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DomainError {
@@ -158,26 +148,12 @@ impl NestSpec {
         self.nx as u64 * self.ny as u64
     }
 
-    /// Aspect ratio `nx / ny`.
-    pub fn aspect_ratio(&self) -> f64 {
-        self.nx as f64 / self.ny as f64
-    }
-
     /// Footprint of the nest in parent grid coordinates (rounded up to whole
     /// parent cells).
     pub fn footprint_in_parent(&self) -> Rect {
         let w = self.nx.div_ceil(self.refine_ratio);
         let h = self.ny.div_ceil(self.refine_ratio);
         Rect::new(self.offset.0, self.offset.1, w, h)
-    }
-
-    /// The nest as a standalone [`Domain`] given the parent's resolution.
-    pub fn as_domain(&self, parent_dx_km: f64) -> Domain {
-        Domain {
-            nx: self.nx,
-            ny: self.ny,
-            dx_km: parent_dx_km / self.refine_ratio as f64,
-        }
     }
 }
 
@@ -254,22 +230,6 @@ impl NestedConfig {
     pub fn has_second_level(&self) -> bool {
         self.nests.iter().any(|n| n.parent_nest.is_some())
     }
-
-    /// Number of sibling nests.
-    pub fn num_siblings(&self) -> usize {
-        self.nests.len()
-    }
-
-    /// Domain ids: parent is `DomainId(0)`, nests follow in order.
-    pub fn nest_id(&self, i: usize) -> DomainId {
-        DomainId(i + 1)
-    }
-
-    /// The largest nest by point count, used in Table 3's
-    /// "maximum nest size" axis.
-    pub fn max_nest_points(&self) -> u64 {
-        self.nests.iter().map(NestSpec::points).max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -297,20 +257,11 @@ mod tests {
     }
 
     #[test]
-    fn nest_as_domain_refines_resolution() {
-        let n = NestSpec::new(415, 445, 3, (0, 0));
-        let d = n.as_domain(24.0);
-        assert!((d.dx_km - 8.0).abs() < 1e-12);
-        assert_eq!(d.points(), 415 * 445);
-    }
-
-    #[test]
     fn config_accepts_paper_setup() {
         // Fig. 2's configuration: 286×307 parent, 415×445 nest at r = 3.
         let cfg = NestedConfig::new(pacific_parent(), vec![NestSpec::new(415, 445, 3, (50, 60))])
             .unwrap();
-        assert_eq!(cfg.num_siblings(), 1);
-        assert_eq!(cfg.max_nest_points(), 415 * 445);
+        assert_eq!(cfg.nests.len(), 1);
     }
 
     #[test]
@@ -343,19 +294,5 @@ mod tests {
             NestedConfig::new(pacific_parent(), vec![NestSpec::new(0, 5, 3, (0, 0))]).unwrap_err(),
             DomainError::EmptyDomain
         );
-    }
-
-    #[test]
-    fn nest_ids_start_after_parent() {
-        let cfg = NestedConfig::new(
-            pacific_parent(),
-            vec![
-                NestSpec::new(100, 100, 3, (0, 0)),
-                NestSpec::new(100, 100, 3, (100, 100)),
-            ],
-        )
-        .unwrap();
-        assert_eq!(cfg.nest_id(0), DomainId(1));
-        assert_eq!(cfg.nest_id(1), DomainId(2));
     }
 }

@@ -29,11 +29,11 @@ pub mod decomp;
 pub mod domain;
 pub mod features;
 pub mod hash;
-pub mod procgrid;
+mod procgrid;
 pub mod rect;
 
-pub use decomp::{Decomposition, HaloSpec, Neighbor, Patch};
-pub use domain::{Domain, DomainError, DomainId, NestSpec, NestedConfig};
+pub use decomp::{Decomposition, HaloSpec};
+pub use domain::{Domain, DomainError, NestSpec, NestedConfig};
 pub use features::DomainFeatures;
 pub use hash::{fnv1a64, Fnv1a64};
 pub use procgrid::ProcGrid;

@@ -46,7 +46,7 @@ impl Rect {
     }
 
     /// One past the bottom row.
-    pub const fn y1(&self) -> u32 {
+    pub(crate) const fn y1(&self) -> u32 {
         self.y0 + self.h
     }
 

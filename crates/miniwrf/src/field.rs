@@ -1,11 +1,9 @@
 //! A 2-D scalar field with a one-cell halo ring.
 
-use serde::{Deserialize, Serialize};
-
 /// An `nx × ny` field of `f64` stored row-major with a one-cell halo ring
 /// around the interior, so stencil code can read `(i±1, j±1)` without bounds
 /// branches. Interior indices run `0 ≤ i < nx`, `0 ≤ j < ny`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Field2D {
     /// Interior width.
     pub nx: usize,
@@ -16,7 +14,7 @@ pub struct Field2D {
 
 impl Field2D {
     /// A field filled with `value`.
-    pub fn filled(nx: usize, ny: usize, value: f64) -> Self {
+    pub(crate) fn filled(nx: usize, ny: usize, value: f64) -> Self {
         assert!(nx > 0 && ny > 0, "empty field");
         Field2D {
             nx,
@@ -26,7 +24,7 @@ impl Field2D {
     }
 
     /// A zero field.
-    pub fn zeros(nx: usize, ny: usize) -> Self {
+    pub(crate) fn zeros(nx: usize, ny: usize) -> Self {
         Field2D::filled(nx, ny, 0.0)
     }
 
@@ -53,26 +51,26 @@ impl Field2D {
     /// Stored row `j` (`-1 ≤ j ≤ ny`), halo columns included: element
     /// `i + 1` is cell `(i, j)`.
     #[inline(always)]
-    pub fn row(&self, j: isize) -> &[f64] {
+    pub(crate) fn row(&self, j: isize) -> &[f64] {
         let k = self.idx(-1, j);
         &self.data[k..k + self.nx + 2]
     }
 
     /// The interior rows `0..ny` as one mutable slice of stored rows
     /// (`nx + 2` values each, halo columns included).
-    pub fn interior_rows_mut(&mut self) -> &mut [f64] {
+    pub(crate) fn interior_rows_mut(&mut self) -> &mut [f64] {
         let w = self.nx + 2;
         &mut self.data[w..w * (self.ny + 1)]
     }
 
     /// Interior values in row-major order (`j` outer, `i` inner) — the
     /// deterministic traversal field digests use.
-    pub fn interior_values(&self) -> impl Iterator<Item = f64> + '_ {
+    pub(crate) fn interior_values(&self) -> impl Iterator<Item = f64> + '_ {
         (0..self.ny).flat_map(move |j| (0..self.nx).map(move |i| self.get(i as isize, j as isize)))
     }
 
     /// Sum over the interior (for conservation checks).
-    pub fn interior_sum(&self) -> f64 {
+    pub(crate) fn interior_sum(&self) -> f64 {
         let mut s = 0.0;
         for j in 0..self.ny {
             for i in 0..self.nx {
@@ -95,7 +93,7 @@ impl Field2D {
 
     /// Copies each interior edge into the adjacent halo cell — zero-gradient
     /// (reflective for normal velocity handled by the solver) boundary.
-    pub fn fill_halo_zero_gradient(&mut self) {
+    pub(crate) fn fill_halo_zero_gradient(&mut self) {
         let (nx, ny) = (self.nx as isize, self.ny as isize);
         for i in 0..nx {
             let top = self.get(i, 0);
@@ -113,7 +111,7 @@ impl Field2D {
 
     /// Splits the interior rows into `bands` contiguous row ranges
     /// `(j_start, j_end)` of near-equal height for the thread runtime.
-    pub fn row_bands(ny: usize, bands: usize) -> Vec<(usize, usize)> {
+    pub(crate) fn row_bands(ny: usize, bands: usize) -> Vec<(usize, usize)> {
         assert!(bands > 0);
         let bands = bands.min(ny);
         let base = ny / bands;

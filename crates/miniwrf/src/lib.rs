@@ -30,12 +30,9 @@ pub mod output;
 pub mod report;
 pub mod runtime;
 pub mod solver;
-pub mod transport;
 
-pub use field::Field2D;
 pub use model::{NestState, NestedModel};
-pub use output::{HistoryWriter, OutputStats};
-pub use report::{solver_digest, NestReport, SimReport, REPORT_SCHEMA, REPORT_VERSION};
-pub use runtime::{run_iterations, run_iterations_observed, PhaseTimings, ThreadStrategy};
+pub use output::HistoryWriter;
+pub use report::{solver_digest, NestReport, SimReport};
+pub use runtime::{run_iterations, run_iterations_observed, ThreadStrategy};
 pub use solver::{Scheme, ShallowWater};
-pub use transport::{drive_nests, drive_parent, HaloHost, HaloLink, TransportError};

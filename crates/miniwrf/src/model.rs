@@ -6,11 +6,10 @@ use crate::nest::{
 };
 use crate::runtime::step_parallel;
 use crate::solver::{Boundary, ShallowWater};
-use serde::{Deserialize, Serialize};
 
 /// One sibling nest: geometry plus solver state, with optional second-level
 /// children (the paper's §4.1.1 "sibling domains at the second level").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NestState {
     /// Placement and refinement (relative to this nest's parent).
     pub geo: NestGeometry,
@@ -22,7 +21,7 @@ pub struct NestState {
 
 /// A parent domain with sibling nests — the miniature analogue of the
 /// paper's multi-region WRF configurations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NestedModel {
     /// The coarse parent solver.
     pub parent: ShallowWater,
@@ -149,7 +148,7 @@ impl NestedModel {
     }
 
     /// Applies all feedbacks in sibling order.
-    pub fn apply_feedbacks(&mut self) {
+    pub(crate) fn apply_feedbacks(&mut self) {
         let NestedModel { parent, nests, .. } = self;
         for n in nests.iter() {
             feedback_to_parent(&n.solver, parent, &n.geo);

@@ -7,10 +7,9 @@
 //! the parent region."
 
 use crate::solver::ShallowWater;
-use serde::{Deserialize, Serialize};
 
 /// Geometric placement of a nest inside its parent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NestGeometry {
     /// Refinement ratio `r`.
     pub ratio: usize,

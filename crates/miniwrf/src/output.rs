@@ -11,13 +11,12 @@
 use crate::model::{NestState, NestedModel};
 use crate::solver::ShallowWater;
 use nestwx_obs::clock;
-use serde::{Deserialize, Serialize};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 /// Accumulated output statistics.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct OutputStats {
     /// Frames written (per domain).
     pub frames: u32,

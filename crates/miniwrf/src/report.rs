@@ -19,15 +19,15 @@ use nestwx_grid::{fnv1a64, Fnv1a64};
 use serde::{Deserialize, Serialize};
 
 /// Schema tag of the serialized report.
-pub const REPORT_SCHEMA: &str = "nestwx-miniwrf-sim-report";
+pub(crate) const REPORT_SCHEMA: &str = "nestwx-miniwrf-sim-report";
 /// Schema version. Bump on any field change: reports are compared as
 /// serialized bytes, so layout drift must be impossible to miss.
-pub const REPORT_VERSION: u64 = 1;
+pub(crate) const REPORT_VERSION: u64 = 1;
 
 /// Bytes one halo cell occupies on the wire: `(i64, i64, f64, f64, f64)`
 /// little-endian — the encoding both the frame codec and the logical
 /// accounting use, so reported halo bytes match actual frame payloads.
-pub const HALO_CELL_BYTES: u64 = 40;
+pub(crate) const HALO_CELL_BYTES: u64 = 40;
 
 /// FNV-1a 64 over the little-endian bit patterns of the interior cells of
 /// `h`, `hu`, `hv` in that order — the canonical digest of one solver's
@@ -61,7 +61,7 @@ pub struct NestReport {
     /// Boundary-ring cells interpolated per iteration.
     pub boundary_cells: u64,
     /// Logical halo bytes moved for this nest over the whole run: boundary
-    /// cells down plus feedback cells up, [`HALO_CELL_BYTES`] each, per
+    /// cells down plus feedback cells up, `HALO_CELL_BYTES` each, per
     /// iteration. Identical for every worker count and transport.
     pub halo_bytes: u64,
     /// Halo messages over the run (one boundary down + one feedback up per
@@ -101,9 +101,9 @@ impl NestReport {
 /// The deterministic report of one coupled run.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SimReport {
-    /// Schema tag ([`REPORT_SCHEMA`]).
+    /// Schema tag (`REPORT_SCHEMA`).
     pub schema: String,
-    /// Schema version ([`REPORT_VERSION`]).
+    /// Schema version (`REPORT_VERSION`).
     pub version: u64,
     /// Parent iterations completed.
     pub iterations: u64,

@@ -18,11 +18,10 @@ use crate::nest::{
 use crate::solver::ShallowWater;
 use nestwx_obs::clock;
 use nestwx_obs::{Recorder, StepMetrics, StepPhase};
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Sibling-phase execution strategy.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ThreadStrategy {
     /// Each nest solved one after another using all `total_threads`.
     Sequential,
@@ -36,7 +35,7 @@ pub enum ThreadStrategy {
 }
 
 /// Wall-clock breakdown of a run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseTimings {
     /// Iterations executed.
     pub iterations: u32,
@@ -47,7 +46,7 @@ pub struct PhaseTimings {
     /// Per-sibling time (sum over iterations): the nest's boundary
     /// interpolation, its solve and its feedback collection. Under the
     /// concurrent strategy these overlap, so their sum exceeds `siblings`.
-    pub per_sibling: Vec<Duration>,
+    pub(crate) per_sibling: Vec<Duration>,
     /// Total wall-clock.
     pub total: Duration,
 }

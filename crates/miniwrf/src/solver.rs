@@ -8,13 +8,12 @@
 //! test.
 
 use crate::field::Field2D;
-use serde::{Deserialize, Serialize};
 
 /// Gravitational acceleration, m/s².
-pub const GRAVITY: f64 = 9.81;
+pub(crate) const GRAVITY: f64 = 9.81;
 
 /// Numerical scheme for the shallow-water step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scheme {
     /// First-order Lax–Friedrichs: very robust, diffusive. The default.
     #[default]
@@ -25,7 +24,7 @@ pub enum Scheme {
 }
 
 /// How the domain edges are closed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Boundary {
     /// Wrap-around (conservation-exact; used for invariant tests).
     Periodic,
@@ -37,7 +36,7 @@ pub enum Boundary {
 }
 
 /// Shallow-water state on an `nx × ny` grid with spacing `dx` metres.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShallowWater {
     /// Interior width.
     pub nx: usize,
@@ -50,12 +49,10 @@ pub struct ShallowWater {
     /// Boundary treatment.
     pub boundary: Boundary,
     /// Numerical scheme.
-    #[serde(default)]
     pub scheme: Scheme,
     /// Coriolis parameter `f` (s⁻¹); 0 disables rotation. Applied as a
     /// split source term after the hyperbolic update.
-    #[serde(default)]
-    pub coriolis: f64,
+    pub(crate) coriolis: f64,
     /// Water depth.
     pub h: Field2D,
     /// x-momentum `h·u`.
@@ -101,25 +98,6 @@ impl ShallowWater {
         self
     }
 
-    /// Imposes the geostrophically balanced velocity field for the current
-    /// depth field: `f·u = −g ∂h/∂y`, `f·v = g ∂h/∂x`. With rotation on,
-    /// such a state is (discretely, approximately) steady.
-    pub fn balance_geostrophic(&mut self) {
-        assert!(self.coriolis != 0.0, "geostrophic balance needs rotation");
-        self.fill_halos();
-        for j in 0..self.ny as isize {
-            for i in 0..self.nx as isize {
-                let h = self.h.get(i, j);
-                let dhdx = (self.h.get(i + 1, j) - self.h.get(i - 1, j)) / (2.0 * self.dx);
-                let dhdy = (self.h.get(i, j + 1) - self.h.get(i, j - 1)) / (2.0 * self.dx);
-                let u = -GRAVITY / self.coriolis * dhdy;
-                let v = GRAVITY / self.coriolis * dhdx;
-                self.hu.set(i, j, h * u);
-                self.hv.set(i, j, h * v);
-            }
-        }
-    }
-
     /// Adds a Gaussian depth perturbation — a "depression" like the Pacific
     /// systems of Fig. 1 — centred at `(cx, cy)` (grid coordinates) with
     /// amplitude `amp` metres and e-folding radius `radius` cells.
@@ -134,7 +112,7 @@ impl ShallowWater {
     }
 
     /// Fills halos according to the boundary kind (no-op for `External`).
-    pub fn fill_halos(&mut self) {
+    pub(crate) fn fill_halos(&mut self) {
         match self.boundary {
             Boundary::ZeroGradient => {
                 self.h.fill_halo_zero_gradient();
@@ -478,6 +456,25 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// Imposes the geostrophically balanced velocity field for the current
+    /// depth field: `f·u = −g ∂h/∂y`, `f·v = g ∂h/∂x`. With rotation on,
+    /// such a state is (discretely, approximately) steady.
+    fn balance_geostrophic(sw: &mut ShallowWater) {
+        assert!(sw.coriolis != 0.0, "geostrophic balance needs rotation");
+        sw.fill_halos();
+        for j in 0..sw.ny as isize {
+            for i in 0..sw.nx as isize {
+                let h = sw.h.get(i, j);
+                let dhdx = (sw.h.get(i + 1, j) - sw.h.get(i - 1, j)) / (2.0 * sw.dx);
+                let dhdy = (sw.h.get(i, j + 1) - sw.h.get(i, j - 1)) / (2.0 * sw.dx);
+                let u = -GRAVITY / sw.coriolis * dhdy;
+                let v = GRAVITY / sw.coriolis * dhdx;
+                sw.hu.set(i, j, h * u);
+                sw.hv.set(i, j, h * v);
+            }
+        }
+    }
+
     /// The per-neighbour Lax–Friedrichs row kernel the fused one replaced,
     /// eight divisions per cell: the oracle `fused_kernel_matches_oracle`
     /// holds [`Stencil::lax_friedrichs`] to, bit for bit.
@@ -661,7 +658,7 @@ mod tests {
                 .with_coriolis(f);
             sw.add_gaussian(32.0, 32.0, -10.0, 12.0);
             if balanced {
-                sw.balance_geostrophic();
+                balance_geostrophic(&mut sw);
             }
             sw
         };

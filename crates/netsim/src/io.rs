@@ -43,7 +43,7 @@ pub struct IoParams {
 
 impl IoParams {
     /// BG/P PnetCDF defaults (pset ratio 1:64ish).
-    pub fn bgp_pnetcdf() -> IoParams {
+    pub(crate) fn bgp_pnetcdf() -> IoParams {
         IoParams {
             meta_base: 0.08,
             meta_per_rank: 0.9e-3,
@@ -55,7 +55,7 @@ impl IoParams {
     }
 
     /// BG/L split-file defaults.
-    pub fn bgl_split() -> IoParams {
+    pub(crate) fn bgl_split() -> IoParams {
         IoParams {
             meta_base: 0.1,
             meta_per_rank: 1.2e-3,
@@ -68,7 +68,7 @@ impl IoParams {
 
     /// Wall-clock seconds for `writers` ranks to collectively write `bytes`
     /// of history via PnetCDF.
-    pub fn pnetcdf_write(&self, writers: u32, bytes: f64) -> f64 {
+    pub(crate) fn pnetcdf_write(&self, writers: u32, bytes: f64) -> f64 {
         assert!(writers > 0);
         let agg_bw = self.stream_bw * self.io_streams.min(writers) as f64;
         self.meta_base + self.meta_per_rank * writers as f64 + bytes / agg_bw
@@ -76,13 +76,13 @@ impl IoParams {
 
     /// Wall-clock seconds for `writers` ranks to each write their share of
     /// `bytes` into per-rank files.
-    pub fn split_write(&self, writers: u32, bytes: f64) -> f64 {
+    pub(crate) fn split_write(&self, writers: u32, bytes: f64) -> f64 {
         assert!(writers > 0);
         self.split_file_overhead + (bytes / writers as f64) / self.split_bw
     }
 
     /// Write time under `mode`.
-    pub fn write_time(&self, mode: IoMode, writers: u32, bytes: f64) -> f64 {
+    pub(crate) fn write_time(&self, mode: IoMode, writers: u32, bytes: f64) -> f64 {
         match mode {
             IoMode::None => 0.0,
             IoMode::PnetCdf => self.pnetcdf_write(writers, bytes),
@@ -93,7 +93,7 @@ impl IoParams {
 
 /// History frame size of an `nx × ny` domain with `fields` output fields of
 /// `levels` levels (single precision).
-pub fn frame_bytes(nx: u32, ny: u32, fields: u32, levels: u32) -> f64 {
+pub(crate) fn frame_bytes(nx: u32, ny: u32, fields: u32, levels: u32) -> f64 {
     nx as f64 * ny as f64 * fields as f64 * levels as f64 * 4.0
 }
 

@@ -15,7 +15,7 @@
 //!   each rank for its patch *including the lateral halo fringe*
 //!   (`(w+2hc)(h+2hc)·t_point`), which is what makes small patches
 //!   inefficient and reproduces WRF's scalability saturation (Fig. 2);
-//! * [`network`] — the 3-D torus with per-link occupancy: messages reserve
+//! * `network` — the 3-D torus with per-link occupancy: messages reserve
 //!   every link on their dimension-ordered route (virtual cut-through
 //!   approximation), so contention emerges from the mapping rather than
 //!   being an input parameter;
@@ -32,13 +32,12 @@
 
 pub mod io;
 pub mod machine;
-pub mod network;
+mod network;
 mod schedule;
 pub mod sim;
 
-pub use io::{IoMode, IoParams};
-pub use machine::{ComputeParams, Machine, NetworkParams};
-pub use network::Network;
+pub use io::IoMode;
+pub use machine::Machine;
 pub use sim::{ExecStrategy, HaloEngine, SimReport, Simulation};
 
 // Observability layer (`nestwx-obs`), re-exported so simulator users can

@@ -45,7 +45,7 @@ pub struct ComputeParams {
 
 impl ComputeParams {
     /// Compute seconds for one step of a `w × h` patch (mean, no jitter).
-    pub fn step_time(&self, w: u32, h: u32) -> f64 {
+    pub(crate) fn step_time(&self, w: u32, h: u32) -> f64 {
         let raw = w as f64 * h as f64;
         let hw = (w + 2 * self.halo_compute) as f64;
         let hh = (h + 2 * self.halo_compute) as f64;
@@ -56,14 +56,14 @@ impl ComputeParams {
 
     /// [`ComputeParams::step_time`] with the deterministic physics jitter
     /// for (`rank`, `step`).
-    pub fn step_time_jittered(&self, w: u32, h: u32, rank: u32, step: u64) -> f64 {
+    pub(crate) fn step_time_jittered(&self, w: u32, h: u32, rank: u32, step: u64) -> f64 {
         self.step_time(w, h) * (1.0 + self.jitter * unit_hash(rank, step))
     }
 }
 
 /// Deterministic hash of (rank, step) to a uniform value in `[-1, 1]`
 /// (splitmix64 finaliser).
-pub fn unit_hash(rank: u32, step: u64) -> f64 {
+pub(crate) fn unit_hash(rank: u32, step: u64) -> f64 {
     let mut z = (rank as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
         ^ step.wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -90,7 +90,7 @@ pub struct NetworkParams {
 /// Torus shape of a Blue Gene partition: midplanes are 8×8×8 and racks
 /// stack along z, so partitions of ≥ 512 nodes are `8 × 8 × (nodes/64)`;
 /// smaller partitions fall back to a near-cubic factorisation.
-pub fn bg_torus(nodes: u32) -> nestwx_topo::Torus {
+pub(crate) fn bg_torus(nodes: u32) -> nestwx_topo::Torus {
     if nodes.is_multiple_of(64) && nodes / 64 >= 8 {
         nestwx_topo::Torus::new(8, 8, nodes / 64)
     } else {

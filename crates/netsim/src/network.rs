@@ -14,7 +14,7 @@ use nestwx_topo::torus::{NodeCoord, Torus};
 
 /// Mutable network state: one busy-until time per directed link.
 #[derive(Debug, Clone)]
-pub struct Network {
+pub(crate) struct Network {
     torus: Torus,
     params: NetworkParams,
     busy_until: Vec<f64>,
@@ -39,7 +39,7 @@ pub struct Network {
 
 impl Network {
     /// A quiet network.
-    pub fn new(torus: Torus, params: NetworkParams) -> Network {
+    pub(crate) fn new(torus: Torus, params: NetworkParams) -> Network {
         Network {
             torus,
             params,
@@ -56,7 +56,7 @@ impl Network {
 
     /// Resets link occupancy and counters (recorded detail included, when
     /// enabled).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.busy_until.fill(0.0);
         self.messages = 0;
         self.transfers = 0;
@@ -69,7 +69,7 @@ impl Network {
     }
 
     /// Turns per-link busy accounting and message-latency recording on.
-    pub fn enable_obs(&mut self) {
+    pub(crate) fn enable_obs(&mut self) {
         if self.obs.is_none() {
             self.obs = Some(Box::new(NetDetail::new(
                 self.torus.dims,
@@ -79,23 +79,18 @@ impl Network {
     }
 
     /// Turns detail recording off and discards what was recorded.
-    pub fn disable_obs(&mut self) {
+    pub(crate) fn disable_obs(&mut self) {
         self.obs = None;
     }
 
     /// The recorded detail, when enabled.
-    pub fn obs_detail(&self) -> Option<&NetDetail> {
+    pub(crate) fn obs_detail(&self) -> Option<&NetDetail> {
         self.obs.as_deref()
     }
 
     /// A snapshot (clone) of the recorded detail, when enabled.
-    pub fn clone_obs_detail(&self) -> Option<NetDetail> {
+    pub(crate) fn clone_obs_detail(&self) -> Option<NetDetail> {
         self.obs.as_deref().cloned()
-    }
-
-    /// The modelled parameters.
-    pub fn params(&self) -> &NetworkParams {
-        &self.params
     }
 
     /// Transfers an aggregate of `msgs` messages totalling `bytes` from
@@ -103,7 +98,7 @@ impl Network {
     /// (sender-side software overhead already paid by the caller).
     /// Returns the time the payload is available at the receiver
     /// (receiver-side overhead included).
-    pub fn transfer(
+    pub(crate) fn transfer(
         &mut self,
         from: NodeCoord,
         to: NodeCoord,
@@ -201,7 +196,7 @@ impl Network {
 
     /// Average hops per point-to-point transfer so far — the paper's
     /// "average number of hops" metric (Fig. 12b).
-    pub fn avg_hops(&self) -> f64 {
+    pub(crate) fn avg_hops(&self) -> f64 {
         if self.transfers == 0 {
             0.0
         } else {

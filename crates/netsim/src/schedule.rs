@@ -55,7 +55,7 @@ pub(crate) struct NeighborRoutes {
 
 impl NeighborRoutes {
     /// Routes every neighbour pair of `grid` under `mapping`.
-    pub fn new(grid: &ProcGrid, mapping: &Mapping) -> NeighborRoutes {
+    pub(crate) fn new(grid: &ProcGrid, mapping: &Mapping) -> NeighborRoutes {
         let torus = mapping.shape.torus;
         let nodes: Vec<NodeCoord> = (0..grid.len()).map(|g| mapping.node_coord(g)).collect();
         let mut links = Vec::new();
@@ -117,7 +117,7 @@ pub(crate) struct CompiledSender {
     /// at replay time because it depends on the step counter.
     pub step_time: f64,
     /// Messages this sender posts.
-    pub n_msgs: u32,
+    pub(crate) n_msgs: u32,
 }
 
 /// A compiled multi-domain halo step, replayable without allocation.
@@ -128,16 +128,16 @@ pub(crate) struct CompiledStep {
     pub domains: Vec<(u32, u32, Rect)>,
     /// Senders in reference order: per domain, per rank row-major within the
     /// domain's active region.
-    pub senders: Vec<CompiledSender>,
+    pub(crate) senders: Vec<CompiledSender>,
     /// Messages stored in *tie order* — sorted by `(from, to)` — so the
     /// post-sort replay loop indexes them directly by tie rank.
-    pub msgs: Vec<CompiledMsg>,
+    pub(crate) msgs: Vec<CompiledMsg>,
     /// Push-order message index (sender by sender, each posting to its W,
     /// E, N, S neighbours as the reference does) → its tie rank (its
     /// position in `msgs`). Breaks injection-time ties exactly as the
     /// reference's stable `(inject, from, to)` sort (no `(from, to)` pair
     /// repeats in a step).
-    pub tie_rank: Vec<u32>,
+    pub(crate) tie_rank: Vec<u32>,
     /// The simulation's link arena (see [`NeighborRoutes`]).
     pub links: Arc<[u32]>,
     /// Σ payload bytes over `msgs`. Payloads are integer-valued `f64`s far
@@ -154,7 +154,7 @@ impl CompiledStep {
     /// Compiles the halo step of `domains` — each an `nx × ny` domain
     /// decomposed over a processor-grid rectangle — mirroring the reference
     /// implementation's traversal order exactly.
-    pub fn compile(
+    pub(crate) fn compile(
         domains: &[(u32, u32, Rect)],
         machine: &Machine,
         grid: &ProcGrid,
@@ -282,18 +282,18 @@ pub(crate) struct StepScratch {
     pub totals: StepTotals,
     /// When set, the step engines also scatter per-rank compute / wait
     /// seconds into `rank_compute` / `rank_wait` (timeline recording).
-    pub record_ranks: bool,
+    pub(crate) record_ranks: bool,
     /// Per-rank compute seconds of the most recent step (valid only for
     /// ranks active in that step, and only when `record_ranks` is set).
-    pub rank_compute: Vec<f64>,
+    pub(crate) rank_compute: Vec<f64>,
     /// Per-rank halo MPI_Wait seconds of the most recent step (same
     /// validity as `rank_compute`).
-    pub rank_wait: Vec<f64>,
+    pub(crate) rank_wait: Vec<f64>,
 }
 
 impl StepScratch {
     /// Scratch for a simulation over `nranks` global ranks.
-    pub fn new(nranks: usize) -> StepScratch {
+    pub(crate) fn new(nranks: usize) -> StepScratch {
         StepScratch {
             pending: Vec::new(),
             pending_tmp: Vec::new(),

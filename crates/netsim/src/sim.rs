@@ -13,7 +13,7 @@
 //! ```
 //!
 //! Per-rank readiness times advance through the phases; halo exchanges go
-//! through the contended [`Network`]; waits (receive waits plus
+//! through the contended `Network`; waits (receive waits plus
 //! synchronisation waits) accumulate into the MPI_Wait statistic the paper
 //! reports in Table 1 and Figs. 11–12.
 //!
@@ -126,7 +126,7 @@ pub struct SimReport {
     /// feedback), seconds.
     pub sibling_solve: Vec<f64>,
     /// Wall-clock spent in parent-domain integration steps.
-    pub parent_phase: f64,
+    pub(crate) parent_phase: f64,
     /// Wall-clock spent in the sibling nest phase (interpolation, nested
     /// steps, feedback).
     pub nest_phase: f64,
@@ -332,7 +332,7 @@ fn ranks_overlapping(parent_patch: &[Rect], fp: &Rect) -> Vec<u32> {
 }
 
 /// A configured simulation, ready to run (and re-run: the compiled
-/// schedules are built once here, [`Simulation::reset`] +
+/// schedules are built once here, `Simulation::reset` +
 /// [`Simulation::run_mut`] replay them from a clean state).
 pub struct Simulation<'a> {
     machine: &'a Machine,
@@ -491,7 +491,7 @@ impl<'a> Simulation<'a> {
     /// Clears all run state (network occupancy, readiness, waits, step
     /// counter, recorded metrics) so the compiled schedules can be
     /// replayed from scratch.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.net.reset();
         self.ready.fill(0.0);
         self.mpi_wait.fill(0.0);

@@ -22,7 +22,7 @@ pub struct NetDetail {
     /// (`node*6 + dim*2 + direction`).
     pub link_busy: Vec<f64>,
     /// Torus dimensions, for decoding link ids back to coordinates.
-    pub torus_dims: [u32; 3],
+    pub(crate) torus_dims: [u32; 3],
 }
 
 impl NetDetail {
@@ -103,13 +103,13 @@ pub struct LinkUtil {
     /// Links with any traffic.
     pub active_links: u64,
     /// Total busy seconds over all links.
-    pub total_busy: f64,
+    pub(crate) total_busy: f64,
     /// Mean utilization over all links.
-    pub mean_util: f64,
+    pub(crate) mean_util: f64,
     /// Hottest link's utilization.
     pub max_util: f64,
     /// 99th-percentile link utilization.
-    pub p99_util: f64,
+    pub(crate) p99_util: f64,
     /// The hottest links, descending by busy time.
     pub top: Vec<LinkLoad>,
 }
@@ -122,17 +122,17 @@ pub struct LinkLoad {
     /// Source node index.
     pub node: u32,
     /// Source node x coordinate.
-    pub coord_x: u32,
+    pub(crate) coord_x: u32,
     /// Source node y coordinate.
-    pub coord_y: u32,
+    pub(crate) coord_y: u32,
     /// Source node z coordinate.
-    pub coord_z: u32,
+    pub(crate) coord_z: u32,
     /// Direction: `"x+"`, `"x-"`, `"y+"`, `"y-"`, `"z+"`, `"z-"`.
     pub dim: String,
     /// Busy (serialization) seconds.
     pub busy: f64,
     /// Busy seconds / simulated run end.
-    pub util: f64,
+    pub(crate) util: f64,
 }
 
 /// How many hottest links [`LinkUtil::top`] lists.
@@ -173,7 +173,7 @@ fn imbalance_of(busy: &[f64]) -> f64 {
 
 /// Computes the analysis from whatever was recorded. `last_end` is the
 /// simulated end time of the run (denominator for link utilization).
-pub fn compute(
+pub(crate) fn compute(
     summary: &ObsSummary,
     timeline: Option<&Timeline>,
     net: Option<&NetDetail>,

@@ -189,18 +189,13 @@ impl LogHistogram {
         self.count
     }
 
-    /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
     /// Exact sum of recorded values.
     pub fn sum(&self) -> f64 {
         self.sum
     }
 
     /// Exact mean (0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -225,7 +220,7 @@ impl LogHistogram {
     /// The `q`-quantile (`0 < q <= 1`) at bucket resolution: the upper edge
     /// of the bucket holding the `ceil(q·count)`-th smallest value, clamped
     /// to the exact observed maximum. Returns 0 when empty.
-    pub fn quantile(&self, q: f64) -> f64 {
+    pub(crate) fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
@@ -260,7 +255,7 @@ impl LogHistogram {
     }
 
     /// Clears all recorded values.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         *self = LogHistogram::new();
     }
 }

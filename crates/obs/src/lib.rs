@@ -30,11 +30,11 @@ pub mod serve;
 pub mod timeline;
 pub mod trace;
 
-pub use analyze::{AnalysisReport, LinkLoad, LinkUtil, NestAnalysis, NetDetail, RankShare};
+pub use analyze::{AnalysisReport, LinkUtil, NestAnalysis, NetDetail, RankShare};
 pub use hist::{HistSummary, LogHistogram};
-pub use ring::StepRing;
+use ring::StepRing;
 pub use serve::{SERVE_SCHEMA, SERVE_VERSION};
-pub use timeline::{FrameMeta, Timeline, TimelineConfig};
+pub use timeline::{Timeline, TimelineConfig};
 
 use serde::Serialize;
 use serde_json::Value;
@@ -89,17 +89,6 @@ pub struct StepMetrics {
     pub hops: u64,
     /// Seconds message heads spent queued behind busy links.
     pub stall: f64,
-}
-
-impl StepMetrics {
-    /// Mean hops per transfer in this step.
-    pub fn avg_hops(&self) -> f64 {
-        if self.transfers == 0 {
-            0.0
-        } else {
-            self.hops as f64 / self.transfers as f64
-        }
-    }
 }
 
 /// Per-nest aggregate (single-nest steps only; lockstep multi-nest steps
@@ -200,13 +189,13 @@ impl ObsConfig {
     }
 
     /// Enables per-rank timeline recording with the given bounds.
-    pub fn with_timeline(mut self, cfg: TimelineConfig) -> Self {
+    pub(crate) fn with_timeline(mut self, cfg: TimelineConfig) -> Self {
         self.timeline = Some(cfg);
         self
     }
 
     /// Enables or disables per-link network recording.
-    pub fn with_net_detail(mut self, on: bool) -> Self {
+    pub(crate) fn with_net_detail(mut self, on: bool) -> Self {
         self.net_detail = on;
         self
     }
@@ -343,11 +332,6 @@ impl Recorder {
         self.net.as_ref()
     }
 
-    /// Latest simulated end time seen across all recorded phases.
-    pub fn last_end(&self) -> f64 {
-        self.last_end
-    }
-
     /// Runs the imbalance / link-utilization analysis over everything
     /// recorded so far.
     pub fn analysis(&self) -> AnalysisReport {
@@ -469,7 +453,7 @@ impl Envelope {
 
 /// Every envelope, with its record array: the only per-schema data the
 /// `nestwx obs` readers hold.
-pub static ENVELOPES: [Envelope; 4] = [
+pub(crate) static ENVELOPES: [Envelope; 4] = [
     Envelope {
         schema: SUMMARY_SCHEMA,
         version: SUMMARY_VERSION,
@@ -492,7 +476,7 @@ pub static ENVELOPES: [Envelope; 4] = [
     },
 ];
 
-/// Finds `v`'s envelope in [`ENVELOPES`] and requires its exact current
+/// Finds `v`'s envelope in the schema table and requires its exact current
 /// version. The error names the unknown schema or the unsupported
 /// version.
 pub fn check_envelope(v: &Value) -> Result<&'static Envelope, String> {
@@ -522,7 +506,7 @@ pub fn check_envelope(v: &Value) -> Result<&'static Envelope, String> {
 
 /// The summary-JSON envelope (what [`Recorder::summary_json`] emits).
 #[derive(Debug, Clone, Serialize)]
-pub struct RunSummary {
+pub(crate) struct RunSummary {
     /// Always [`SUMMARY_SCHEMA`].
     pub schema: String,
     /// Always [`SUMMARY_VERSION`].
@@ -543,11 +527,11 @@ pub struct RunSummary {
 /// Ring-buffer retention block of the envelope. `dropped > 0` means the
 /// retained steps are a truncated suffix of the run.
 #[derive(Debug, Clone, Serialize)]
-pub struct RingInfo {
+pub(crate) struct RingInfo {
     /// Ring capacity.
     pub capacity: u64,
     /// Steps currently retained.
-    pub retained: u64,
+    pub(crate) retained: u64,
     /// Steps overwritten (lost) because the ring was full.
     pub dropped: u64,
     /// The retained steps, oldest → newest.
@@ -556,7 +540,7 @@ pub struct RingInfo {
 
 /// Histogram block of the envelope.
 #[derive(Debug, Clone, Serialize)]
-pub struct HistsOut {
+pub(crate) struct HistsOut {
     /// Per-step wall-clock durations (non-I/O steps).
     pub step_time: HistSummary,
     /// Per-rank halo MPI_Wait seconds (zero-count unless timelines were
@@ -570,21 +554,21 @@ pub struct HistsOut {
 /// Timeline-shape block of the envelope (the columns stay in memory; the
 /// JSON carries only the bounds actually reached).
 #[derive(Debug, Clone, Serialize)]
-pub struct TimelineInfo {
+pub(crate) struct TimelineInfo {
     /// Producer's total rank count.
     pub nranks: u32,
     /// Sampled lanes.
     pub lanes: u32,
     /// Rank sampling stride.
-    pub rank_stride: u32,
+    pub(crate) rank_stride: u32,
     /// Recorded steps per frame after decimation.
-    pub step_stride: u64,
+    pub(crate) step_stride: u64,
     /// Frames held.
     pub frames: u64,
     /// Total steps recorded into the timeline.
     pub recorded_steps: u64,
     /// Times the frame buffer was decimated.
-    pub decimations: u32,
+    pub(crate) decimations: u32,
 }
 
 #[cfg(test)]

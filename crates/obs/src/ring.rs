@@ -20,7 +20,7 @@ pub struct StepRing {
 
 impl StepRing {
     /// An empty ring holding at most `capacity` records (minimum 1).
-    pub fn new(capacity: usize) -> StepRing {
+    pub(crate) fn new(capacity: usize) -> StepRing {
         let cap = capacity.max(1);
         StepRing {
             buf: Vec::with_capacity(cap.min(1024)),
@@ -31,7 +31,7 @@ impl StepRing {
     }
 
     /// Appends a record, overwriting the oldest once full.
-    pub fn push(&mut self, m: StepMetrics) {
+    pub(crate) fn push(&mut self, m: StepMetrics) {
         if self.buf.len() < self.cap {
             self.buf.push(m);
         } else {
@@ -52,7 +52,7 @@ impl StepRing {
     }
 
     /// Maximum records held.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.cap
     }
 
@@ -62,7 +62,7 @@ impl StepRing {
     }
 
     /// Iterates records oldest → newest.
-    pub fn iter(&self) -> impl Iterator<Item = &StepMetrics> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &StepMetrics> {
         let split = if self.buf.len() < self.cap {
             0
         } else {
@@ -72,12 +72,12 @@ impl StepRing {
     }
 
     /// The records oldest → newest as a vector.
-    pub fn to_vec(&self) -> Vec<StepMetrics> {
+    pub(crate) fn to_vec(&self) -> Vec<StepMetrics> {
         self.iter().cloned().collect()
     }
 
     /// Forgets every record (capacity is kept).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.buf.clear();
         self.head = 0;
         self.dropped = 0;

@@ -1,16 +1,16 @@
 //! Bounded-memory per-rank timelines.
 //!
 //! A [`Timeline`] stores, per recorded step and per sampled rank, the
-//! compute / halo-wait / idle seconds of that rank in that step, in a
+//! compute and halo-wait seconds of that rank in that step, in a
 //! columnar layout (`frames × lanes` of `f32`). Two policies bound memory
 //! regardless of run length or machine size:
 //!
 //! * **Rank sampling:** when the machine has more ranks than
-//!   [`TimelineConfig::max_ranks`], only every `rank_stride`-th rank gets a
+//!   `TimelineConfig::max_ranks`, only every `rank_stride`-th rank gets a
 //!   lane. Critical-path attribution still sees *every* active rank — only
 //!   the per-rank columns are sampled.
 //! * **Step decimation:** when the frame buffer reaches
-//!   [`TimelineConfig::max_frames`], adjacent frames are merged pairwise in
+//!   `TimelineConfig::max_frames`, adjacent frames are merged pairwise in
 //!   place and the per-frame step stride doubles, so a 10k-step run costs
 //!   the same memory as a 100-step run at coarser time resolution.
 //!
@@ -22,9 +22,9 @@
 pub struct TimelineConfig {
     /// Frame-buffer capacity; reaching it halves the time resolution
     /// (rounded up to an even number, minimum 2).
-    pub max_frames: usize,
+    pub(crate) max_frames: usize,
     /// Maximum per-rank lanes; more ranks than this are stride-sampled.
-    pub max_ranks: usize,
+    pub(crate) max_ranks: usize,
 }
 
 impl Default for TimelineConfig {
@@ -41,11 +41,11 @@ impl Default for TimelineConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrameMeta {
     /// First recorded step in this frame (1-based producer counter).
-    pub step_first: u64,
+    pub(crate) step_first: u64,
     /// Last recorded step in this frame.
-    pub step_last: u64,
+    pub(crate) step_last: u64,
     /// Nest index of the frame's steps; `-1` for parent/lockstep steps and
-    /// [`Timeline::MIXED_NEST`] when merged steps disagree.
+    /// `i32::MIN` when merged steps disagree.
     pub nest: i32,
     /// Earliest step start (simulated seconds).
     pub start: f64,
@@ -56,7 +56,7 @@ pub struct FrameMeta {
     /// lanes).
     pub crit_rank: u32,
     /// That rank's busy (compute + wait) seconds in its step.
-    pub crit_busy: f64,
+    pub(crate) crit_busy: f64,
 }
 
 /// Columnar per-rank step timeline with bounded memory.
@@ -81,18 +81,16 @@ pub struct Timeline {
     compute: Vec<f32>,
     /// `frames × lanes`: halo-wait seconds.
     wait: Vec<f32>,
-    /// `frames × lanes`: idle seconds (`step span − compute − wait`, ≥ 0).
-    idle: Vec<f32>,
     meta: Vec<FrameMeta>,
 }
 
 impl Timeline {
     /// [`FrameMeta::nest`] value for decimated frames whose merged steps
     /// belonged to different nests.
-    pub const MIXED_NEST: i32 = i32::MIN;
+    pub(crate) const MIXED_NEST: i32 = i32::MIN;
 
     /// An empty timeline; lanes are sized on the first recorded step.
-    pub fn new(cfg: TimelineConfig) -> Timeline {
+    pub(crate) fn new(cfg: TimelineConfig) -> Timeline {
         let cfg = TimelineConfig {
             max_frames: (cfg.max_frames.max(2) + 1) & !1,
             max_ranks: cfg.max_ranks.max(1),
@@ -108,7 +106,6 @@ impl Timeline {
             decimations: 0,
             compute: Vec::new(),
             wait: Vec::new(),
-            idle: Vec::new(),
             meta: Vec::new(),
         }
     }
@@ -125,7 +122,7 @@ impl Timeline {
     /// seconds. `nranks` is the producer's total rank count (fixed for the
     /// timeline's lifetime; the first call sizes the lanes).
     #[allow(clippy::too_many_arguments)]
-    pub fn record_step<I, C, W>(
+    pub(crate) fn record_step<I, C, W>(
         &mut self,
         nranks: u32,
         step: u64,
@@ -161,7 +158,6 @@ impl Timeline {
             let len = self.meta.len() * lanes;
             self.compute.resize(len, 0.0);
             self.wait.resize(len, 0.0);
-            self.idle.resize(len, 0.0);
         }
         let fi = self.meta.len() - 1;
         let base = fi * lanes;
@@ -174,7 +170,6 @@ impl Timeline {
             m.start = m.start.min(start);
             m.end = m.end.max(end);
         }
-        let dur = (end - start).max(0.0);
         let mut crit_rank = self.meta[fi].crit_rank;
         let mut crit_busy = self.meta[fi].crit_busy;
         for g in active {
@@ -191,7 +186,6 @@ impl Timeline {
                     let idx = base + lane;
                     self.compute[idx] += c as f32;
                     self.wait[idx] += w as f32;
-                    self.idle[idx] += (dur - busy).max(0.0) as f32;
                 }
             }
         }
@@ -233,7 +227,6 @@ impl Timeline {
                 self.compute[i * lanes + l] =
                     self.compute[a * lanes + l] + self.compute[b * lanes + l];
                 self.wait[i * lanes + l] = self.wait[a * lanes + l] + self.wait[b * lanes + l];
-                self.idle[i * lanes + l] = self.idle[a * lanes + l] + self.idle[b * lanes + l];
             }
         }
         // `max_frames` is even, so no odd tail frame survives a decimation.
@@ -241,7 +234,6 @@ impl Timeline {
         let len = pairs * lanes;
         self.compute.truncate(len);
         self.wait.truncate(len);
-        self.idle.truncate(len);
         self.step_stride *= 2;
         self.decimations += 1;
     }
@@ -262,28 +254,23 @@ impl Timeline {
     }
 
     /// Every `rank_stride`-th rank gets a lane.
-    pub fn rank_stride(&self) -> u32 {
+    pub(crate) fn rank_stride(&self) -> u32 {
         self.rank_stride
     }
 
     /// Recorded steps covered by one frame.
-    pub fn step_stride(&self) -> u64 {
+    pub(crate) fn step_stride(&self) -> u64 {
         self.step_stride
     }
 
     /// Times the frame buffer was decimated (halved).
-    pub fn decimations(&self) -> u32 {
+    pub(crate) fn decimations(&self) -> u32 {
         self.decimations
     }
 
     /// Total steps recorded (all retained: decimation merges, never drops).
     pub fn recorded_steps(&self) -> u64 {
         self.recorded_steps
-    }
-
-    /// The global rank a lane samples.
-    pub fn lane_rank(&self, lane: u32) -> u32 {
-        lane * self.rank_stride
     }
 
     /// Per-frame metadata, oldest first.
@@ -303,14 +290,8 @@ impl Timeline {
         &self.wait[frame * l..(frame + 1) * l]
     }
 
-    /// Per-lane idle seconds of one frame.
-    pub fn frame_idle(&self, frame: usize) -> &[f32] {
-        let l = self.lanes as usize;
-        &self.idle[frame * l..(frame + 1) * l]
-    }
-
     /// Forgets everything recorded; lanes re-size on the next record.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         *self = Timeline::new(self.cfg);
     }
 }
@@ -346,8 +327,6 @@ mod tests {
         assert_eq!(tl.rank_stride(), 1);
         assert_eq!(tl.frame_compute(0), &[0.0, 1.0, 2.0, 3.0]);
         assert_eq!(tl.frame_wait(0), &[0.0, 0.5, 1.0, 1.5]);
-        // idle = span − compute − wait, clamped at 0.
-        assert_eq!(tl.frame_idle(0), &[1.0, 0.0, 0.0, 0.0]);
         let m = &tl.meta()[0];
         assert_eq!(m.crit_rank, 3, "rank 3 has the largest compute+wait");
         assert_eq!(m.nest, 0);
@@ -392,7 +371,6 @@ mod tests {
         tl.record_step(16, 1, -1, 0.0, 1.0, 0..16u32, |_| 1.0, |g| g as f64);
         assert_eq!(tl.rank_stride(), 4);
         assert_eq!(tl.lanes(), 4);
-        assert_eq!(tl.lane_rank(3), 12);
         assert_eq!(tl.frame_wait(0), &[0.0, 4.0, 8.0, 12.0]);
         // The critical rank is found among unsampled ranks too.
         assert_eq!(tl.meta()[0].crit_rank, 15);

@@ -64,7 +64,7 @@ fn step_tid(m: &StepMetrics) -> u32 {
 
 /// Builds the `chrome://tracing` JSON for the given step records, whose
 /// timestamps are simulated seconds (scaled to µs here).
-pub fn chrome_trace_json<'a, I>(steps: I) -> String
+pub(crate) fn chrome_trace_json<'a, I>(steps: I) -> String
 where
     I: IntoIterator<Item = &'a StepMetrics>,
 {

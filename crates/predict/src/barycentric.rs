@@ -9,7 +9,7 @@ use crate::geometry::Point;
 
 /// Barycentric coordinates `(λ1, λ2, λ3)` of `p` with respect to triangle
 /// `(a, b, c)`. Returns `None` for a degenerate triangle.
-pub fn barycentric(a: Point, b: Point, c: Point, p: Point) -> Option<(f64, f64, f64)> {
+pub(crate) fn barycentric(a: Point, b: Point, c: Point, p: Point) -> Option<(f64, f64, f64)> {
     let det = (b.y - c.y) * (a.x - c.x) + (c.x - b.x) * (a.y - c.y);
     if det.abs() < 1e-300 {
         return None;
@@ -24,7 +24,7 @@ pub fn barycentric(a: Point, b: Point, c: Point, p: Point) -> Option<(f64, f64, 
 
 /// Eq. (4): interpolates the value at `p` from the vertex values
 /// `(ta, tb, tc)` of triangle `(a, b, c)`.
-pub fn interpolate(
+pub(crate) fn interpolate(
     a: Point,
     b: Point,
     c: Point,

@@ -55,13 +55,13 @@ pub fn generate_candidates<R: Rng>(
 }
 
 /// Synthesises a domain with the given aspect ratio and point count.
-pub fn domain_with(aspect: f64, points: f64) -> BasisDomain {
+pub(crate) fn domain_with(aspect: f64, points: f64) -> BasisDomain {
     let nx = (points * aspect).sqrt().round().max(2.0) as u32;
     let ny = (points / aspect).sqrt().round().max(2.0) as u32;
     BasisDomain { nx, ny }
 }
 
-/// Like [`select_basis`] but first pins the four corners of the feature
+/// Like `select_basis` but first pins the four corners of the feature
 /// rectangle `[aspect_lo, aspect_hi] × [points_lo, points_hi]` (slightly
 /// widened), guaranteeing that every query in the stated ranges lies inside
 /// the basis convex hull — the "nicely cover the rectangular region"
@@ -93,7 +93,7 @@ pub fn select_basis_covering(
 /// Selects `k` basis domains from `candidates` that cover the feature
 /// rectangle well: the four corner-most candidates first, then greedy
 /// max–min dispersion in the normalised feature plane.
-pub fn select_basis(candidates: &[BasisDomain], k: usize) -> Vec<BasisDomain> {
+pub(crate) fn select_basis(candidates: &[BasisDomain], k: usize) -> Vec<BasisDomain> {
     assert!(k >= 3, "need at least 3 basis points to triangulate");
     assert!(candidates.len() >= k, "not enough candidates");
     let feats: Vec<DomainFeatures> = candidates.iter().map(BasisDomain::features).collect();

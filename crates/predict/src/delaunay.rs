@@ -195,7 +195,7 @@ impl Delaunay {
     }
 
     /// The triangulated points.
-    pub fn points(&self) -> &[Point] {
+    pub(crate) fn points(&self) -> &[Point] {
         &self.points
     }
 
@@ -206,7 +206,7 @@ impl Delaunay {
 
     /// Finds a triangle containing `p` (boundary inclusive), returning its
     /// index. Linear scan — the basis set is tiny.
-    pub fn locate(&self, p: Point) -> Option<usize> {
+    pub(crate) fn locate(&self, p: Point) -> Option<usize> {
         let eps = 1e-9;
         self.triangles.iter().position(|t| {
             let [a, b, c] = [

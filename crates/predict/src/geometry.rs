@@ -36,7 +36,7 @@ pub fn orient2d(a: Point, b: Point, c: Point) -> f64 {
 
 /// `true` when `d` lies strictly inside the circumcircle of the
 /// counter-clockwise triangle `abc` — the Delaunay empty-circle predicate.
-pub fn in_circumcircle(a: Point, b: Point, c: Point, d: Point) -> bool {
+pub(crate) fn in_circumcircle(a: Point, b: Point, c: Point, d: Point) -> bool {
     debug_assert!(
         orient2d(a, b, c) > 0.0,
         "in_circumcircle requires CCW triangle"
@@ -62,7 +62,7 @@ pub fn in_circumcircle(a: Point, b: Point, c: Point, d: Point) -> bool {
 
 /// Circumcenter and squared circumradius of triangle `abc`.
 /// Returns `None` for (near-)degenerate triangles.
-pub fn circumcircle(a: Point, b: Point, c: Point) -> Option<(Point, f64)> {
+pub(crate) fn circumcircle(a: Point, b: Point, c: Point) -> Option<(Point, f64)> {
     let d = 2.0 * (a.x * (b.y - c.y) + b.x * (c.y - a.y) + c.x * (a.y - b.y));
     if d.abs() < 1e-12 {
         return None;

@@ -19,19 +19,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod barycentric;
+mod barycentric;
 pub mod basis;
-pub mod delaunay;
+mod delaunay;
 pub mod geometry;
-pub mod interpolator;
+mod interpolator;
 pub mod naive;
 pub mod validate;
 
-pub use basis::{
-    domain_with, generate_candidates, select_basis, select_basis_covering, BasisDomain,
-};
-pub use delaunay::{Delaunay, Triangle};
+pub use basis::{generate_candidates, select_basis_covering, BasisDomain};
+pub use delaunay::Delaunay;
 pub use geometry::{convex_hull, Point};
 pub use interpolator::{ExecTimePredictor, PredictError};
 pub use naive::NaivePointsModel;
-pub use validate::{compare_models, k_fold, leave_one_out, CvReport};
+pub use validate::{compare_models, leave_one_out};

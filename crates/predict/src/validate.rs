@@ -17,7 +17,7 @@ pub struct CvReport {
     pub errors: Vec<f64>,
     /// Held-out points that could not be predicted (outside the reduced
     /// hull, degenerate fold, …).
-    pub skipped: usize,
+    pub(crate) skipped: usize,
 }
 
 impl CvReport {
@@ -27,11 +27,6 @@ impl CvReport {
             return 0.0;
         }
         self.errors.iter().sum::<f64>() / self.errors.len() as f64
-    }
-
-    /// Maximum relative error.
-    pub fn max_error(&self) -> f64 {
-        self.errors.iter().copied().fold(0.0, f64::max)
     }
 }
 
@@ -44,7 +39,7 @@ pub fn leave_one_out(basis: &[(DomainFeatures, f64)]) -> CvReport {
 }
 
 /// k-fold cross-validation (deterministic round-robin fold assignment).
-pub fn k_fold(basis: &[(DomainFeatures, f64)], k: usize) -> CvReport {
+pub(crate) fn k_fold(basis: &[(DomainFeatures, f64)], k: usize) -> CvReport {
     assert!(k >= 2 && k <= basis.len(), "need 2 ≤ k ≤ n folds");
     let mut errors = Vec::new();
     let mut skipped = 0;
@@ -139,7 +134,7 @@ mod tests {
     fn k_fold_runs_and_bounds() {
         let r = k_fold(&basis(), 4);
         assert!(r.errors.len() + r.skipped >= 12);
-        assert!(r.max_error() < 0.5);
+        assert!(r.errors.iter().all(|&e| e < 0.5));
     }
 
     #[test]

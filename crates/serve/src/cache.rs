@@ -107,7 +107,7 @@ impl PlanCache {
     }
 
     /// Total entry capacity.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.per_shard_cap * SHARDS
     }
 
@@ -131,7 +131,7 @@ impl PlanCache {
     /// Like [`get`](Self::get) but without touching the hit/miss counters —
     /// for the worker's post-dequeue re-check, which would otherwise count
     /// every request twice (once on the connection thread, once here).
-    pub fn peek(&self, key: &str, digest: u64) -> Option<Arc<str>> {
+    pub(crate) fn peek(&self, key: &str, digest: u64) -> Option<Arc<str>> {
         lock_unpoisoned(self.shard(digest))
             .touch(key)
             .map(|v| Arc::clone(v))
@@ -190,7 +190,7 @@ pub struct CacheStats {
     /// Entries evicted by LRU pressure.
     pub evictions: u64,
     /// `hits / (hits + misses)`, 0 when no lookups happened.
-    pub hit_rate: f64,
+    pub(crate) hit_rate: f64,
 }
 
 #[cfg(all(test, not(loom)))]

@@ -91,7 +91,7 @@ impl Client {
 
     /// Reads the next response line verbatim, skipping JSON parsing — the
     /// byte-identity fast path for [`Client::call_pipelined`].
-    pub fn read_raw_response(&mut self) -> io::Result<String> {
+    pub(crate) fn read_raw_response(&mut self) -> io::Result<String> {
         loop {
             match self.reader.next_line()? {
                 Line::Data(raw) => return Ok(raw),
@@ -108,7 +108,7 @@ impl Client {
 
     /// Reads the next response line without sending anything (for
     /// pipelined requests).
-    pub fn read_response(&mut self) -> io::Result<Response> {
+    pub(crate) fn read_response(&mut self) -> io::Result<Response> {
         loop {
             match self.reader.next_line()? {
                 Line::Data(raw) => {

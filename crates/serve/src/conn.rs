@@ -1,6 +1,6 @@
 //! Per-connection state for the nonblocking event loop.
 //!
-//! A [`Conn`] owns one registered stream plus everything needed to speak
+//! A `Conn` owns one registered stream plus everything needed to speak
 //! the pipelined line protocol over it without ever blocking:
 //!
 //! - an **input buffer** (`protocol::LineBuf`, shared with
@@ -37,7 +37,7 @@ const MAX_PENDING_SPANS: usize = 8 * 1024;
 /// Outbox bytes beyond which a non-draining peer is declared dead. Large
 /// enough for thousands of queued responses, small enough that one stuck
 /// client cannot hold megabytes per connection indefinitely.
-pub const MAX_OUTBOX_BYTES: usize = 4 * 1024 * 1024;
+pub(crate) const MAX_OUTBOX_BYTES: usize = 4 * 1024 * 1024;
 
 /// One entry in a connection's in-order response queue.
 pub enum Slot {
@@ -49,7 +49,7 @@ pub enum Slot {
 
 /// Why a connection should be dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Gone {
+pub(crate) enum Gone {
     /// Peer closed and nothing remains to deliver.
     Finished,
     /// I/O error (reset, broken pipe) — undeliverable responses are
@@ -60,7 +60,7 @@ pub enum Gone {
 }
 
 /// Per-connection state. See the module docs for the moving parts.
-pub struct Conn<S> {
+pub(crate) struct Conn<S> {
     /// The registered nonblocking stream.
     pub stream: S,
     /// Connection number within the owning reader (completion routing key).
@@ -74,9 +74,9 @@ pub struct Conn<S> {
     read_closed: bool,
     dead: bool,
     /// Absolute idle deadline (refreshed on any read/write progress).
-    pub idle_deadline: Option<Instant>,
+    pub(crate) idle_deadline: Option<Instant>,
     /// Absolute connection-lifetime deadline (fixed at accept).
-    pub life_deadline: Option<Instant>,
+    pub(crate) life_deadline: Option<Instant>,
     idle_cap: Option<Duration>,
     /// Finished flight spans waiting for their write-complete edge (the
     /// next moment the outbox fully drains). Empty when recording is off.
@@ -86,7 +86,7 @@ pub struct Conn<S> {
 impl<S: Read + Write> Conn<S> {
     /// Wraps an accepted stream. `now` is the accept timestamp; `idle` and
     /// `lifetime` of zero mean uncapped.
-    pub fn new(
+    pub(crate) fn new(
         stream: S,
         id: u64,
         max_line: usize,
@@ -116,7 +116,7 @@ impl<S: Read + Write> Conn<S> {
     /// (its write-complete edge). Returns the evicted oldest span if the
     /// bounded queue was full — the caller records it immediately,
     /// unwritten.
-    pub fn push_span(&mut self, span: RequestSpan) -> Option<RequestSpan> {
+    pub(crate) fn push_span(&mut self, span: RequestSpan) -> Option<RequestSpan> {
         let evicted = if self.pending_spans.len() >= MAX_PENDING_SPANS {
             self.pending_spans.pop_front()
         } else {
@@ -127,18 +127,20 @@ impl<S: Read + Write> Conn<S> {
     }
 
     /// Whether any spans await their write-complete edge.
-    pub fn has_pending_spans(&self) -> bool {
+    pub(crate) fn has_pending_spans(&self) -> bool {
         !self.pending_spans.is_empty()
     }
 
     /// Takes every span awaiting write-complete (oldest first).
-    pub fn take_pending_spans(&mut self) -> std::collections::vec_deque::Drain<'_, RequestSpan> {
+    pub(crate) fn take_pending_spans(
+        &mut self,
+    ) -> std::collections::vec_deque::Drain<'_, RequestSpan> {
         self.pending_spans.drain(..)
     }
 
     /// Pulls whatever the socket has ready into the input buffer without
     /// blocking. Returns `true` when any bytes (or EOF) arrived.
-    pub fn fill(&mut self, now: Instant) -> bool {
+    pub(crate) fn fill(&mut self, now: Instant) -> bool {
         let mut progressed = false;
         let mut chunk = [0u8; 16 * 1024];
         loop {
@@ -169,13 +171,13 @@ impl<S: Read + Write> Conn<S> {
     /// Pops the next complete request line out of the input buffer, or
     /// `None` when more bytes are needed. Oversized lines surface exactly
     /// once with the discarded byte count, then resync at the next newline.
-    pub fn next_line(&mut self) -> Option<Line> {
+    pub(crate) fn next_line(&mut self) -> Option<Line> {
         self.lines.take_line(self.read_closed)
     }
 
     /// Reserves the next in-order response slot for a queued job and
     /// returns its sequence number.
-    pub fn reserve_slot(&mut self) -> u64 {
+    pub(crate) fn reserve_slot(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.slots.push_back(Slot::Waiting(seq));
@@ -183,14 +185,14 @@ impl<S: Read + Write> Conn<S> {
     }
 
     /// Queues an immediately-available response in request order.
-    pub fn push_done(&mut self, line: String) {
+    pub(crate) fn push_done(&mut self, line: String) {
         self.next_seq += 1;
         self.slots.push_back(Slot::Done(line));
     }
 
     /// Fills the waiting slot with sequence number `seq`. Returns `false`
     /// when no such slot exists (already filled, or never reserved).
-    pub fn fill_slot(&mut self, seq: u64, line: String) -> bool {
+    pub(crate) fn fill_slot(&mut self, seq: u64, line: String) -> bool {
         for slot in self.slots.iter_mut() {
             if matches!(slot, Slot::Waiting(s) if *s == seq) {
                 *slot = Slot::Done(line);
@@ -200,23 +202,15 @@ impl<S: Read + Write> Conn<S> {
         false
     }
 
-    /// Waiting (unanswered) slots on this connection.
-    pub fn waiting(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| matches!(s, Slot::Waiting(_)))
-            .count()
-    }
-
     /// True when nothing is queued or buffered for the peer.
-    pub fn output_drained(&self) -> bool {
+    pub(crate) fn output_drained(&self) -> bool {
         self.slots.is_empty() && self.sent == self.outbox.len()
     }
 
     /// Moves leading `Done` slots into the outbox and writes as much as
     /// the socket accepts without blocking. Returns the number of
     /// responses that left the slot queue this call.
-    pub fn flush(&mut self, now: Instant) -> usize {
+    pub(crate) fn flush(&mut self, now: Instant) -> usize {
         let mut released = 0;
         while let Some(Slot::Done(_)) = self.slots.front() {
             let Some(Slot::Done(line)) = self.slots.pop_front() else {
@@ -264,7 +258,7 @@ impl<S: Read + Write> Conn<S> {
     }
 
     /// Checks whether the connection should be dropped, after a flush.
-    pub fn gone(&self, now: Instant) -> Option<Gone> {
+    pub(crate) fn gone(&self, now: Instant) -> Option<Gone> {
         if self.dead {
             return Some(Gone::Dead);
         }
@@ -289,16 +283,6 @@ impl<S: Read + Write> Conn<S> {
             }
         }
         None
-    }
-
-    /// True once the peer closed its write side.
-    pub fn read_closed(&self) -> bool {
-        self.read_closed
-    }
-
-    /// Marks the connection dead (caller saw an unrecoverable condition).
-    pub fn kill(&mut self) {
-        self.dead = true;
     }
 
     fn touch(&mut self, now: Instant) {
@@ -405,7 +389,7 @@ mod tests {
         s.eof = true;
         let mut c = conn(s);
         c.fill(Instant::now());
-        assert!(c.read_closed());
+        assert!(c.read_closed);
         assert_eq!(c.next_line(), Some(Line::Data("tail".into())));
         assert_eq!(c.next_line(), None);
     }

@@ -32,7 +32,7 @@ use nestwx_core::fnv1a64;
 use serde::Serialize;
 use std::fs;
 use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -77,11 +77,6 @@ impl DiskCache {
             corrupt: AtomicU64::new(0),
             tmp_seq: AtomicU64::new(0),
         })
-    }
-
-    /// The cache directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     fn entry_path(&self, key: &str) -> PathBuf {

@@ -9,7 +9,7 @@
 //! are pre-sized at startup and spans are `Copy`.
 //!
 //! The `trace` protocol endpoint drains all rings into a versioned
-//! `nestwx-obs-serve-summary` envelope ([`FlightRecorder::envelope`]),
+//! `nestwx-obs-serve-summary` envelope (`FlightRecorder::envelope`),
 //! rendered by `nestwx obs report|top|diff`.
 //!
 //! Drop accounting is exact: a ring overwrite bumps the ring's local drop
@@ -33,10 +33,10 @@ const SLOW_CAP: usize = 256;
 /// reports how many drained spans were omitted (`spans_truncated`).
 /// Worst-case span ≈ 200 bytes: (192 + 32) × 200 ≈ 45 KiB, comfortably
 /// under the 64 KiB line cap with the summary block and response wrapper.
-pub const ENVELOPE_SPANS_MAX: usize = 192;
+pub(crate) const ENVELOPE_SPANS_MAX: usize = 192;
 
 /// Most slow-log entries one `trace` envelope serializes (newest kept).
-pub const ENVELOPE_SLOW_MAX: usize = 32;
+pub(crate) const ENVELOPE_SLOW_MAX: usize = 32;
 
 /// Saturates a duration into span microseconds (`u32` ≈ 71 minutes, far
 /// beyond any request deadline).
@@ -60,7 +60,7 @@ pub enum SpanPath {
 
 impl SpanPath {
     /// Wire name of the path (stable envelope vocabulary).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             SpanPath::Hot => "hot",
             SpanPath::Inline => "inline",
@@ -206,16 +206,6 @@ impl SpanRing {
         g.dropped = 0;
         (out, dropped)
     }
-
-    /// Number of spans currently buffered.
-    pub fn len(&self) -> usize {
-        lock_unpoisoned(&self.inner).buf.len()
-    }
-
-    /// Whether the ring holds no spans.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// Counter snapshot of the recorder, embedded in the `stats` envelope.
@@ -238,7 +228,7 @@ pub struct FlightStats {
 }
 
 /// Everything one drain produced.
-pub struct Drained {
+pub(crate) struct Drained {
     /// All buffered spans across readers, ordered by arrival time.
     pub spans: Vec<RequestSpan>,
     /// The slow-request log (spans whose total latency crossed the
@@ -266,7 +256,7 @@ pub struct FlightRecorder {
 impl FlightRecorder {
     /// A recorder with one ring of `ring_cap` spans per reader. `slow_us`
     /// of 0 disables the slow-request log.
-    pub fn new(enabled: bool, readers: usize, ring_cap: usize, slow_us: u64) -> Self {
+    pub(crate) fn new(enabled: bool, readers: usize, ring_cap: usize, slow_us: u64) -> Self {
         let readers = readers.max(1);
         FlightRecorder {
             enabled,
@@ -282,13 +272,13 @@ impl FlightRecorder {
 
     /// Whether spans should be built at all (checked before any clock
     /// reads on the request path).
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.enabled
     }
 
     /// Records one finished span into reader `reader`'s ring. No-op when
     /// recording is disabled.
-    pub fn record(&self, reader: usize, span: RequestSpan) {
+    pub(crate) fn record(&self, reader: usize, span: RequestSpan) {
         if !self.enabled {
             return;
         }
@@ -304,7 +294,7 @@ impl FlightRecorder {
     }
 
     /// Drains every reader ring (merged oldest-first) and the slow log.
-    pub fn drain(&self) -> Drained {
+    pub(crate) fn drain(&self) -> Drained {
         let mut spans = Vec::new();
         let mut dropped = 0u64;
         for ring in &self.rings {
@@ -322,7 +312,7 @@ impl FlightRecorder {
     }
 
     /// Cumulative counter snapshot for the `stats` envelope.
-    pub fn stats(&self) -> FlightStats {
+    pub(crate) fn stats(&self) -> FlightStats {
         FlightStats {
             recording: self.enabled,
             rings: self.rings.len() as u64,
@@ -336,7 +326,7 @@ impl FlightRecorder {
 
     /// Drains the recorder into the versioned `nestwx-obs-serve-summary`
     /// envelope served by the `trace` endpoint.
-    pub fn envelope(&self) -> TraceEnvelope {
+    pub(crate) fn envelope(&self) -> TraceEnvelope {
         let d = self.drain();
         let mut by_path = PathCounts {
             hot: 0,
@@ -432,7 +422,7 @@ pub struct TraceSummary {
     /// still count every drained span).
     pub spans_truncated: u64,
     /// Slow-log entries omitted from the `slow` array, same rule.
-    pub slow_truncated: u64,
+    pub(crate) slow_truncated: u64,
     /// Drained span counts by lifecycle path.
     pub by_path: PathCounts,
     /// Drained span counts by endpoint.
@@ -491,9 +481,9 @@ pub struct TraceEnvelope {
     /// Aggregate counters for this drain.
     pub summary: TraceSummary,
     /// Drained spans, ordered by arrival time — at most
-    /// [`ENVELOPE_SPANS_MAX`], newest kept (see `summary.spans_truncated`).
+    /// `ENVELOPE_SPANS_MAX`, newest kept (see `summary.spans_truncated`).
     pub spans: Vec<SpanOut>,
-    /// Slow-request log entries — at most [`ENVELOPE_SLOW_MAX`], newest
+    /// Slow-request log entries — at most `ENVELOPE_SLOW_MAX`, newest
     /// kept (see `summary.slow_truncated`).
     pub slow: Vec<SpanOut>,
 }

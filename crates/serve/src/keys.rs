@@ -43,7 +43,7 @@ pub fn canonical_key(version: u32, canonical: &str, kind: KeyKind) -> String {
 }
 
 /// [`canonical_key`] of `scenario`, encoded here: the builder behind
-/// [`plan_key`], [`compare_key`] and [`sweep_key`], public so tests can
+/// [`plan_key`], `compare_key` and [`sweep_key`], public so tests can
 /// build keys under another version and prove that a bump misses.
 pub fn versioned_key(version: u32, scenario: &Scenario, kind: KeyKind) -> String {
     canonical_key(version, &scenario.canonical_string(), kind)
@@ -55,7 +55,7 @@ pub fn plan_key(scenario: &Scenario) -> String {
 }
 
 /// The cache key for a `compare` request over `iterations` iterations.
-pub fn compare_key(scenario: &Scenario, iterations: u32) -> String {
+pub(crate) fn compare_key(scenario: &Scenario, iterations: u32) -> String {
     versioned_key(PLAN_FORMAT_VERSION, scenario, KeyKind::Compare(iterations))
 }
 

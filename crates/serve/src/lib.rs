@@ -22,7 +22,7 @@
 //!   [`nestwx_core::PredictorStore`];
 //! - per-endpoint latency histograms (`nestwx-obs` [`nestwx_obs::LogHistogram`])
 //!   behind a `stats` endpoint, and graceful drain-then-exit shutdown with
-//!   a [`DrainReport`] that proves nothing leaked ([`metrics`], [`server`]).
+//!   a `DrainReport` that proves nothing leaked ([`metrics`], [`server`]).
 //!
 //! ```no_run
 //! use nestwx_serve::{spawn, Client, Request, RequestBody, ServeConfig};
@@ -54,19 +54,16 @@ pub mod reply;
 pub mod server;
 pub mod sync;
 
-pub use cache::{CacheStats, PlanCache};
-pub use client::{Client, Response};
-pub use conn::{Conn, Gone};
+pub use cache::PlanCache;
+pub use client::Client;
 pub use disk::{DiskCache, DiskStats};
-pub use flight::{FlightRecorder, FlightStats, RequestSpan, SpanPath, SpanRing, TraceEnvelope};
+pub use flight::{FlightRecorder, RequestSpan, SpanRing, TraceEnvelope};
 pub use keys::PLAN_FORMAT_VERSION;
-pub use limits::{CancelToken, RateLimiter, MICRO};
-pub use metrics::{EndpointStats, LimitGauges, LimitStats, Metrics, QueueStats, StatsSnapshot};
+pub use limits::{CancelToken, RateLimiter};
 pub use protocol::{
-    parse_machine, Endpoint, ErrorKind, Line, LineReader, PredictParams, ProtoError, Request,
-    RequestBody, ScenarioParams, MAX_EXECUTE_ITERATIONS, MAX_EXECUTE_WORKERS, MAX_LINE_BYTES,
-    PROTOCOL_VERSION,
+    parse_machine, ErrorKind, Line, LineReader, PredictParams, Request, RequestBody,
+    ScenarioParams, MAX_LINE_BYTES,
 };
 pub use queue::{BoundedQueue, PushError};
-pub use reply::{Completion, Outcome, Reply};
-pub use server::{render_plan, spawn, DrainReport, ServeConfig, ServerHandle};
+pub use reply::Outcome;
+pub use server::{render_plan, spawn, ServeConfig, ServerHandle};

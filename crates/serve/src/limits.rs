@@ -12,7 +12,7 @@
 //! **Rate limiting.** One token bucket per `client` identity string, with
 //! weighted costs per endpoint (a `compare` simulation spends more budget
 //! than a cached `plan` hit — weighted fairness, not per-message
-//! counting). Buckets hold *micro-tokens* (1 token = [`MICRO`]), refilled
+//! counting). Buckets hold *micro-tokens* (1 token = `MICRO`), refilled
 //! by integer arithmetic from a caller-supplied microsecond clock
 //! ([`nestwx_obs::clock::micros_since`] in production, fixed values in the
 //! loom suite), so refill math is exact and the limiter itself never reads
@@ -26,7 +26,7 @@ use crate::sync::{lock_unpoisoned, AtomicBool, Mutex, Ordering};
 use std::sync::Arc;
 
 /// Micro-tokens per token (see module docs).
-pub const MICRO: u64 = 1_000_000;
+pub(crate) const MICRO: u64 = 1_000_000;
 
 /// Exactly-once claim on a queued job's right to answer.
 ///
@@ -136,12 +136,12 @@ impl RateLimiter {
     }
 
     /// Clients currently tracked.
-    pub fn clients_tracked(&self) -> usize {
+    pub(crate) fn clients_tracked(&self) -> usize {
         lock_unpoisoned(&self.table).len()
     }
 
     /// Buckets evicted by the client-table cap.
-    pub fn evictions(&self) -> u64 {
+    pub(crate) fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
     }
 

@@ -14,17 +14,17 @@ use serde::Serialize;
 use std::time::Duration;
 
 /// `schema` tag of the unified `stats` result envelope.
-pub const STATS_SCHEMA: &str = "nestwx-serve-stats";
+pub(crate) const STATS_SCHEMA: &str = "nestwx-serve-stats";
 /// Current version of the `stats` envelope. Version 1 was the untagged
 /// PR 4–7 document; version 2 added the schema/version tags and the
 /// flight-recorder block; version 3 drops the `batch` block (predicts are
 /// ordinary queued jobs, counted under `endpoints.predict`) and changes
 /// nothing else.
-pub const STATS_VERSION: u64 = 3;
+pub(crate) const STATS_VERSION: u64 = 3;
 
 /// Counters plus a latency histogram for one endpoint.
 #[derive(Default)]
-pub struct EndpointMetrics {
+pub(crate) struct EndpointMetrics {
     requests: AtomicU64,
     errors: AtomicU64,
     latency: Mutex<LogHistogram>,
@@ -33,7 +33,7 @@ pub struct EndpointMetrics {
 impl EndpointMetrics {
     /// Records one completed request (error responses count too — clients
     /// wait for them just the same).
-    pub fn record(&self, latency: Duration, ok: bool) {
+    pub(crate) fn record(&self, latency: Duration, ok: bool) {
         self.requests.fetch_add(1, Ordering::Relaxed);
         if !ok {
             self.errors.fetch_add(1, Ordering::Relaxed);
@@ -53,11 +53,11 @@ impl EndpointMetrics {
 /// All server-side counters. One instance per server, shared by every
 /// connection and worker thread.
 #[derive(Default)]
-pub struct Metrics {
+pub(crate) struct Metrics {
     /// Connections accepted and served.
-    pub accepted_conns: AtomicU64,
+    pub(crate) accepted_conns: AtomicU64,
     /// Connections refused because the connection cap was reached.
-    pub rejected_conns: AtomicU64,
+    pub(crate) rejected_conns: AtomicU64,
     /// Request lines received (including ones that failed to parse).
     pub requests_total: AtomicU64,
     /// Response lines written (every received line gets exactly one).
@@ -79,7 +79,7 @@ pub struct Metrics {
 
 impl Metrics {
     /// The per-endpoint metrics cell.
-    pub fn endpoint(&self, e: Endpoint) -> &EndpointMetrics {
+    pub(crate) fn endpoint(&self, e: Endpoint) -> &EndpointMetrics {
         match e {
             Endpoint::Predict => &self.predict,
             Endpoint::Plan => &self.plan,
@@ -93,7 +93,7 @@ impl Metrics {
 
     /// Builds the full `stats` result (queue/cache/conn/disk figures are
     /// owned by other components and passed in, as are the limit gauges).
-    pub fn snapshot(
+    pub(crate) fn snapshot(
         &self,
         queue: QueueStats,
         cache: CacheStats,
@@ -141,7 +141,7 @@ impl Metrics {
 /// Point-in-time gauges owned by the limiter and the predictor map,
 /// passed into [`Metrics::snapshot`].
 #[derive(Debug, Clone, Copy, Default)]
-pub struct LimitGauges {
+pub(crate) struct LimitGauges {
     /// Clients with a live token bucket.
     pub clients_tracked: u64,
     /// Token buckets evicted by the client-table cap.
@@ -185,9 +185,9 @@ pub struct EndpointStats {
 #[derive(Debug, Clone, Copy, Serialize)]
 pub struct ServerStats {
     /// Connections accepted and served.
-    pub accepted_conns: u64,
+    pub(crate) accepted_conns: u64,
     /// Connections refused at the connection cap.
-    pub rejected_conns: u64,
+    pub(crate) rejected_conns: u64,
     /// Connections currently open.
     pub live_conns: u64,
     /// Request lines received.
@@ -235,9 +235,9 @@ pub struct EndpointsStats {
 /// The complete `stats` result (schema `nestwx-serve-stats` v3).
 #[derive(Debug, Clone, Copy, Serialize)]
 pub struct StatsSnapshot {
-    /// Always [`STATS_SCHEMA`].
+    /// Always `STATS_SCHEMA`.
     pub schema: &'static str,
-    /// Always [`STATS_VERSION`].
+    /// Always `STATS_VERSION`.
     pub version: u64,
     /// Connection/request totals.
     pub server: ServerStats,

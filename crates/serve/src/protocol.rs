@@ -13,7 +13,7 @@
 //!
 //! Ops: `predict`, `plan`, `compare`, `execute`, `stats`, `trace`,
 //! `shutdown`. The version
-//! field `v` is mandatory and must equal [`PROTOCOL_VERSION`]; unknown
+//! field `v` is mandatory and must equal `PROTOCOL_VERSION`; unknown
 //! *fields* are tolerated (forward compatibility), unknown *ops* and
 //! malformed values are rejected with a typed error. Lines longer than
 //! [`MAX_LINE_BYTES`] are rejected with kind `oversized` without buffering
@@ -42,7 +42,7 @@ use std::io::{self, Read};
 use std::str::FromStr;
 
 /// Wire protocol version carried in every request/response (`"v"`).
-pub const PROTOCOL_VERSION: u64 = 1;
+pub(crate) const PROTOCOL_VERSION: u64 = 1;
 
 /// Maximum accepted request-line length in bytes (newline included).
 /// Longer lines are answered with an `oversized` error and skipped.
@@ -50,10 +50,10 @@ pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// Cap on `execute` parent iterations — a fleet run is real simulation
 /// work on the server; unbounded iteration counts would be a trivial DoS.
-pub const MAX_EXECUTE_ITERATIONS: u32 = 1000;
+pub(crate) const MAX_EXECUTE_ITERATIONS: u32 = 1000;
 
 /// Cap on `execute` fleet workers (each is a thread pair plus a socket).
-pub const MAX_EXECUTE_WORKERS: u32 = 8;
+pub(crate) const MAX_EXECUTE_WORKERS: u32 = 8;
 
 /// The seven server endpoints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,7 +87,7 @@ impl Endpoint {
     ];
 
     /// The wire token (`"op"` value).
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             Endpoint::Predict => "predict",
             Endpoint::Plan => "plan",
@@ -100,7 +100,7 @@ impl Endpoint {
     }
 
     /// Parses a wire token.
-    pub fn from_name(s: &str) -> Option<Endpoint> {
+    pub(crate) fn from_name(s: &str) -> Option<Endpoint> {
         Endpoint::ALL.into_iter().find(|e| e.name() == s)
     }
 }
@@ -112,7 +112,7 @@ pub enum ErrorKind {
     Malformed,
     /// The line exceeded [`MAX_LINE_BYTES`].
     Oversized,
-    /// `v` missing or not equal to [`PROTOCOL_VERSION`].
+    /// `v` missing or not equal to `PROTOCOL_VERSION`.
     UnsupportedVersion,
     /// Syntactically valid JSON but semantically invalid request.
     BadRequest,
@@ -135,7 +135,7 @@ pub enum ErrorKind {
 
 impl ErrorKind {
     /// The wire token (`error.kind`).
-    pub fn as_str(&self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         match self {
             ErrorKind::Malformed => "malformed",
             ErrorKind::Oversized => "oversized",
@@ -163,7 +163,7 @@ pub struct ProtoError {
 
 impl ProtoError {
     /// Convenience constructor.
-    pub fn new(kind: ErrorKind, message: impl Into<String>) -> ProtoError {
+    pub(crate) fn new(kind: ErrorKind, message: impl Into<String>) -> ProtoError {
         ProtoError {
             kind,
             message: message.into(),
@@ -171,7 +171,7 @@ impl ProtoError {
     }
 
     /// A `bad_request` error.
-    pub fn bad_request(message: impl Into<String>) -> ProtoError {
+    pub(crate) fn bad_request(message: impl Into<String>) -> ProtoError {
         ProtoError::new(ErrorKind::BadRequest, message)
     }
 }
@@ -302,7 +302,7 @@ impl Request {
     }
 
     /// The endpoint this request targets.
-    pub fn endpoint(&self) -> Endpoint {
+    pub(crate) fn endpoint(&self) -> Endpoint {
         match &self.body {
             RequestBody::Predict(_) => Endpoint::Predict,
             RequestBody::Plan(_) => Endpoint::Plan,
@@ -703,7 +703,7 @@ pub fn response_ok_line(id: Option<&str>, result_json: &str) -> String {
 }
 
 /// Builds an error response line (no trailing newline).
-pub fn response_err_line(id: Option<&str>, e: &ProtoError) -> String {
+pub(crate) fn response_err_line(id: Option<&str>, e: &ProtoError) -> String {
     let mut s = String::with_capacity(64 + e.message.len());
     s.push_str("{\"v\":1");
     if let Some(id) = id {

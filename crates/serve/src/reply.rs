@@ -1,7 +1,7 @@
 //! The reply plumbing between workers and the event loop.
 //!
-//! A worker answers a job through its [`Reply`]: it renders the response
-//! line and posts a [`Completion`] to the event-loop reader that owns the
+//! A worker answers a job through its `Reply`: it renders the response
+//! line and posts a `Completion` to the event-loop reader that owns the
 //! connection. A `Completion` carries only connection/sequence numbers and
 //! the finished response line — never a socket — so this module stays free
 //! of I/O handles (lint rule NW-S003 runs on it).
@@ -16,7 +16,7 @@ pub type Outcome = Result<String, ProtoError>;
 /// A finished response headed back to an event-loop reader. Identifies the
 /// connection and pipeline slot by number only; the reader that owns the
 /// socket splices `line` into the connection's in-order response queue.
-pub struct Completion {
+pub(crate) struct Completion {
     /// Connection number within the owning reader.
     pub conn: u64,
     /// Pipeline sequence number within the connection.
@@ -33,7 +33,7 @@ pub struct Completion {
 
 /// Where a worker's answer goes: one pipeline slot of one event-loop
 /// connection.
-pub struct Reply {
+pub(crate) struct Reply {
     /// The owning reader's completion channel.
     pub tx: Sender<Completion>,
     /// Connection number within that reader.
@@ -51,7 +51,7 @@ impl Reply {
     /// touch the response line, so recorded and unrecorded responses stay
     /// byte-identical. Send failures are ignored: a reader that is already
     /// gone needs no answer.
-    pub fn send(self, outcome: Outcome, wait_us: u32, work_us: u32) {
+    pub(crate) fn send(self, outcome: Outcome, wait_us: u32, work_us: u32) {
         let line = match &outcome {
             Ok(result) => response_ok_line(self.id.as_deref(), result),
             Err(e) => response_err_line(self.id.as_deref(), e),

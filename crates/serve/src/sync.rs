@@ -5,7 +5,7 @@
 //! exact production types).
 //!
 //! This file is also the crate's **poisoning policy** (lint rule NW-S002):
-//! the only permitted way to lock a mutex is [`lock_unpoisoned`], which
+//! the only permitted way to lock a mutex is `lock_unpoisoned`, which
 //! continues through poison instead of panicking. All serve-side mutexes
 //! guard monitoring or cache state whose invariants hold at every await
 //! point of the critical sections (counters bumped atomically, maps
@@ -28,7 +28,7 @@ pub use loom::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 /// Locks `m`, continuing through poisoning: a thread that panicked while
 /// holding the lock does not take the server down with it. See the module
 /// docs for why this is sound for every mutex in this crate.
-pub fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 

@@ -86,7 +86,7 @@ pub struct ScenarioOutcome {
     /// Simulated seconds per parent iteration under the plan.
     pub planned_s_per_iter: f64,
     /// FNV-1a 64 of the rendered plan JSON, as 16 hex digits.
-    pub plan_digest: String,
+    pub(crate) plan_digest: String,
     /// True when the result came from the disk cache.
     pub from_disk: bool,
     /// Planning/simulation failure, if any (such scenarios are excluded

@@ -29,8 +29,6 @@ pub mod engine;
 pub mod spec;
 pub mod summary;
 
-pub use engine::{
-    run_sweep, ParetoPoint, ScenarioOutcome, SweepError, SweepOptions, SweepReport, WinnerRow,
-};
-pub use spec::{Expansion, SpecError, SweepSpec};
+pub use engine::{run_sweep, SweepOptions, SweepReport};
+pub use spec::{Expansion, SweepSpec};
 pub use summary::{to_json, validate};

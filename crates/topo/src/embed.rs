@@ -24,17 +24,17 @@ use nestwx_grid::Rect;
 /// `ez = z * cores_per_node + core`. Two slots with the same node are 0 hops
 /// apart.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExtCoord {
+pub(crate) struct ExtCoord {
     /// Torus x.
     pub x: u32,
     /// Torus y.
     pub y: u32,
     /// Extended z (z-plane × cores-per-node + core).
-    pub ez: u32,
+    pub(crate) ez: u32,
 }
 
 /// The extended extents of a machine shape.
-pub fn ext_dims(shape: &MachineShape) -> (u32, u32, u32) {
+pub(crate) fn ext_dims(shape: &MachineShape) -> (u32, u32, u32) {
     (
         shape.torus.dims[0],
         shape.torus.dims[1],
@@ -44,28 +44,16 @@ pub fn ext_dims(shape: &MachineShape) -> (u32, u32, u32) {
 
 /// Slot id of an extended coordinate (node-major: all cores of a node are
 /// consecutive).
-pub fn slot_of(shape: &MachineShape, c: ExtCoord) -> u32 {
+pub(crate) fn slot_of(shape: &MachineShape, c: ExtCoord) -> u32 {
     let z = c.ez / shape.cores_per_node;
     let core = c.ez % shape.cores_per_node;
     let node = shape.torus.index(crate::torus::NodeCoord::new(c.x, c.y, z));
     node * shape.cores_per_node + core
 }
 
-/// Inverse of [`slot_of`].
-pub fn coord_of(shape: &MachineShape, slot: u32) -> ExtCoord {
-    let node = slot / shape.cores_per_node;
-    let core = slot % shape.cores_per_node;
-    let nc = shape.torus.coord(node);
-    ExtCoord {
-        x: nc.x,
-        y: nc.y,
-        ez: nc.z * shape.cores_per_node + core,
-    }
-}
-
 /// Fold geometry of a `w × h` rectangle on an `(ex, ey, _)` extended torus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Fold {
+pub(crate) struct Fold {
     /// Number of x segments.
     pub fx: u32,
     /// Segment length in x (`≤ ex`).
@@ -83,7 +71,7 @@ impl Fold {
     /// minimum — the multi-level mapping of Fig. 6(b) folds once more than
     /// strictly necessary so each partition spans two z planes and sibling
     /// boundaries meet across plane edges.
-    pub fn for_rect(w: u32, h: u32, ex: u32, ey: u32, extra_x_folds: u32) -> Fold {
+    pub(crate) fn for_rect(w: u32, h: u32, ex: u32, ey: u32, extra_x_folds: u32) -> Fold {
         assert!(w > 0 && h > 0);
         let mut fx = w.div_ceil(ex);
         for _ in 0..extra_x_folds {
@@ -98,18 +86,13 @@ impl Fold {
         Fold { fx, rx, fy, ry }
     }
 
-    /// Depth (extended-z extent) of the folded cuboid.
-    pub fn depth(&self) -> u32 {
-        self.fx * self.fy
-    }
-
     /// Preferred offset (relative to the cuboid anchor) of rectangle-local
     /// cell `(i, j)`, `0 ≤ i < w`, `0 ≤ j < h`.
     ///
     /// Folds are serpentine in both directions, and the x-segment index is
     /// itself serpentine within each y segment, so crossing an x fold is a
     /// single z hop.
-    pub fn offset(&self, i: u32, j: u32) -> (u32, u32, u32) {
+    pub(crate) fn offset(&self, i: u32, j: u32) -> (u32, u32, u32) {
         let kx = i / self.rx;
         let mut px = i % self.rx;
         if kx % 2 == 1 {
@@ -129,11 +112,11 @@ impl Fold {
 /// How a rectangle is mirrored before folding. The multi-level mapping
 /// searches orientations; the plain partition mapping uses the default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Orientation {
+pub(crate) struct Orientation {
     /// Mirror the rectangle left-right before folding.
-    pub mirror_x: bool,
+    pub(crate) mirror_x: bool,
     /// Mirror the rectangle top-bottom before folding.
-    pub mirror_y: bool,
+    pub(crate) mirror_y: bool,
 }
 
 impl Orientation {
@@ -160,7 +143,11 @@ impl Orientation {
 
 /// A tentative placement of one partition: for each rect-local cell
 /// (row-major), the extended coordinate it would occupy.
-pub fn placement_offsets(rect: &Rect, fold: &Fold, orient: Orientation) -> Vec<(u32, u32, u32)> {
+pub(crate) fn placement_offsets(
+    rect: &Rect,
+    fold: &Fold,
+    orient: Orientation,
+) -> Vec<(u32, u32, u32)> {
     let mut out = Vec::with_capacity(rect.area() as usize);
     for j in 0..rect.h {
         let ej = if orient.mirror_y { rect.h - 1 - j } else { j };
@@ -174,28 +161,18 @@ pub fn placement_offsets(rect: &Rect, fold: &Fold, orient: Orientation) -> Vec<(
 
 /// A free-slot bitmap over a machine shape with first-fit cuboid placement.
 #[derive(Debug, Clone)]
-pub struct SlotSpace {
+pub(crate) struct SlotSpace {
     shape: MachineShape,
     free: Vec<bool>,
 }
 
 impl SlotSpace {
     /// All slots free.
-    pub fn new(shape: MachineShape) -> Self {
+    pub(crate) fn new(shape: MachineShape) -> Self {
         SlotSpace {
             shape,
             free: vec![true; shape.slots() as usize],
         }
-    }
-
-    /// The machine shape.
-    pub fn shape(&self) -> &MachineShape {
-        &self.shape
-    }
-
-    /// Number of still-free slots.
-    pub fn free_count(&self) -> usize {
-        self.free.iter().filter(|f| **f).count()
     }
 
     /// Is the slot at extended coordinate `c` free?
@@ -214,7 +191,7 @@ impl SlotSpace {
 
     /// First-fit anchor scan (z outermost, then y, then x) for a set of
     /// offsets; returns the anchor or `None`.
-    pub fn find_anchor(&self, offsets: &[(u32, u32, u32)]) -> Option<(u32, u32, u32)> {
+    pub(crate) fn find_anchor(&self, offsets: &[(u32, u32, u32)]) -> Option<(u32, u32, u32)> {
         let (ex, ey, ez) = ext_dims(&self.shape);
         let max = offsets.iter().fold((0, 0, 0), |m, &(x, y, z)| {
             (m.0.max(x), m.1.max(y), m.2.max(z))
@@ -236,7 +213,11 @@ impl SlotSpace {
 
     /// Claims the slots of `offsets` at `anchor`, returning the slot id of
     /// each offset in order.
-    pub fn claim(&mut self, offsets: &[(u32, u32, u32)], anchor: (u32, u32, u32)) -> Vec<u32> {
+    pub(crate) fn claim(
+        &mut self,
+        offsets: &[(u32, u32, u32)],
+        anchor: (u32, u32, u32),
+    ) -> Vec<u32> {
         offsets
             .iter()
             .map(|&(ox, oy, oz)| {
@@ -256,7 +237,7 @@ impl SlotSpace {
     /// Claims the next `n` free slots in serpentine order (x serpentine
     /// within y, y serpentine within extended z), so consecutive fallback
     /// slots are at most one hop apart.
-    pub fn claim_serpentine(&mut self, n: usize) -> Vec<u32> {
+    pub(crate) fn claim_serpentine(&mut self, n: usize) -> Vec<u32> {
         let mut out = Vec::with_capacity(n);
         let (ex, ey, ez) = ext_dims(&self.shape);
         'outer: for z in 0..ez {
@@ -290,6 +271,28 @@ mod tests {
         MachineShape::new(Torus::new(4, 4, 2), 1)
     }
 
+    /// Inverse of [`slot_of`].
+    fn coord_of(shape: &MachineShape, slot: u32) -> ExtCoord {
+        let node = slot / shape.cores_per_node;
+        let core = slot % shape.cores_per_node;
+        let nc = shape.torus.coord(node);
+        ExtCoord {
+            x: nc.x,
+            y: nc.y,
+            ez: nc.z * shape.cores_per_node + core,
+        }
+    }
+
+    /// Depth (extended-z extent) of the folded cuboid.
+    fn depth(f: &Fold) -> u32 {
+        f.fx * f.fy
+    }
+
+    /// Number of still-free slots.
+    fn free_count(space: &SlotSpace) -> usize {
+        space.free.iter().filter(|f| **f).count()
+    }
+
     #[test]
     fn slot_coord_roundtrip() {
         let s = MachineShape::new(Torus::new(4, 4, 2), 2);
@@ -303,7 +306,7 @@ mod tests {
         // 4×4 rect on an 4×4 extent: one segment each.
         let f = Fold::for_rect(4, 4, 4, 4, 0);
         assert_eq!((f.fx, f.rx, f.fy, f.ry), (1, 4, 1, 4));
-        assert_eq!(f.depth(), 1);
+        assert_eq!(depth(&f), 1);
         assert_eq!(f.offset(0, 0), (0, 0, 0));
         assert_eq!(f.offset(3, 3), (3, 3, 0));
     }
@@ -313,7 +316,7 @@ mod tests {
         // 8-wide rect on a 4-wide torus: two x segments stacked in z.
         let f = Fold::for_rect(8, 4, 4, 4, 0);
         assert_eq!((f.fx, f.rx), (2, 4));
-        assert_eq!(f.depth(), 2);
+        assert_eq!(depth(&f), 2);
         // First segment left-to-right on layer 0.
         assert_eq!(f.offset(0, 0), (0, 0, 0));
         assert_eq!(f.offset(3, 0), (3, 0, 0));
@@ -377,7 +380,7 @@ mod tests {
         let a2 = space.find_anchor(&offs).unwrap();
         assert_eq!(a2, (0, 0, 1));
         space.claim(&offs, a2);
-        assert_eq!(space.free_count(), 0);
+        assert_eq!(free_count(&space), 0);
     }
 
     #[test]
@@ -403,6 +406,6 @@ mod tests {
         let slots = space.claim_serpentine(32);
         let unique: std::collections::HashSet<_> = slots.iter().collect();
         assert_eq!(unique.len(), 32);
-        assert_eq!(space.free_count(), 0);
+        assert_eq!(free_count(&space), 0);
     }
 }

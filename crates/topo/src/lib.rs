@@ -8,7 +8,7 @@
 //! * [`Mapping`] — an injective assignment of MPI ranks to (node, core)
 //!   slots, with constructors for the paper's four schemes:
 //!   - *topology-oblivious* sequential mapping (Fig. 5b) and the Blue Gene
-//!     `TXYZ` mapfile ordering — both via [`Mapping::ordered`];
+//!     `TXYZ` mapfile ordering — both via `Mapping::ordered`;
 //!   - *partition mapping* (Fig. 6a) — each sibling partition embedded into
 //!     a compact folded cuboid of the torus ([`Mapping::partition`]);
 //!   - *multi-level mapping* (Fig. 6b) — the same folded embedding, but each
@@ -23,13 +23,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod embed;
+mod embed;
 pub mod mapping;
 pub mod metrics;
 pub mod torus;
 pub mod torus5d;
 
 pub use mapping::{Mapping, MappingError, Slot};
-pub use metrics::{CommEdge, CommStats};
-pub use torus::{Axis, MachineShape, NodeCoord, Torus};
+pub use metrics::CommStats;
+pub use torus::{MachineShape, NodeCoord, Torus};
 pub use torus5d::{Mapping5, Torus5};

@@ -51,7 +51,10 @@ pub struct Mapping {
 
 impl Mapping {
     /// Builds a mapping from an explicit slot list (must be injective).
-    pub fn from_slots(shape: MachineShape, rank_to_slot: Vec<u32>) -> Result<Self, MappingError> {
+    pub(crate) fn from_slots(
+        shape: MachineShape,
+        rank_to_slot: Vec<u32>,
+    ) -> Result<Self, MappingError> {
         if rank_to_slot.len() as u32 > shape.slots() {
             return Err(MappingError::TooManyRanks {
                 ranks: rank_to_slot.len() as u32,
@@ -107,7 +110,7 @@ impl Mapping {
     /// fastest-varying to the slowest. `[X, Y, Z, T]` is the default
     /// topology-oblivious mapping of Fig. 5(b); `[T, X, Y, Z]` is the TXYZ
     /// mapping compared against in Table 4.
-    pub fn ordered(
+    pub(crate) fn ordered(
         shape: MachineShape,
         nranks: u32,
         order: [Axis; 4],

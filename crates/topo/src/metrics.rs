@@ -37,7 +37,7 @@ pub struct CommStats {
     /// routing — the contention proxy.
     pub max_link_bytes: f64,
     /// Mean traffic over links that carry any traffic.
-    pub mean_loaded_link_bytes: f64,
+    pub(crate) mean_loaded_link_bytes: f64,
 }
 
 impl CommStats {

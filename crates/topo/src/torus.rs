@@ -23,7 +23,7 @@ impl NodeCoord {
 /// One of the torus axes, or the within-node "T" (core) axis used by Blue
 /// Gene mapfile orderings such as `XYZT` and `TXYZ`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Axis {
+pub(crate) enum Axis {
     /// Torus X.
     X,
     /// Torus Y.
@@ -70,7 +70,7 @@ impl Torus {
     /// Shortest signed step along `dim` from `a` to `b` respecting
     /// wrap-around: the returned value is in `[-dims/2, dims/2]` and `0`
     /// means equal. Positive means travel in the `+dim` direction.
-    pub fn signed_dist(&self, dim: usize, a: u32, b: u32) -> i32 {
+    pub(crate) fn signed_dist(&self, dim: usize, a: u32, b: u32) -> i32 {
         let n = self.dims[dim] as i32;
         let mut d = (b as i32 - a as i32) % n;
         if d > n / 2 {
@@ -99,7 +99,7 @@ impl Torus {
     /// A directed link: from node `from` one hop in `+dim` or `-dim`.
     /// Returns the canonical link id for per-link load accounting: links are
     /// numbered `node * 6 + dim * 2 + (dir < 0)`.
-    pub fn link_id(&self, from: NodeCoord, dim: usize, positive: bool) -> u32 {
+    pub(crate) fn link_id(&self, from: NodeCoord, dim: usize, positive: bool) -> u32 {
         self.index(from) * 6 + (dim as u32) * 2 + u32::from(!positive)
     }
 
@@ -109,7 +109,7 @@ impl Torus {
     }
 
     /// The neighbour of `c` one hop along `dim` in direction `positive`.
-    pub fn step(&self, c: NodeCoord, dim: usize, positive: bool) -> NodeCoord {
+    pub(crate) fn step(&self, c: NodeCoord, dim: usize, positive: bool) -> NodeCoord {
         let n = self.dims[dim];
         let adv = |v: u32| {
             if positive {
@@ -195,16 +195,6 @@ impl MachineShape {
         MachineShape {
             torus: Torus::new(8, 8, 8),
             cores_per_node: 2,
-        }
-    }
-
-    /// Blue Gene/P in virtual-node mode with `nodes` nodes (power of two,
-    /// ≥ 64): 4 ranks per node (§4.2.2). Torus dimensions follow the usual
-    /// partition shapes (e.g. 512 nodes = 8×8×8, 2048 nodes = 8×16×16).
-    pub fn bgp_vn(nodes: u32) -> Self {
-        MachineShape {
-            torus: balanced_torus(nodes),
-            cores_per_node: 4,
         }
     }
 }
@@ -338,9 +328,6 @@ mod tests {
     fn machine_shapes() {
         let bgl = MachineShape::bgl_rack_vn();
         assert_eq!(bgl.slots(), 1024);
-        let bgp = MachineShape::bgp_vn(1024);
-        assert_eq!(bgp.slots(), 4096);
-        assert_eq!(bgp.torus.nodes(), 1024);
     }
 
     #[test]

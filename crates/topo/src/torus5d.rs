@@ -26,17 +26,12 @@ pub struct Torus5 {
 
 impl Torus5 {
     /// Creates a torus; all dimensions must be positive.
-    pub fn new(dims: [u32; 5]) -> Self {
+    pub(crate) fn new(dims: [u32; 5]) -> Self {
         assert!(
             dims.iter().all(|&d| d > 0),
             "5-D torus dimensions must be positive"
         );
         Torus5 { dims }
-    }
-
-    /// A Blue Gene/Q midplane: 4 × 4 × 4 × 4 × 2 = 512 nodes.
-    pub fn bgq_midplane() -> Self {
-        Torus5::new([4, 4, 4, 4, 2])
     }
 
     /// A one-rack BG/Q (1024 nodes): 4 × 4 × 4 × 8 × 2.
@@ -50,7 +45,7 @@ impl Torus5 {
     }
 
     /// Linear index (A fastest).
-    pub fn index(&self, c: [u32; 5]) -> u32 {
+    pub(crate) fn index(&self, c: [u32; 5]) -> u32 {
         let mut idx = 0;
         for d in (0..5).rev() {
             idx = idx * self.dims[d] + c[d];
@@ -59,7 +54,7 @@ impl Torus5 {
     }
 
     /// Coordinates of a linear index.
-    pub fn coord(&self, mut idx: u32) -> [u32; 5] {
+    pub(crate) fn coord(&self, mut idx: u32) -> [u32; 5] {
         let mut c = [0u32; 5];
         for (ci, &n) in c.iter_mut().zip(&self.dims) {
             *ci = idx % n;
@@ -69,7 +64,7 @@ impl Torus5 {
     }
 
     /// Hop distance with wrap-around in every dimension.
-    pub fn hops(&self, a: [u32; 5], b: [u32; 5]) -> u32 {
+    pub(crate) fn hops(&self, a: [u32; 5], b: [u32; 5]) -> u32 {
         (0..5)
             .map(|d| {
                 let n = self.dims[d];
@@ -82,7 +77,7 @@ impl Torus5 {
     /// A boustrophedon walk visiting every node exactly once with
     /// consecutive nodes one hop apart (serpentine nesting across all five
     /// dimensions).
-    pub fn serpentine(&self) -> Vec<[u32; 5]> {
+    pub(crate) fn serpentine(&self) -> Vec<[u32; 5]> {
         let mut out = Vec::with_capacity(self.nodes() as usize);
         let [da, db, dc, dd, de] = self.dims;
         for e in 0..de {
@@ -249,12 +244,12 @@ impl Mapping5 {
     }
 
     /// Node coordinates of a rank.
-    pub fn coord(&self, rank: u32) -> [u32; 5] {
+    pub(crate) fn coord(&self, rank: u32) -> [u32; 5] {
         self.torus.coord(self.rank_to_node[rank as usize])
     }
 
     /// Hop distance between two ranks.
-    pub fn hops(&self, a: u32, b: u32) -> u32 {
+    pub(crate) fn hops(&self, a: u32, b: u32) -> u32 {
         self.torus.hops(self.coord(a), self.coord(b))
     }
 
@@ -288,9 +283,14 @@ pub fn partition_halo_pairs(grid: &ProcGrid, partitions: &[Rect]) -> Vec<(u32, u
 mod tests {
     use super::*;
 
+    /// A Blue Gene/Q midplane: 4 × 4 × 4 × 4 × 2 = 512 nodes.
+    fn bgq_midplane() -> Torus5 {
+        Torus5::new([4, 4, 4, 4, 2])
+    }
+
     #[test]
     fn index_coord_roundtrip() {
-        let t = Torus5::bgq_midplane();
+        let t = bgq_midplane();
         for i in 0..t.nodes() {
             assert_eq!(t.index(t.coord(i)), i);
         }
@@ -308,7 +308,7 @@ mod tests {
 
     #[test]
     fn serpentine_is_hamiltonian_one_hop() {
-        for t in [Torus5::new([2, 3, 2, 2, 2]), Torus5::bgq_midplane()] {
+        for t in [Torus5::new([2, 3, 2, 2, 2]), bgq_midplane()] {
             let walk = t.serpentine();
             assert_eq!(walk.len() as u32, t.nodes());
             let unique: std::collections::HashSet<_> = walk.iter().collect();
@@ -321,7 +321,7 @@ mod tests {
 
     #[test]
     fn mappings_injective() {
-        let t = Torus5::bgq_midplane();
+        let t = bgq_midplane();
         let grid = ProcGrid::new(32, 16); // 512 ranks
         let parts = [Rect::new(0, 0, 16, 16), Rect::new(16, 0, 16, 16)];
         for m in [
@@ -376,7 +376,7 @@ mod tests {
 
     #[test]
     fn rejects_too_many_ranks() {
-        let t = Torus5::bgq_midplane();
+        let t = bgq_midplane();
         assert!(Mapping5::oblivious(t, 513).is_err());
     }
 }
