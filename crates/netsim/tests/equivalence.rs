@@ -39,6 +39,10 @@ fn run(
     .run(iterations)
 }
 
+/// Both engines agree exactly, and the report's JSON digests to
+/// `report_digest`: the engines share the nest-phase interpreter, so only
+/// the pinned digest sees a change there.
+#[allow(clippy::too_many_arguments)]
 fn assert_engines_agree(
     machine: &Machine,
     grid: ProcGrid,
@@ -47,6 +51,7 @@ fn assert_engines_agree(
     io_mode: IoMode,
     output_interval: Option<u32>,
     iterations: u32,
+    report_digest: u64,
 ) {
     let compiled = run(
         machine,
@@ -74,6 +79,8 @@ fn assert_engines_agree(
     assert_eq!(compiled, reference);
     assert_eq!(compiled.avg_hops, reference.avg_hops);
     assert_eq!(compiled.messages, reference.messages);
+    let digest = fnv1a64(serde_json::to_string(&compiled).unwrap().as_bytes());
+    assert_eq!(digest, report_digest, "report changed: {digest:#018x}");
 }
 
 fn two_nest_config() -> NestedConfig {
@@ -100,6 +107,7 @@ fn sequential_two_nests_bitwise_identical() {
         IoMode::None,
         None,
         4,
+        0x456e_81ef_2d95_a3c8,
     );
 }
 
@@ -115,7 +123,16 @@ fn concurrent_two_nests_bitwise_identical() {
             Rect::new(half, 0, grid.px - half, grid.py),
         ],
     };
-    assert_engines_agree(&m, grid, &cfg, &strategy, IoMode::None, None, 4);
+    assert_engines_agree(
+        &m,
+        grid,
+        &cfg,
+        &strategy,
+        IoMode::None,
+        None,
+        4,
+        0x70d0_c443_9718_1abb,
+    );
 }
 
 #[test]
@@ -141,7 +158,16 @@ fn concurrent_with_second_level_nest_and_io_bitwise_identical() {
             Rect::new(0, 0, 4, 4),
         ],
     };
-    assert_engines_agree(&m, grid, &cfg, &strategy, IoMode::SplitFiles, Some(2), 4);
+    assert_engines_agree(
+        &m,
+        grid,
+        &cfg,
+        &strategy,
+        IoMode::SplitFiles,
+        Some(2),
+        4,
+        0x6c56_65e8_e1fc_36bc,
+    );
 }
 
 #[test]
@@ -165,6 +191,7 @@ fn sequential_with_second_level_nest_bitwise_identical() {
         IoMode::PnetCdf,
         Some(3),
         3,
+        0x6390_d131_d60f_a153,
     );
 }
 
@@ -207,12 +234,11 @@ fn traces_also_bitwise_identical() {
 fn assert_engines_agree_at_scale(
     machine: &Machine,
     config: &NestedConfig,
-    partitions: Vec<Rect>,
+    strategy: ExecStrategy,
     mapping: &Mapping,
     summary_digest: u64,
 ) {
     let grid = ProcGrid::near_square(machine.ranks());
-    let strategy = ExecStrategy::Concurrent { partitions };
     let build = |engine| {
         Simulation::new(
             machine,
@@ -280,19 +306,27 @@ fn bgl_1024_three_nests_partition_mapping_bitwise_identical() {
         Rect::new(14, 13, 18, 19),
     ];
     let mapping = Mapping::partition(m.shape, &grid, &partitions).unwrap();
+    let concurrent = ExecStrategy::Concurrent { partitions };
     assert_engines_agree_at_scale(
         &m,
         &cfg,
-        partitions.clone(),
+        concurrent.clone(),
         &mapping,
         0x28ff_627c_bb12_c4da,
+    );
+    assert_engines_agree_at_scale(
+        &m,
+        &cfg,
+        ExecStrategy::Sequential,
+        &mapping,
+        0x53d2_c3b3_8d63_42f7,
     );
     // Without jitter every rank with the same patch size injects at the
     // same instant: a few distinct keys, thousands of ties, and the order
     // within each tie decides which message takes a contended link first.
     let mut m = m;
     m.compute.jitter = 0.0;
-    assert_engines_agree_at_scale(&m, &cfg, partitions, &mapping, 0xe4f2_1b18_aa80_00a6);
+    assert_engines_agree_at_scale(&m, &cfg, concurrent, &mapping, 0xe4f2_1b18_aa80_00a6);
 }
 
 /// The `netsim_large` plan's shape: four nests on `bgp:4096` under the
@@ -318,5 +352,13 @@ fn bgp_4096_four_nests_multilevel_mapping_bitwise_identical() {
         Rect::new(42, 40, 22, 24),
     ];
     let mapping = Mapping::multilevel(m.shape, &grid, &partitions).unwrap();
-    assert_engines_agree_at_scale(&m, &cfg, partitions, &mapping, 0xac41_9984_dd6a_45b4);
+    let concurrent = ExecStrategy::Concurrent { partitions };
+    assert_engines_agree_at_scale(&m, &cfg, concurrent, &mapping, 0xac41_9984_dd6a_45b4);
+    assert_engines_agree_at_scale(
+        &m,
+        &cfg,
+        ExecStrategy::Sequential,
+        &mapping,
+        0x2bd0_b097_a0c5_dae4,
+    );
 }

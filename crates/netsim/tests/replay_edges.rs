@@ -3,7 +3,7 @@
 //! zero sibling nests (sequential and concurrent), nests confined to a
 //! single rank, and nest steps whose transfer set is therefore empty.
 
-use nestwx_grid::{Domain, NestSpec, NestedConfig, ProcGrid, Rect};
+use nestwx_grid::{fnv1a64, Domain, NestSpec, NestedConfig, ProcGrid, Rect};
 use nestwx_netsim::{
     ExecStrategy, HaloEngine, IoMode, Machine, ObsConfig, SimReport, Simulation, StepPhase,
 };
@@ -44,6 +44,7 @@ fn assert_engines_agree(
     io_mode: IoMode,
     output_interval: Option<u32>,
     iterations: u32,
+    report_digest: u64,
 ) -> SimReport {
     let compiled = run(
         machine,
@@ -66,6 +67,10 @@ fn assert_engines_agree(
         iterations,
     );
     assert_eq!(compiled, reference);
+    // Both engines share the nest-phase interpreter; the pinned digest of
+    // the report's JSON is what sees a change there.
+    let digest = fnv1a64(serde_json::to_string(&compiled).unwrap().as_bytes());
+    assert_eq!(digest, report_digest, "report changed: {digest:#018x}");
     compiled
 }
 
@@ -87,6 +92,7 @@ fn zero_siblings_sequential_bitwise_identical() {
         IoMode::SplitFiles,
         Some(2),
         4,
+        0x3152_90c4_a248_eddd,
     );
     assert!(rep.sibling_solve.is_empty());
     assert_eq!(rep.nest_phase, 0.0);
@@ -102,7 +108,16 @@ fn zero_siblings_concurrent_empty_partition_set_bitwise_identical() {
     let grid = ProcGrid::near_square(m.ranks());
     let cfg = no_nest_config();
     let strategy = ExecStrategy::Concurrent { partitions: vec![] };
-    let rep = assert_engines_agree(&m, grid, &cfg, &strategy, IoMode::None, None, 4);
+    let rep = assert_engines_agree(
+        &m,
+        grid,
+        &cfg,
+        &strategy,
+        IoMode::None,
+        None,
+        4,
+        0xf6d5_e604_25b0_7084,
+    );
     assert!(rep.sibling_solve.is_empty());
     assert_eq!(rep.nest_phase, 0.0);
 }
@@ -125,7 +140,16 @@ fn single_rank_nest_partitions_bitwise_identical() {
     let strategy = ExecStrategy::Concurrent {
         partitions: vec![Rect::new(0, 0, 1, 1), Rect::new(3, 3, 1, 1)],
     };
-    assert_engines_agree(&m, grid, &cfg, &strategy, IoMode::None, None, 4);
+    assert_engines_agree(
+        &m,
+        grid,
+        &cfg,
+        &strategy,
+        IoMode::None,
+        None,
+        4,
+        0xa316_9506_50ee_4856,
+    );
 }
 
 #[test]
@@ -143,7 +167,16 @@ fn empty_transfer_set_nest_steps_record_zero_messages() {
     let strategy = ExecStrategy::Concurrent {
         partitions: vec![Rect::new(0, 0, 1, 1)],
     };
-    assert_engines_agree(&m, grid, &cfg, &strategy, IoMode::None, None, 3);
+    assert_engines_agree(
+        &m,
+        grid,
+        &cfg,
+        &strategy,
+        IoMode::None,
+        None,
+        3,
+        0xa2cc_852c_186f_61da,
+    );
 
     let mapping = Mapping::oblivious(m.shape, m.ranks()).unwrap();
     let mut sim = Simulation::new(&m, grid, &cfg, strategy, mapping, IoMode::None, None)
