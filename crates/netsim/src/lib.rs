@@ -44,6 +44,6 @@ pub use sim::{ExecStrategy, HaloEngine, SimReport, Simulation};
 // attach a recorder without a separate dependency.
 pub use nestwx_obs::{
     AnalysisReport, HistSummary, LinkUtil, LogHistogram, NestAnalysis, NetDetail, ObsConfig,
-    ObsSummary, RankShare, Recorder, StepMetrics, StepPhase, Timeline, TimelineConfig,
-    SUMMARY_SCHEMA, SUMMARY_VERSION,
+    ObsSummary, RankShare, Recorder, StepMetrics, StepPhase, Timeline, SUMMARY_SCHEMA,
+    SUMMARY_VERSION,
 };

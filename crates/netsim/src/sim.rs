@@ -170,129 +170,72 @@ impl SimReport {
 // Compiled iteration plans
 // ---------------------------------------------------------------------------
 
-/// A second-level nest in the sequential plan.
-#[derive(Debug, Clone)]
-struct SeqChild {
+/// One nest of a lockstep [`Group`].
+#[derive(Debug)]
+struct Member {
     idx: usize,
-    refine: u32,
-    step_id: usize,
-    interp: f64,
-    feedback: f64,
-}
-
-/// A level-1 nest in the sequential plan.
-#[derive(Debug, Clone)]
-struct SeqNest {
-    idx: usize,
-    refine: u32,
-    step_id: usize,
-    interp: f64,
-    feedback: f64,
-    children: Vec<SeqChild>,
-}
-
-/// Precompiled sequential-strategy iteration schedule.
-#[derive(Debug, Clone)]
-struct SeqPlan {
-    items: Vec<SeqNest>,
-}
-
-/// A level-1 nest in the concurrent plan.
-#[derive(Debug, Clone)]
-struct ConcNest {
-    idx: usize,
-    /// Ranks whose parent patch overlaps this nest's footprint (the
-    /// boundary-interpolation donors) — precomputed in place of the former
-    /// per-iteration O(P) `ranks_overlapping` scan.
+    /// Ranks the nest runs on, row-major.
+    ranks: Vec<u32>,
+    /// Ranks whose parent patch overlaps the nest's footprint (the
+    /// boundary-interpolation donors); empty for a second-level nest, whose
+    /// donors are its parent nest's own ranks.
     donors: Vec<u32>,
-    /// Ranks of this nest's partition, row-major.
-    ranks: Vec<u32>,
     interp: f64,
     feedback: f64,
 }
 
-/// A second-level nest in the concurrent plan.
-#[derive(Debug, Clone)]
-struct ConcChild {
-    idx: usize,
-    ranks: Vec<u32>,
-    interp: f64,
-    feedback: f64,
-}
-
-/// One lockstep sub-step of the concurrent schedule.
-#[derive(Debug, Clone)]
-struct ConcSubstep {
-    /// Compiled multi-domain step of the active level-1 nests.
+/// One lockstep sub-step of a [`Group`].
+#[derive(Debug)]
+struct Substep {
+    /// Compiled multi-domain step of the members stepping now.
     step_id: usize,
-    /// Nest index for the step-metrics record when exactly one nest is
-    /// active, `-1` for a genuine lockstep step.
+    /// Nest index for the step-metrics record when exactly one member
+    /// steps, `-1` for a genuine lockstep step.
     obs_tag: i32,
-    /// Second-level children stepping after this sub-step (empty for most
-    /// configurations).
-    children: Vec<ConcChild>,
-    /// Compiled multi-domain steps of the children's lockstep sub-steps.
-    child_step_ids: Vec<usize>,
-    /// Per-child-sub-step observability tags (single active child's index
-    /// or `-1`), parallel to `child_step_ids`.
-    child_obs_tags: Vec<i32>,
-    /// Positions (into [`ConcPlan::level1`]) of active nests with children,
-    /// which re-synchronise after their children's feedback.
+    /// Groups of the stepping members' second-level children, run after
+    /// this sub-step (empty for most configurations).
+    children: Vec<Group>,
+    /// Positions (into [`Group::members`]) of stepping members with
+    /// children, which re-synchronise after their children's feedback.
     resync: Vec<usize>,
 }
 
-/// Precompiled concurrent-strategy iteration schedule.
-#[derive(Debug, Clone)]
-struct ConcPlan {
-    level1: Vec<ConcNest>,
-    substeps: Vec<ConcSubstep>,
-    /// Flattened per-rank feedback-release lists: rank `g` may enter the
-    /// next parent step once every nest in
+/// Nests that step their sub-steps together: all level-1 nests on their
+/// partitions under Concurrent, one nest on the whole grid under
+/// Sequential.
+#[derive(Debug)]
+struct Group {
+    members: Vec<Member>,
+    substeps: Vec<Substep>,
+    /// Flattened per-rank feedback-release lists over the members: rank `g`
+    /// may enter the next parent step once every nest in
     /// `release_nests[release_offsets[g]..release_offsets[g + 1]]` has fed
-    /// back (the nests overlapping its halo-extended parent patch).
+    /// back (the members overlapping its halo-extended parent patch). Empty
+    /// for a group of second-level nests, which feed back into their parent
+    /// nest instead.
     release_offsets: Vec<u32>,
     release_nests: Vec<u32>,
 }
 
-/// The strategy's precompiled nest phase.
-#[derive(Debug)]
-enum NestPlan {
-    Sequential(SeqPlan),
-    Concurrent(ConcPlan),
-}
-
 /// Everything compiled once per simulation: interned halo-step tables plus
-/// the strategy's iteration plan.
+/// the nest phase as lockstep groups, run one after another.
 #[derive(Debug)]
 struct Compiled {
     steps: Vec<CompiledStep>,
     parent_step: usize,
-    nests: NestPlan,
+    groups: Vec<Group>,
+    /// A global barrier after the parent step that no group supplies (see
+    /// [`compile_plans`]).
+    parent_barrier: bool,
 }
 
 /// Reusable per-run buffers (hoisted out of the iteration loop).
 #[derive(Debug)]
 struct Scratch {
     step: StepScratch,
+    /// Per-nest start and feedback times of the running groups.
     starts: Vec<f64>,
     dones: Vec<f64>,
-    child_start: Vec<f64>,
-}
-
-/// Interns the compiled step for `domains`, deduplicating identical domain
-/// lists (e.g. every parent step, or repeated lockstep sub-steps).
-fn intern_step(
-    steps: &mut Vec<CompiledStep>,
-    domains: Vec<(u32, u32, Rect)>,
-    machine: &Machine,
-    grid: &ProcGrid,
-    routes: &NeighborRoutes,
-) -> usize {
-    if let Some(i) = steps.iter().position(|s| s.domains == domains) {
-        return i;
-    }
-    steps.push(CompiledStep::compile(&domains, machine, grid, routes));
-    steps.len() - 1
 }
 
 /// Boundary-interpolation cost for nest `i` (parent → nest transfer of the
@@ -379,42 +322,34 @@ impl<'a> Simulation<'a> {
                 mapping: mapping.len(),
             });
         }
-        if let ExecStrategy::Concurrent { partitions } = &strategy {
-            if partitions.len() != config.nests.len() {
-                return Err(SimError::PartitionCount {
-                    got: partitions.len(),
-                    want: config.nests.len(),
-                });
-            }
-            for (i, p) in partitions.iter().enumerate() {
-                if p.is_empty() || !grid.rect().contains_rect(p) {
-                    return Err(SimError::BadPartition { index: i });
+        // The strategy's two choices (see `compile_plans`): each nest's
+        // processor rectangle, and whether siblings step in lockstep.
+        let (rects, lockstep) = match &strategy {
+            ExecStrategy::Sequential => (vec![grid.rect(); config.nests.len()], false),
+            ExecStrategy::Concurrent { partitions } => {
+                if partitions.len() != config.nests.len() {
+                    return Err(SimError::PartitionCount {
+                        got: partitions.len(),
+                        want: config.nests.len(),
+                    });
                 }
-                // A second-level nest must run inside its parent nest's
-                // partition (it sub-divides those processors).
-                if let Some(pi) = config.nests[i].parent_nest {
-                    if !partitions[pi].contains_rect(p) {
+                for (i, p) in partitions.iter().enumerate() {
+                    if p.is_empty() || !grid.rect().contains_rect(p) {
                         return Err(SimError::BadPartition { index: i });
                     }
+                    // A second-level nest must run inside its parent nest's
+                    // partition (it sub-divides those processors).
+                    if let Some(pi) = config.nests[i].parent_nest {
+                        if !partitions[pi].contains_rect(p) {
+                            return Err(SimError::BadPartition { index: i });
+                        }
+                    }
                 }
+                (partitions.clone(), true)
             }
-        }
+        };
+        let compiled = compile_plans(machine, &grid, config, &mapping, rects, lockstep);
         let n = grid.len() as usize;
-        // Parent decomposition (over the leading sub-grid if the parent is
-        // smaller than the grid), for footprint-dependent synchronisation.
-        let px = grid.px.min(config.parent.nx);
-        let py = grid.py.min(config.parent.ny);
-        let pd = Decomposition::new(config.parent.nx, config.parent.ny, ProcGrid::new(px, py));
-        let mut parent_patch = vec![Rect::new(0, 0, 0, 0); n];
-        for (local, g) in grid
-            .ranks_in(&Rect::new(0, 0, px, py))
-            .into_iter()
-            .enumerate()
-        {
-            parent_patch[g as usize] = pd.patch(local as u32).region;
-        }
-
-        let compiled = compile_plans(machine, &grid, config, &strategy, &mapping, &parent_patch);
         let nests = config.nests.len();
         Ok(Simulation {
             net: Network::new(mapping.shape.torus, machine.net),
@@ -432,7 +367,6 @@ impl<'a> Simulation<'a> {
                 step: StepScratch::new(n),
                 starts: vec![0.0; nests],
                 dones: vec![0.0; nests],
-                child_start: vec![0.0; nests],
             },
             ready: vec![0.0; n],
             mpi_wait: vec![0.0; n],
@@ -456,13 +390,13 @@ impl<'a> Simulation<'a> {
         self
     }
 
-    /// Attaches (or replaces) the step-metrics recorder. A config with a
-    /// timeline turns on per-rank capture in the step engines; `net_detail`
-    /// turns on per-link busy accounting in the network. Both are passive.
+    /// Attaches (or replaces) the step-metrics recorder. The detailed tier
+    /// turns on per-rank capture in the step engines and per-link busy
+    /// accounting in the network. Both are passive.
     pub fn enable_obs(&mut self, config: ObsConfig) {
         self.obs = Some(Box::new(Recorder::new(config)));
-        self.scratch.step.record_ranks = config.timeline.is_some();
-        if config.net_detail {
+        self.scratch.step.record_ranks = config.detailed;
+        if config.detailed {
             self.net.enable_obs();
         } else {
             self.net.disable_obs();
@@ -526,13 +460,11 @@ impl<'a> Simulation<'a> {
             parent_phase += t_parent1 - t_iter0;
 
             // ---- sibling nests ----
-            match &compiled.nests {
-                NestPlan::Sequential(seq) => {
-                    self.run_sequential_phase(seq, &compiled.steps, &mut sibling_solve)
-                }
-                NestPlan::Concurrent(conc) => {
-                    self.run_concurrent_phase(conc, &compiled.steps, &mut sibling_solve)
-                }
+            if compiled.parent_barrier {
+                self.barrier_all();
+            }
+            for group in &compiled.groups {
+                self.run_group(group, StepPhase::Nest, &compiled.steps, &mut sibling_solve);
             }
 
             let t_nests1 = self.ready.iter().copied().fold(0.0, f64::max);
@@ -591,119 +523,55 @@ impl<'a> Simulation<'a> {
         }
     }
 
-    /// Level-1 nests one after another on all ranks; each of their sub-steps
-    /// is followed by their second-level children's sub-steps (WRF's
-    /// recursive integration).
-    fn run_sequential_phase(
+    /// Replays one lockstep group: boundary interpolation, the sub-steps
+    /// (each followed by its children's groups), feedback and the per-rank
+    /// feedback release. Lockstep lets truly concurrent traffic share the
+    /// network without an artificial ordering bias between siblings.
+    fn run_group(
         &mut self,
-        seq: &SeqPlan,
+        group: &Group,
+        phase: StepPhase,
         steps: &[CompiledStep],
         sibling_solve: &mut [f64],
     ) {
-        let mut t = self.barrier_all();
-        for item in &seq.items {
-            let t0 = t;
-            self.set_all_ready(t + item.interp);
-            for _ in 0..item.refine {
-                self.exec_step(&steps[item.step_id], StepPhase::Nest, item.idx as i32);
-                for child in &item.children {
-                    let tc = self.barrier_all();
-                    self.set_all_ready(tc + child.interp);
-                    for _ in 0..child.refine {
-                        self.exec_step(&steps[child.step_id], StepPhase::Child, child.idx as i32);
-                    }
-                    let td = self.barrier_all() + child.feedback;
-                    self.set_all_ready(td);
-                    sibling_solve[child.idx] += td - tc;
-                }
-            }
-            t = self.barrier_all() + item.feedback;
-            self.set_all_ready(t);
-            sibling_solve[item.idx] += t - t0;
-        }
-    }
-
-    /// All level-1 nests advance their sub-steps in lockstep so that truly
-    /// concurrent traffic shares the network without an artificial ordering
-    /// bias between siblings; after each sub-step, their second-level
-    /// children run (also in lockstep) on sub-partitions of their parent's
-    /// processors.
-    fn run_concurrent_phase(
-        &mut self,
-        conc: &ConcPlan,
-        steps: &[CompiledStep],
-        sibling_solve: &mut [f64],
-    ) {
-        // Boundary interpolation: a level-1 nest can start once its own
-        // ranks finished the parent step and the parent ranks overlapping
-        // its footprint (the donors) have data to send.
-        let mut starts = std::mem::take(&mut self.scratch.starts);
-        starts.fill(0.0);
-        for cn in &conc.level1 {
-            let t_donor = cn
+        // Boundary interpolation: a nest can start once its own ranks are
+        // done and the parent ranks overlapping its footprint (the donors)
+        // have data to send.
+        for m in &group.members {
+            let t_donor = m
                 .donors
                 .iter()
                 .map(|&g| self.ready[g as usize])
                 .fold(0.0, f64::max);
-            let t_mine = self.barrier_ranks(&cn.ranks);
-            let start = t_donor.max(t_mine);
-            starts[cn.idx] = start;
-            let t0 = start + cn.interp;
-            self.set_ready_ranks(&cn.ranks, t0);
+            let start = t_donor.max(self.barrier_ranks(&m.ranks));
+            self.scratch.starts[m.idx] = start;
+            self.set_ready_ranks(&m.ranks, start + m.interp);
         }
-        for sub in &conc.substeps {
-            self.exec_step(&steps[sub.step_id], StepPhase::Nest, sub.obs_tag);
-            if !sub.children.is_empty() {
-                let mut child_start = std::mem::take(&mut self.scratch.child_start);
-                child_start.fill(0.0);
-                for ch in &sub.children {
-                    let t = self.barrier_ranks(&ch.ranks);
-                    child_start[ch.idx] = t;
-                    self.set_ready_ranks(&ch.ranks, t + ch.interp);
-                }
-                for (&sid, &tag) in sub.child_step_ids.iter().zip(&sub.child_obs_tags) {
-                    self.exec_step(&steps[sid], StepPhase::Child, tag);
-                }
-                for ch in &sub.children {
-                    let done = self.barrier_ranks(&ch.ranks) + ch.feedback;
-                    self.set_ready_ranks(&ch.ranks, done);
-                    sibling_solve[ch.idx] += done - child_start[ch.idx];
-                }
-                // The parent nest's next sub-step needs its children's
-                // feedback.
-                for &pos in &sub.resync {
-                    let t = self.barrier_ranks(&conc.level1[pos].ranks);
-                    self.set_ready_ranks(&conc.level1[pos].ranks, t);
-                }
-                self.scratch.child_start = child_start;
+        for sub in &group.substeps {
+            self.exec_step(&steps[sub.step_id], phase, sub.obs_tag);
+            for child in &sub.children {
+                self.run_group(child, StepPhase::Child, steps, sibling_solve);
+            }
+            // A nest's next sub-step needs its children's feedback.
+            for &pos in &sub.resync {
+                self.barrier_ranks(&group.members[pos].ranks);
             }
         }
-        let mut dones = std::mem::take(&mut self.scratch.dones);
-        dones.fill(0.0);
-        for cn in &conc.level1 {
-            let done = self.barrier_ranks(&cn.ranks) + cn.feedback;
-            self.set_ready_ranks(&cn.ranks, done);
-            dones[cn.idx] = done;
-            sibling_solve[cn.idx] += done - starts[cn.idx];
+        for m in &group.members {
+            let done = self.barrier_ranks(&m.ranks) + m.feedback;
+            self.set_ready_ranks(&m.ranks, done);
+            self.scratch.dones[m.idx] = done;
+            sibling_solve[m.idx] += done - self.scratch.starts[m.idx];
         }
         // Feedback release: a rank may enter the next parent step once
         // every nest overlapping its halo-extended parent patch has fed
-        // back — not a global barrier. The per-rank nest lists are
-        // precompiled.
-        for g in 0..self.ready.len() {
-            let lo = conc.release_offsets[g] as usize;
-            let hi = conc.release_offsets[g + 1] as usize;
-            if lo == hi {
-                continue;
+        // back — not a global barrier.
+        for (g, range) in group.release_offsets.windows(2).enumerate() {
+            let nests = &group.release_nests[range[0] as usize..range[1] as usize];
+            for &i in nests {
+                self.ready[g] = self.ready[g].max(self.scratch.dones[i as usize]);
             }
-            let mut t = self.ready[g];
-            for &i in &conc.release_nests[lo..hi] {
-                t = t.max(dones[i as usize]);
-            }
-            self.ready[g] = t;
         }
-        self.scratch.starts = starts;
-        self.scratch.dones = dones;
     }
 
     /// One halo step through the active engine. When a recorder is
@@ -861,188 +729,187 @@ impl<'a> Simulation<'a> {
     }
 }
 
-/// Builds the interned step tables and the iteration plan for `strategy`.
+/// Builds the interned step tables and the nest-phase groups: each nest
+/// runs on `rects[i]`, and siblings share one lockstep group if `lockstep`,
+/// else get one group each.
+///
+/// Sequential is the whole-grid case of Concurrent: every nest on
+/// `grid.rect()`, one group each. With every rank in every group, each
+/// barrier is a global one, the donors' ready times never exceed it, and
+/// the feedback release rewrites values already there.
 fn compile_plans(
     machine: &Machine,
     grid: &ProcGrid,
     config: &NestedConfig,
-    strategy: &ExecStrategy,
     mapping: &Mapping,
-    parent_patch: &[Rect],
+    rects: Vec<Rect>,
+    lockstep: bool,
 ) -> Compiled {
-    let nests = &config.nests;
-    let level1 = config.level1();
-    let routes = NeighborRoutes::new(grid, mapping);
-    let mut steps: Vec<CompiledStep> = Vec::new();
-    let parent_step = intern_step(
-        &mut steps,
-        vec![(config.parent.nx, config.parent.ny, grid.rect())],
+    // Parent decomposition (over the leading sub-grid if the parent is
+    // smaller than the grid), for footprint-dependent synchronisation.
+    let px = grid.px.min(config.parent.nx);
+    let py = grid.py.min(config.parent.ny);
+    let pd = Decomposition::new(config.parent.nx, config.parent.ny, ProcGrid::new(px, py));
+    let mut parent_patch = vec![Rect::new(0, 0, 0, 0); grid.len() as usize];
+    for (local, g) in grid
+        .ranks_in(&Rect::new(0, 0, px, py))
+        .into_iter()
+        .enumerate()
+    {
+        parent_patch[g as usize] = pd.patch(local as u32).region;
+    }
+    let mut cx = GroupCompiler {
         machine,
         grid,
-        &routes,
-    );
-
-    let nest_plan = match strategy {
-        ExecStrategy::Sequential => {
-            let items = level1
-                .iter()
-                .map(|&i| {
-                    let children = config
-                        .children_of(i)
-                        .into_iter()
-                        .map(|c| SeqChild {
-                            idx: c,
-                            refine: nests[c].refine_ratio,
-                            step_id: intern_step(
-                                &mut steps,
-                                vec![(nests[c].nx, nests[c].ny, grid.rect())],
-                                machine,
-                                grid,
-                                &routes,
-                            ),
-                            interp: interp_cost(config, machine, c),
-                            feedback: feedback_cost(config, machine, c),
-                        })
-                        .collect();
-                    SeqNest {
-                        idx: i,
-                        refine: nests[i].refine_ratio,
-                        step_id: intern_step(
-                            &mut steps,
-                            vec![(nests[i].nx, nests[i].ny, grid.rect())],
-                            machine,
-                            grid,
-                            &routes,
-                        ),
-                        interp: interp_cost(config, machine, i),
-                        feedback: feedback_cost(config, machine, i),
-                        children,
-                    }
-                })
-                .collect();
-            NestPlan::Sequential(SeqPlan { items })
-        }
-        ExecStrategy::Concurrent { partitions } => {
-            let conc_level1: Vec<ConcNest> = level1
-                .iter()
-                .map(|&i| ConcNest {
-                    idx: i,
-                    donors: ranks_overlapping(parent_patch, &nests[i].footprint_in_parent()),
-                    ranks: grid.ranks_in(&partitions[i]),
-                    interp: interp_cost(config, machine, i),
-                    feedback: feedback_cost(config, machine, i),
-                })
-                .collect();
-
-            let max_r = level1
-                .iter()
-                .map(|&i| nests[i].refine_ratio)
-                .max()
-                .unwrap_or(0);
-            let mut substeps = Vec::with_capacity(max_r as usize);
-            for s in 0..max_r {
-                let active: Vec<usize> = level1
-                    .iter()
-                    .copied()
-                    .filter(|&i| s < nests[i].refine_ratio)
-                    .collect();
-                let domains: Vec<(u32, u32, Rect)> = active
-                    .iter()
-                    .map(|&i| (nests[i].nx, nests[i].ny, partitions[i]))
-                    .collect();
-                let step_id = intern_step(&mut steps, domains, machine, grid, &routes);
-                let obs_tag = if active.len() == 1 {
-                    active[0] as i32
-                } else {
-                    -1
-                };
-                // Second-level children of the nests stepping at `s`.
-                let child_idx: Vec<usize> =
-                    active.iter().flat_map(|&i| config.children_of(i)).collect();
-                let mut children = Vec::with_capacity(child_idx.len());
-                let mut child_step_ids = Vec::new();
-                let mut child_obs_tags = Vec::new();
-                let mut resync = Vec::new();
-                if !child_idx.is_empty() {
-                    for &c in &child_idx {
-                        children.push(ConcChild {
-                            idx: c,
-                            ranks: grid.ranks_in(&partitions[c]),
-                            interp: interp_cost(config, machine, c),
-                            feedback: feedback_cost(config, machine, c),
-                        });
-                    }
-                    let max_rc = child_idx
-                        .iter()
-                        .map(|&c| nests[c].refine_ratio)
-                        .max()
-                        .unwrap_or(0);
-                    for cs in 0..max_rc {
-                        let act: Vec<usize> = child_idx
-                            .iter()
-                            .copied()
-                            .filter(|&c| cs < nests[c].refine_ratio)
-                            .collect();
-                        let sub: Vec<(u32, u32, Rect)> = act
-                            .iter()
-                            .map(|&c| (nests[c].nx, nests[c].ny, partitions[c]))
-                            .collect();
-                        child_step_ids.push(intern_step(&mut steps, sub, machine, grid, &routes));
-                        child_obs_tags.push(if act.len() == 1 { act[0] as i32 } else { -1 });
-                    }
-                    resync = level1
-                        .iter()
-                        .enumerate()
-                        .filter(|&(_, &i)| {
-                            s < nests[i].refine_ratio && !config.children_of(i).is_empty()
-                        })
-                        .map(|(pos, _)| pos)
-                        .collect();
-                }
-                substeps.push(ConcSubstep {
-                    step_id,
-                    obs_tag,
-                    children,
-                    child_step_ids,
-                    child_obs_tags,
-                    resync,
-                });
-            }
-
-            // Per-rank feedback-release lists.
-            let halo_w = machine.halo.width;
-            let n = grid.len() as usize;
-            let mut release_offsets = Vec::with_capacity(n + 1);
-            let mut release_nests = Vec::new();
-            release_offsets.push(0u32);
-            for patch in parent_patch.iter().take(n) {
-                if !patch.is_empty() {
-                    let expanded = Rect::new(
-                        patch.x0.saturating_sub(halo_w),
-                        patch.y0.saturating_sub(halo_w),
-                        patch.w + 2 * halo_w,
-                        patch.h + 2 * halo_w,
-                    );
-                    for &i in &level1 {
-                        if !expanded.is_disjoint(&nests[i].footprint_in_parent()) {
-                            release_nests.push(i as u32);
-                        }
-                    }
-                }
-                release_offsets.push(release_nests.len() as u32);
-            }
-            NestPlan::Concurrent(ConcPlan {
-                level1: conc_level1,
-                substeps,
-                release_offsets,
-                release_nests,
-            })
-        }
+        config,
+        routes: NeighborRoutes::new(grid, mapping),
+        parent_patch,
+        rects,
+        lockstep,
+        steps: Vec::new(),
     };
+    let parent_step = cx.intern(vec![(config.parent.nx, config.parent.ny, grid.rect())]);
+    let groups = cx.groups(&config.level1());
+    // Sequential's nest phase opens on a global barrier, which the first
+    // whole-grid group's start supplies. A parent-only run has no group,
+    // yet every predictor fit is timed on that run with the barrier in
+    // place (`core::profile::measure_domain_time`), so it is kept by hand.
+    let parent_barrier = !lockstep && groups.is_empty();
     Compiled {
-        steps,
+        steps: cx.steps,
         parent_step,
-        nests: nest_plan,
+        groups,
+        parent_barrier,
+    }
+}
+
+/// What compiling a [`Group`] needs besides its members.
+struct GroupCompiler<'a> {
+    machine: &'a Machine,
+    grid: &'a ProcGrid,
+    config: &'a NestedConfig,
+    routes: NeighborRoutes,
+    /// Each rank's parent patch (empty off the parent's sub-grid).
+    parent_patch: Vec<Rect>,
+    /// Processor rectangle of each nest.
+    rects: Vec<Rect>,
+    /// Siblings share one group (Concurrent) or get one each (Sequential).
+    lockstep: bool,
+    steps: Vec<CompiledStep>,
+}
+
+impl GroupCompiler<'_> {
+    /// Interns the compiled step for `domains`, deduplicating identical
+    /// domain lists (e.g. every parent step, or repeated lockstep
+    /// sub-steps).
+    fn intern(&mut self, domains: Vec<(u32, u32, Rect)>) -> usize {
+        if let Some(i) = self.steps.iter().position(|s| s.domains == domains) {
+            return i;
+        }
+        let step = CompiledStep::compile(&domains, self.machine, self.grid, &self.routes);
+        self.steps.push(step);
+        self.steps.len() - 1
+    }
+
+    /// The sibling nests `nests`, grouped per the strategy.
+    fn groups(&mut self, nests: &[usize]) -> Vec<Group> {
+        if self.lockstep && !nests.is_empty() {
+            vec![self.group(nests)]
+        } else {
+            nests.iter().map(|&i| self.group(&[i])).collect()
+        }
+    }
+
+    fn group(&mut self, ids: &[usize]) -> Group {
+        let config = self.config;
+        let nests = &config.nests;
+        let level1 = nests[ids[0]].parent_nest.is_none();
+        let members = ids
+            .iter()
+            .map(|&i| Member {
+                idx: i,
+                ranks: self.grid.ranks_in(&self.rects[i]),
+                donors: if level1 {
+                    ranks_overlapping(&self.parent_patch, &nests[i].footprint_in_parent())
+                } else {
+                    Vec::new()
+                },
+                interp: interp_cost(config, self.machine, i),
+                feedback: feedback_cost(config, self.machine, i),
+            })
+            .collect();
+        let max_r = ids
+            .iter()
+            .map(|&i| nests[i].refine_ratio)
+            .max()
+            .unwrap_or(0);
+        let mut substeps = Vec::with_capacity(max_r as usize);
+        for s in 0..max_r {
+            let active: Vec<usize> = ids
+                .iter()
+                .copied()
+                .filter(|&i| s < nests[i].refine_ratio)
+                .collect();
+            let domains = active
+                .iter()
+                .map(|&i| (nests[i].nx, nests[i].ny, self.rects[i]))
+                .collect();
+            let step_id = self.intern(domains);
+            let obs_tag = if active.len() == 1 {
+                active[0] as i32
+            } else {
+                -1
+            };
+            let children: Vec<usize> = active.iter().flat_map(|&i| config.children_of(i)).collect();
+            let resync = ids
+                .iter()
+                .enumerate()
+                .filter(|&(_, &i)| s < nests[i].refine_ratio && !config.children_of(i).is_empty())
+                .map(|(pos, _)| pos)
+                .collect();
+            substeps.push(Substep {
+                step_id,
+                obs_tag,
+                children: self.groups(&children),
+                resync,
+            });
+        }
+        let (release_offsets, release_nests) = if level1 {
+            self.release_lists(ids)
+        } else {
+            (Vec::new(), Vec::new())
+        };
+        Group {
+            members,
+            substeps,
+            release_offsets,
+            release_nests,
+        }
+    }
+
+    /// Per-rank feedback-release lists over the level-1 nests `ids`.
+    fn release_lists(&self, ids: &[usize]) -> (Vec<u32>, Vec<u32>) {
+        let halo_w = self.machine.halo.width;
+        let mut offsets = Vec::with_capacity(self.parent_patch.len() + 1);
+        let mut release = Vec::new();
+        offsets.push(0u32);
+        for patch in &self.parent_patch {
+            if !patch.is_empty() {
+                let expanded = Rect::new(
+                    patch.x0.saturating_sub(halo_w),
+                    patch.y0.saturating_sub(halo_w),
+                    patch.w + 2 * halo_w,
+                    patch.h + 2 * halo_w,
+                );
+                for &i in ids {
+                    if !expanded.is_disjoint(&self.config.nests[i].footprint_in_parent()) {
+                        release.push(i as u32);
+                    }
+                }
+            }
+            offsets.push(release.len() as u32);
+        }
+        (offsets, release)
     }
 }
 

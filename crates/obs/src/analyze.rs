@@ -306,7 +306,6 @@ pub(crate) fn compute(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::timeline::TimelineConfig;
     use crate::NestBreakdown;
 
     fn summary_with_nests(times: &[f64]) -> ObsSummary {
@@ -336,10 +335,7 @@ mod tests {
     #[test]
     fn imbalance_and_critical_ranks_from_timeline() {
         let s = summary_with_nests(&[1.0]);
-        let mut tl = Timeline::new(TimelineConfig {
-            max_frames: 8,
-            max_ranks: 8,
-        });
+        let mut tl = Timeline::with_bounds(8, 8);
         // Rank 3 works 3×, ranks 0-2 work 1× — imbalance = 3 / 1.5 = 2.
         for step in 1..=4u64 {
             tl.record_step(

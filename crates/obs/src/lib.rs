@@ -34,7 +34,7 @@ pub use analyze::{AnalysisReport, LinkUtil, NestAnalysis, NetDetail, RankShare};
 pub use hist::{HistSummary, LogHistogram};
 use ring::StepRing;
 pub use serve::{SERVE_SCHEMA, SERVE_VERSION};
-pub use timeline::{Timeline, TimelineConfig};
+pub use timeline::Timeline;
 
 use serde::Serialize;
 use serde_json::Value;
@@ -144,25 +144,23 @@ impl ObsSummary {
     }
 }
 
-/// Recorder configuration.
+/// Recorder configuration: the counter tier ([`ObsConfig::counters`]) or
+/// the detailed tier ([`ObsConfig::detailed`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObsConfig {
     /// Most recent steps kept in the ring buffer (totals always cover the
     /// whole run).
     pub ring_capacity: usize,
-    /// Per-rank timeline recording; `None` keeps the counter-only tier.
-    pub timeline: Option<TimelineConfig>,
-    /// Per-link busy accounting and message-latency histograms in the
-    /// network model.
-    pub net_detail: bool,
+    /// The detailed tier: per-rank timelines, per-link busy accounting and
+    /// message-latency histograms in the network model.
+    pub detailed: bool,
 }
 
 impl Default for ObsConfig {
     fn default() -> Self {
         ObsConfig {
             ring_capacity: 65536,
-            timeline: None,
-            net_detail: false,
+            detailed: false,
         }
     }
 }
@@ -175,28 +173,17 @@ impl ObsConfig {
     }
 
     /// Full detail: counters plus per-rank timelines and per-link network
-    /// recording, with default bounds.
+    /// recording.
     pub fn detailed() -> Self {
-        Self::default()
-            .with_timeline(TimelineConfig::default())
-            .with_net_detail(true)
+        ObsConfig {
+            detailed: true,
+            ..Self::default()
+        }
     }
 
     /// Retain at most `n` recent steps.
     pub fn with_ring_capacity(mut self, n: usize) -> Self {
         self.ring_capacity = n;
-        self
-    }
-
-    /// Enables per-rank timeline recording with the given bounds.
-    pub(crate) fn with_timeline(mut self, cfg: TimelineConfig) -> Self {
-        self.timeline = Some(cfg);
-        self
-    }
-
-    /// Enables or disables per-link network recording.
-    pub(crate) fn with_net_detail(mut self, on: bool) -> Self {
-        self.net_detail = on;
         self
     }
 }
@@ -222,7 +209,7 @@ impl Recorder {
             summary: ObsSummary::default(),
             step_hist: LogHistogram::new(),
             wait_hist: LogHistogram::new(),
-            timeline: config.timeline.map(Timeline::new),
+            timeline: config.detailed.then(Timeline::new),
             net: None,
             last_end: 0.0,
         }

@@ -6,35 +6,21 @@
 //! regardless of run length or machine size:
 //!
 //! * **Rank sampling:** when the machine has more ranks than
-//!   `TimelineConfig::max_ranks`, only every `rank_stride`-th rank gets a
+//!   [`MAX_RANKS`], only every `rank_stride`-th rank gets a
 //!   lane. Critical-path attribution still sees *every* active rank — only
 //!   the per-rank columns are sampled.
 //! * **Step decimation:** when the frame buffer reaches
-//!   `TimelineConfig::max_frames`, adjacent frames are merged pairwise in
+//!   [`MAX_FRAMES`], adjacent frames are merged pairwise in
 //!   place and the per-frame step stride doubles, so a 10k-step run costs
 //!   the same memory as a 100-step run at coarser time resolution.
 //!
 //! Recording is purely additive — producers hand in values they already
 //! computed — so an attached timeline cannot perturb simulation results.
 
-/// Timeline recording limits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimelineConfig {
-    /// Frame-buffer capacity; reaching it halves the time resolution
-    /// (rounded up to an even number, minimum 2).
-    pub(crate) max_frames: usize,
-    /// Maximum per-rank lanes; more ranks than this are stride-sampled.
-    pub(crate) max_ranks: usize,
-}
-
-impl Default for TimelineConfig {
-    fn default() -> Self {
-        TimelineConfig {
-            max_frames: 4096,
-            max_ranks: 256,
-        }
-    }
-}
+/// Frame-buffer capacity (even); reaching it halves the time resolution.
+pub const MAX_FRAMES: usize = 4096;
+/// Maximum per-rank lanes; more ranks than this are stride-sampled.
+pub const MAX_RANKS: usize = 256;
 
 /// Per-frame metadata (a frame covers `step_stride` consecutive recorded
 /// steps once decimation has kicked in).
@@ -62,7 +48,9 @@ pub struct FrameMeta {
 /// Columnar per-rank step timeline with bounded memory.
 #[derive(Debug, Clone)]
 pub struct Timeline {
-    cfg: TimelineConfig,
+    /// [`MAX_FRAMES`] and [`MAX_RANKS`] outside this module's tests.
+    max_frames: usize,
+    max_ranks: usize,
     /// Total ranks of the producer (0 until the first record).
     nranks: u32,
     /// Every `rank_stride`-th rank gets a lane.
@@ -90,13 +78,10 @@ impl Timeline {
     pub(crate) const MIXED_NEST: i32 = i32::MIN;
 
     /// An empty timeline; lanes are sized on the first recorded step.
-    pub(crate) fn new(cfg: TimelineConfig) -> Timeline {
-        let cfg = TimelineConfig {
-            max_frames: (cfg.max_frames.max(2) + 1) & !1,
-            max_ranks: cfg.max_ranks.max(1),
-        };
+    pub(crate) fn new() -> Timeline {
         Timeline {
-            cfg,
+            max_frames: MAX_FRAMES,
+            max_ranks: MAX_RANKS,
             nranks: 0,
             rank_stride: 1,
             lanes: 0,
@@ -113,7 +98,7 @@ impl Timeline {
     fn init(&mut self, nranks: u32) {
         let nranks = nranks.max(1);
         self.nranks = nranks;
-        self.rank_stride = nranks.div_ceil(self.cfg.max_ranks as u32).max(1);
+        self.rank_stride = nranks.div_ceil(self.max_ranks as u32).max(1);
         self.lanes = nranks.div_ceil(self.rank_stride);
     }
 
@@ -143,7 +128,7 @@ impl Timeline {
         debug_assert_eq!(nranks.max(1), self.nranks, "rank count changed mid-run");
         let lanes = self.lanes as usize;
         if self.open_steps == 0 {
-            if self.meta.len() >= self.cfg.max_frames {
+            if self.meta.len() >= self.max_frames {
                 self.decimate();
             }
             self.meta.push(FrameMeta {
@@ -292,7 +277,22 @@ impl Timeline {
 
     /// Forgets everything recorded; lanes re-size on the next record.
     pub(crate) fn clear(&mut self) {
-        *self = Timeline::new(self.cfg);
+        *self = Timeline {
+            max_frames: self.max_frames,
+            max_ranks: self.max_ranks,
+            ..Timeline::new()
+        };
+    }
+
+    /// An empty timeline with small bounds (`max_frames` even), so tests
+    /// reach decimation and rank sampling in a few steps.
+    #[cfg(test)]
+    pub(crate) fn with_bounds(max_frames: usize, max_ranks: usize) -> Timeline {
+        Timeline {
+            max_frames,
+            max_ranks,
+            ..Timeline::new()
+        }
     }
 }
 
@@ -317,10 +317,7 @@ mod tests {
 
     #[test]
     fn records_per_rank_columns() {
-        let mut tl = Timeline::new(TimelineConfig {
-            max_frames: 16,
-            max_ranks: 8,
-        });
+        let mut tl = Timeline::with_bounds(16, 8);
         tl.record_step(4, 1, 0, 0.0, 1.0, 0..4u32, |g| g as f64, |g| 0.5 * g as f64);
         assert_eq!(tl.frames(), 1);
         assert_eq!(tl.lanes(), 4);
@@ -334,10 +331,7 @@ mod tests {
 
     #[test]
     fn decimation_bounds_frames_and_preserves_totals() {
-        let mut tl = Timeline::new(TimelineConfig {
-            max_frames: 8,
-            max_ranks: 4,
-        });
+        let mut tl = Timeline::with_bounds(8, 4);
         record_uniform(&mut tl, 2, 100);
         assert_eq!(tl.recorded_steps(), 100);
         assert!(tl.frames() <= 8, "frames {} exceed cap", tl.frames());
@@ -364,10 +358,7 @@ mod tests {
 
     #[test]
     fn rank_sampling_strides_lanes() {
-        let mut tl = Timeline::new(TimelineConfig {
-            max_frames: 4,
-            max_ranks: 4,
-        });
+        let mut tl = Timeline::with_bounds(4, 4);
         tl.record_step(16, 1, -1, 0.0, 1.0, 0..16u32, |_| 1.0, |g| g as f64);
         assert_eq!(tl.rank_stride(), 4);
         assert_eq!(tl.lanes(), 4);
@@ -378,10 +369,7 @@ mod tests {
 
     #[test]
     fn subset_active_ranks_leave_other_lanes_zero() {
-        let mut tl = Timeline::new(TimelineConfig {
-            max_frames: 4,
-            max_ranks: 8,
-        });
+        let mut tl = Timeline::with_bounds(4, 8);
         tl.record_step(8, 1, 2, 0.0, 1.0, 4..8u32, |_| 0.5, |_| 0.25);
         assert_eq!(tl.frame_compute(0)[..4], [0.0; 4]);
         assert_eq!(tl.frame_compute(0)[4..], [0.5; 4]);
@@ -390,10 +378,7 @@ mod tests {
 
     #[test]
     fn clear_resets_and_resizes_on_next_run() {
-        let mut tl = Timeline::new(TimelineConfig {
-            max_frames: 4,
-            max_ranks: 8,
-        });
+        let mut tl = Timeline::with_bounds(4, 8);
         record_uniform(&mut tl, 4, 10);
         tl.clear();
         assert_eq!(tl.frames(), 0);
