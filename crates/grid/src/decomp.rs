@@ -93,13 +93,6 @@ pub struct Patch {
     pub region: Rect,
 }
 
-impl Patch {
-    /// Number of owned grid points.
-    pub fn points(&self) -> u64 {
-        self.region.area()
-    }
-}
-
 /// Block decomposition of an `nx × ny` domain over a `Px × Py` grid.
 ///
 /// Remainder points go to the lower-indexed rows/columns, matching WRF's
@@ -178,31 +171,6 @@ impl Decomposition {
     pub fn patches(&self) -> Vec<Patch> {
         (0..self.grid.len()).map(|r| self.patch(r)).collect()
     }
-
-    /// Bytes this rank exchanges with each existing neighbour per step.
-    pub fn halo_bytes(&self, rank: u32, halo: &HaloSpec) -> [(Neighbor, Option<u64>); 4] {
-        let (x, y) = self.grid.coords_of(rank);
-        let p = self.patch_at(x, y);
-        let mut out = [
-            (Neighbor::West, None),
-            (Neighbor::East, None),
-            (Neighbor::North, None),
-            (Neighbor::South, None),
-        ];
-        if x > 0 {
-            out[0].1 = Some(halo.edge_bytes(p.region.h));
-        }
-        if x + 1 < self.grid.px {
-            out[1].1 = Some(halo.edge_bytes(p.region.h));
-        }
-        if y > 0 {
-            out[2].1 = Some(halo.edge_bytes(p.region.w));
-        }
-        if y + 1 < self.grid.py {
-            out[3].1 = Some(halo.edge_bytes(p.region.w));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -230,7 +198,7 @@ mod tests {
     #[test]
     fn patch_sizes_near_uniform() {
         let d = Decomposition::new(415, 445, ProcGrid::new(18, 24));
-        let pts: Vec<u64> = d.patches().iter().map(Patch::points).collect();
+        let pts: Vec<u64> = d.patches().iter().map(|p| p.region.area()).collect();
         let (min, max) = (pts.iter().min().unwrap(), pts.iter().max().unwrap());
         // Widths differ by ≤1 and heights differ by ≤1.
         assert!(max - min <= 24 + 19); // (w+1)(h+1) - wh = w + h + 1 bound
@@ -240,21 +208,6 @@ mod tests {
     #[should_panic]
     fn rejects_grid_larger_than_domain() {
         Decomposition::new(4, 4, ProcGrid::new(8, 2));
-    }
-
-    #[test]
-    fn halo_bytes_boundary_ranks() {
-        let d = Decomposition::new(100, 100, ProcGrid::new(4, 4));
-        let halo = HaloSpec::wrf_arw();
-        // Corner rank 0 has only east and south neighbours.
-        let hb = d.halo_bytes(0, &halo);
-        assert!(hb[0].1.is_none()); // west
-        assert!(hb[1].1.is_some()); // east
-        assert!(hb[2].1.is_none()); // north
-        assert!(hb[3].1.is_some()); // south
-                                    // Interior rank 5 has all four.
-        let hb = d.halo_bytes(5, &halo);
-        assert!(hb.iter().all(|(_, b)| b.is_some()));
     }
 
     #[test]

@@ -75,16 +75,6 @@ impl Domain {
         Domain { nx, ny, dx_km }
     }
 
-    /// Total number of grid points, the predictor's first feature.
-    pub fn points(&self) -> u64 {
-        self.nx as u64 * self.ny as u64
-    }
-
-    /// Aspect ratio `nx / ny`, the predictor's second feature.
-    pub fn aspect_ratio(&self) -> f64 {
-        self.nx as f64 / self.ny as f64
-    }
-
     /// The domain as a rectangle anchored at the origin.
     pub fn rect(&self) -> Rect {
         Rect::of_size(self.nx, self.ny)
@@ -238,13 +228,6 @@ mod tests {
 
     fn pacific_parent() -> Domain {
         Domain::parent(286, 307, 24.0)
-    }
-
-    #[test]
-    fn points_and_aspect() {
-        let d = pacific_parent();
-        assert_eq!(d.points(), 286 * 307);
-        assert!((d.aspect_ratio() - 286.0 / 307.0).abs() < 1e-12);
     }
 
     #[test]

@@ -50,13 +50,6 @@ impl Rect {
         self.y0 + self.h
     }
 
-    /// Width / height, the feature the paper's predictor uses alongside the
-    /// point count (§3.1).
-    pub fn aspect_ratio(&self) -> f64 {
-        assert!(!self.is_empty(), "aspect ratio of an empty rectangle");
-        self.w as f64 / self.h as f64
-    }
-
     /// How square-like the rectangle is: `min(w,h) / max(w,h)` in `(0, 1]`.
     ///
     /// Algorithm 1 always splits along the longer dimension precisely to keep
@@ -171,15 +164,6 @@ mod tests {
         assert!(Rect::of_size(0, 4).is_empty());
         assert!(Rect::of_size(4, 0).is_empty());
         assert!(!Rect::of_size(1, 1).is_empty());
-    }
-
-    #[test]
-    fn aspect_ratio_matches_paper_features() {
-        // Paper's minimum/maximum nest sizes: 94×124 and 415×445.
-        let small = Rect::of_size(94, 124);
-        let large = Rect::of_size(415, 445);
-        assert!((small.aspect_ratio() - 94.0 / 124.0).abs() < 1e-12);
-        assert!((large.aspect_ratio() - 415.0 / 445.0).abs() < 1e-12);
     }
 
     #[test]

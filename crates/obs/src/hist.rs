@@ -172,18 +172,6 @@ impl LogHistogram {
         self.record(d.as_secs_f64());
     }
 
-    /// Element-wise merge of another histogram into this one. Associative;
-    /// merging an empty histogram is a no-op.
-    pub fn merge(&mut self, other: &LogHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Values recorded.
     pub fn count(&self) -> u64 {
         self.count
@@ -378,36 +366,6 @@ mod tests {
             let ulps = reported.abs_diff(edge);
             assert!(ulps <= 32, "edge {i} is {ulps} ulps from upper_edge");
         }
-    }
-
-    #[test]
-    fn merge_is_associative() {
-        // Power-of-two values keep the float sums exact, so the merged
-        // histograms compare bitwise equal either way around.
-        let a = filled(&[0.5, 2.0, 64.0]);
-        let b = filled(&[1e-6, 0.25]);
-        let c = filled(&[4.0, 4.0, 1e-3]);
-        let mut ab_c = a.clone();
-        ab_c.merge(&b);
-        ab_c.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut a_bc = a.clone();
-        a_bc.merge(&bc);
-        assert_eq!(ab_c, a_bc);
-        assert_eq!(ab_c.count(), 8);
-    }
-
-    #[test]
-    fn empty_merge_is_identity() {
-        let a = filled(&[1e-4, 3.0, 0.02]);
-        let mut merged = a.clone();
-        merged.merge(&LogHistogram::new());
-        assert_eq!(merged, a);
-        // Identity from the left as well.
-        let mut left = LogHistogram::new();
-        left.merge(&a);
-        assert_eq!(left, a);
     }
 
     #[test]
