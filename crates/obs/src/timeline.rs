@@ -6,11 +6,11 @@
 //! regardless of run length or machine size:
 //!
 //! * **Rank sampling:** when the machine has more ranks than
-//!   [`MAX_RANKS`], only every `rank_stride`-th rank gets a
+//!   `MAX_RANKS` (256), only every `rank_stride`-th rank gets a
 //!   lane. Critical-path attribution still sees *every* active rank — only
 //!   the per-rank columns are sampled.
 //! * **Step decimation:** when the frame buffer reaches
-//!   [`MAX_FRAMES`], adjacent frames are merged pairwise in
+//!   `MAX_FRAMES` (4096), adjacent frames are merged pairwise in
 //!   place and the per-frame step stride doubles, so a 10k-step run costs
 //!   the same memory as a 100-step run at coarser time resolution.
 //!
@@ -18,9 +18,9 @@
 //! computed — so an attached timeline cannot perturb simulation results.
 
 /// Frame-buffer capacity (even); reaching it halves the time resolution.
-pub const MAX_FRAMES: usize = 4096;
+const MAX_FRAMES: usize = 4096;
 /// Maximum per-rank lanes; more ranks than this are stride-sampled.
-pub const MAX_RANKS: usize = 256;
+const MAX_RANKS: usize = 256;
 
 /// Per-frame metadata (a frame covers `step_stride` consecutive recorded
 /// steps once decimation has kicked in).
@@ -48,7 +48,7 @@ pub struct FrameMeta {
 /// Columnar per-rank step timeline with bounded memory.
 #[derive(Debug, Clone)]
 pub struct Timeline {
-    /// [`MAX_FRAMES`] and [`MAX_RANKS`] outside this module's tests.
+    /// `MAX_FRAMES` and `MAX_RANKS` outside this module's tests.
     max_frames: usize,
     max_ranks: usize,
     /// Total ranks of the producer (0 until the first record).
