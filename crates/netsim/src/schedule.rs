@@ -270,9 +270,9 @@ pub(crate) struct StepScratch {
     /// its latency — the step's `msg_latency` samples, with no buffer of
     /// their own.
     pending: Vec<(u64, u32)>,
-    /// Destination buffer of [`sort_pending`]'s distribution pass.
+    /// Destination buffer of [`sort_injections`]'s distribution pass.
     pending_tmp: Vec<(u64, u32)>,
-    /// Its bucket counts (at most two per pending message).
+    /// Its bucket counts (at most eight per pending message).
     buckets: Vec<u32>,
     /// Send-completion time per sender, in sender order.
     send_done: Vec<f64>,
@@ -333,6 +333,7 @@ pub(crate) fn run_compiled_step(
     scratch.send_done.clear();
     let mut compute_total = 0.0;
     let mut mi = 0usize;
+    let (mut lo, mut hi) = (u64::MAX, 0u64);
     for s in &cs.senders {
         let comp = s.step_time * (1.0 + jitter * unit_hash(s.g, step));
         let t_comp = ready[s.g as usize] + comp;
@@ -349,14 +350,19 @@ pub(crate) fn run_compiled_step(
             scratch.pending[tie as usize] = (t_send.to_bits(), tie);
             mi += 1;
         }
+        // A sender's injection times ascend from `t_comp`, so `t_comp` and
+        // its last one bound its keys.
+        lo = lo.min(t_comp.to_bits());
+        hi = hi.max(t_send.to_bits());
         scratch.send_done.push(t_send);
     }
     debug_assert_eq!(mi, cs.msgs.len());
 
-    sort_pending(
+    sort_injections(
         &mut scratch.pending,
         &mut scratch.pending_tmp,
         &mut scratch.buckets,
+        (lo, hi),
     );
     scratch.recv_latest.fill(0.0);
     // With detail recording on, a delivered message's key is overwritten by
@@ -404,44 +410,74 @@ pub(crate) fn run_compiled_step(
 
 /// Steps with fewer messages than this go straight to a comparison sort.
 const SMALL_STEP: usize = 128;
+/// log2 of the buckets per pending message: keys spread over at most
+/// `8n` buckets, so most hold one or two pairs.
+const BUCKETS_PER_MSG_LOG2: u32 = 3;
+/// Fullest bucket up to which one insertion pass finishes the sort; a
+/// fuller one (zero jitter, far-apart clusters) would make that pass
+/// quadratic, so each bucket is comparison-sorted instead.
+const INSERTION_MAX_BUCKET: u32 = 32;
+
+/// How [`sort_injections`] finished a step's sort.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Finish {
+    /// A small step: one comparison sort of the pairs.
+    Comparison,
+    /// Distribution, then one key-only insertion pass over the buffer.
+    Insertion,
+    /// Distribution, then a comparison sort of each crowded bucket.
+    PerBucket,
+}
 
 /// Sorts pending messages by `(injection-time bits, tie rank)` — the
 /// reference's stable `(inject, from, to)` order, since tie ranks are
-/// unique and follow `(from, to)`.
+/// unique and follow `(from, to)`. `pending` must arrive in tie-rank
+/// order (`pending[i].1 == i`, as the replay fills it), and `lo ≤ key ≤
+/// hi` for every key.
 ///
 /// One distribution pass: the keys of a step span a narrow range (±
-/// jitter around a few patch sizes' compute times), so `(key − min) >>
-/// shift` spreads `n` of them over at most `2n` buckets, most holding one
-/// pair or none. Count, prefix-sum, scatter into `tmp`, then
-/// comparison-sort the buckets that hold more than one pair. A degenerate
-/// key distribution (all keys equal, one crowded bucket) degrades to that
-/// comparison sort, never further.
-fn sort_pending(pending: &mut Vec<(u64, u32)>, tmp: &mut Vec<(u64, u32)>, buckets: &mut Vec<u32>) {
+/// jitter around a few patch sizes' compute times), so `(key − lo) >>
+/// shift` spreads `n` of them over at most `8n` buckets. Count, prefix-sum
+/// (noting the fullest bucket), scatter into `tmp`. The scatter is stable
+/// and its input is in tie-rank order, so every bucket already holds its
+/// equal keys in tie-rank order, and one insertion pass over the whole
+/// buffer that compares keys only — and never moves a pair past an equal
+/// key — finishes the sort. Pairs move only within their bucket, so that
+/// pass costs at most the sum of the squared bucket sizes; when a bucket
+/// holds more than [`INSERTION_MAX_BUCKET`] pairs, each bucket is
+/// comparison-sorted instead.
+fn sort_injections(
+    pending: &mut Vec<(u64, u32)>,
+    tmp: &mut Vec<(u64, u32)>,
+    buckets: &mut Vec<u32>,
+    (lo, hi): (u64, u64),
+) -> Finish {
     let n = pending.len();
+    debug_assert!(pending.iter().zip(0u32..).all(|(p, tie)| p.1 == tie));
     if n < SMALL_STEP {
         pending.sort_unstable();
-        return;
+        return Finish::Comparison;
     }
-    let (mut lo, mut hi) = (u64::MAX, 0u64);
-    for &(key, _) in pending.iter() {
-        lo = lo.min(key);
-        hi = hi.max(key);
-    }
+    debug_assert!(pending.iter().all(|p| (lo..=hi).contains(&p.0)));
     // Buckets of 2^shift keys: the narrowest that cover `hi - lo` with at
-    // most 2^⌊log2 2n⌋ of them.
+    // most 2^⌊log2 8n⌋ of them.
     let key_bits = u64::BITS - (hi - lo).leading_zeros();
-    let shift = key_bits.saturating_sub((2 * n).ilog2());
+    let shift = key_bits.saturating_sub((n << BUCKETS_PER_MSG_LOG2).ilog2());
     buckets.clear();
-    buckets.resize(((hi - lo) >> shift) as usize + 1, 0);
-    debug_assert!(buckets.len() <= 2 * n);
+    // Padded to whole quads for the prefix sum; the padding stays empty.
+    buckets.resize((((hi - lo) >> shift) as usize + 1).next_multiple_of(4), 0);
+    debug_assert!(buckets.len() <= n << BUCKETS_PER_MSG_LOG2);
     for &(key, _) in pending.iter() {
         buckets[((key - lo) >> shift) as usize] += 1;
     }
-    let mut start = 0u32;
-    for b in buckets.iter_mut() {
-        let count = *b;
-        *b = start;
-        start += count;
+    // Prefix sums four buckets at a time: one add per four buckets on the
+    // running total's dependency chain.
+    let (mut start, mut fullest) = (0u32, 0u32);
+    for quad in buckets.chunks_exact_mut(4) {
+        let [a, b, c, d] = [quad[0], quad[1], quad[2], quad[3]];
+        quad.copy_from_slice(&[start, start + a, start + a + b, start + a + b + c]);
+        start += a + b + c + d;
+        fullest = fullest.max(a.max(b).max(c.max(d)));
     }
     tmp.resize(n, (0, 0));
     for &pair in pending.iter() {
@@ -449,30 +485,107 @@ fn sort_pending(pending: &mut Vec<(u64, u32)>, tmp: &mut Vec<(u64, u32)>, bucket
         tmp[*b as usize] = pair;
         *b += 1;
     }
-    // Each bucket's entry has advanced from its start to its end.
-    let mut start = 0usize;
-    for &end in buckets.iter() {
-        let end = end as usize;
-        if end - start > 1 {
-            tmp[start..end].sort_unstable();
+    let finish = if fullest <= INSERTION_MAX_BUCKET {
+        for i in 1..n {
+            let pair = tmp[i];
+            if tmp[i - 1].0 <= pair.0 {
+                continue;
+            }
+            let mut j = i;
+            while j > 0 && tmp[j - 1].0 > pair.0 {
+                tmp[j] = tmp[j - 1];
+                j -= 1;
+            }
+            tmp[j] = pair;
         }
-        start = end;
-    }
+        Finish::Insertion
+    } else {
+        // Each bucket's entry has advanced from its start to its end.
+        let mut start = 0usize;
+        for &end in buckets.iter() {
+            let end = end as usize;
+            if end - start > 1 {
+                tmp[start..end].sort_unstable();
+            }
+            start = end;
+        }
+        Finish::PerBucket
+    };
     std::mem::swap(pending, tmp);
+    finish
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Runs `sort_pending` on `keys` — tie rank = position, as the replay
-    /// fills the buffer — and compares with a full sort of the pairs.
-    fn assert_sorts(keys: &[u64], tmp: &mut Vec<(u64, u32)>, buckets: &mut Vec<u32>) {
+    /// The previous replay sort, kept as the oracle of [`sort_injections`]:
+    /// its own min/max pass, at most `2n` buckets, then a comparison sort
+    /// of the `(key, tie rank)` pairs in every bucket holding more than one.
+    fn sort_pending(
+        pending: &mut Vec<(u64, u32)>,
+        tmp: &mut Vec<(u64, u32)>,
+        buckets: &mut Vec<u32>,
+    ) {
+        let n = pending.len();
+        if n < SMALL_STEP {
+            pending.sort_unstable();
+            return;
+        }
+        let (mut lo, mut hi) = (u64::MAX, 0u64);
+        for &(key, _) in pending.iter() {
+            lo = lo.min(key);
+            hi = hi.max(key);
+        }
+        // Buckets of 2^shift keys: the narrowest that cover `hi - lo` with at
+        // most 2^⌊log2 2n⌋ of them.
+        let key_bits = u64::BITS - (hi - lo).leading_zeros();
+        let shift = key_bits.saturating_sub((2 * n).ilog2());
+        buckets.clear();
+        buckets.resize(((hi - lo) >> shift) as usize + 1, 0);
+        debug_assert!(buckets.len() <= 2 * n);
+        for &(key, _) in pending.iter() {
+            buckets[((key - lo) >> shift) as usize] += 1;
+        }
+        let mut start = 0u32;
+        for b in buckets.iter_mut() {
+            let count = *b;
+            *b = start;
+            start += count;
+        }
+        tmp.resize(n, (0, 0));
+        for &pair in pending.iter() {
+            let b = &mut buckets[((pair.0 - lo) >> shift) as usize];
+            tmp[*b as usize] = pair;
+            *b += 1;
+        }
+        // Each bucket's entry has advanced from its start to its end.
+        let mut start = 0usize;
+        for &end in buckets.iter() {
+            let end = end as usize;
+            if end - start > 1 {
+                tmp[start..end].sort_unstable();
+            }
+            start = end;
+        }
+        std::mem::swap(pending, tmp);
+    }
+
+    /// Runs `sort_injections` on `keys` — tie rank = position, as the
+    /// replay fills the buffer — and compares it with the oracle, which is
+    /// itself held to a full sort of the pairs. Returns the path taken.
+    fn assert_sorts(keys: &[u64], tmp: &mut Vec<(u64, u32)>, buckets: &mut Vec<u32>) -> Finish {
         let mut pending: Vec<(u64, u32)> = keys.iter().copied().zip(0u32..).collect();
         let mut expect = pending.clone();
-        expect.sort();
-        sort_pending(&mut pending, tmp, buckets);
+        sort_pending(&mut expect, tmp, buckets);
+        let mut full = pending.clone();
+        full.sort();
+        assert_eq!(expect, full, "oracle, n={}", keys.len());
+        let lo = keys.iter().copied().min().unwrap_or(u64::MAX);
+        let hi = keys.iter().copied().max().unwrap_or(0);
+        let finish = sort_injections(&mut pending, tmp, buckets, (lo, hi));
         assert_eq!(pending, expect, "n={}", keys.len());
+        finish
     }
 
     fn keys(n: usize, f: impl FnMut(usize) -> u64) -> Vec<u64> {
@@ -540,10 +653,84 @@ mod tests {
 
     #[test]
     fn sort_pending_keeps_tie_order_on_equal_keys() {
-        let mut input: Vec<(u64, u32)> = (0..300).map(|tie| (42u64, tie)).collect();
         let (mut tmp, mut buckets) = (Vec::new(), Vec::new());
-        sort_pending(&mut input, &mut tmp, &mut buckets);
-        assert!(input.windows(2).all(|w| w[0].1 < w[1].1));
+        // Under and over the bucket guard: both finishes keep tie order.
+        for n in [300, 20] {
+            let mut input: Vec<(u64, u32)> = (0..n).map(|tie| (42u64, tie)).collect();
+            sort_injections(&mut input, &mut tmp, &mut buckets, (42, 42));
+            assert!(input.windows(2).all(|w| w[0].1 < w[1].1));
+        }
+        // Runs of equal keys spread over narrow buckets, so the insertion
+        // pass sees them: no pair passes an equal key.
+        let keys: Vec<u64> = (0..4096u64).map(|i| 1000 + (i * 7919) % 1024).collect();
+        let finish = assert_sorts(&keys, &mut tmp, &mut buckets);
+        assert_eq!(finish, Finish::Insertion);
+    }
+
+    /// The shape of a `bgp:4096` step: 4096 senders, each injecting four
+    /// messages `send_ovh` apart after its jittered compute time, which
+    /// falls into one of a few tight clusters (one per patch size) — ≈ 16 k
+    /// distinct keys. Every bucket stays small, so one insertion pass
+    /// finishes it.
+    #[test]
+    fn bgp_4096_shaped_step_takes_the_insertion_pass() {
+        let mut next = xorshift(0x2545f4914f6cdd1d);
+        let centres = [0.0105_f64, 0.0112, 0.0187, 0.0193];
+        let send_ovh = 2e-6;
+        let mut keys = Vec::with_capacity(16_384);
+        for s in 0..4096 {
+            let unit = (next() >> 11) as f64 / (1u64 << 53) as f64;
+            let mut t = centres[s % centres.len()] * (1.0 + 0.02 * (unit - 0.5));
+            for _ in 0..4 {
+                t += send_ovh;
+                keys.push(t.to_bits());
+            }
+        }
+        let mut distinct = keys.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), keys.len());
+        let (mut tmp, mut buckets) = (Vec::new(), Vec::new());
+        assert_eq!(
+            assert_sorts(&keys, &mut tmp, &mut buckets),
+            Finish::Insertion
+        );
+    }
+
+    /// A crowded bucket takes the per-bucket finish. Removing the guard
+    /// fails this test by the path it reports; the input (one far key, the
+    /// rest descending within one bucket) is also the one that makes an
+    /// unguarded insertion pass quadratic.
+    #[test]
+    fn crowded_bucket_takes_the_guard() {
+        let n = 16_384;
+        let base = 0x3f80_0000_0000_0000u64;
+        let descending: Vec<u64> = keys(n, |i| {
+            if i == 0 {
+                base + (1 << 48)
+            } else {
+                base + (n - i) as u64
+            }
+        });
+        let (mut tmp, mut buckets) = (Vec::new(), Vec::new());
+        assert_eq!(
+            assert_sorts(&descending, &mut tmp, &mut buckets),
+            Finish::PerBucket
+        );
+        // Zero jitter: a handful of distinct keys, each shared by many.
+        let few: Vec<u64> = keys(n, |i| base + (i % 5) as u64 * 977);
+        assert_eq!(
+            assert_sorts(&few, &mut tmp, &mut buckets),
+            Finish::PerBucket
+        );
+        // Just at the guard the insertion pass still runs.
+        let at_guard: Vec<u64> = keys(4096, |i| {
+            base + (i as u64 / INSERTION_MAX_BUCKET as u64) * (1 << 20)
+        });
+        assert_eq!(
+            assert_sorts(&at_guard, &mut tmp, &mut buckets),
+            Finish::Insertion
+        );
     }
 
     /// One message as the pre-construction compile derived it.

@@ -178,7 +178,7 @@ struct Member {
     ranks: Vec<u32>,
     /// Ranks whose parent patch overlaps the nest's footprint (the
     /// boundary-interpolation donors); empty for a second-level nest, whose
-    /// donors are its parent nest's own ranks.
+    /// donors are its parent nest's own ranks, and for a nest on every rank.
     donors: Vec<u32>,
     interp: f64,
     feedback: f64,
@@ -212,7 +212,7 @@ struct Group {
     /// `release_nests[release_offsets[g]..release_offsets[g + 1]]` has fed
     /// back (the members overlapping its halo-extended parent patch). Empty
     /// for a group of second-level nests, which feed back into their parent
-    /// nest instead.
+    /// nest instead, and for a group whose members all span the grid.
     release_offsets: Vec<u32>,
     release_nests: Vec<u32>,
 }
@@ -824,12 +824,15 @@ impl GroupCompiler<'_> {
         let config = self.config;
         let nests = &config.nests;
         let level1 = nests[ids[0]].parent_nest.is_none();
+        // A member on every rank: its start barrier is a global one, which
+        // no donor's ready time exceeds (`max(t_donor, barrier) == barrier`).
+        let whole = |i: usize| self.rects[i] == self.grid.rect();
         let members = ids
             .iter()
             .map(|&i| Member {
                 idx: i,
                 ranks: self.grid.ranks_in(&self.rects[i]),
-                donors: if level1 {
+                donors: if level1 && !whole(i) {
                     ranks_overlapping(&self.parent_patch, &nests[i].footprint_in_parent())
                 } else {
                     Vec::new()
@@ -838,6 +841,10 @@ impl GroupCompiler<'_> {
                 feedback: feedback_cost(config, self.machine, i),
             })
             .collect();
+        // When every member spans the grid, each member's feedback leaves
+        // every rank at its done time and each later one's done time is no
+        // earlier, so the release would rewrite values already there.
+        let release = level1 && !ids.iter().all(|&i| whole(i));
         let max_r = ids
             .iter()
             .map(|&i| nests[i].refine_ratio)
@@ -874,7 +881,7 @@ impl GroupCompiler<'_> {
                 resync,
             });
         }
-        let (release_offsets, release_nests) = if level1 {
+        let (release_offsets, release_nests) = if release {
             self.release_lists(ids)
         } else {
             (Vec::new(), Vec::new())

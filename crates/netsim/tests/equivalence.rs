@@ -285,7 +285,7 @@ fn assert_engines_agree_at_scale(
 }
 
 /// The sizes the benchmark runs: a step of `bgl:64` has at most 256
-/// messages, so the tests above barely leave `sort_pending`'s
+/// messages, so the tests above barely leave `sort_injections`'s
 /// comparison-sort cutoff; these steps carry ≈ 4 000 and ≈ 16 000.
 #[test]
 fn bgl_1024_three_nests_partition_mapping_bitwise_identical() {
